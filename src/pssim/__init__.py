@@ -1,5 +1,5 @@
 """Participatory-sensing data toolkit: behavior-model fitting, synthetic
-trace simulation, map-reduce event aggregation, and real-vs-simulated
+trace simulation, grouping of reports into events, and real-vs-simulated
 validation."""
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -1,23 +1,23 @@
-"""Parallel map-reduce grouping of reports into events.
+"""Grouping of reports into events.
 
-Reports are mapped to key/value pairs keyed by the four-tuple
-(date, temporal bin, location, incident type), partitioned by a stable hash,
-counted per partition by a worker pool, and merged into a list that is
-sorted by the canonical key order.  Because equal keys always land in the
-same partition, the result is independent of the partition count, the
-worker count, and scheduling.
+Reports are keyed by the four-tuple (date, temporal bin, location, incident
+type).  The keys become integer code columns and one sort groups them: equal
+keys end up adjacent, in the canonical key order, with each group's reporters
+sorted beside them.  A ReportTable is used as it is; any other iterable of
+report rows is encoded once on entry.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import PsSimError
-from .types import TemporalBin
+from .table import ReportTable, dates_of
+from .types import TEMPORAL_BINS, TemporalBin
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class EventKey:
 
     def sort_key(self) -> tuple:
         return (self.date, self.day_time.index, self.loc, self.incident_type)
-
-    def canonical(self) -> str:
-        return f"{self.date.isoformat()}|{self.day_time.name}|{self.loc}|{self.incident_type}"
 
 
 @dataclass(frozen=True)
@@ -76,14 +73,6 @@ def map_report(
     return EventKey(date, time, loc, incident), source
 
 
-def partition(key: EventKey, partitions: int) -> int:
-    """Stable partition index: hash of the canonical key serialization."""
-    if partitions < 1:
-        raise PsSimError(f"partition count must be >= 1, got {partitions}")
-    digest = hashlib.sha256(key.canonical().encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") % partitions
-
-
 def reduce_count(key: EventKey, values: Sequence[str]) -> AggregatedEvent:
     """Count supporting reports; reporters deduplicate source ids."""
     if not values:
@@ -93,11 +82,127 @@ def reduce_count(key: EventKey, values: Sequence[str]) -> AggregatedEvent:
     )
 
 
-def _reduce_bucket(pairs: list[tuple[EventKey, str]]) -> list[AggregatedEvent]:
-    groups: dict[EventKey, list[str]] = {}
-    for key, source in pairs:
-        groups.setdefault(key, []).append(source)
-    return [reduce_count(key, sources) for key, sources in groups.items()]
+class _KeyColumns(NamedTuple):
+    """One entry per accepted report; strings are codes into vocabularies."""
+
+    date: np.ndarray  # date ordinal
+    time: np.ndarray  # TemporalBin index
+    loc: np.ndarray
+    locs: Sequence[str]
+    type: np.ndarray
+    types: Sequence[str]
+    source: np.ndarray
+    sources: Sequence[str]
+    rejected: int
+
+
+def _table_columns(
+    table: ReportTable, default_loc: str, use_occurred: bool
+) -> _KeyColumns:
+    """Key columns of a trace table; trace rows carry no location."""
+    codes = table.occurred if use_occurred else table.reported
+    event, source = table.event, table.source
+    rejected = 0
+    blank = [code for code, name in enumerate(table.types) if not name]
+    if blank:  # an empty type is a missing key field, as in map_report
+        keep = ~np.isin(codes, blank)
+        rejected = len(codes) - int(np.count_nonzero(keep))
+        codes, event, source = codes[keep], event[keep], source[keep]
+    return _KeyColumns(
+        date=table.date[event],
+        time=table.time[event],
+        loc=np.zeros(len(codes), dtype=np.int64),
+        locs=(default_loc,),
+        type=codes,
+        types=table.types,
+        source=source,
+        sources=table.sources,
+        rejected=rejected,
+    )
+
+
+def _row_columns(reports: Iterable, default_loc: str, use_occurred: bool) -> _KeyColumns:
+    """Key columns of report rows, encoded through map_report."""
+    locs: dict[str, int] = {}
+    types: dict[str, int] = {}
+    sources: dict[str, int] = {}
+    rows = []
+    rejected = 0
+    for report in reports:
+        try:
+            key, source = map_report(
+                report, default_loc=default_loc, use_occurred=use_occurred
+            )
+        except PsSimError:
+            rejected += 1
+            continue
+        rows.append(
+            (
+                key.date.toordinal(),
+                key.day_time.index,
+                locs.setdefault(key.loc, len(locs)),
+                types.setdefault(key.incident_type, len(types)),
+                sources.setdefault(source, len(sources)),
+            )
+        )
+    date, time, loc, type_, source = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T
+    return _KeyColumns(
+        date, time, loc, tuple(locs), type_, tuple(types), source, tuple(sources), rejected
+    )
+
+
+def _ranks(vocab: Sequence[str]) -> np.ndarray:
+    """Position of each vocabulary entry in sorted string order."""
+    ranks = np.empty(len(vocab), dtype=np.int64)
+    ranks[sorted(range(len(vocab)), key=vocab.__getitem__)] = np.arange(len(vocab))
+    return ranks
+
+
+def _group(cols: _KeyColumns, min_support: int) -> tuple[AggregatedEvent, ...]:
+    """Sort by (date, bin, loc, type, source); each run of equal keys is one
+    event and each run of equal sources inside it one reporter."""
+    n = len(cols.date)
+    if n == 0:
+        return ()
+    loc_rank = _ranks(cols.locs)[cols.loc]
+    type_rank = _ranks(cols.types)[cols.type]
+    source = cols.source.astype(np.int64)
+    order = np.lexsort((source, type_rank, loc_rank, cols.time, cols.date))
+    # nonzero where the key (then the source) differs from the previous row
+    key_change = np.zeros(n, dtype=np.int64)
+    key_change[0] = 1
+    for column in (cols.date, cols.time, loc_rank, type_rank):
+        key_change[1:] |= np.diff(column[order])
+    source_change = key_change.copy()
+    source_change[1:] |= np.diff(source[order])
+
+    starts = np.flatnonzero(key_change)
+    reporter_at = np.flatnonzero(source_change)
+    # the reporters of event i are names[bounds[i]:bounds[i + 1]]
+    bounds = np.searchsorted(reporter_at, starts).tolist() + [len(reporter_at)]
+    names = [cols.sources[s] for s in source[order[reporter_at]].tolist()]
+    first = order[starts]
+    starts = starts.tolist()
+    ends = starts[1:] + [n]
+    events = []
+    for i, (date, t, loc, k) in enumerate(
+        zip(
+            dates_of(cols.date[first]),
+            cols.time[first].tolist(),
+            cols.loc[first].tolist(),
+            cols.type[first].tolist(),
+        )
+    ):
+        support = ends[i] - starts[i]
+        if support >= min_support:
+            events.append(
+                AggregatedEvent(
+                    key=EventKey(date, TEMPORAL_BINS[t], cols.locs[loc], cols.types[k]),
+                    support_count=support,
+                    reporters=frozenset(names[bounds[i] : bounds[i + 1]]),
+                )
+            )
+    return tuple(events)
 
 
 def aggregate(
@@ -110,36 +215,18 @@ def aggregate(
 ) -> AggregateResult:
     """Group reports into aggregated events, sorted by key order.
 
-    Rejected records (missing fields) are counted, not fatal.  Events with
-    fewer than ``min_support`` supporting reports are dropped after counting.
+    ``reports`` is a ReportTable or an iterable of report rows.  Rejected
+    records (missing fields) are counted, not fatal.  Events with fewer than
+    ``min_support`` supporting reports are dropped after counting.
+    ``partitions`` and ``workers`` are accepted for compatibility and have no
+    effect: the grouping runs as one sort in this process.
     """
     if partitions < 1:
         raise PsSimError(f"partition count must be >= 1, got {partitions}")
     if min_support < 1:
         raise PsSimError(f"min_support must be >= 1, got {min_support}")
-
-    buckets: list[list[tuple[EventKey, str]]] = [[] for _ in range(partitions)]
-    rejected = 0
-    for report in reports:
-        try:
-            key, source = map_report(
-                report, default_loc=default_loc, use_occurred=use_occurred
-            )
-        except PsSimError:
-            rejected += 1
-            continue
-        buckets[partition(key, partitions)].append((key, source))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_bucket = list(pool.map(_reduce_bucket, buckets))
-
-    # Equal keys share a partition, so buckets hold disjoint key sets and a
-    # single global sort yields the canonical order.
-    merged = [
-        event
-        for bucket in per_bucket
-        for event in bucket
-        if event.support_count >= min_support
-    ]
-    merged.sort(key=lambda e: e.key.sort_key())
-    return AggregateResult(events=tuple(merged), rejected=rejected)
+    if isinstance(reports, ReportTable):
+        cols = _table_columns(reports, default_loc, use_occurred)
+    else:
+        cols = _row_columns(reports, default_loc, use_occurred)
+    return AggregateResult(events=_group(cols, min_support), rejected=cols.rejected)

@@ -10,10 +10,8 @@ from __future__ import annotations
 import datetime as dt
 import functools
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import click
@@ -84,16 +82,6 @@ def _infer_window(
     if days < 1:
         raise click.UsageError(f"--days must be >= 1, got {days}")
     return first, days
-
-
-def _default_workers() -> int:
-    env = os.environ.get("PSSIM_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise click.UsageError(f"PSSIM_WORKERS must be an integer, got {env!r}")
-    return os.cpu_count() or 1
 
 
 def _uniform_pmf(support) -> Pmf:
@@ -431,8 +419,8 @@ def _read_reports_any(path: Path):
 @main.command("aggregate")
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
-@click.option("--workers", type=int, default=None, help="Worker/partition count (default: PSSIM_WORKERS or CPU count).")
-@click.option("--partitions", type=int, default=None, help="Partition count (default: same as --workers).")
+@click.option("--workers", type=int, default=None, help="Accepted for compatibility; has no effect (grouping is one in-process sort).")
+@click.option("--partitions", type=int, default=None, help="Accepted for compatibility; has no effect.")
 @click.option("--min-support", type=int, default=1, show_default=True)
 @click.option("--loc", default="unspecified", show_default=True, help="Location label for trace rows (traces carry none).")
 @click.option("--key", type=click.Choice(["reported", "occurred"]), default="reported", show_default=True, help="Which incident type keys trace rows.")
@@ -442,12 +430,9 @@ def aggregate_cmd(input_csv, out, workers, partitions, min_support, loc, key):
     supporting-report counts."""
     if min_support < 1:
         raise click.UsageError(f"--min-support must be >= 1, got {min_support}")
-    workers = workers if workers is not None else _default_workers()
-    if workers < 1:
-        raise click.UsageError(f"--workers must be >= 1, got {workers}")
-    partitions = partitions if partitions is not None else workers
-    if partitions < 1:
-        raise click.UsageError(f"--partitions must be >= 1, got {partitions}")
+    for flag, value in (("--workers", workers), ("--partitions", partitions)):
+        if value is not None and value < 1:
+            raise click.UsageError(f"{flag} must be >= 1, got {value}")
 
     try:
         records, rejects = _read_reports_any(input_csv)
@@ -456,8 +441,6 @@ def aggregate_cmd(input_csv, out, workers, partitions, min_support, loc, key):
 
     result = aggregate(
         records,
-        partitions=partitions,
-        workers=workers,
         min_support=min_support,
         default_loc=loc,
         use_occurred=(key == "occurred"),
@@ -604,6 +587,8 @@ def bench_grid(
 
     points = [(n, m) for n in n_values for m in m_values]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_point, points))
     return [run_point(p) for p in points]

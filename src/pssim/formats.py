@@ -10,15 +10,28 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .aggregation import AggregatedEvent
 from .distributions import Pmf
 from .errors import PsSimError
-from .types import DayBin, Report, TemporalBin, bin_of_time, weekday_of
+from .table import ReportTable, dates_of
+from .types import (
+    TEMPORAL_BINS,
+    DayBin,
+    Report,
+    TemporalBin,
+    bin_of_time,
+    weekday_of,
+)
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -215,75 +228,180 @@ def read_canonical(path: Path) -> tuple[list[IngestedReport], dict[str, int]]:
     return accepted, rejects
 
 
+TRACE_CHUNK_ROWS = 1 << 14
+_MALFORMED = -1
+_MISMATCH = -2
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # EventNo and ReportNo are int64
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as csv.writer writes it inside a row (quoted only if needed)."""
+    if not text:
+        return ""  # a lone empty field would be written as ""
+    buf = io.StringIO()
+    _writer(buf).writerow((text,))
+    return buf.getvalue()[:-1]
+
+
 def write_trace(reports: Iterable[Report], path: Path) -> None:
-    """Write the eight-column trace schema with ISO dates."""
+    """Write the eight-column trace schema with ISO dates.
+
+    ``reports`` is a ReportTable or any iterable of Report rows; the bytes
+    equal csv.writer's output row by row.  The Day column is the weekday of
+    the date.
+    """
+    table = reports if isinstance(reports, ReportTable) else ReportTable.from_rows(reports)
+    prefixes = [
+        f"{no},{date.isoformat()},{weekday_of(date).label},{TEMPORAL_BINS[t].label},"
+        for no, date, t in zip(
+            table.event_no.tolist(), dates_of(table.date), table.time.tolist()
+        )
+    ]
+    sources = [_csv_field(s) for s in table.sources]
+    types = [_csv_field(t) for t in table.types]
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(TRACE_HEADER)
-        for r in reports:
-            w.writerow(
-                (
-                    r.event_no,
-                    r.date.isoformat(),
-                    r.day.label,
-                    r.time.label,
-                    r.report_no,
-                    r.source_id,
-                    r.event_reported,
-                    r.event_occurred,
+        handle.write(",".join(TRACE_HEADER) + "\n")
+        for start in range(0, len(table), TRACE_CHUNK_ROWS):
+            rows = slice(start, start + TRACE_CHUNK_ROWS)
+            handle.write(
+                "".join(
+                    [
+                        f"{prefixes[e]}{n},{sources[s]},{types[r]},{types[o]}\n"
+                        for e, n, s, r, o in zip(
+                            table.event[rows].tolist(),
+                            table.report_no[rows].tolist(),
+                            table.source[rows].tolist(),
+                            table.reported[rows].tolist(),
+                            table.occurred[rows].tolist(),
+                        )
+                    ]
                 )
             )
 
 
-def read_trace(path: Path) -> tuple[list[Report], dict[str, int]]:
-    """Read a trace CSV back into Report rows.
+def _trace_slot(prefix: tuple[str, str, str, str], slots: dict) -> int:
+    """Check one distinct (EventNo, Date, Day, Time) text and return its
+    slot index, or _MALFORMED / _MISMATCH.
+
+    The checks run in the order every trace row has always been checked in:
+    date and time bin, then the stated day against the date's weekday, then
+    the EventNo.
+    """
+    event_no, date_text, day_text, time_text = prefix
+    try:
+        date = parse_date(date_text)
+        time = TemporalBin.from_label(time_text.strip())
+        stated = day_text.strip()
+        if stated and DayBin.from_label(stated) is not weekday_of(date):
+            return _MISMATCH
+        number = int(event_no)
+    except (PsSimError, ValueError):
+        return _MALFORMED
+    if not _INT64_MIN <= number <= _INT64_MAX:
+        return _MALFORMED
+    return slots.setdefault((number, date.toordinal(), time.index), len(slots))
+
+
+def _intern(raw: str, seen: dict[str, int], vocab: dict[str, int]) -> int:
+    """Code of a stripped string field, or _MALFORMED when it is blank."""
+    text = raw.strip()
+    seen[raw] = code = vocab.setdefault(text, len(vocab)) if text else _MALFORMED
+    return code
+
+
+def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
+    """Read a trace CSV into a ReportTable.
 
     Dates may be ISO or DD/MM/YYYY; the day label is recomputed from the
     date, and rows whose stated day disagrees are rejected with a counter.
+    Columns are found by header name.  Rows are read in chunks of
+    TRACE_CHUNK_ROWS, and each distinct (EventNo, Date, Day, Time) text and
+    string field is checked once.
     """
-    handle, reader = _open_reader(path)
-    with handle:
-        if reader.fieldnames is None:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None:
             raise PsSimError(f"{path}: missing header row")
-        missing = [c for c in TRACE_HEADER if c not in reader.fieldnames]
+        missing = [c for c in TRACE_HEADER if c not in header]
         if missing:
             raise PsSimError(f"{path}: header lacks required columns {missing}")
-        accepted: list[Report] = []
-        rejects: dict[str, int] = {}
+        col = {name: i for i, name in enumerate(header)}  # last duplicate wins
+        width = len(header)
+        prefix_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[:4]))
+        rest_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[4:]))
 
-        def reject(reason: str) -> None:
-            rejects[reason] = rejects.get(reason, 0) + 1
+        slots: dict[tuple[int, int, int], int] = {}
+        status: dict[tuple, int] = {}  # prefix text -> slot or reject
+        sources: dict[str, int] = {}
+        types: dict[str, int] = {}
+        seen_sources: dict[str, int] = {}  # field text -> code
+        seen_types: dict[str, int] = {}
+        columns: list[list[np.ndarray]] = [[], [], [], [], []]
+        malformed = mismatched = 0
+        while True:
+            first_line = reader.line_num
+            event, report_no, source, reported, occurred = [], [], [], [], []
+            for row in itertools.islice(reader, TRACE_CHUNK_ROWS):
+                if len(row) < width:
+                    if not row:
+                        continue  # blank line
+                    row += [""] * (width - len(row))
+                prefix = prefix_of(row)
+                slot = status.get(prefix)
+                if slot is None:
+                    slot = status[prefix] = _trace_slot(prefix, slots)
+                if slot < 0:
+                    if slot == _MISMATCH:
+                        mismatched += 1
+                    else:
+                        malformed += 1
+                    continue
+                number, src, rep, occ = rest_of(row)
+                s = seen_sources.get(src)
+                if s is None:
+                    s = _intern(src, seen_sources, sources)
+                r = seen_types.get(rep)
+                if r is None:
+                    r = _intern(rep, seen_types, types)
+                o = seen_types.get(occ)
+                if o is None:
+                    o = _intern(occ, seen_types, types)
+                if s < 0 or r < 0 or o < 0:
+                    malformed += 1
+                    continue
+                try:
+                    n = int(number)
+                except ValueError:
+                    malformed += 1
+                    continue
+                if not _INT64_MIN <= n <= _INT64_MAX:
+                    malformed += 1
+                    continue
+                report_no.append(n)
+                event.append(slot)
+                source.append(s)
+                reported.append(r)
+                occurred.append(o)
+            for column, values in zip(
+                columns, (event, report_no, source, reported, occurred)
+            ):
+                column.append(np.asarray(values, dtype=np.int64))
+            if reader.line_num == first_line:
+                break
 
-        for row in reader:
-            try:
-                date = parse_date(row["Date"] or "")
-                time = TemporalBin.from_label((row["Time"] or "").strip())
-                day = weekday_of(date)
-                stated = (row["Day"] or "").strip()
-                if stated and DayBin.from_label(stated) is not day:
-                    reject("day/date mismatch")
-                    continue
-                source = (row["SourceId"] or "").strip()
-                reported = (row["EventReported"] or "").strip()
-                occurred = (row["EventOccurred"] or "").strip()
-                if not (source and reported and occurred):
-                    reject("malformed row")
-                    continue
-                accepted.append(
-                    Report(
-                        event_no=int(row["EventNo"]),
-                        date=date,
-                        day=day,
-                        time=time,
-                        report_no=int(row["ReportNo"]),
-                        source_id=source,
-                        event_reported=reported,
-                        event_occurred=occurred,
-                    )
-                )
-            except (PsSimError, ValueError, TypeError):
-                reject("malformed row")
-    return accepted, rejects
+    rejects = {}
+    if malformed:
+        rejects["malformed row"] = malformed
+    if mismatched:
+        rejects["day/date mismatch"] = mismatched
+    event, report_no, source, reported, occurred = (
+        np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in columns
+    )
+    table = ReportTable.from_codes(
+        slots, event, report_no, source, sources, reported, occurred, types
+    )
+    return table, rejects
 
 
 def _pmf_to_json(pmf: Pmf) -> dict:

@@ -35,7 +35,8 @@ from .distributions import (
     rescale,
 )
 from .errors import PsSimError
-from .types import DAY_BINS, Event, Report, SimConfig, weekday_of
+from .table import EventTable, ReportTable, code_dtype
+from .types import DAY_BINS, Event, SimConfig, weekday_of
 
 
 @dataclass
@@ -58,16 +59,20 @@ class ParticipantPool:
 
 @dataclass(frozen=True)
 class Trace:
-    """Simulator output: ordered report rows plus the generating context."""
+    """Simulator output: report and event tables plus the generating context.
 
-    reports: tuple[Report, ...]
-    events: tuple[Event, ...]
+    ``reports`` and ``events`` are columnar tables that also act as
+    sequences of Report and Event rows, built on first element access.
+    """
+
+    reports: ReportTable
+    events: EventTable
     config: SimConfig
     seed: int
 
     @property
     def lie_count(self) -> int:
-        return sum(1 for r in self.reports if r.event_reported != r.event_occurred)
+        return int(np.count_nonzero(self.reports.reported != self.reports.occurred))
 
 
 def gen_poisson_events(config: SimConfig, rng: RandomSource) -> int:
@@ -83,7 +88,7 @@ def gen_poisson_events(config: SimConfig, rng: RandomSource) -> int:
 
 def assign_event_attributes(
     count: int, config: SimConfig, rng: RandomSource
-) -> list[Event]:
+) -> EventTable:
     """Draw day, time, and type for each event from the configured pmfs.
 
     The date is uniform among window dates whose weekday equals the sampled
@@ -94,7 +99,7 @@ def assign_event_attributes(
 
     dates_by_day = {day: [] for day in DAY_BINS}
     for d in config.dates:
-        dates_by_day[weekday_of(d)].append(d)
+        dates_by_day[weekday_of(d)].append(d.toordinal())
     for day, p in zip(config.pmf_day.support, config.pmf_day.probs):
         if p > 0.0 and not dates_by_day[day]:
             raise PsSimError(
@@ -107,28 +112,25 @@ def assign_event_attributes(
     type_idx = pmf_sample_indices(config.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count)
 
-    day_support = config.pmf_day.support
-    time_support = config.pmf_time.support
-    type_support = config.pmf_ev_type.support
-    candidates = [dates_by_day[day] for day in day_support]
-    cand_sizes = np.asarray([len(c) for c in candidates], dtype=np.int64)[day_idx]
+    candidates = [dates_by_day[day] for day in config.pmf_day.support]
+    sizes = np.asarray([len(c) for c in candidates], dtype=np.int64)
+    by_day = np.zeros((len(candidates), int(sizes.max())), dtype=np.int64)
+    for i, ordinals in enumerate(candidates):
+        by_day[i, : len(ordinals)] = ordinals
+    cand_sizes = sizes[day_idx]
     date_pick = np.minimum((u_date * cand_sizes).astype(np.int64), cand_sizes - 1)
 
-    events = []
-    for i in range(count):
-        di = int(day_idx[i])
-        date = candidates[di][int(date_pick[i])]
-        events.append(
-            Event(
-                event_no=i + 1,
-                date=date,
-                day=day_support[di],
-                time=time_support[int(time_idx[i])],
-                loc=config.loc,
-                incident_type=type_support[int(type_idx[i])],
-            )
-        )
-    return events
+    bin_index = np.asarray([b.index for b in config.pmf_time.support], dtype=np.int64)
+    types = tuple(config.pmf_ev_type.support)
+    return EventTable(
+        event_no=np.arange(1, count + 1, dtype=np.int64),
+        date=by_day[day_idx, date_pick],
+        time=bin_index[time_idx],
+        type=type_idx,
+        types=types,
+        loc=np.zeros(count, dtype=np.int64),
+        locs=(config.loc,),
+    )
 
 
 def inject_false_report(
@@ -156,15 +158,17 @@ def attribute_reports(
     ev_types: Sequence[str],
     rng: RandomSource,
     backend: str = "auto",
-) -> list[Report]:
+) -> ReportTable:
     """Emit exactly sum(pool.quotas) reports.
 
     Each report picks an event uniformly at random and a participant
     uniformly among those with remaining quota (quota decremented); the
     occurred type comes from the event and the reported type goes through
-    lie injection.
+    lie injection.  ``events`` is an EventTable or a sequence of Event rows.
     """
-    if not events:
+    if not isinstance(events, EventTable):
+        events = EventTable.from_rows(events)
+    if not len(events):
         raise PsSimError("no events to report")
     total = int(pool.quotas.sum())
     if total < 1:
@@ -174,47 +178,45 @@ def attribute_reports(
 
     ev_types = tuple(ev_types)
     type_index = {t: i for i, t in enumerate(ev_types)}
-    try:
-        ev_type_idx = np.asarray(
-            [type_index[e.incident_type] for e in events], dtype=np.int64
-        )
-    except KeyError as exc:
-        raise PsSimError(f"event type {exc} not in the configured type list") from None
+    remap = np.asarray([type_index.get(t, -1) for t in events.types], dtype=np.int64)
+    ev_type_idx = remap[events.type]
+    if ev_type_idx.min() < 0:
+        unknown = events.types[int(events.type[np.argmin(ev_type_idx)])]
+        raise PsSimError(f"event type {unknown!r} not in the configured type list")
+    type_dtype = code_dtype(len(ev_types), total)
 
     gen = rng.generator
-    ev_pick = gen.integers(0, len(events), size=total)
+    # the columns are cast to compact codes as soon as they are drawn, which
+    # bounds peak memory per report
+    event = gen.integers(0, len(events), size=total).astype(code_dtype(len(events), total))
     u_part = gen.random(total)
     _, kernels = _kernels.get_backend(backend)
     part_idx = kernels.assign_participants(pool.quotas, u_part)
+    del u_part
 
-    occurred_idx = ev_type_idx[ev_pick]
-    reported_idx = occurred_idx.copy()
+    occurred = ev_type_idx[event].astype(type_dtype)
+    reported = occurred.copy()
     lie_mask = gen.random(total) < pr_lie
     n_lies = int(lie_mask.sum())
     if n_lies:
         r = gen.integers(0, len(ev_types) - 1, size=n_lies)
-        reported_idx[lie_mask] = r + (r >= occurred_idx[lie_mask])
+        reported[lie_mask] = r + (r >= occurred[lie_mask])
 
     consumed = np.bincount(part_idx, minlength=pool.quotas.size)
     pool.quotas = pool.quotas - consumed
 
-    reports = []
-    ids = pool.ids
-    for t in range(total):
-        ev = events[int(ev_pick[t])]
-        reports.append(
-            Report(
-                event_no=ev.event_no,
-                date=ev.date,
-                day=ev.day,
-                time=ev.time,
-                report_no=t + 1,
-                source_id=ids[int(part_idx[t])],
-                event_reported=ev_types[int(reported_idx[t])],
-                event_occurred=ev_types[int(occurred_idx[t])],
-            )
-        )
-    return reports
+    return ReportTable(
+        event_no=events.event_no,
+        date=events.date,
+        time=events.time,
+        event=event,
+        report_no=np.arange(1, total + 1, dtype=np.int64),
+        source=part_idx.astype(code_dtype(len(pool.ids), total)),
+        sources=pool.ids,
+        reported=reported,
+        occurred=occurred,
+        types=ev_types,
+    )
 
 
 def simulate(config: SimConfig, backend: str = "auto") -> Trace:
@@ -244,6 +246,4 @@ def simulate(config: SimConfig, backend: str = "auto") -> Trace:
         master.substream("reports"),
         backend=backend,
     )
-    return Trace(
-        reports=tuple(reports), events=tuple(events), config=config, seed=config.seed
-    )
+    return Trace(reports=reports, events=events, config=config, seed=config.seed)

@@ -1,0 +1,220 @@
+"""Columnar events and reports: structures of arrays with lazy row views.
+
+An EventTable holds one entry per event and a ReportTable one entry per
+report.  Dates are proleptic ordinals (``date.toordinal()``), time bins are
+indices into TEMPORAL_BINS, and string fields are integer codes into
+vocabularies kept beside the columns.  The day label is never stored: it is
+always the weekday of the date.
+
+Both tables are read-only Sequences of the row dataclasses in types.py.  The
+rows are built on the first element access, once per table, so code that
+works on the columns never creates a per-row object.
+"""
+
+from __future__ import annotations
+
+import datetime as dt
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
+
+from .types import TEMPORAL_BINS, Event, Report, weekday_of
+
+
+def code_dtype(size: int, length: int) -> np.dtype:
+    """Integer type for a column of ``length`` codes in 0..size-1.
+
+    Columns of 1024 codes or more use the smallest unsigned type that holds
+    the codes.  Shorter ones stay int64: numpy keeps freed blocks under 1 KiB
+    in a cache per exact size, so many short compact columns of varying
+    lengths grow the process while saving next to nothing.
+    """
+    if length < 1024:
+        return np.dtype(np.int64)
+    return np.min_scalar_type(max(size - 1, 0))
+
+
+def dates_of(ordinals: np.ndarray) -> list[dt.date]:
+    """Date objects for an ordinal column; equal ordinals share one object."""
+    cache: dict[int, dt.date] = {}
+    out = []
+    for o in ordinals.tolist():
+        date = cache.get(o)
+        if date is None:
+            date = cache[o] = dt.date.fromordinal(o)
+        out.append(date)
+    return out
+
+
+class _RowView(Sequence):
+    """Sequence of row objects built from the columns on first access."""
+
+    def _build_rows(self) -> tuple:
+        raise NotImplementedError
+
+    @cached_property
+    def rows(self) -> tuple:
+        return self._build_rows()
+
+    def __getitem__(self, index):
+        return self.rows[index]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_RowView, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and self.rows == tuple(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} rows>"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class EventTable(_RowView):
+    """Events as columns; a Sequence of Event rows."""
+
+    event_no: np.ndarray  # EventNo
+    date: np.ndarray  # date ordinal
+    time: np.ndarray  # TemporalBin index
+    type: np.ndarray  # code into ``types``
+    types: tuple[str, ...]
+    loc: np.ndarray  # code into ``locs``
+    locs: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.event_no)
+
+    def _build_rows(self) -> tuple[Event, ...]:
+        return tuple(
+            Event(no, date, weekday_of(date), TEMPORAL_BINS[t], self.locs[loc], self.types[k])
+            for no, date, t, loc, k in zip(
+                self.event_no.tolist(),
+                dates_of(self.date),
+                self.time.tolist(),
+                self.loc.tolist(),
+                self.type.tolist(),
+            )
+        )
+
+    @classmethod
+    def from_rows(cls, events: Iterable[Event]) -> "EventTable":
+        types: dict[str, int] = {}
+        locs: dict[str, int] = {}
+        rows = [
+            (e.event_no, e.date.toordinal(), e.time.index,
+             types.setdefault(e.incident_type, len(types)),
+             locs.setdefault(e.loc, len(locs)))
+            for e in events
+        ]
+        no, date, time, type_, loc = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T.copy()
+        return cls(
+            event_no=no,
+            date=date,
+            time=time,
+            type=type_,
+            types=tuple(types),
+            loc=loc,
+            locs=tuple(locs),
+        )
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ReportTable(_RowView):
+    """Trace reports as columns; a Sequence of Report rows.
+
+    ``event_no``/``date``/``time`` hold one entry per event slot and
+    ``event`` points each report at its slot, so the (EventNo, Date, Day,
+    Time) prefix of a row is stored once per event.  Reported and occurred
+    types share the ``types`` vocabulary, so equal codes mean equal types.
+    """
+
+    event_no: np.ndarray  # per slot: EventNo
+    date: np.ndarray  # per slot: date ordinal
+    time: np.ndarray  # per slot: TemporalBin index
+    event: np.ndarray  # per report: slot index
+    report_no: np.ndarray
+    source: np.ndarray  # code into ``sources``
+    sources: tuple[str, ...]
+    reported: np.ndarray  # code into ``types``
+    occurred: np.ndarray  # code into ``types``
+    types: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.event)
+
+    def _build_rows(self) -> tuple[Report, ...]:
+        slots = [
+            (no, date, weekday_of(date), TEMPORAL_BINS[t])
+            for no, date, t in zip(
+                self.event_no.tolist(), dates_of(self.date), self.time.tolist()
+            )
+        ]
+        sources, types = self.sources, self.types
+        return tuple(
+            Report(*slots[e], n, sources[s], types[r], types[o])
+            for e, n, s, r, o in zip(
+                self.event.tolist(),
+                self.report_no.tolist(),
+                self.source.tolist(),
+                self.reported.tolist(),
+                self.occurred.tolist(),
+            )
+        )
+
+    @classmethod
+    def from_codes(
+        cls,
+        slots: dict[tuple[int, int, int], int],
+        event,
+        report_no,
+        source,
+        sources: dict[str, int],
+        reported,
+        occurred,
+        types: dict[str, int],
+    ) -> "ReportTable":
+        """Build a table from code columns and first-seen vocabularies.
+
+        ``slots`` maps (EventNo, date ordinal, time-bin index) to the slot
+        index the ``event`` column uses.
+        """
+        event_no, date, time = np.asarray(list(slots), dtype=np.int64).reshape(-1, 3).T.copy()
+        n = len(event)
+        type_dtype = code_dtype(len(types), n)
+        return cls(
+            event_no=event_no,
+            date=date,
+            time=time,
+            event=np.asarray(event).astype(code_dtype(len(slots), n)),
+            report_no=np.asarray(report_no, dtype=np.int64),
+            source=np.asarray(source).astype(code_dtype(len(sources), n)),
+            sources=tuple(sources),
+            reported=np.asarray(reported).astype(type_dtype),
+            occurred=np.asarray(occurred).astype(type_dtype),
+            types=tuple(types),
+        )
+
+    @classmethod
+    def from_rows(cls, reports: Iterable[Report]) -> "ReportTable":
+        """Encode Report rows; each distinct (EventNo, date, time) is a slot."""
+        slots: dict[tuple[int, int, int], int] = {}
+        sources: dict[str, int] = {}
+        types: dict[str, int] = {}
+        event, report_no, source, reported, occurred = [], [], [], [], []
+        for r in reports:
+            key = (r.event_no, r.date.toordinal(), r.time.index)
+            event.append(slots.setdefault(key, len(slots)))
+            report_no.append(r.report_no)
+            source.append(sources.setdefault(r.source_id, len(sources)))
+            reported.append(types.setdefault(r.event_reported, len(types)))
+            occurred.append(types.setdefault(r.event_occurred, len(types)))
+        return cls.from_codes(
+            slots, event, report_no, source, sources, reported, occurred, types
+        )

@@ -1,5 +1,4 @@
 import datetime as dt
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,6 @@ from pssim.aggregation import (
     EventKey,
     aggregate,
     map_report,
-    partition,
     reduce_count,
 )
 from pssim.errors import PsSimError
@@ -60,39 +58,6 @@ class TestMapReport:
 
         with pytest.raises(PsSimError, match="missing"):
             map_report(Partial())
-
-
-class TestPartition:
-    def test_single_partition(self):
-        key = EventKey(MONDAY, TemporalBin.EM, "I-93S", "Jam")
-        assert partition(key, 1) == 0
-
-    def test_equal_keys_equal_index(self):
-        a = EventKey(MONDAY, TemporalBin.EM, "I-93S", "Jam")
-        b = EventKey(MONDAY, TemporalBin.EM, "I-93S", "Jam")
-        for p in (1, 2, 7, 64):
-            assert partition(a, p) == partition(b, p)
-
-    def test_load_is_roughly_balanced(self):
-        import numpy as np
-
-        rng = np.random.default_rng(17)
-        loads = Counter()
-        bins = list(TemporalBin)
-        for _ in range(10_000):
-            key = EventKey(
-                MONDAY + dt.timedelta(days=int(rng.integers(0, 60))),
-                bins[int(rng.integers(0, 8))],
-                f"street-{int(rng.integers(0, 40))}",
-                f"type-{int(rng.integers(0, 5))}",
-            )
-            loads[partition(key, 8)] += 1
-        mean = 10_000 / 8
-        assert max(loads.values()) <= 2 * mean
-
-    def test_invalid_partition_count(self):
-        with pytest.raises(PsSimError):
-            partition(EventKey(MONDAY, TemporalBin.EM, "x", "Jam"), 0)
 
 
 class TestReduceCount:
@@ -170,6 +135,10 @@ class TestAggregate:
             assert got == oracle
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_invalid_partition_count_rejected(self):
+        with pytest.raises(PsSimError, match="partition count"):
+            aggregate([], partitions=0)
+
     def test_conservation_and_sort_order(self):
         import numpy as np
 
@@ -232,3 +201,96 @@ class TestAggregate:
         ]
         base = aggregate(records, partitions=1).events
         assert aggregate(records, partitions=partitions, workers=3).events == base
+
+
+# first seen: Jam, Road, Accident, accident -- lexicographic: Accident, Jam, Road, accident
+KEY_ORDER_TYPES = ("Jam", "Road", "Accident", "accident")
+
+
+def write_key_order_trace(path, rng, rows=400):
+    """A trace with day-first dates spanning 26/02/2015 .. 03/03/2015."""
+    dates = [dt.date(2015, 2, 26) + dt.timedelta(days=i) for i in range(6)]
+    bins = list(TemporalBin)
+    records = []
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(
+            "EventNo,Date,Day,Time,ReportNo,SourceId,EventReported,EventOccurred\n"
+        )
+        for i in range(rows):
+            date = dates[int(rng.integers(0, len(dates)))]
+            time = bins[int(rng.integers(0, 8))]
+            # the first rows fix the first-seen type order
+            occurred = KEY_ORDER_TYPES[i if i < 4 else int(rng.integers(0, 4))]
+            reported = KEY_ORDER_TYPES[int(rng.integers(0, 4))]
+            source = f"U{int(rng.integers(1, 30)):03d}"
+            handle.write(
+                f"{i % 17 + 1},{date:%d/%m/%Y},{weekday_of(date).label},"
+                f"{time.label},{i + 1},{source},{reported},{occurred}\n"
+            )
+            records.append((date, time, source, reported, occurred))
+    return records
+
+
+def dict_oracle(records, use_occurred):
+    groups = {}
+    for date, time, source, reported, occurred in records:
+        key = (date, time.index, "unspecified", occurred if use_occurred else reported)
+        entry = groups.setdefault(key, [0, set()])
+        entry[0] += 1
+        entry[1].add(source)
+    return [(key, count, frozenset(s)) for key, (count, s) in sorted(groups.items())]
+
+
+class TestTraceKeyOrder:
+    @pytest.mark.parametrize("key", ["reported", "occurred"])
+    def test_library_and_cli_match_dict_oracle(self, tmp_path, key):
+        import numpy as np
+        from click.testing import CliRunner
+
+        from pssim.cli import main
+        from pssim.formats import read_trace
+
+        path = tmp_path / "trace.csv"
+        records = write_key_order_trace(path, np.random.default_rng(11))
+        oracle = dict_oracle(records, use_occurred=key == "occurred")
+        assert {k[0] for k, _, _ in oracle} >= {dt.date(2015, 2, 28), dt.date(2015, 3, 1)}
+
+        table, rejects = read_trace(path)
+        assert rejects == {}
+        result = aggregate(table, use_occurred=key == "occurred")
+        got = [
+            (
+                (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type),
+                e.support_count,
+                e.reporters,
+            )
+            for e in result.events
+        ]
+        assert got == oracle
+        assert result.rejected == 0
+
+        out = tmp_path / "events.csv"
+        cli = CliRunner().invoke(
+            main, ["aggregate", str(path), "--out", str(out), "--key", key],
+            catch_exceptions=False,
+        )
+        assert cli.exit_code == 0, cli.output
+        expected = ["date,dayTime,loc,incidentType,supportCount"] + [
+            f"{d.isoformat()},{list(TemporalBin)[b].label},"
+            f"{loc},{t},{count}"
+            for (d, b, loc, t), count, _ in oracle
+        ]
+        assert out.read_text().splitlines() == expected
+
+    def test_table_and_rows_give_the_same_events(self, tmp_path):
+        import numpy as np
+
+        from pssim.formats import read_trace
+
+        path = tmp_path / "trace.csv"
+        write_key_order_trace(path, np.random.default_rng(12))
+        table, _ = read_trace(path)
+        for use_occurred in (False, True):
+            assert aggregate(table, use_occurred=use_occurred, min_support=2) == aggregate(
+                list(table), use_occurred=use_occurred, min_support=2
+            )

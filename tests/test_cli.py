@@ -278,6 +278,69 @@ class TestSimulate:
         assert "| events " in result.output
         assert "| false reports " in result.output
 
+    def test_types_that_need_quoting_round_trip(self, runner, tmp_path):
+        import dataclasses
+        import io
+        import math
+
+        from pssim.distributions import pmf_from_counts
+        from pssim.formats import ModelFile, read_trace, save_model
+        from pssim.simulator import simulate
+        from pssim.types import DAY_BINS, TEMPORAL_BINS, SimConfig
+
+        types = ("Road, closed", 'say "hi"', " leading", "Jam")
+        model = ModelFile(
+            mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
+            pmf_day=pmf_from_counts({d: 1 for d in DAY_BINS}),
+            pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
+            pmf_ev_type=pmf_from_counts({t: 1 for t in types}),
+            meta={},
+        )
+        model_path = tmp_path / "model.json"
+        save_model(model, model_path)
+        out = tmp_path / "trace.csv"
+        run_ok(
+            runner,
+            ["simulate", "--model", str(model_path), "--tau", "7", "--n", "30",
+             "--seed", "5", "--pr-lie", "0.3", "--out", str(out)],
+        )
+
+        trace = simulate(
+            SimConfig(
+                tau=7, start_date=dt.date(2015, 2, 23), ev_types=types, pr_lie=0.3,
+                n=30, lambda_e=2.0, mlog=model.mlog, sdlog=0.5,
+                pmf_time=model.pmf_time, pmf_day=model.pmf_day,
+                pmf_ev_type=model.pmf_ev_type, seed=5, loc="unspecified",
+            )
+        )
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(
+            ("EventNo", "Date", "Day", "Time", "ReportNo", "SourceId",
+             "EventReported", "EventOccurred")
+        )
+        for r in trace.reports:
+            writer.writerow(
+                (r.event_no, r.date.isoformat(), r.day.label, r.time.label,
+                 r.report_no, r.source_id, r.event_reported, r.event_occurred)
+            )
+        data = out.read_bytes()
+        assert data == expected.getvalue().encode("utf-8")
+        for quoted in (b'"Road, closed"', b'"say ""hi"""', b", leading"):
+            assert quoted in data
+
+        back, rejects = read_trace(out)
+        assert rejects == {}
+        # the reader strips surrounding whitespace from every field
+        assert list(back) == [
+            dataclasses.replace(
+                r,
+                event_reported=r.event_reported.strip(),
+                event_occurred=r.event_occurred.strip(),
+            )
+            for r in trace.reports
+        ]
+
 
 class TestAggregate:
     def test_partition_counts_do_not_change_output(self, runner, tmp_path):
@@ -446,3 +509,31 @@ class TestBench:
         )
         with open(out, newline="") as handle:
             assert len(list(csv.DictReader(handle))) == 2
+
+
+def test_cli_import_loads_only_numpy_and_click():
+    """`import pssim.cli` is paid by every command; keep it to the runtime
+    dependencies and leave thread pools to the code that uses them."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import json, sys; before = set(sys.modules); import pssim.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    loaded = json.loads(done.stdout)
+    third_party = {
+        name.split(".")[0] for name in loaded
+    } - set(sys.stdlib_module_names) - {"pssim"}
+    assert third_party == {"numpy", "click"}
+    assert "concurrent.futures" not in loaded

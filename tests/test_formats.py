@@ -164,6 +164,13 @@ class TestTraceFiles:
         assert rejects == {}
         assert list(trace.reports) == back
 
+    def test_rows_and_table_write_the_same_bytes(self, tmp_path):
+        trace = simulate(make_config(seed=9, pr_lie=0.2))
+        table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
+        write_trace(trace.reports, table_path)
+        write_trace(iter(list(trace.reports)), rows_path)
+        assert rows_path.read_bytes() == table_path.read_bytes()
+
     def test_day_first_dates_accepted(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
@@ -237,3 +244,82 @@ class TestModelFile:
         assert model.pmf_day.support == DAY_BINS
         assert model.pmf_time.support == TEMPORAL_BINS
         assert model.pmf_ev_type.support == ("Accident", "Jam")
+
+
+TRACE_HEAD = "EventNo,Date,Day,Time,ReportNo,SourceId,EventReported,EventOccurred"
+# 2016-01-09 is a Saturday
+GOOD_ROW = "51,2016-01-09,Saturday,MidDay,112,UID000858,Accident,Jam"
+# (case, row text, reject reason or None when the row is accepted)
+TRACE_ROW_CASES = [
+    ("well-formed", GOOD_ROW, None),
+    ("short row", "51,2016-01-09,Saturday,MidDay,112,UID000858,Accident", "malformed row"),
+    ("row cut before Time", "51,2016-01-09", "malformed row"),
+    ("extra field", GOOD_ROW + ",surplus", None),
+    ("non-integer EventNo", "5x,2016-01-09,Saturday,MidDay,112,UID000858,Accident,Jam", "malformed row"),
+    ("non-integer ReportNo", "51,2016-01-09,Saturday,MidDay,1.5,UID000858,Accident,Jam", "malformed row"),
+    ("blank ReportNo", "51,2016-01-09,Saturday,MidDay,,UID000858,Accident,Jam", "malformed row"),
+    ("ReportNo beyond int64", "51,2016-01-09,Saturday,MidDay,9223372036854775808,UID000858,Accident,Jam", "malformed row"),
+    ("EventNo beyond int64", "-9223372036854775809,2016-01-09,Saturday,MidDay,112,UID000858,Accident,Jam", "malformed row"),
+    ("bad date", "51,2016-13-09,Saturday,MidDay,112,UID000858,Accident,Jam", "malformed row"),
+    ("unknown time bin", "51,2016-01-09,Saturday,Lunchtime,112,UID000858,Accident,Jam", "malformed row"),
+    ("unknown Day label", "51,2016-01-09,Caturday,MidDay,112,UID000858,Accident,Jam", "malformed row"),
+    ("day/date mismatch", "51,2016-01-09,Thursday,MidDay,112,UID000858,Accident,Jam", "day/date mismatch"),
+    ("mismatch checked before EventNo", "5x,09/01/2016,Thursday,MD,112,UID000858,Accident,Jam", "day/date mismatch"),
+    ("mismatch checked before blanks", "51,2016-01-09,Thursday,MidDay,112,,,", "day/date mismatch"),
+    ("blank SourceId", "51,2016-01-09,Saturday,MidDay,112,,Accident,Jam", "malformed row"),
+    ("whitespace SourceId", "51,2016-01-09,Saturday,MidDay,112,  ,Accident,Jam", "malformed row"),
+    ("blank EventReported", "51,2016-01-09,Saturday,MidDay,112,UID000858,,Jam", "malformed row"),
+    ("blank EventOccurred", "51,2016-01-09,Saturday,MidDay,112,UID000858,Accident,", "malformed row"),
+    ("blank Day is not checked", "51,09/01/2016,,MD,112, UID000858 ,Accident,Jam", None),
+]
+
+
+class TestTraceRejects:
+    @pytest.mark.parametrize(
+        "row, reason", [c[1:] for c in TRACE_ROW_CASES], ids=[c[0] for c in TRACE_ROW_CASES]
+    )
+    def test_each_row_gets_its_reason(self, tmp_path, row, reason):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{TRACE_HEAD}\n{row}\n")
+        back, rejects = read_trace(path)
+        if reason is None:
+            assert rejects == {}
+            assert len(back) == 1
+            got = back[0]
+            assert (got.event_no, got.date, got.day, got.time) == (
+                51, dt.date(2016, 1, 9), DayBin.SATURDAY, TemporalBin.MD
+            )
+            assert (got.report_no, got.source_id) == (112, "UID000858")
+            assert (got.event_reported, got.event_occurred) == ("Accident", "Jam")
+        else:
+            assert rejects == {reason: 1}
+            assert len(back) == 0
+
+    def test_mixed_file_counts(self, tmp_path):
+        # every case twice, interleaved with blank lines, which are skipped
+        rows = [c[1] for c in TRACE_ROW_CASES] * 2
+        path = tmp_path / "trace.csv"
+        path.write_text(TRACE_HEAD + "\n" + "\n\n".join(rows) + "\n")
+        back, rejects = read_trace(path)
+        assert rejects == {"malformed row": 28, "day/date mismatch": 6}
+        assert len(back) == 6
+        assert [r.report_no for r in back] == [112] * 6
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(
+            "Note,EventOccurred,EventReported,SourceId,ReportNo,Time,Day,Date,EventNo\n"
+            "x,Jam,Accident,UID000858,112,MidDay,Saturday,2016-01-09,51\n"
+            "y,Jam,Accident,UID000858,113,MidDay,Thursday,2016-01-09,51\n"
+        )
+        back, rejects = read_trace(path)
+        assert rejects == {"day/date mismatch": 1}
+        assert [(r.event_no, r.report_no, r.event_reported) for r in back] == [
+            (51, 112, "Accident")
+        ]
+
+    def test_missing_column_is_an_error(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("EventNo,Date,Day,Time,ReportNo,SourceId,EventReported\n")
+        with pytest.raises(PsSimError, match="EventOccurred"):
+            read_trace(path)

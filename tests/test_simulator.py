@@ -276,3 +276,55 @@ class TestSimulate:
         cfg = make_config(mlog=-12.0, sdlog=0.1, n=3, seed=1)
         with pytest.raises(PsSimError, match="quotas"):
             simulate(cfg)
+
+
+class TestTraceTables:
+    def test_rows_are_built_once_per_table(self):
+        trace = simulate(make_config(seed=8, pr_lie=0.2))
+        assert "rows" not in vars(trace.reports)
+        assert len(trace.reports) > 0 and trace.lie_count >= 0
+        assert "rows" not in vars(trace.reports)  # len and lie_count use columns
+        first = trace.reports[0]
+        assert trace.reports[0] is first
+        assert list(trace.reports)[0] is first
+        assert trace.events[0] is trace.events[0]
+
+    def test_lie_count_matches_rows(self):
+        trace = simulate(make_config(seed=4, pr_lie=0.3, n=60))
+        assert trace.lie_count == sum(
+            1 for r in trace.reports if r.event_reported != r.event_occurred
+        )
+
+    def test_attribute_reports_accepts_event_rows_and_tables(self):
+        cfg = make_config(seed=6)
+        events = assign_event_attributes(40, cfg, RandomSource(1))
+        from_table = attribute_reports(
+            events, ParticipantPool.from_quotas([5, 7, 2]), 0.2, cfg.ev_types, RandomSource(2)
+        )
+        from_rows = attribute_reports(
+            list(events), ParticipantPool.from_quotas([5, 7, 2]), 0.2, cfg.ev_types,
+            RandomSource(2),
+        )
+        assert from_table == from_rows
+
+    def test_memory_per_report_is_bounded(self):
+        import gc
+        import tracemalloc
+
+        cfg = make_config(
+            n=10_000, tau=100, lambda_e=10.0, pr_lie=0.1, seed=1,
+            ev_types=("Jam", "Accident", "RoadClosure", "Hazard"),
+        )
+        simulate(make_config(seed=1))  # lazy imports and caches outside the count
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = simulate(cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(trace.reports)
+        assert n > 400_000
+        assert (retained - before) / n <= 40.0
+        assert (peak - before) / n <= 80.0
