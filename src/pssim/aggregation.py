@@ -3,20 +3,19 @@
 Reports are keyed by the four-tuple (date, temporal bin, location, incident
 type).  The keys become integer code columns and one sort groups them: equal
 keys end up adjacent, in the canonical key order, with each group's reporters
-sorted beside them.  A ReportTable is used as it is; any other iterable of
-report rows is encoded once on entry.
+sorted beside them.  The key columns come from ``table.report_columns``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import PsSimError
-from .table import ReportTable, dates_of
+from .table import CanonicalTable, dates_of, report_columns, row_key
 from .types import TEMPORAL_BINS, TemporalBin
 
 
@@ -49,27 +48,14 @@ class AggregateResult:
 def map_report(
     report, default_loc: str = "unspecified", use_occurred: bool = False
 ) -> tuple[EventKey, str]:
-    """Project a report onto its (EventKey, sourceId) pair.
+    """Project a report row onto its (EventKey, sourceId) pair.
 
     Works on simulated trace rows (which carry reported and occurred types
     but no location) and on ingested raw reports (which carry a location and
     a single incident type).  A missing or None field raises PsSimError,
     which `aggregate` turns into a record-level reject.
     """
-    date = getattr(report, "date", None)
-    time = getattr(report, "time", None)
-    source = getattr(report, "source_id", None)
-    loc = getattr(report, "loc", None) or default_loc
-    if use_occurred:
-        incident = getattr(report, "event_occurred", None) or getattr(
-            report, "incident_type", None
-        )
-    else:
-        incident = getattr(report, "event_reported", None) or getattr(
-            report, "incident_type", None
-        )
-    if date is None or time is None or source is None or incident is None:
-        raise PsSimError(f"report is missing key fields: {report!r}")
+    date, time, loc, incident, source = row_key(report, default_loc, use_occurred)
     return EventKey(date, time, loc, incident), source
 
 
@@ -82,75 +68,6 @@ def reduce_count(key: EventKey, values: Sequence[str]) -> AggregatedEvent:
     )
 
 
-class _KeyColumns(NamedTuple):
-    """One entry per accepted report; strings are codes into vocabularies."""
-
-    date: np.ndarray  # date ordinal
-    time: np.ndarray  # TemporalBin index
-    loc: np.ndarray
-    locs: Sequence[str]
-    type: np.ndarray
-    types: Sequence[str]
-    source: np.ndarray
-    sources: Sequence[str]
-    rejected: int
-
-
-def _table_columns(
-    table: ReportTable, default_loc: str, use_occurred: bool
-) -> _KeyColumns:
-    """Key columns of a trace table; trace rows carry no location."""
-    codes = table.occurred if use_occurred else table.reported
-    event, source = table.event, table.source
-    rejected = 0
-    blank = [code for code, name in enumerate(table.types) if not name]
-    if blank:  # an empty type is a missing key field, as in map_report
-        keep = ~np.isin(codes, blank)
-        rejected = len(codes) - int(np.count_nonzero(keep))
-        codes, event, source = codes[keep], event[keep], source[keep]
-    return _KeyColumns(
-        date=table.date[event],
-        time=table.time[event],
-        loc=np.zeros(len(codes), dtype=np.int64),
-        locs=(default_loc,),
-        type=codes,
-        types=table.types,
-        source=source,
-        sources=table.sources,
-        rejected=rejected,
-    )
-
-
-def _row_columns(reports: Iterable, default_loc: str, use_occurred: bool) -> _KeyColumns:
-    """Key columns of report rows, encoded through map_report."""
-    locs: dict[str, int] = {}
-    types: dict[str, int] = {}
-    sources: dict[str, int] = {}
-    rows = []
-    rejected = 0
-    for report in reports:
-        try:
-            key, source = map_report(
-                report, default_loc=default_loc, use_occurred=use_occurred
-            )
-        except PsSimError:
-            rejected += 1
-            continue
-        rows.append(
-            (
-                key.date.toordinal(),
-                key.day_time.index,
-                locs.setdefault(key.loc, len(locs)),
-                types.setdefault(key.incident_type, len(types)),
-                sources.setdefault(source, len(sources)),
-            )
-        )
-    date, time, loc, type_, source = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T
-    return _KeyColumns(
-        date, time, loc, tuple(locs), type_, tuple(types), source, tuple(sources), rejected
-    )
-
-
 def _ranks(vocab: Sequence[str]) -> np.ndarray:
     """Position of each vocabulary entry in sorted string order."""
     ranks = np.empty(len(vocab), dtype=np.int64)
@@ -158,7 +75,7 @@ def _ranks(vocab: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def _group(cols: _KeyColumns, min_support: int) -> tuple[AggregatedEvent, ...]:
+def _group(cols: CanonicalTable, min_support: int) -> tuple[AggregatedEvent, ...]:
     """Sort by (date, bin, loc, type, source); each run of equal keys is one
     event and each run of equal sources inside it one reporter."""
     n = len(cols.date)
@@ -215,8 +132,9 @@ def aggregate(
 ) -> AggregateResult:
     """Group reports into aggregated events, sorted by key order.
 
-    ``reports`` is a ReportTable or an iterable of report rows.  Rejected
-    records (missing fields) are counted, not fatal.  Events with fewer than
+    ``reports`` is anything ``report_columns`` accepts: a CanonicalTable, a
+    ReportTable or an iterable of report rows.  Rejected records (missing
+    fields) are counted, not fatal.  Events with fewer than
     ``min_support`` supporting reports are dropped after counting.
     ``partitions`` and ``workers`` are accepted for compatibility and have no
     effect: the grouping runs as one sort in this process.
@@ -225,8 +143,5 @@ def aggregate(
         raise PsSimError(f"partition count must be >= 1, got {partitions}")
     if min_support < 1:
         raise PsSimError(f"min_support must be >= 1, got {min_support}")
-    if isinstance(reports, ReportTable):
-        cols = _table_columns(reports, default_loc, use_occurred)
-    else:
-        cols = _row_columns(reports, default_loc, use_occurred)
-    return AggregateResult(events=_group(cols, min_support), rejected=cols.rejected)
+    cols, rejected = report_columns(reports, default_loc, use_occurred)
+    return AggregateResult(events=_group(cols, min_support), rejected=rejected)

@@ -2,24 +2,28 @@
 
 Estimates the categorical day/time/type pmfs, the log-normal participation
 parameters with Q-Q diagnostics, per-location Poisson rates, autocorrelation
-of binned report counts, and percentile-based outlier filtering.
+of binned report counts, and percentile-based outlier filtering.  Every
+counting stage works on the code columns of ``table.report_columns``.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .distributions import (
     LogNormalParams,
     Pmf,
+    fit_lognormal,
     lognormal_quantile,
     pmf_from_counts,
 )
 from .errors import PsSimError
+from .formats import ModelFile
+from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, weekday_of
 
 
@@ -75,53 +79,75 @@ class BinnedData:
 
 
 def bin_reports(
-    reports: Iterable, window: tuple[dt.date, int], default_loc: str = "unspecified"
+    reports, window: tuple[dt.date, int], default_loc: str = "unspecified"
 ) -> BinnedData:
     """Tally reports into per-location (date, bin) cells and per-user weeks.
 
-    Reports need ``date``, ``time`` and ``source_id`` attributes; ``loc`` is
-    optional (simulated trace rows carry none).  Reports outside the window
-    are excluded with a counter, not an error.
+    ``reports`` is anything ``table.report_columns`` accepts; trace reports
+    carry no location and are tallied under ``default_loc``.  Reports
+    outside the window, and rows that lack a key field, are excluded with a
+    counter, not an error.  ``per_location`` and ``user_weekly`` list
+    locations, users and each user's weeks in first-seen order.
     """
     start, days = window
     if days < 1:
         raise PsSimError(f"empty window: days must be >= 1, got {days}")
-    end = start + dt.timedelta(days=days)
-
+    table, rejected = report_columns(reports, default_loc)
+    offset = table.date - start.toordinal()
+    inside = (offset >= 0) & (offset < days)
+    offset = offset[inside]
+    cell = offset * 8 + table.time[inside]
     n_cells = 8 * days
-    overall = np.zeros(n_cells, dtype=np.int64)
-    per_loc: dict[str, np.ndarray] = {}
-    user_weekly: dict[str, dict[int, int]] = {}
-    excluded = 0
-    accepted = 0
 
-    for r in reports:
-        if not start <= r.date < end:
-            excluded += 1
-            continue
-        cell = (r.date - start).days * 8 + r.time.index
-        overall[cell] += 1
-        loc = getattr(r, "loc", None) or default_loc
-        cells = per_loc.get(loc)
-        if cells is None:
-            cells = per_loc[loc] = np.zeros(n_cells, dtype=np.int64)
-        cells[cell] += 1
-        week = (r.date - start).days // 7
-        weeks = user_weekly.setdefault(r.source_id, {})
-        weeks[week] = weeks.get(week, 0) + 1
-        accepted += 1
+    loc_codes, loc_first, loc = np.unique(
+        table.loc[inside], return_index=True, return_inverse=True
+    )
+    per_loc = np.bincount(
+        loc * n_cells + cell, minlength=len(loc_codes) * n_cells
+    ).reshape(len(loc_codes), n_cells)
+    per_location = {}
+    for i in np.argsort(loc_first).tolist():
+        name = table.locs[loc_codes[i]]
+        per_location[name] = BinnedSeries(name, start, per_loc[i])
 
     return BinnedData(
-        overall=BinnedSeries("(all)", start, overall),
-        per_location={
-            loc: BinnedSeries(loc, start, cells) for loc, cells in per_loc.items()
-        },
-        user_weekly=user_weekly,
-        excluded=excluded,
+        overall=BinnedSeries("(all)", start, np.bincount(cell, minlength=n_cells)),
+        per_location=per_location,
+        user_weekly=_user_weekly(table.source[inside], offset // 7, table.sources),
+        excluded=len(table) - len(cell) + rejected,
         window_start=start,
         window_days=days,
-        accepted=accepted,
+        accepted=len(cell),
     )
+
+
+def _user_weekly(
+    source: np.ndarray, week: np.ndarray, sources: Sequence[str]
+) -> dict[str, dict[int, int]]:
+    """Report count per (user, week); users in first-seen order, and each
+    user's weeks in first-seen order."""
+    if len(source) == 0:
+        return {}
+    weeks = int(week.max()) + 1
+    pair, first, count = np.unique(
+        source.astype(np.int64) * weeks + week, return_index=True, return_counts=True
+    )
+    user = pair // weeks
+    # pairs are sorted by user; a user is first seen at its earliest pair
+    user_start = np.flatnonzero(np.diff(user, prepend=-1))
+    user_first = np.minimum.reduceat(first, user_start)
+    user_rank = np.repeat(user_first, np.diff(user_start, append=len(pair)))
+    order = np.lexsort((first, user_rank))
+    out: dict[str, dict[int, int]] = {}
+    for u, w, c in zip(
+        user[order].tolist(), (pair % weeks)[order].tolist(), count[order].tolist()
+    ):
+        name = sources[u]
+        counts = out.get(name)
+        if counts is None:
+            counts = out[name] = {}
+        counts[w] = c
+    return out
 
 
 def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
@@ -136,17 +162,15 @@ def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
     return pmf_from_counts(day_counts), pmf_from_counts(time_counts)
 
 
-def estimate_evtype_pmf(reports: Iterable) -> Pmf:
-    """Pmf over incident types, support sorted lexicographically."""
-    counts: dict[str, int] = {}
-    for r in reports:
-        label = getattr(r, "incident_type", None) or getattr(
-            r, "event_reported", None
-        )
-        if label is None:
-            continue
-        counts[label] = counts.get(label, 0) + 1
-    return pmf_from_counts({k: counts[k] for k in sorted(counts)})
+def estimate_evtype_pmf(reports) -> Pmf:
+    """Pmf over incident types, support sorted lexicographically.
+
+    ``reports`` is anything ``table.report_columns`` accepts; trace reports
+    count under their reported type.
+    """
+    table, _ = report_columns(reports)
+    counts = np.bincount(table.type, minlength=len(table.types)).tolist()
+    return pmf_from_counts({label: c for label, c in sorted(zip(table.types, counts)) if c})
 
 
 def estimate_lambda(binned: BinnedSeries | Sequence[float]) -> float:
@@ -209,3 +233,79 @@ def filter_outliers(
     kept = {u: c for u, c in user_counts.items() if c <= threshold}
     rejected = sorted(u for u, c in user_counts.items() if c > threshold)
     return kept, rejected
+
+
+def fit_models(
+    records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
+) -> tuple[ModelFile, BinnedData, list[float], QqData | None]:
+    """Fit every model parameter from reports inside ``window``.
+
+    Returns the model with its fitting metadata (``out_of_window`` is
+    recorded as the excluded count), the binned reports, the participation
+    samples and their Q-Q fit (None when it is undefined).  With
+    ``per_location`` the participation model is also fitted per location.
+    """
+    table, _ = report_columns(records)
+    binned = bin_reports(table, window)
+    pmf_day, pmf_time = estimate_pmfs(binned.overall)
+    pmf_ev = estimate_evtype_pmf(table)
+    lam_overall = estimate_lambda(binned.overall)
+    lam_by_loc = {
+        loc: estimate_lambda(series)
+        for loc, series in sorted(binned.per_location.items())
+    }
+    samples = binned.weekly_samples()
+    participation = fit_lognormal(samples)
+
+    qq = None
+    if len(samples) >= 10:
+        try:
+            qq = qq_against_lognormal(samples, participation)
+        except PsSimError:
+            qq = None
+
+    acf: dict[str, list[float] | None] = {}
+    for loc, series in sorted(binned.per_location.items()):
+        try:
+            acf[loc] = [
+                autocorrelation(series.cells, lag)
+                for lag in range(1, min(9, len(series.cells) - 1))
+            ]
+        except PsSimError:
+            acf[loc] = None
+
+    meta = {
+        "window_start": binned.window_start.isoformat(),
+        "window_days": binned.window_days,
+        "reports": binned.accepted,
+        "users": len(binned.user_weekly),
+        "participation_samples": len(samples),
+        "excluded": out_of_window,
+        "diagnostics": {
+            "qq_r2": None if qq is None else qq.r2,
+            "acf": acf,
+        },
+    }
+    if per_location:
+        loc_code = {name: code for code, name in enumerate(table.locs)}
+        per_loc_fit: dict[str, dict[str, float] | None] = {}
+        for loc in sorted(binned.per_location):
+            try:
+                loc_binned = bin_reports(table.take(table.loc == loc_code[loc]), window)
+                fit = fit_lognormal(loc_binned.weekly_samples())
+                per_loc_fit[loc] = {"mlog": fit.m, "sdlog": fit.s}
+            except PsSimError:
+                per_loc_fit[loc] = None
+        meta["per_location_participation"] = per_loc_fit
+
+    model = ModelFile(
+        mlog=participation.m,
+        sdlog=participation.s,
+        lambda_overall=lam_overall,
+        lambda_by_loc=lam_by_loc,
+        pmf_day=pmf_day,
+        pmf_time=pmf_time,
+        pmf_ev_type=pmf_ev,
+        meta=meta,
+    )
+    return model, binned, samples, qq

@@ -19,28 +19,12 @@ import numpy as np
 
 from . import _kernels, formats
 from .aggregation import aggregate
-from .analysis import (
-    autocorrelation,
-    bin_reports,
-    estimate_evtype_pmf,
-    estimate_lambda,
-    estimate_pmfs,
-    filter_outliers,
-    qq_against_lognormal,
-)
-from .distributions import Pmf, RandomSource, fit_lognormal, pmf_from_counts
+from .analysis import bin_reports, filter_outliers, fit_models
+from .distributions import Pmf, pmf_from_counts
 from .errors import PsSimError
-from .formats import ModelFile
 from .simulator import simulate
 from .types import DAY_BINS, TEMPORAL_BINS, SimConfig
-from .validation import (
-    AXES,
-    cross_validate,
-    fold_config,
-    histogram,
-    kfold_split,
-    summarize,
-)
+from .validation import AXES, cross_validate, summarize
 
 DEFAULT_EV_TYPES = "Jam,Accident,RoadClosure,Hazard"
 
@@ -67,21 +51,29 @@ def _parse_iso_date(text: str, flag: str) -> dt.date:
 
 
 def _infer_window(
-    dates, start: str | None, days: int | None, what: str
+    ordinals: np.ndarray, start: str | None, days: int | None, what: str
 ) -> tuple[dt.date, int]:
+    """The --start/--days window; either end defaults to the span of the
+    reports' date ordinals."""
     if start is not None:
         first = _parse_iso_date(start, "--start")
     else:
-        if not dates:
+        if not len(ordinals):
             raise PsSimError(f"no reports in {what}; cannot infer a window")
-        first = min(dates)
+        first = dt.date.fromordinal(int(ordinals.min()))
     if days is None:
-        if not dates:
+        if not len(ordinals):
             raise PsSimError(f"no reports in {what}; cannot infer a window")
-        days = (max(dates) - first).days + 1
+        days = int(ordinals.max()) - first.toordinal() + 1
     if days < 1:
         raise click.UsageError(f"--days must be >= 1, got {days}")
     return first, days
+
+
+def _in_window(ordinals: np.ndarray, window: tuple[dt.date, int]) -> np.ndarray:
+    """Mask of the date ordinals inside the window."""
+    offset = ordinals - window[0].toordinal()
+    return (offset >= 0) & (offset < window[1])
 
 
 def _uniform_pmf(support) -> Pmf:
@@ -139,12 +131,11 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
     except PsSimError as exc:
         raise click.UsageError(str(exc))
 
-    window = _infer_window([r.date for r in reports], start, days, str(input_csv))
+    window = _infer_window(reports.date, start, days, str(input_csv))
     first, ndays = window
-    end = first + dt.timedelta(days=ndays)
-    in_window = [r for r in reports if first <= r.date < end]
+    in_window = reports.take(_in_window(reports.date, window))
     excluded = len(reports) - len(in_window)
-    if not in_window:
+    if not len(in_window):
         raise PsSimError("no reports inside the ingestion window")
 
     outlier_users: list[str] = []
@@ -155,10 +146,11 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
             for user, weeks in binned.user_weekly.items()
         }
         _, outlier_users = filter_outliers(mean_weekly, outlier_pct)
-    dropped = set(outlier_users)
-    kept = [r for r in in_window if r.source_id not in dropped]
+    source_code = {name: code for code, name in enumerate(in_window.sources)}
+    dropped = [source_code[user] for user in outlier_users]
+    kept = in_window.take(~np.isin(in_window.source, dropped))
     removed_reports = len(in_window) - len(kept)
-    if not kept:
+    if not len(kept):
         raise PsSimError("outlier filtering removed every report; raise --outlier-pct")
 
     formats.write_canonical(kept, out)
@@ -187,72 +179,6 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
         click.echo("rejected 0 rows")
 
 
-def _fit_models(records, window, per_location: bool, out_of_window: int = 0):
-    binned = bin_reports(records, window)
-    pmf_day, pmf_time = estimate_pmfs(binned.overall)
-    pmf_ev = estimate_evtype_pmf(records)
-    lam_overall = estimate_lambda(binned.overall)
-    lam_by_loc = {
-        loc: estimate_lambda(series)
-        for loc, series in sorted(binned.per_location.items())
-    }
-    samples = binned.weekly_samples()
-    participation = fit_lognormal(samples)
-
-    qq = None
-    if len(samples) >= 10:
-        try:
-            qq = qq_against_lognormal(samples, participation)
-        except PsSimError:
-            qq = None
-
-    acf: dict[str, list[float] | None] = {}
-    for loc, series in sorted(binned.per_location.items()):
-        try:
-            acf[loc] = [
-                autocorrelation(series.cells, lag)
-                for lag in range(1, min(9, len(series.cells) - 1))
-            ]
-        except PsSimError:
-            acf[loc] = None
-
-    meta = {
-        "window_start": binned.window_start.isoformat(),
-        "window_days": binned.window_days,
-        "reports": binned.accepted,
-        "users": len(binned.user_weekly),
-        "participation_samples": len(samples),
-        "excluded": out_of_window,
-        "diagnostics": {
-            "qq_r2": None if qq is None else qq.r2,
-            "acf": acf,
-        },
-    }
-    if per_location:
-        per_loc_fit: dict[str, dict[str, float] | None] = {}
-        for loc in sorted(binned.per_location):
-            loc_records = [r for r in records if r.loc == loc]
-            try:
-                loc_binned = bin_reports(loc_records, window)
-                fit = fit_lognormal(loc_binned.weekly_samples())
-                per_loc_fit[loc] = {"mlog": fit.m, "sdlog": fit.s}
-            except PsSimError:
-                per_loc_fit[loc] = None
-        meta["per_location_participation"] = per_loc_fit
-
-    model = ModelFile(
-        mlog=participation.m,
-        sdlog=participation.s,
-        lambda_overall=lam_overall,
-        lambda_by_loc=lam_by_loc,
-        pmf_day=pmf_day,
-        pmf_time=pmf_time,
-        pmf_ev_type=pmf_ev,
-        meta=meta,
-    )
-    return model, binned, samples, qq
-
-
 @main.command()
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
@@ -272,16 +198,14 @@ def fit(dataset, out, start, days, per_location, plot_data):
         records, rejects = formats.read_canonical(dataset)
     except PsSimError as exc:
         raise click.UsageError(str(exc))
-    window = _infer_window([r.date for r in records], start, days, str(dataset))
-    first, ndays = window
-    end = first + dt.timedelta(days=ndays)
-    in_window = [r for r in records if first <= r.date < end]
-    if not in_window:
+    window = _infer_window(records.date, start, days, str(dataset))
+    in_window = records.take(_in_window(records.date, window))
+    if not len(in_window):
         raise PsSimError("no reports inside the fitting window")
     excluded = len(records) - len(in_window)
     records = in_window
 
-    model, binned, samples, qq = _fit_models(records, window, per_location, excluded)
+    model, binned, samples, qq = fit_models(records, window, per_location, excluded)
     ingest_meta = formats.read_ingest_meta(dataset)
     if ingest_meta is not None:
         model.meta["ingest"] = ingest_meta
@@ -309,15 +233,12 @@ def fit(dataset, out, start, days, per_location, plot_data):
             click.echo(f"rejected {rejects[reason]} rows: {reason}")
 
     if plot_data is not None:
-        rows = []
-        per_user: dict[str, int] = {}
-        for r in records:
-            per_user[r.source_id] = per_user.get(r.source_id, 0) + 1
-        freq: dict[int, int] = {}
-        for c in per_user.values():
-            freq[c] = freq.get(c, 0) + 1
-        for count in sorted(freq):
-            rows.append(("participation_hist", "users", count, freq[count]))
+        per_user = np.bincount(records.source)
+        counts, users = np.unique(per_user[per_user > 0], return_counts=True)
+        rows = [
+            ("participation_hist", "users", count, n)
+            for count, n in zip(counts.tolist(), users.tolist())
+        ]
         for b, p in zip(model.pmf_time.support, model.pmf_time.probs):
             rows.append(("pmf_time", "fit", b.label, p))
         for b, p in zip(model.pmf_day.support, model.pmf_day.probs):
@@ -470,10 +391,8 @@ def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
         records, rejects = formats.read_canonical(dataset)
     except PsSimError as exc:
         raise click.UsageError(str(exc))
-    window = _infer_window([r.date for r in records], start, days, str(dataset))
-    first, ndays = window
-    end = first + dt.timedelta(days=ndays)
-    records = [r for r in records if first <= r.date < end]
+    window = _infer_window(records.date, start, days, str(dataset))
+    records = records.take(_in_window(records.date, window))
 
     results = cross_validate(records, folds, seed, window)
     if out is not None:
@@ -497,19 +416,11 @@ def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
             click.echo(f"rejected {rejects[reason]} rows: {reason}")
 
     if plot_data is not None:
-        # mirrors cross_validate's stream discipline so fold 0 here is the
-        # same fold 0 whose metrics were just reported
-        rng = RandomSource(seed)
-        fold_list = kfold_split(records, folds, rng.substream("folds"))
-        seed_gen = rng.substream("fold-seeds").generator
-        fold0 = fold_list[0]
-        train = [r for f in fold_list[1:] for r in f]
-        config = fold_config(train, fold0, window, seed=int(seed_gen.integers(0, 2**63)))
-        trace = simulate(config)
         rows = []
         for axis in AXES:
-            for series, reports in (("real", fold0), ("simulated", trace.reports)):
-                for key_, frac in histogram(reports, axis).items():
+            scored = results[0].axis(axis)
+            for series, hist in (("real", scored.real), ("simulated", scored.sim)):
+                for key_, frac in hist.items():
                     x = key_.label if hasattr(key_, "label") else key_
                     rows.append((f"fold0_{axis}", series, x, frac))
         formats.write_plot_data(rows, plot_data)

@@ -23,13 +23,13 @@ import numpy as np
 from .aggregation import AggregatedEvent
 from .distributions import Pmf
 from .errors import PsSimError
-from .table import ReportTable, dates_of
+from .table import CanonicalTable, ReportTable, dates_of, report_columns
 from .types import (
     TEMPORAL_BINS,
     DayBin,
+    IngestedReport,
     Report,
     TemporalBin,
-    bin_of_time,
     weekday_of,
 )
 
@@ -51,18 +51,6 @@ EVENTS_HEADER = ("date", "dayTime", "loc", "incidentType", "supportCount")
 VALIDATION_HEADER = ("fold", "axis", "correlation", "rmse", "realN", "simN")
 BENCH_HEADER = ("n", "m", "seconds")
 PLOT_HEADER = ("plot", "series", "x", "y")
-
-
-@dataclass(frozen=True, slots=True)
-class IngestedReport:
-    """Canonical form of one real report row after ingestion."""
-
-    date: dt.date
-    day: DayBin
-    time: TemporalBin
-    source_id: str
-    loc: str
-    incident_type: str
 
 
 @dataclass
@@ -107,130 +95,15 @@ def parse_date(text: str) -> dt.date:
         raise PsSimError(f"unparseable date {t!r}") from None
 
 
-def _open_reader(path: Path) -> tuple:
-    handle = open(path, newline="", encoding="utf-8")
-    return handle, csv.DictReader(handle)
-
-
-def read_raw_reports(
-    path: Path, column_map: Mapping[str, str] | None = None
-) -> tuple[list[IngestedReport], dict[str, int]]:
-    """Read a raw report CSV; malformed rows are counted per reason, never
-    silently dropped.  Raises PsSimError if the header lacks a mapped column.
-    """
-    colmap = {f: f for f in RAW_FIELDS}
-    if column_map:
-        colmap.update(column_map)
-    handle, reader = _open_reader(path)
-    with handle:
-        header = reader.fieldnames
-        if header is None:
-            raise PsSimError(f"{path}: missing header row")
-        missing = [colmap[f] for f in RAW_FIELDS if colmap[f] not in header]
-        if missing:
-            raise PsSimError(f"{path}: header lacks required columns {missing}")
-
-        accepted: list[IngestedReport] = []
-        rejects: dict[str, int] = {}
-
-        def reject(reason: str) -> None:
-            rejects[reason] = rejects.get(reason, 0) + 1
-
-        for row in reader:
-            try:
-                stamp = parse_timestamp(row[colmap["timestamp"]] or "")
-            except ValueError:
-                reject("bad timestamp")
-                continue
-            source = (row[colmap["sourceId"]] or "").strip()
-            loc = (row[colmap["loc"]] or "").strip()
-            incident = (row[colmap["incidentType"]] or "").strip()
-            if not source:
-                reject("missing sourceId")
-                continue
-            if not loc:
-                reject("missing loc")
-                continue
-            if not incident:
-                reject("missing incidentType")
-                continue
-            date = stamp.date()
-            accepted.append(
-                IngestedReport(
-                    date=date,
-                    day=weekday_of(date),
-                    time=bin_of_time(stamp.time()),
-                    source_id=source,
-                    loc=loc,
-                    incident_type=incident,
-                )
-            )
-    return accepted, rejects
-
-
 def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(CANONICAL_HEADER)
-        for r in reports:
-            w.writerow(
-                (
-                    r.date.isoformat(),
-                    r.day.label,
-                    r.time.label,
-                    r.source_id,
-                    r.loc,
-                    r.incident_type,
-                )
-            )
-
-
-def read_canonical(path: Path) -> tuple[list[IngestedReport], dict[str, int]]:
-    """Read a canonical dataset CSV; the day column is recomputed from the
-    date so the day==weekday(date) invariant always holds."""
-    handle, reader = _open_reader(path)
-    with handle:
-        if reader.fieldnames is None:
-            raise PsSimError(f"{path}: missing header row")
-        missing = [c for c in CANONICAL_HEADER if c not in reader.fieldnames]
-        if missing:
-            raise PsSimError(f"{path}: header lacks required columns {missing}")
-        accepted: list[IngestedReport] = []
-        rejects: dict[str, int] = {}
-
-        def reject(reason: str) -> None:
-            rejects[reason] = rejects.get(reason, 0) + 1
-
-        for row in reader:
-            try:
-                date = parse_date(row["date"] or "")
-            except PsSimError:
-                reject("bad date")
-                continue
-            try:
-                time = TemporalBin.from_label((row["time"] or "").strip())
-            except PsSimError:
-                reject("bad time bin")
-                continue
-            source = (row["sourceId"] or "").strip()
-            loc = (row["loc"] or "").strip()
-            incident = (row["incidentType"] or "").strip()
-            if not (source and loc and incident):
-                reject("missing field")
-                continue
-            accepted.append(
-                IngestedReport(date, weekday_of(date), time, source, loc, incident)
-            )
-    return accepted, rejects
-
-
-TRACE_CHUNK_ROWS = 1 << 14
+CHUNK_ROWS = 1 << 14  # rows per chunk of the streaming readers and writers
 _MALFORMED = -1
 _MISMATCH = -2
+_BAD_DATE = -1
+_BAD_TIME = -2
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # EventNo and ReportNo are int64
 
 
@@ -241,6 +114,215 @@ def _csv_field(text: str) -> str:
     buf = io.StringIO()
     _writer(buf).writerow((text,))
     return buf.getvalue()[:-1]
+
+
+def _intern(raw: str, seen: dict[str, int], vocab: dict[str, int]) -> int:
+    """Code of a stripped string field, or _MALFORMED when it is blank."""
+    text = raw.strip()
+    seen[raw] = code = vocab.setdefault(text, len(vocab)) if text else _MALFORMED
+    return code
+
+
+def _header_columns(path: Path, reader, required: Sequence[str]) -> dict[str, int]:
+    """Column index of every header name (the last duplicate wins); raises
+    PsSimError when the file is empty or a required column is absent."""
+    header = next(reader, None)
+    if header is None:
+        raise PsSimError(f"{path}: missing header row")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise PsSimError(f"{path}: header lacks required columns {missing}")
+    return {name: i for i, name in enumerate(header)}
+
+
+def _chunks(reader):
+    """The data rows as iterators of up to CHUNK_ROWS rows each; a
+    chunk must be used up before the next one is taken."""
+    while True:
+        first_line = reader.line_num
+        yield itertools.islice(reader, CHUNK_ROWS)
+        if reader.line_num == first_line:
+            return
+
+
+def _read_reports(
+    path: Path,
+    required: Sequence[str],
+    cell_columns: Sequence[str],
+    string_columns: Sequence[str],
+    cell_of,
+) -> tuple[CanonicalTable, dict[int, int], list[int]]:
+    """Stream a report CSV into a CanonicalTable.
+
+    ``cell_of`` maps the ``cell_columns`` text of a row (one string, or a
+    tuple for several columns) to its cell code, date ordinal * 8 +
+    time-bin index, or to a negative reject code.  The ``string_columns``
+    are sourceId, loc and incidentType; they are stripped, and each
+    distinct text is checked once.  Returns the table, the rows rejected
+    per negative cell code and, per string column, the rows rejected
+    because it is the first blank one.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        col = _header_columns(path, reader, required)
+        width = max(col.values()) + 1
+        cell_text_of = operator.itemgetter(*(col[c] for c in cell_columns))
+        strings_of = operator.itemgetter(*(col[c] for c in string_columns))
+
+        sources: dict[str, int] = {}
+        locs: dict[str, int] = {}
+        types: dict[str, int] = {}
+        seen_sources: dict[str, int] = {}  # field text -> code
+        seen_locs: dict[str, int] = {}
+        seen_types: dict[str, int] = {}
+        bad_cells: dict[int, int] = {}
+        blank = [0, 0, 0]
+        chunks = []
+        for chunk in _chunks(reader):
+            cells, codes = [], []
+            for row in chunk:
+                if len(row) < width:
+                    if not row:
+                        continue  # blank line
+                    row += [""] * (width - len(row))
+                cell = cell_of(cell_text_of(row))
+                if cell < 0:
+                    bad_cells[cell] = bad_cells.get(cell, 0) + 1
+                    continue
+                src, loc, typ = strings_of(row)
+                s = seen_sources.get(src)
+                if s is None:
+                    s = _intern(src, seen_sources, sources)
+                lc = seen_locs.get(loc)
+                if lc is None:
+                    lc = _intern(loc, seen_locs, locs)
+                t = seen_types.get(typ)
+                if t is None:
+                    t = _intern(typ, seen_types, types)
+                if s < 0 or lc < 0 or t < 0:
+                    blank[(s, lc, t).index(_MALFORMED)] += 1
+                    continue
+                cells.append(cell)
+                codes.append((s, lc, t))
+            chunks.append(
+                (np.asarray(cells, dtype=np.int64), np.asarray(codes, dtype=np.int64).reshape(-1, 3))
+            )
+
+    cell = np.concatenate([c for c, _ in chunks])
+    source, loc, type_ = np.concatenate([k for _, k in chunks]).T
+    table = CanonicalTable.from_codes(cell >> 3, cell & 7, source, sources, loc, locs, type_, types)
+    return table, bad_cells, blank
+
+
+def _stamp_cell(text: str) -> int:
+    """Cell code of a raw timestamp, or _BAD_DATE."""
+    try:
+        stamp = parse_timestamp(text)
+    except (ValueError, OverflowError):  # unparseable, or out of range in UTC
+        return _BAD_DATE
+    return stamp.toordinal() * 8 + (stamp.hour - 3) % 24 // 3
+
+
+def read_raw_reports(
+    path: Path, column_map: Mapping[str, str] | None = None
+) -> tuple[CanonicalTable, dict[str, int]]:
+    """Read a raw report CSV into a CanonicalTable.
+
+    Malformed rows are counted per reason, never silently dropped.  Columns
+    are found by header name, through ``column_map`` for renamed ones.
+    Raises PsSimError if the header lacks a mapped column.
+    """
+    colmap = {f: f for f in RAW_FIELDS}
+    if column_map:
+        colmap.update(column_map)
+    columns = [colmap[f] for f in RAW_FIELDS]
+    table, bad_cells, blank = _read_reports(
+        path, columns, columns[:1], columns[1:], _stamp_cell
+    )
+    rejects = {}
+    if bad_cells:
+        rejects["bad timestamp"] = bad_cells[_BAD_DATE]
+    for field, count in zip(RAW_FIELDS[1:], blank):
+        if count:
+            rejects[f"missing {field}"] = count
+    return table, rejects
+
+
+def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
+    """Write the canonical dataset schema with ISO dates.
+
+    ``reports`` is a CanonicalTable or any iterable of IngestedReport rows;
+    the bytes equal csv.writer's output row by row.  The day column is the
+    weekday of the date.
+    """
+    table, rejected = report_columns(reports)
+    if rejected:
+        raise PsSimError(f"{rejected} reports lack a canonical field")
+    cells, cell_of = np.unique(table.date * 8 + table.time, return_inverse=True)
+    prefixes = [
+        f"{date.isoformat()},{weekday_of(date).label},{TEMPORAL_BINS[t].label},"
+        for date, t in zip(dates_of(cells >> 3), (cells & 7).tolist())
+    ]
+    sources, locs, types = (
+        [_csv_field(s) for s in vocab] for vocab in (table.sources, table.locs, table.types)
+    )
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(CANONICAL_HEADER) + "\n")
+        for start in range(0, len(table), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            handle.write(
+                "".join(
+                    [
+                        f"{prefixes[c]}{sources[s]},{locs[loc]},{types[k]}\n"
+                        for c, s, loc, k in zip(
+                            cell_of[rows].tolist(),
+                            table.source[rows].tolist(),
+                            table.loc[rows].tolist(),
+                            table.type[rows].tolist(),
+                        )
+                    ]
+                )
+            )
+
+
+def _canonical_cell(date_text: str, time_text: str) -> int:
+    """Cell code of a (date, time) text, or _BAD_DATE / _BAD_TIME; the date
+    is checked first."""
+    try:
+        date = parse_date(date_text)
+    except PsSimError:
+        return _BAD_DATE
+    try:
+        time = TemporalBin.from_label(time_text.strip())
+    except PsSimError:
+        return _BAD_TIME
+    return date.toordinal() * 8 + time.index
+
+
+def read_canonical(path: Path) -> tuple[CanonicalTable, dict[str, int]]:
+    """Read a canonical dataset CSV into a CanonicalTable.
+
+    Columns are found by header name.  The day column is recomputed from
+    the date, so the day==weekday(date) invariant always holds.  Each
+    distinct (date, time) text and string field is checked once.
+    """
+    status: dict[tuple[str, str], int] = {}  # (date, time) text -> cell or reject
+
+    def cell_of(texts: tuple[str, str]) -> int:
+        cell = status.get(texts)
+        if cell is None:
+            cell = status[texts] = _canonical_cell(*texts)
+        return cell
+
+    table, bad_cells, blank = _read_reports(
+        path, CANONICAL_HEADER, ("date", "time"), CANONICAL_HEADER[3:], cell_of
+    )
+    counts = (
+        ("bad date", bad_cells.get(_BAD_DATE, 0)),
+        ("bad time bin", bad_cells.get(_BAD_TIME, 0)),
+        ("missing field", sum(blank)),
+    )
+    return table, {reason: count for reason, count in counts if count}
 
 
 def write_trace(reports: Iterable[Report], path: Path) -> None:
@@ -261,8 +343,8 @@ def write_trace(reports: Iterable[Report], path: Path) -> None:
     types = [_csv_field(t) for t in table.types]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(",".join(TRACE_HEADER) + "\n")
-        for start in range(0, len(table), TRACE_CHUNK_ROWS):
-            rows = slice(start, start + TRACE_CHUNK_ROWS)
+        for start in range(0, len(table), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
             handle.write(
                 "".join(
                     [
@@ -302,32 +384,18 @@ def _trace_slot(prefix: tuple[str, str, str, str], slots: dict) -> int:
     return slots.setdefault((number, date.toordinal(), time.index), len(slots))
 
 
-def _intern(raw: str, seen: dict[str, int], vocab: dict[str, int]) -> int:
-    """Code of a stripped string field, or _MALFORMED when it is blank."""
-    text = raw.strip()
-    seen[raw] = code = vocab.setdefault(text, len(vocab)) if text else _MALFORMED
-    return code
-
-
 def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
     """Read a trace CSV into a ReportTable.
 
     Dates may be ISO or DD/MM/YYYY; the day label is recomputed from the
     date, and rows whose stated day disagrees are rejected with a counter.
     Columns are found by header name.  Rows are read in chunks of
-    TRACE_CHUNK_ROWS, and each distinct (EventNo, Date, Day, Time) text and
+    CHUNK_ROWS, and each distinct (EventNo, Date, Day, Time) text and
     string field is checked once.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise PsSimError(f"{path}: missing header row")
-        missing = [c for c in TRACE_HEADER if c not in header]
-        if missing:
-            raise PsSimError(f"{path}: header lacks required columns {missing}")
-        col = {name: i for i, name in enumerate(header)}  # last duplicate wins
-        width = len(header)
+        col = _header_columns(path, reader, TRACE_HEADER)
         prefix_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[:4]))
         rest_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[4:]))
 
@@ -339,10 +407,10 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
         seen_types: dict[str, int] = {}
         columns: list[list[np.ndarray]] = [[], [], [], [], []]
         malformed = mismatched = 0
-        while True:
-            first_line = reader.line_num
+        width = max(col.values()) + 1
+        for chunk in _chunks(reader):
             event, report_no, source, reported, occurred = [], [], [], [], []
-            for row in itertools.islice(reader, TRACE_CHUNK_ROWS):
+            for row in chunk:
                 if len(row) < width:
                     if not row:
                         continue  # blank line
@@ -387,17 +455,13 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
                 columns, (event, report_no, source, reported, occurred)
             ):
                 column.append(np.asarray(values, dtype=np.int64))
-            if reader.line_num == first_line:
-                break
 
     rejects = {}
     if malformed:
         rejects["malformed row"] = malformed
     if mismatched:
         rejects["day/date mismatch"] = mismatched
-    event, report_no, source, reported, occurred = (
-        np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in columns
-    )
+    event, report_no, source, reported, occurred = (np.concatenate(c) for c in columns)
     table = ReportTable.from_codes(
         slots, event, report_no, source, sources, reported, occurred, types
     )

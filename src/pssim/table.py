@@ -1,18 +1,21 @@
 """Columnar events and reports: structures of arrays with lazy row views.
 
-An EventTable holds one entry per event and a ReportTable one entry per
-report.  Dates are proleptic ordinals (``date.toordinal()``), time bins are
-indices into TEMPORAL_BINS, and string fields are integer codes into
-vocabularies kept beside the columns.  The day label is never stored: it is
-always the weekday of the date.
+An EventTable holds one entry per event, a ReportTable one entry per trace
+report and a CanonicalTable one entry per ingested report.  Dates are
+proleptic ordinals (``date.toordinal()``), time bins are indices into
+TEMPORAL_BINS, and string fields are integer codes into vocabularies kept
+beside the columns.  The day label is never stored: it is always the weekday
+of the date.
 
-Both tables are read-only Sequences of the row dataclasses in types.py.  The
+The tables are read-only Sequences of the row dataclasses in types.py.  The
 rows are built on the first element access, once per table, so code that
-works on the columns never creates a per-row object.
+works on the columns never creates a per-row object.  ``report_columns``
+gives every counting stage its input as a CanonicalTable.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -21,7 +24,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .types import TEMPORAL_BINS, Event, Report, weekday_of
+from .errors import PsSimError
+from .types import TEMPORAL_BINS, Event, IngestedReport, Report, TemporalBin, weekday_of
 
 
 def code_dtype(size: int, length: int) -> np.dtype:
@@ -218,3 +222,159 @@ class ReportTable(_RowView):
         return cls.from_codes(
             slots, event, report_no, source, sources, reported, occurred, types
         )
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class CanonicalTable(_RowView):
+    """Ingested reports as columns; a Sequence of IngestedReport rows.
+
+    Every column has one entry per report.  ``report_columns`` gives trace
+    reports and report rows in this form too.
+    """
+
+    date: np.ndarray  # date ordinal
+    time: np.ndarray  # TemporalBin index
+    source: np.ndarray  # code into ``sources``
+    sources: tuple[str, ...]
+    loc: np.ndarray  # code into ``locs``
+    locs: tuple[str, ...]
+    type: np.ndarray  # code into ``types``
+    types: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.date)
+
+    def _build_rows(self) -> tuple[IngestedReport, ...]:
+        sources, locs, types = self.sources, self.locs, self.types
+        return tuple(
+            IngestedReport(date, weekday_of(date), TEMPORAL_BINS[t], sources[s], locs[loc], types[k])
+            for date, t, s, loc, k in zip(
+                dates_of(self.date),
+                self.time.tolist(),
+                self.source.tolist(),
+                self.loc.tolist(),
+                self.type.tolist(),
+            )
+        )
+
+    def take(self, rows) -> "CanonicalTable":
+        """The reports an index array or boolean mask selects, in its order.
+
+        The vocabularies are shared, so they may hold strings no selected
+        report uses.
+        """
+        return dataclasses.replace(
+            self,
+            date=self.date[rows],
+            time=self.time[rows],
+            source=self.source[rows],
+            loc=self.loc[rows],
+            type=self.type[rows],
+        )
+
+    @classmethod
+    def from_codes(
+        cls, date, time, source, sources, loc, locs, type_, types
+    ) -> "CanonicalTable":
+        """Build a table from code columns and first-seen vocabularies."""
+        n = len(date)
+        return cls(
+            date=np.asarray(date, dtype=np.int64),
+            time=np.asarray(time).astype(code_dtype(len(TEMPORAL_BINS), n)),
+            source=np.asarray(source).astype(code_dtype(len(sources), n)),
+            sources=tuple(sources),
+            loc=np.asarray(loc).astype(code_dtype(len(locs), n)),
+            locs=tuple(locs),
+            type=np.asarray(type_).astype(code_dtype(len(types), n)),
+            types=tuple(types),
+        )
+
+
+def row_key(
+    report, default_loc: str = "unspecified", use_occurred: bool = False
+) -> tuple[dt.date, TemporalBin, str, str, str]:
+    """(date, time bin, loc, incident type, sourceId) of one report row.
+
+    Works on simulated trace rows (which carry reported and occurred types
+    but no location) and on ingested rows (which carry a location and a
+    single incident type).  A missing or None field raises PsSimError.
+    """
+    date = getattr(report, "date", None)
+    time = getattr(report, "time", None)
+    source = getattr(report, "source_id", None)
+    loc = getattr(report, "loc", None) or default_loc
+    if use_occurred:
+        incident = getattr(report, "event_occurred", None) or getattr(
+            report, "incident_type", None
+        )
+    else:
+        incident = getattr(report, "event_reported", None) or getattr(
+            report, "incident_type", None
+        )
+    if date is None or time is None or source is None or incident is None:
+        raise PsSimError(f"report is missing key fields: {report!r}")
+    return date, time, loc, incident, source
+
+
+def report_columns(
+    reports, default_loc: str = "unspecified", use_occurred: bool = False
+) -> tuple[CanonicalTable, int]:
+    """The reports as key columns, and the number rejected for a missing field.
+
+    A CanonicalTable is returned as it is.  A ReportTable is projected
+    without building rows: trace rows carry no location, so every row gets
+    ``default_loc``, and the type is the reported one (the occurred one with
+    ``use_occurred``); rows whose type is empty are rejected.  Any other
+    iterable of report rows is encoded once through ``row_key``.
+    """
+    if isinstance(reports, CanonicalTable):
+        return reports, 0
+    if isinstance(reports, ReportTable):
+        return _trace_columns(reports, default_loc, use_occurred)
+    sources: dict[str, int] = {}
+    locs: dict[str, int] = {}
+    types: dict[str, int] = {}
+    rows = []
+    rejected = 0
+    for report in reports:
+        try:
+            date, time, loc, incident, source = row_key(report, default_loc, use_occurred)
+        except PsSimError:
+            rejected += 1
+            continue
+        rows.append(
+            (
+                date.toordinal(),
+                time.index,
+                sources.setdefault(source, len(sources)),
+                locs.setdefault(loc, len(locs)),
+                types.setdefault(incident, len(types)),
+            )
+        )
+    date, time, source, loc, type_ = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T
+    table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
+    return table, rejected
+
+
+def _trace_columns(
+    table: ReportTable, default_loc: str, use_occurred: bool
+) -> tuple[CanonicalTable, int]:
+    codes = table.occurred if use_occurred else table.reported
+    event, source = table.event, table.source
+    rejected = 0
+    blank = [code for code, name in enumerate(table.types) if not name]
+    if blank:  # an empty type is a missing key field, as in row_key
+        keep = ~np.isin(codes, blank)
+        rejected = len(codes) - int(np.count_nonzero(keep))
+        codes, event, source = codes[keep], event[keep], source[keep]
+    columns = CanonicalTable(
+        date=table.date[event],
+        time=table.time[event],
+        source=source,
+        sources=table.sources,
+        loc=np.zeros(len(codes), dtype=code_dtype(1, len(codes))),
+        locs=(default_loc,),
+        type=codes,
+        types=table.types,
+    )
+    return columns, rejected

@@ -116,6 +116,18 @@ class Report:
 
 
 @dataclass(frozen=True, slots=True)
+class IngestedReport:
+    """Canonical form of one real report row after ingestion."""
+
+    date: dt.date
+    day: DayBin
+    time: TemporalBin
+    source_id: str
+    loc: str
+    incident_type: str
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     """A published incident; (date, time, loc, incident_type) is its identity."""
 

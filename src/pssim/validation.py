@@ -15,6 +15,7 @@ from .analysis import bin_reports, estimate_evtype_pmf, estimate_lambda, estimat
 from .distributions import RandomSource, fit_lognormal
 from .errors import PsSimError
 from .simulator import simulate
+from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, SimConfig
 
 AXES = ("perUser", "perDayBin", "perTimeBin")
@@ -22,10 +23,14 @@ AXES = ("perUser", "perDayBin", "perTimeBin")
 
 @dataclass(frozen=True)
 class AxisResult:
+    """Similarity along one axis, with the two histograms it compares."""
+
     correlation: float
     rmse: float
     real_n: int
     sim_n: int
+    real: dict[Hashable, float]
+    sim: dict[Hashable, float]
 
 
 @dataclass(frozen=True)
@@ -45,56 +50,51 @@ class ValidationReport:
         }[name]
 
 
-def kfold_split(reports: Sequence, k: int, rng: RandomSource) -> list[list]:
-    """Shuffle and split into k disjoint folds with sizes differing by <= 1."""
-    n = len(reports)
+def _fold_rows(n: int, k: int, rng: RandomSource) -> list[np.ndarray]:
+    """Row indices of k disjoint folds of a shuffled range(n), sizes
+    differing by <= 1; the one owner of the fold layout."""
     if k < 2:
         raise PsSimError(f"need k >= 2 folds, got {k}")
     if k > n:
         raise PsSimError(f"cannot split {n} reports into {k} folds")
     order = rng.generator.permutation(n)
     base, extra = divmod(n, k)
-    folds = []
-    at = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([reports[j] for j in order[at : at + size]])
-        at += size
-    return folds
+    return np.split(order, np.cumsum([base + (i < extra) for i in range(k - 1)]))
 
 
-def histogram(reports: Sequence, axis: str) -> dict[Hashable, float]:
+def kfold_split(reports: Sequence, k: int, rng: RandomSource) -> list[list]:
+    """Shuffle and split into k disjoint folds with sizes differing by <= 1."""
+    return [[reports[j] for j in rows] for rows in _fold_rows(len(reports), k, rng)]
+
+
+def histogram(reports, axis: str) -> dict[Hashable, float]:
     """Normalized frequency map along one comparison axis.
 
-    perUser: fraction of users at each observed report-count value.
+    perUser: fraction of users at each observed report-count value, in
+    increasing count order.
     perDayBin / perTimeBin: fraction of reports per bin, zero-filled over the
-    full 7- or 8-bin support.
+    full 7- or 8-bin support.  The day bin is the weekday of the date.
+    ``reports`` is anything ``table.report_columns`` accepts.
     """
     if axis not in AXES:
         raise PsSimError(f"unknown axis {axis!r}; expected one of {AXES}")
-    if not reports:
+    table, _ = report_columns(reports)
+    total = len(table)
+    if not total:
         raise PsSimError("cannot build a histogram from an empty report set")
     if axis == "perUser":
-        per_user: dict[str, int] = {}
-        for r in reports:
-            per_user[r.source_id] = per_user.get(r.source_id, 0) + 1
-        users = len(per_user)
-        freq: dict[Hashable, int] = {}
-        for count in per_user.values():
-            freq[count] = freq.get(count, 0) + 1
-        return {count: freq[count] / users for count in sorted(freq)}
+        per_user = np.bincount(table.source)
+        counts, users = np.unique(per_user[per_user > 0], return_counts=True)
+        n_users = int(users.sum())
+        return {c: u / n_users for c, u in zip(counts.tolist(), users.tolist())}
     if axis == "perDayBin":
         support: tuple = DAY_BINS
-        key = lambda r: r.day
+        codes = table.date % 7  # ordinal 1 is a Monday, DAY_BINS start on Sunday
     else:
         support = TEMPORAL_BINS
-        key = lambda r: r.time
-    counts = {s: 0 for s in support}
-    total = 0
-    for r in reports:
-        counts[key(r)] += 1
-        total += 1
-    return {s: counts[s] / total for s in support}
+        codes = table.time
+    counts = np.bincount(codes, minlength=len(support)).tolist()
+    return {s: c / total for s, c in zip(support, counts)}
 
 
 def align_histograms(
@@ -136,8 +136,10 @@ def rmse(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.sqrt(np.mean((x - y) ** 2)))
 
 
-def compare_axes(real: Sequence, sim: Sequence) -> dict[str, AxisResult]:
+def compare_axes(real, sim) -> dict[str, AxisResult]:
     """Histogram both report sets along every axis and score the match."""
+    real, _ = report_columns(real)
+    sim, _ = report_columns(sim)
     out = {}
     for axis in AXES:
         h_real = histogram(real, axis)
@@ -148,13 +150,15 @@ def compare_axes(real: Sequence, sim: Sequence) -> dict[str, AxisResult]:
             rmse=rmse(v_real, v_sim),
             real_n=len(real),
             sim_n=len(sim),
+            real=h_real,
+            sim=h_sim,
         )
     return out
 
 
 def fold_config(
-    train: Sequence,
-    fold: Sequence,
+    train,
+    fold,
     window: tuple[dt.date, int],
     seed: int,
 ) -> SimConfig:
@@ -163,17 +167,20 @@ def fold_config(
     Shape parameters (sdlog, pmfs, lambda) come from the training folds; the
     location parameter is anchored so the expected per-participant quota
     matches the fold's mean reports per user, and n matches the fold's user
-    count, so both traces live at comparable scale.
+    count, so both traces live at comparable scale.  ``train`` and ``fold``
+    are anything ``table.report_columns`` accepts.
     """
     start, days = window
+    train, _ = report_columns(train)
     binned = bin_reports(train, window)
     pmf_day, pmf_time = estimate_pmfs(binned.overall)
     pmf_ev = estimate_evtype_pmf(train)
     lam = estimate_lambda(binned.overall)
     participation = fit_lognormal(binned.weekly_samples())
 
-    fold_users = {r.source_id for r in fold}
-    mean_per_user = len(fold) / len(fold_users)
+    fold, _ = report_columns(fold)
+    fold_users = len(np.unique(fold.source))
+    mean_per_user = len(fold) / fold_users
     sdlog = participation.s
     mlog = math.log(mean_per_user) - sdlog**2 / 2.0 - math.log(days / 7.0)
 
@@ -182,7 +189,7 @@ def fold_config(
         start_date=start,
         ev_types=tuple(pmf_ev.support),
         pr_lie=0.0,
-        n=len(fold_users),
+        n=fold_users,
         lambda_e=lam,
         mlog=mlog,
         sdlog=sdlog,
@@ -195,29 +202,34 @@ def fold_config(
 
 
 def cross_validate(
-    real_data: Sequence,
+    real_data,
     k: int,
     seed: int,
     window: tuple[dt.date, int] | None = None,
 ) -> list[ValidationReport]:
     """k-fold validation: per fold, fit on the remaining folds, simulate a
-    trace of matching scale, and compare histograms along all three axes."""
+    trace of matching scale, and compare histograms along all three axes.
+
+    Each training set holds the other folds in fold order.  Every
+    AxisResult keeps the real and simulated histograms it scored.
+    """
     if k < 2:
         raise PsSimError(f"need k >= 2 folds, got {k}")
+    table, _ = report_columns(real_data)
     if window is None:
-        dates = [r.date for r in real_data]
-        if not dates:
+        if not len(table):
             raise PsSimError("no reports to validate")
-        start = min(dates)
-        window = (start, (max(dates) - start).days + 1)
+        first, last = int(table.date.min()), int(table.date.max())
+        window = (dt.date.fromordinal(first), last - first + 1)
 
     rng = RandomSource(seed)
-    folds = kfold_split(real_data, k, rng.substream("folds"))
+    folds = _fold_rows(len(table), k, rng.substream("folds"))
     seed_gen = rng.substream("fold-seeds").generator
 
     results = []
-    for i, fold in enumerate(folds):
-        train = [r for j, f in enumerate(folds) if j != i for r in f]
+    for i, rows in enumerate(folds):
+        fold = table.take(rows)
+        train = table.take(np.concatenate([f for j, f in enumerate(folds) if j != i]))
         config = fold_config(
             train, fold, window, seed=int(seed_gen.integers(0, 2**63))
         )

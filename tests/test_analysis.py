@@ -291,3 +291,141 @@ class TestRoundTrip:
             b = np.asarray(true.probs)
             r = np.corrcoef(a, b)[0, 1]
             assert r >= 0.99
+
+
+# -- row-at-a-time oracles for the columnar counting stages -------------------
+
+
+def oracle_bin(reports, window, default_loc="unspecified"):
+    """Tally one row at a time, in input order, with dicts."""
+    start, days = window
+    end = start + dt.timedelta(days=days)
+    overall = [0] * (8 * days)
+    per_loc = {}
+    user_weekly = {}
+    excluded = accepted = 0
+    for r in reports:
+        if not start <= r.date < end:
+            excluded += 1
+            continue
+        cell = (r.date - start).days * 8 + r.time.index
+        overall[cell] += 1
+        loc = getattr(r, "loc", None) or default_loc
+        per_loc.setdefault(loc, [0] * (8 * days))[cell] += 1
+        weeks = user_weekly.setdefault(r.source_id, {})
+        week = (r.date - start).days // 7
+        weeks[week] = weeks.get(week, 0) + 1
+        accepted += 1
+    return overall, per_loc, user_weekly, excluded, accepted
+
+
+def oracle_evtype_counts(reports):
+    counts = {}
+    for r in reports:
+        label = getattr(r, "incident_type", None) or r.event_reported
+        counts[label] = counts.get(label, 0) + 1
+    return {k: counts[k] for k in sorted(counts)}
+
+
+def oracle_histogram(reports, axis):
+    if axis == "perUser":
+        per_user = {}
+        for r in reports:
+            per_user[r.source_id] = per_user.get(r.source_id, 0) + 1
+        freq = {}
+        for c in per_user.values():
+            freq[c] = freq.get(c, 0) + 1
+        return {c: freq[c] / len(per_user) for c in sorted(freq)}
+    support = list(DayBin) if axis == "perDayBin" else list(TemporalBin)
+    counts = {s: 0 for s in support}
+    for r in reports:
+        counts[r.day if axis == "perDayBin" else r.time] += 1
+    return {s: counts[s] / len(reports) for s in support}
+
+
+def shuffled_canonical(seed, n=600):
+    """Ingested reports over 5 weeks around a 30-day window, in random
+    order, so first-seen order differs from sorted order everywhere."""
+    from pssim.table import report_columns
+
+    rng = np.random.default_rng(seed)
+    bins = list(TemporalBin)
+    rows = [
+        ingested(
+            WINDOW_START + dt.timedelta(days=int(rng.integers(-3, 34))),
+            bins[int(rng.integers(0, 8))],
+            source=f"u{int(rng.integers(0, 40)):02d}",
+            loc=("Route 9", "Elm Street", "Harbor Drive")[int(rng.integers(0, 3))],
+            incident=("Jam", "Accident", "Hazard", "Closure")[int(rng.integers(0, 4))],
+        )
+        for _ in range(n)
+    ]
+    table, rejected = report_columns(rows)
+    assert rejected == 0
+    return table, rows
+
+
+def simulated_trace(seed):
+    trace = simulate(make_config(n=60, tau=21, lambda_e=4.0, pr_lie=0.3, seed=seed))
+    return trace.reports, list(trace.reports)
+
+
+ORACLE_WINDOW = (WINDOW_START, 30)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["canonical", "trace"])
+class TestColumnarMatchesOracle:
+    def inputs(self, kind, seed):
+        """(table, its rows): a CanonicalTable or a ReportTable, and the
+        same reports as a plain list."""
+        return shuffled_canonical(seed) if kind == "canonical" else simulated_trace(seed)
+
+    def test_bin_reports(self, kind, seed):
+        table, rows = self.inputs(kind, seed)
+        # the trace spans 21 days from WINDOW_START; cut both of its ends
+        window = ORACLE_WINDOW if kind == "canonical" else (WINDOW_START + dt.timedelta(days=5), 10)
+        overall, per_loc, user_weekly, excluded, accepted = oracle_bin(rows, window)
+        assert excluded > 0 and accepted > 0
+        for reports in (table, rows):
+            binned = bin_reports(reports, window)
+            assert binned.overall.cells.tolist() == overall
+            assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == list(
+                per_loc.items()
+            )
+            # dict order is part of the result: users, then weeks, first seen
+            assert [(u, list(w.items())) for u, w in binned.user_weekly.items()] == [
+                (u, list(w.items())) for u, w in user_weekly.items()
+            ]
+            assert binned.weekly_samples() == [
+                float(c) for w in user_weekly.values() for c in w.values()
+            ]
+            assert (binned.excluded, binned.accepted) == (excluded, accepted)
+
+    def test_estimate_evtype_pmf(self, kind, seed):
+        table, rows = self.inputs(kind, seed)
+        expected = pmf_from_counts(oracle_evtype_counts(rows))
+        assert estimate_evtype_pmf(table) == expected
+        assert estimate_evtype_pmf(rows) == expected
+
+    @pytest.mark.parametrize("axis", ["perUser", "perDayBin", "perTimeBin"])
+    def test_histogram(self, kind, seed, axis):
+        from pssim.validation import histogram
+
+        table, rows = self.inputs(kind, seed)
+        expected = oracle_histogram(rows, axis)
+        for reports in (table, rows):
+            got = histogram(reports, axis)
+            assert list(got.items()) == list(expected.items())
+            if axis == "perUser":
+                assert all(type(k) is int for k in got)
+
+
+def test_canonical_subsets_keep_the_row_order():
+    table, rows = shuffled_canonical(4)
+    pick = np.random.default_rng(4).permutation(len(rows))[:250]
+    subset = table.take(pick)
+    assert list(subset) == [rows[i] for i in pick]
+    binned = bin_reports(subset, ORACLE_WINDOW)
+    _, _, user_weekly, _, _ = oracle_bin([rows[i] for i in pick], ORACLE_WINDOW)
+    assert binned.weekly_samples() == [float(c) for w in user_weekly.values() for c in w.values()]

@@ -469,6 +469,35 @@ class TestValidate:
         plots = {r["plot"] for r in rows}
         assert plots == {"fold0_perUser", "fold0_perDayBin", "fold0_perTimeBin"}
 
+    def test_plot_data_reproduces_fold_0_metrics(self, runner, tmp_path, sample_canonical):
+        from pssim.types import DayBin, TemporalBin
+        from pssim.validation import AXES, align_histograms, pearson_correlation, rmse
+
+        plot, out = tmp_path / "plot.csv", tmp_path / "folds.csv"
+        run_ok(
+            runner,
+            ["validate", str(sample_canonical), "-k", "3", "--seed", "4",
+             "--out", str(out), "--plot-data", str(plot)],
+        )
+        key_of = {
+            "fold0_perUser": int,
+            "fold0_perDayBin": DayBin.from_label,
+            "fold0_perTimeBin": TemporalBin.from_label,
+        }
+        hists = {}
+        with open(plot, newline="") as handle:
+            for row in csv.DictReader(handle):
+                hist = hists.setdefault((row["plot"], row["series"]), {})
+                hist[key_of[row["plot"]](row["x"])] = float(row["y"])
+        with open(out, newline="") as handle:
+            scored = {r["axis"]: r for r in csv.DictReader(handle) if r["fold"] == "0"}
+        for axis in AXES:
+            real, sim = align_histograms(
+                hists[(f"fold0_{axis}", "real")], hists[(f"fold0_{axis}", "simulated")]
+            )
+            assert repr(pearson_correlation(real, sim)) == scored[axis]["correlation"]
+            assert repr(rmse(real, sim)) == scored[axis]["rmse"]
+
 
 class TestBench:
     def test_small_grid_completes_with_exponents(self, runner, tmp_path):
@@ -532,8 +561,30 @@ def test_cli_import_loads_only_numpy_and_click():
         timeout=60, check=True,
     )
     loaded = json.loads(done.stdout)
+    # the compiled kernel registers Cython's in-memory runtime modules
+    cython_runtime = {n for n in loaded if n == "cython_runtime" or n.startswith("_cython_")}
     third_party = {
         name.split(".")[0] for name in loaded
-    } - set(sys.stdlib_module_names) - {"pssim"}
+    } - set(sys.stdlib_module_names) - {"pssim"} - cython_runtime
     assert third_party == {"numpy", "click"}
     assert "concurrent.futures" not in loaded
+
+
+def test_commands_build_no_report_rows(runner, tmp_path, monkeypatch):
+    """Every command works on the code columns: no per-report row object
+    is built from a canonical or trace table."""
+    from pssim.table import CanonicalTable, ReportTable
+
+    def refuse(table):
+        raise AssertionError(f"{type(table).__name__} built its rows")
+
+    monkeypatch.setattr(CanonicalTable, "_build_rows", refuse)
+    monkeypatch.setattr(ReportTable, "_build_rows", refuse)
+    canon, trace = tmp_path / "canonical.csv", tmp_path / "trace.csv"
+    out = str(tmp_path / "out")
+    run_ok(runner, ["ingest", str(SAMPLE_CSV), "--out", str(canon)])
+    run_ok(runner, ["fit", str(canon), "--out", out, "--per-location", "--plot-data", out + ".plot"])
+    run_ok(runner, ["aggregate", str(canon), "--out", out, "--min-support", "2"])
+    run_ok(runner, ["validate", str(canon), "-k", "3", "--out", out, "--plot-data", out + ".plot"])
+    run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
+    run_ok(runner, ["aggregate", str(trace), "--out", out, "--key", "occurred"])

@@ -6,6 +6,7 @@ from conftest import make_config
 from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import (
+    CANONICAL_HEADER,
     ModelFile,
     load_model,
     model_to_json,
@@ -127,6 +128,32 @@ class TestCanonicalRoundTrip:
         write_canonical(reports, out)
         back, _ = read_canonical(out)
         assert back == reports
+
+    def test_bytes_equal_csv_writer_for_table_and_rows(self, tmp_path):
+        import csv
+        import io
+
+        raw = tmp_path / "raw.csv"
+        write_rows(raw, RAW_HEAD, [
+            '2015-02-23T04:00:00Z,u1,"Main St, north of 5th",Jam',
+            '2015-02-28T23:30:00-05:00,"say ""hi""",Route 9,"Road, closed"',
+            '2015-03-01T13:00:00Z,u1,Route 9,Jam',
+            '2015-02-23T04:10:00Z,u3,"Main St, north of 5th","Road, closed"',
+        ])
+        reports, rejects = read_raw_reports(raw)
+        assert rejects == {}
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(CANONICAL_HEADER)
+        for r in reports:
+            writer.writerow(
+                (r.date.isoformat(), r.day.label, r.time.label, r.source_id, r.loc, r.incident_type)
+            )
+        table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
+        write_canonical(reports, table_path)
+        write_canonical(iter(list(reports)), rows_path)
+        assert table_path.read_bytes() == expected.getvalue().encode()
+        assert rows_path.read_bytes() == table_path.read_bytes()
 
     def test_bad_rows_get_fixed_reject_reasons(self, tmp_path):
         path = tmp_path / "canonical.csv"
@@ -323,3 +350,224 @@ class TestTraceRejects:
         path.write_text("EventNo,Date,Day,Time,ReportNo,SourceId,EventReported\n")
         with pytest.raises(PsSimError, match="EventOccurred"):
             read_trace(path)
+
+
+RAW_HEAD = "timestamp,sourceId,loc,incidentType"
+GOOD_RAW = "2015-02-23T04:00:00Z,u1,Elm Street,Jam"
+# (case, row text, reject reason or None when the row is accepted)
+RAW_ROW_CASES = [
+    ("well-formed Z", GOOD_RAW, None),
+    ("+00:00 offset", "2015-02-23T04:00:00+00:00,u1,Elm Street,Jam", None),
+    ("-05:00 offset", "2015-02-22T23:00:00-05:00,u1,Elm Street,Jam", None),
+    ("no offset", "2015-02-23T04:00:00,u1,Elm Street,Jam", None),
+    ("whitespace around fields", " 2015-02-23T04:00:00Z , u1 , Elm Street , Jam ", None),
+    ("extra field", GOOD_RAW + ",surplus", None),
+    ("garbage timestamp", "not-a-time,u1,Elm Street,Jam", "bad timestamp"),
+    ("impossible date", "2015-02-30T04:00:00Z,u1,Elm Street,Jam", "bad timestamp"),
+    ("bad Z timestamp", "2015-02-23T25:00:00Z,u1,Elm Street,Jam", "bad timestamp"),
+    ("bad -05:00 offset", "2015-02-23T04:00:00-25:00,u1,Elm Street,Jam", "bad timestamp"),
+    ("blank timestamp", ",u1,Elm Street,Jam", "bad timestamp"),
+    ("whitespace timestamp", "   ,u1,Elm Street,Jam", "bad timestamp"),
+    ("timestamp checked before fields", "not-a-time,,,", "bad timestamp"),
+    ("missing sourceId", "2015-02-23T04:00:00Z,,Elm Street,Jam", "missing sourceId"),
+    ("whitespace sourceId", "2015-02-23T04:00:00Z,  ,Elm Street,Jam", "missing sourceId"),
+    ("sourceId checked before loc", "2015-02-23T04:00:00Z,,,Jam", "missing sourceId"),
+    ("missing loc", "2015-02-23T04:00:00Z,u1,,Jam", "missing loc"),
+    ("whitespace loc", "2015-02-23T04:00:00Z,u1,\t,Jam", "missing loc"),
+    ("missing incidentType", "2015-02-23T04:00:00Z,u1,Elm Street,", "missing incidentType"),
+    ("whitespace incidentType", "2015-02-23T04:00:00Z,u1,Elm Street, ", "missing incidentType"),
+    ("row cut after sourceId", "2015-02-23T04:00:00Z,u1", "missing loc"),
+    ("row cut after loc", "2015-02-23T04:00:00Z,u1,Elm Street", "missing incidentType"),
+    ("only spaces", "   ", "bad timestamp"),
+]
+
+
+def write_rows(path, head, rows):
+    path.write_text(head + "\n" + "\n".join(rows) + "\n")
+
+
+class TestRawRejects:
+    @pytest.mark.parametrize(
+        "row, reason", [c[1:] for c in RAW_ROW_CASES], ids=[c[0] for c in RAW_ROW_CASES]
+    )
+    def test_each_row_gets_its_reason(self, tmp_path, row, reason):
+        path = tmp_path / "raw.csv"
+        write_rows(path, RAW_HEAD, [row])
+        back, rejects = read_raw_reports(path)
+        if reason is None:
+            assert rejects == {}
+            assert len(back) == 1
+            got = back[0]
+            assert (got.date, got.day, got.time) == (
+                dt.date(2015, 2, 23), DayBin.MONDAY, TemporalBin.EM
+            )
+            assert (got.source_id, got.loc, got.incident_type) == ("u1", "Elm Street", "Jam")
+        else:
+            assert rejects == {reason: 1}
+            assert len(back) == 0
+
+    def test_mixed_file_counts(self, tmp_path):
+        # every case twice, interleaved with blank lines, which are skipped
+        path = tmp_path / "raw.csv"
+        path.write_text(RAW_HEAD + "\n" + "\n\n".join([c[1] for c in RAW_ROW_CASES] * 2) + "\n")
+        back, rejects = read_raw_reports(path)
+        assert rejects == {
+            "bad timestamp": 16,
+            "missing sourceId": 6,
+            "missing loc": 6,
+            "missing incidentType": 6,
+        }
+        assert len(back) == 12
+        assert {(r.date, r.time, r.source_id, r.loc, r.incident_type) for r in back} == {
+            (dt.date(2015, 2, 23), TemporalBin.EM, "u1", "Elm Street", "Jam")
+        }
+
+    def test_quoted_fields_with_commas(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_rows(path, RAW_HEAD, [
+            '2015-02-23T04:00:00Z,"u1, the first","Main St, north of 5th","Jam, heavy"',
+            '"2015-02-23T04:00:00Z",u2,"The ""Loop""",",,"',
+            '2015-02-23T04:00:00Z,u3,",",',
+        ])
+        back, rejects = read_raw_reports(path)
+        assert rejects == {"missing incidentType": 1}
+        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+            ("u1, the first", "Main St, north of 5th", "Jam, heavy"),
+            ("u2", 'The "Loop"', ",,"),
+        ]
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_rows(path, "note,incidentType,loc,sourceId,timestamp", [
+            "x,Jam,Elm Street,u1,2015-02-23T04:00:00Z",
+            "y,Jam,,u2,2015-02-23T04:00:00Z",
+        ])
+        back, rejects = read_raw_reports(path)
+        assert rejects == {"missing loc": 1}
+        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+            ("u1", "Elm Street", "Jam")
+        ]
+
+    def test_column_remapping_counts_rejects(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_rows(path, "when,who,street,kind,timestamp", [
+            "2015-02-23T04:00:00Z,u1,Elm Street,Jam,garbage",
+            "garbage,u2,Elm Street,Jam,2015-02-23T04:00:00Z",
+            "2015-02-23T04:00:00Z,u3,,Jam,2015-02-23T04:00:00Z",
+        ])
+        back, rejects = read_raw_reports(
+            path, {"timestamp": "when", "sourceId": "who", "loc": "street", "incidentType": "kind"}
+        )
+        assert rejects == {"bad timestamp": 1, "missing loc": 1}
+        assert [r.source_id for r in back] == ["u1"]
+
+    def test_missing_remapped_column_is_an_error(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        write_rows(path, RAW_HEAD, [GOOD_RAW])
+        with pytest.raises(PsSimError, match="'when'"):
+            read_raw_reports(path, {"timestamp": "when"})
+
+    def test_timestamp_out_of_range_in_utc_is_a_bad_timestamp(self, tmp_path):
+        # 00:30 at +01:00 on 0001-01-01 falls before the first UTC datetime
+        path = tmp_path / "raw.csv"
+        write_rows(path, RAW_HEAD, ["0001-01-01T00:30:00+01:00,u1,Elm Street,Jam", GOOD_RAW])
+        back, rejects = read_raw_reports(path)
+        assert rejects == {"bad timestamp": 1}
+        assert len(back) == 1
+
+    def test_empty_file_is_an_error(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("")
+        with pytest.raises(PsSimError, match="missing header row"):
+            read_raw_reports(path)
+
+
+CANON_HEAD = ",".join(CANONICAL_HEADER)
+GOOD_CANON = "2015-02-23,Monday,MidDay,u1,Elm Street,Jam"
+CANON_ROW_CASES = [
+    ("well-formed", GOOD_CANON, None),
+    ("day-first date", "23/02/2015,Monday,MidDay,u1,Elm Street,Jam", None),
+    ("short time code", "2015-02-23,Monday,MD,u1,Elm Street,Jam", None),
+    ("whitespace around fields", " 2015-02-23 ,Monday, MidDay , u1 , Elm Street , Jam ", None),
+    ("stated day is ignored", "2015-02-23,Caturday,MidDay,u1,Elm Street,Jam", None),
+    ("extra field", GOOD_CANON + ",surplus", None),
+    ("garbage date", "never,Monday,MidDay,u1,Elm Street,Jam", "bad date"),
+    ("impossible ISO date", "2015-02-30,Monday,MidDay,u1,Elm Street,Jam", "bad date"),
+    ("impossible day-first date", "30/02/2015,Monday,MidDay,u1,Elm Street,Jam", "bad date"),
+    ("month-first date", "02/23/2015,Monday,MidDay,u1,Elm Street,Jam", "bad date"),
+    ("blank date", ",Monday,MidDay,u1,Elm Street,Jam", "bad date"),
+    ("date checked before time bin", "never,Monday,Lunchtime,u1,Elm Street,Jam", "bad date"),
+    ("unknown time bin", "2015-02-23,Monday,Lunchtime,u1,Elm Street,Jam", "bad time bin"),
+    ("blank time bin", "2015-02-23,Monday,,u1,Elm Street,Jam", "bad time bin"),
+    ("time bin checked before fields", "2015-02-23,Monday,Lunchtime,,,", "bad time bin"),
+    ("missing sourceId", "2015-02-23,Monday,MidDay,,Elm Street,Jam", "missing field"),
+    ("missing loc", "2015-02-23,Monday,MidDay,u1,,Jam", "missing field"),
+    ("missing incidentType", "2015-02-23,Monday,MidDay,u1,Elm Street,", "missing field"),
+    ("whitespace sourceId", "2015-02-23,Monday,MidDay,  ,Elm Street,Jam", "missing field"),
+    ("row cut after time", "2015-02-23,Monday,MidDay", "missing field"),
+    ("row cut after date", "2015-02-23", "bad time bin"),
+    ("only spaces", "   ", "bad date"),
+]
+
+
+class TestCanonicalRejects:
+    @pytest.mark.parametrize(
+        "row, reason", [c[1:] for c in CANON_ROW_CASES], ids=[c[0] for c in CANON_ROW_CASES]
+    )
+    def test_each_row_gets_its_reason(self, tmp_path, row, reason):
+        path = tmp_path / "canonical.csv"
+        write_rows(path, CANON_HEAD, [row])
+        back, rejects = read_canonical(path)
+        if reason is None:
+            assert rejects == {}
+            assert len(back) == 1
+            got = back[0]
+            assert (got.date, got.day, got.time) == (
+                dt.date(2015, 2, 23), DayBin.MONDAY, TemporalBin.MD
+            )
+            assert (got.source_id, got.loc, got.incident_type) == ("u1", "Elm Street", "Jam")
+        else:
+            assert rejects == {reason: 1}
+            assert len(back) == 0
+
+    def test_mixed_file_counts(self, tmp_path):
+        path = tmp_path / "canonical.csv"
+        path.write_text(CANON_HEAD + "\n" + "\n\n".join([c[1] for c in CANON_ROW_CASES] * 2) + "\n")
+        back, rejects = read_canonical(path)
+        assert rejects == {"bad date": 14, "bad time bin": 8, "missing field": 10}
+        assert len(back) == 12
+        assert {(r.date, r.time, r.source_id, r.loc, r.incident_type) for r in back} == {
+            (dt.date(2015, 2, 23), TemporalBin.MD, "u1", "Elm Street", "Jam")
+        }
+
+    def test_quoted_fields_with_commas(self, tmp_path):
+        path = tmp_path / "canonical.csv"
+        write_rows(path, CANON_HEAD, [
+            '2015-02-23,Monday,MidDay,"u1, the first","Main St, north of 5th","Jam, heavy"',
+            '"2015-02-23","Monday","MidDay",u2,"The ""Loop""",",,"',
+            '2015-02-23,Monday,MidDay,u3,",",',
+        ])
+        back, rejects = read_canonical(path)
+        assert rejects == {"missing field": 1}
+        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+            ("u1, the first", "Main St, north of 5th", "Jam, heavy"),
+            ("u2", 'The "Loop"', ",,"),
+        ]
+
+    def test_columns_found_by_header_name(self, tmp_path):
+        path = tmp_path / "canonical.csv"
+        write_rows(path, "incidentType,loc,sourceId,note,time,day,date", [
+            "Jam,Elm Street,u1,x,MidDay,Monday,2015-02-23",
+            "Jam,Elm Street,u2,y,Lunchtime,Monday,2015-02-23",
+        ])
+        back, rejects = read_canonical(path)
+        assert rejects == {"bad time bin": 1}
+        assert [(r.date, r.time, r.source_id) for r in back] == [
+            (dt.date(2015, 2, 23), TemporalBin.MD, "u1")
+        ]
+
+    def test_missing_column_is_an_error(self, tmp_path):
+        path = tmp_path / "canonical.csv"
+        write_rows(path, "date,day,time,sourceId,loc", ["2015-02-23,Monday,MidDay,u1,A"])
+        with pytest.raises(PsSimError, match="incidentType"):
+            read_canonical(path)
