@@ -322,11 +322,7 @@ def simulate_cmd(
 
 def _read_reports_any(path: Path):
     """Read a trace or canonical dataset CSV, detected by its header."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        first = handle.readline().strip()
-    if not first:
-        raise click.UsageError(f"{path}: missing header row")
-    header = [c.strip() for c in first.split(",")]
+    header = formats.read_header(path)
     if set(formats.TRACE_HEADER).issubset(header):
         return formats.read_trace(path)
     if set(formats.CANONICAL_HEADER).issubset(header):

@@ -297,7 +297,8 @@ def row_key(
 
     Works on simulated trace rows (which carry reported and occurred types
     but no location) and on ingested rows (which carry a location and a
-    single incident type).  A missing or None field raises PsSimError.
+    single incident type).  A missing or None field, or an empty incident
+    type, raises PsSimError.
     """
     date = getattr(report, "date", None)
     time = getattr(report, "time", None)
@@ -311,7 +312,7 @@ def row_key(
         incident = getattr(report, "event_reported", None) or getattr(
             report, "incident_type", None
         )
-    if date is None or time is None or source is None or incident is None:
+    if date is None or time is None or source is None or not incident:
         raise PsSimError(f"report is missing key fields: {report!r}")
     return date, time, loc, incident, source
 

@@ -158,6 +158,19 @@ class TestAggregate:
         assert len(result.events) == 1
         assert result.events[0].support_count == 2
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            raw_report(MONDAY, TemporalBin.EM, "x", "", "a"),
+            trace_report(MONDAY, TemporalBin.EM, "", "Jam", "a"),
+        ],
+        ids=["ingested", "trace"],
+    )
+    def test_blank_type_rejected_for_every_row_class(self, row):
+        result = aggregate([row])
+        assert result.rejected == 1
+        assert len(result.events) == 0
+
     def test_rejects_counted_pipeline_continues(self):
         class Broken:
             date = None

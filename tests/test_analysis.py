@@ -20,7 +20,7 @@ from pssim.distributions import LogNormalParams, RandomSource, fit_lognormal, pm
 from pssim.errors import PsSimError
 from pssim.formats import IngestedReport, read_raw_reports
 from pssim.simulator import simulate
-from pssim.types import DayBin, TemporalBin, weekday_of
+from pssim.types import DayBin, Report, TemporalBin, weekday_of
 
 WINDOW_START = dt.date(2015, 2, 23)
 WINDOW = (WINDOW_START, 7)
@@ -84,6 +84,18 @@ class TestBinReports:
         binned = bin_reports([inside, outside], WINDOW)
         assert binned.excluded == 1
         assert binned.accepted == 1
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ingested(WINDOW_START, TemporalBin.MD, incident=""),
+            Report(1, WINDOW_START, weekday_of(WINDOW_START), TemporalBin.MD, 1, "u1", "", "Jam"),
+        ],
+        ids=["ingested", "trace"],
+    )
+    def test_blank_type_is_excluded_for_every_row_class(self, row):
+        binned = bin_reports([row], WINDOW)
+        assert (binned.accepted, binned.excluded) == (0, 1)
 
     def test_empty_window_rejected(self):
         with pytest.raises(PsSimError, match="empty window"):

@@ -414,6 +414,17 @@ class TestAggregate:
         )
         assert result.exit_code == 2
 
+    def test_quoted_header_canonical_file(self, runner, tmp_path, sample_canonical):
+        # the schema is read from the header as csv.reader parses it
+        lines = sample_canonical.read_text().splitlines(keepends=True)
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(",".join(f'"{name}"' for name in lines[0].strip().split(",")) + "\n"
+                          + "".join(lines[1:]))
+        plain_events, quoted_events = tmp_path / "plain.csv", tmp_path / "quoted_events.csv"
+        run_ok(runner, ["aggregate", str(sample_canonical), "--out", str(plain_events)])
+        run_ok(runner, ["aggregate", str(quoted), "--out", str(quoted_events)])
+        assert quoted_events.read_bytes() == plain_events.read_bytes()
+
     def test_workers_env_var(self, runner, tmp_path, sample_canonical):
         out = tmp_path / "events.csv"
         result = runner.invoke(

@@ -1,8 +1,12 @@
+import csv
+import dataclasses
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from conftest import make_config
+from pssim import formats
 from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import (
@@ -571,3 +575,156 @@ class TestCanonicalRejects:
         write_rows(path, "date,day,time,sourceId,loc", ["2015-02-23,Monday,MidDay,u1,A"])
         with pytest.raises(PsSimError, match="incidentType"):
             read_canonical(path)
+
+
+READERS = {
+    "trace": (read_trace, TRACE_HEAD, TRACE_ROW_CASES),
+    "raw": (read_raw_reports, RAW_HEAD, RAW_ROW_CASES),
+    "canonical": (read_canonical, CANON_HEAD, CANON_ROW_CASES),
+}
+PARITY_CASES = [
+    (kind, row) for kind, (_, _, cases) in READERS.items() for _, row, _ in cases
+]
+PARITY_IDS = [f"{kind}-{case[0]}" for kind, (_, _, cases) in READERS.items() for case in cases]
+
+
+def columns(table):
+    """Every column (dtype and values) and vocabulary of a table."""
+    out = {}
+    for field in dataclasses.fields(table):
+        value = getattr(table, field.name)
+        out[field.name] = (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+    return out
+
+
+def read_both(tmp_path, kind, body: bytes):
+    """Read ``body`` under the kind's header through the byte path and
+    through csv.reader, forced by quoting the first header name (the names
+    stay the same); both must give equal tables and rejects."""
+    reader, head, _ = READERS[kind]
+    first, _, rest = head.partition(",")
+    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+    plain.write_bytes(f"{head}\n".encode() + body)
+    quoted.write_bytes(f'"{first}",{rest}\n'.encode() + body)
+    assert formats._byte_path(plain) and not formats._byte_path(quoted)
+    (table, rejects), (text_table, text_rejects) = reader(plain), reader(quoted)
+    assert columns(table) == columns(text_table)
+    assert rejects == text_rejects
+    return table, rejects
+
+
+def mixed_body(kind, copies=2, newline="\n"):
+    """Every case of the kind's table, ``copies`` times, between blank lines."""
+    rows = [case[1] for case in READERS[kind][2]] * copies
+    return (newline * 2).join(rows).encode() + newline.encode()
+
+
+class TestByteAndTextPathsAgree:
+    @pytest.fixture(autouse=True)
+    def byte_path_for_small_files(self, monkeypatch):
+        monkeypatch.setattr(formats, "BYTE_PATH_MIN_BYTES", 0)
+
+    @pytest.mark.parametrize("kind, row", PARITY_CASES, ids=PARITY_IDS)
+    def test_each_case(self, tmp_path, kind, row):
+        read_both(tmp_path, kind, f"{row}\n".encode())
+
+    @pytest.mark.parametrize("kind", READERS)
+    def test_mixed_file(self, tmp_path, kind):
+        table, rejects = read_both(tmp_path, kind, mixed_body(kind))
+        assert sum(rejects.values()) + len(table) == 2 * len(READERS[kind][2])
+
+    def test_simulated_trace(self, tmp_path):
+        trace = simulate(make_config(seed=9, pr_lie=0.2, n=200))
+        path = tmp_path / "trace.csv"
+        write_trace(trace.reports, path)
+        table, rejects = read_both(tmp_path, "trace", path.read_bytes().partition(b"\n")[2])
+        assert rejects == {} and table == trace.reports
+
+    def test_report_numbers_int_decides(self, tmp_path):
+        numbers = ["0", "0001", " 112", "112 ", "+7", "-7", "1_000", "٣", "1.5", "", " ",
+                   "999999999999999999", "9223372036854775807", "9223372036854775808",
+                   "12345678901234567890", "0x10"]
+        body = "".join(f"51,2016-01-09,Saturday,MidDay,{n},UID000858,Accident,Jam\n" for n in numbers)
+        table, rejects = read_both(tmp_path, "trace", body.encode())
+        assert table.report_no.tolist() == [
+            0, 1, 112, 112, 7, -7, 1000, 3, 999999999999999999, 9223372036854775807
+        ]
+        assert rejects == {"malformed row": 6}
+
+    def test_long_and_non_ascii_fields(self, tmp_path):
+        # keys over 16 words are looked up by text, in any block
+        rows = [
+            "51,2016-01-09,Saturday,MidDay,1,UID000858,Accident,Jam",
+            "51,2016-01-09,Saturday,MidDay,2," + "U" * 200 + ",Accident,Jam",
+            "52,2016-01-09,Saturday,MidDay,3,Straße,Jam,Unfall auf der Brücke",
+            "51,2016-01-09,Saturday,MidDay,4," + "U" * 200 + ",Jam,Accident",
+            "5" * 150 + ",2016-01-09,Saturday,MidDay,5,UID000858,Accident,Jam",
+        ]
+        table, rejects = read_both(tmp_path, "trace", ("\n".join(rows) + "\n").encode())
+        assert rejects == {"malformed row": 1}
+        assert table.sources == ("UID000858", "U" * 200, "Straße")
+        assert table.types == ("Accident", "Jam", "Unfall auf der Brücke")
+
+    @pytest.mark.parametrize("kind", READERS)
+    @pytest.mark.parametrize("block_bytes", [1, 7, 40, 64])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_block_cuts(self, tmp_path, monkeypatch, kind, block_bytes, newline):
+        # rows straddle block cuts, blank lines fall on them, and the last
+        # line has no line end
+        body = mixed_body(kind, copies=3, newline=newline)[: -len(newline)]
+        whole, whole_rejects = read_both(tmp_path, kind, body)
+        monkeypatch.setattr(formats, "BLOCK_BYTES", block_bytes)
+        table, rejects = read_both(tmp_path, kind, body)
+        assert columns(table) == columns(whole)
+        assert rejects == whole_rejects
+        assert sum(rejects.values()) + len(table) == 3 * len(READERS[kind][2])
+
+    def test_colliding_key_words_change_nothing(self, tmp_path, monkeypatch):
+        # with a zero mixing constant every key sorts by its last word only,
+        # so keys that share it collide and split into several groups
+        trace = simulate(make_config(seed=11, pr_lie=0.3, n=300, tau=14))
+        path = tmp_path / "trace.csv"
+        write_trace(trace.reports, path)
+        monkeypatch.setattr(formats, "BLOCK_BYTES", 512)
+        expected = columns(read_trace(path)[0])
+        monkeypatch.setattr(formats, "_MIX", np.uint64(0))
+        assert columns(read_trace(path)[0]) == expected
+
+    def test_csv_reader_takes_quotes_nul_and_lone_cr(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\r{GOOD_ROW}\n", newline="")
+        assert not formats._byte_path(path)  # csv.reader ends a row at a lone CR
+        assert len(read_trace(path)[0]) == 2
+        path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\0\n")
+        assert not formats._byte_path(path)
+        try:  # csv.reader rejects NUL before Python 3.11
+            with open(path, newline="") as handle:
+                list(csv.reader(handle))
+        except csv.Error:
+            with pytest.raises(csv.Error, match="NUL"):
+                read_trace(path)
+        else:
+            assert read_trace(path)[0].types == ("Accident", "Jam\0")
+
+    def test_malformed_utf8_raises_on_both_paths(self, tmp_path):
+        with pytest.raises(UnicodeDecodeError):
+            read_both(tmp_path, "trace", GOOD_ROW.encode().replace(b"UID", b"\xffID") + b"\n")
+
+    def test_field_size_limit_holds_on_both_paths(self, tmp_path):
+        limit = csv.field_size_limit(40)
+        try:
+            read_both(tmp_path, "trace", GOOD_ROW.replace("UID000858", "U" * 40).encode() + b"\n")
+            with pytest.raises(csv.Error, match="field limit"):
+                read_both(tmp_path, "trace", GOOD_ROW.replace("UID000858", "U" * 41).encode() + b"\n")
+        finally:
+            csv.field_size_limit(limit)
+
+
+def test_small_files_take_the_row_loop(tmp_path):
+    trace = simulate(make_config(seed=9, n=2000, tau=14))
+    path = tmp_path / "trace.csv"
+    write_trace(trace.reports, path)
+    assert path.stat().st_size >= formats.BYTE_PATH_MIN_BYTES
+    assert formats._byte_path(path)
+    path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\n")
+    assert not formats._byte_path(path)
