@@ -111,7 +111,7 @@ def _writer(handle):
 
 
 CHUNK_ROWS = 1 << 14  # rows per chunk of the writers and of the csv.reader path
-BLOCK_BYTES = 1 << 20  # bytes per block of the byte path, cut after an LF
+BLOCK_BYTES = 1 << 19  # bytes per block of the byte path, cut after an LF
 BYTE_PATH_MIN_BYTES = 1 << 16  # smaller files are read by csv.reader
 _MALFORMED = -1
 _MISMATCH = -2
