@@ -1,47 +1,30 @@
 """Grouping of reports into events.
 
 Reports are keyed by the four-tuple (date, temporal bin, location, incident
-type).  The keys become integer code columns and one sort groups them: equal
-keys end up adjacent, in the canonical key order, with each group's reporters
-sorted beside them.  The key columns come from ``table.report_columns``.
+type).  The key columns, which come from ``table.report_columns``, are
+packed into one integer per report whose order is the canonical key order,
+and one sort groups them: each run of equal keys is one event.  The result
+is columnar: an AggregatedEventTable holds each event's key codes and
+support count, and builds the reporter sets only when its rows are used.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import PsSimError
-from .table import CanonicalTable, dates_of, report_columns, row_key
-from .types import TEMPORAL_BINS, TemporalBin
+from .table import AggregatedEventTable, CanonicalTable, code_dtype, report_columns, row_key
+from .types import AggregatedEvent, EventKey
 
-
-@dataclass(frozen=True)
-class EventKey:
-    """Group identity of an event: the four-tuple that defines it."""
-
-    date: dt.date
-    day_time: TemporalBin
-    loc: str
-    incident_type: str
-
-    def sort_key(self) -> tuple:
-        return (self.date, self.day_time.index, self.loc, self.incident_type)
-
-
-@dataclass(frozen=True)
-class AggregatedEvent:
-    key: EventKey
-    support_count: int
-    reporters: frozenset[str]
+_KEY_SPACE = 2**63  # packed keys are int64
 
 
 @dataclass(frozen=True)
 class AggregateResult:
-    events: tuple[AggregatedEvent, ...]
+    events: AggregatedEventTable
     rejected: int
 
 
@@ -75,51 +58,60 @@ def _ranks(vocab: Sequence[str]) -> np.ndarray:
     return ranks
 
 
-def _group(cols: CanonicalTable, min_support: int) -> tuple[AggregatedEvent, ...]:
-    """Sort by (date, bin, loc, type, source); each run of equal keys is one
-    event and each run of equal sources inside it one reporter."""
-    n = len(cols.date)
-    if n == 0:
-        return ()
-    loc_rank = _ranks(cols.locs)[cols.loc]
-    type_rank = _ranks(cols.types)[cols.type]
-    source = cols.source.astype(np.int64)
-    order = np.lexsort((source, type_rank, loc_rank, cols.time, cols.date))
-    # nonzero where the key (then the source) differs from the previous row
-    key_change = np.zeros(n, dtype=np.int64)
-    key_change[0] = 1
-    for column in (cols.date, cols.time, loc_rank, type_rank):
-        key_change[1:] |= np.diff(column[order])
-    source_change = key_change.copy()
-    source_change[1:] |= np.diff(source[order])
+def _packed_key(cols: CanonicalTable) -> np.ndarray:
+    """One int64 per report, ordered as (date, bin, loc, type) are.
 
-    starts = np.flatnonzero(key_change)
-    reporter_at = np.flatnonzero(source_change)
-    # the reporters of event i are names[bounds[i]:bounds[i + 1]]
-    bounds = np.searchsorted(reporter_at, starts).tolist() + [len(reporter_at)]
-    names = [cols.sources[s] for s in source[order[reporter_at]].tolist()]
-    first = order[starts]
-    starts = starts.tolist()
-    ends = starts[1:] + [n]
-    events = []
-    for i, (date, t, loc, k) in enumerate(
-        zip(
-            dates_of(cols.date[first]),
-            cols.time[first].tolist(),
-            cols.loc[first].tolist(),
-            cols.type[first].tolist(),
-        )
+    Each column is folded in as ``key * size + value``.  Should the sizes
+    multiply past int64, the distinct keys so far are first renumbered
+    0, 1, ... in order, which keeps the order and bounds the size by the
+    report count.
+    """
+    key = cols.date - (cols.date.min() if len(cols.date) else 0)
+    size = int(key.max(initial=0)) + 1
+    for values, count in (
+        (cols.time, 8),
+        (_ranks(cols.locs)[cols.loc], len(cols.locs)),
+        (_ranks(cols.types)[cols.type], len(cols.types)),
     ):
-        support = ends[i] - starts[i]
-        if support >= min_support:
-            events.append(
-                AggregatedEvent(
-                    key=EventKey(date, TEMPORAL_BINS[t], cols.locs[loc], cols.types[k]),
-                    support_count=support,
-                    reporters=frozenset(names[bounds[i] : bounds[i + 1]]),
-                )
-            )
-    return tuple(events)
+        if size * count > _KEY_SPACE:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+        key *= count
+        key += values
+        size *= count
+    return key
+
+
+def _group(cols: CanonicalTable, min_support: int) -> AggregatedEventTable:
+    """Sort the packed keys once; each run of equal keys is one event."""
+    n = len(cols.date)
+    key = _packed_key(cols)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(n, dtype=bool)  # where a run of equal keys starts
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    del key
+    starts = np.flatnonzero(new)
+    support = np.diff(starts, append=n)
+    kept = np.flatnonzero(support >= min_support)
+    first = order[starts[kept]]
+    # each report's event index; reports of dropped events get len(kept)
+    number = np.full(len(starts), len(kept), dtype=code_dtype(len(kept) + 1, n))
+    number[kept] = np.arange(len(kept))
+    event = np.empty(n, dtype=number.dtype)
+    event[order] = np.repeat(number, support)
+    return AggregatedEventTable(
+        date=cols.date[first],
+        time=cols.time[first],
+        loc=cols.loc[first],
+        locs=cols.locs,
+        type=cols.type[first],
+        types=cols.types,
+        support=support[kept],
+        event=event,
+        source=cols.source,
+        sources=cols.sources,
+    )
 
 
 def aggregate(
@@ -133,7 +125,9 @@ def aggregate(
     """Group reports into aggregated events, sorted by key order.
 
     ``reports`` is anything ``report_columns`` accepts: a CanonicalTable, a
-    ReportTable or an iterable of report rows.  Rejected records (missing
+    ReportTable or an iterable of report rows.  The events come as an
+    AggregatedEventTable, a Sequence of AggregatedEvent rows whose reporter
+    sets are built on first access.  Rejected records (missing
     fields) are counted, not fatal.  Events with fewer than
     ``min_support`` supporting reports are dropped after counting.
     ``partitions`` and ``workers`` are accepted for compatibility and have no

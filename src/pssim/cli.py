@@ -11,7 +11,6 @@ import datetime as dt
 import functools
 import math
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -20,13 +19,12 @@ import numpy as np
 from . import _kernels, formats
 from .aggregation import aggregate
 from .analysis import bin_reports, filter_outliers, fit_models
-from .distributions import Pmf, pmf_from_counts
+from .bench import bench_grid, fit_growth_exponents
+from .distributions import uniform_pmf
 from .errors import PsSimError
 from .simulator import simulate
-from .types import DAY_BINS, TEMPORAL_BINS, SimConfig
+from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig
 from .validation import AXES, cross_validate, summarize
-
-DEFAULT_EV_TYPES = "Jam,Accident,RoadClosure,Hazard"
 
 
 def _model_errors_exit_3(fn):
@@ -74,10 +72,6 @@ def _in_window(ordinals: np.ndarray, window: tuple[dt.date, int]) -> np.ndarray:
     """Mask of the date ordinals inside the window."""
     offset = ordinals - window[0].toordinal()
     return (offset >= 0) & (offset < window[1])
-
-
-def _uniform_pmf(support) -> Pmf:
-    return pmf_from_counts({s: 1 for s in support})
 
 
 @click.group()
@@ -265,7 +259,7 @@ def fit(dataset, out, start, days, per_location, plot_data):
 @click.option("--mlog", type=float, default=None, help="Weekly log-location (default ln 3, or from --model).")
 @click.option("--sdlog", type=float, default=None, help="Weekly log-scale (default 0.5, or from --model).")
 @click.option("--lambda", "lambda_e", type=float, default=None, help="Events per temporal bin (default 10, or from --model).")
-@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {DEFAULT_EV_TYPES}).")
+@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {','.join(DEFAULT_EV_TYPES)}).")
 @click.option("--start-date", default="2015-02-23", show_default=True)
 @click.option("--loc", default=None, help="Location label (with --model also selects its lambda).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
@@ -291,11 +285,15 @@ def simulate_cmd(
         if ev_types is not None:
             raise click.UsageError("--ev-types conflicts with --model (types come from the model)")
     else:
-        types = tuple(t.strip() for t in (ev_types or DEFAULT_EV_TYPES).split(",") if t.strip())
+        types = (
+            tuple(t.strip() for t in ev_types.split(",") if t.strip())
+            if ev_types
+            else DEFAULT_EV_TYPES
+        )
         base_mlog, base_sdlog, base_lambda = math.log(3.0), 0.5, 10.0
-        pmf_day = _uniform_pmf(DAY_BINS)
-        pmf_time = _uniform_pmf(TEMPORAL_BINS)
-        pmf_ev = _uniform_pmf(types)
+        pmf_day = uniform_pmf(DAY_BINS)
+        pmf_time = uniform_pmf(TEMPORAL_BINS)
+        pmf_ev = uniform_pmf(types)
 
     config = SimConfig(
         tau=tau,
@@ -441,76 +439,6 @@ def _parse_range(text: str, flag: str) -> list[int]:
     if start < 1 or stop < start or step < 1:
         raise click.UsageError(f"{flag} range must be positive and increasing, got {text!r}")
     return list(range(start, stop + 1, step))
-
-
-def bench_grid(
-    n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="auto", workers=1
-):
-    """Time one simulation per grid point; returns rows of (n, m, seconds).
-
-    Timings are the median over ``repeats`` runs.  With workers > 1 grid
-    points run concurrently, which speeds the sweep but adds contention
-    noise to individual timings.
-    """
-    types = tuple(DEFAULT_EV_TYPES.split(","))
-    pmf_day = _uniform_pmf(DAY_BINS)
-    pmf_time = _uniform_pmf(TEMPORAL_BINS)
-    pmf_ev = _uniform_pmf(types)
-
-    # warm caches and lazy imports so the first grid point is not penalized
-    simulate(
-        SimConfig(
-            tau=7, start_date=dt.date(2015, 2, 23), ev_types=types, pr_lie=0.1,
-            n=10, lambda_e=lambda_e, mlog=math.log(3.0), sdlog=0.5,
-            pmf_time=pmf_time, pmf_day=pmf_day, pmf_ev_type=pmf_ev,
-            seed=seed, loc="bench",
-        ),
-        backend=backend,
-    )
-
-    def run_point(point):
-        n, m = point
-        config = SimConfig(
-            tau=m,
-            start_date=dt.date(2015, 2, 23),
-            ev_types=types,
-            pr_lie=0.1,
-            n=n,
-            lambda_e=lambda_e,
-            mlog=math.log(3.0),  # three reports per participant-week on average
-            sdlog=0.5,
-            pmf_time=pmf_time,
-            pmf_day=pmf_day,
-            pmf_ev_type=pmf_ev,
-            seed=seed,
-            loc="bench",
-        )
-        times = []
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            simulate(config, backend=backend)
-            times.append(time.perf_counter() - t0)
-        return n, m, float(np.median(times))
-
-    points = [(n, m) for n in n_values for m in m_values]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_point, points))
-    return [run_point(p) for p in points]
-
-
-def fit_growth_exponents(rows) -> tuple[float, float] | None:
-    """Least-squares fit of log t = c + a log n + b log m over the grid."""
-    ns = {r[0] for r in rows}
-    ms = {r[1] for r in rows}
-    if len(ns) < 2 or len(ms) < 2:
-        return None
-    design = np.array([[1.0, math.log(n), math.log(m)] for n, m, _ in rows])
-    target = np.array([math.log(max(t, 1e-9)) for _, _, t in rows])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return float(coef[1]), float(coef[2])
 
 
 @main.command("bench")

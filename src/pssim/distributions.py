@@ -112,6 +112,11 @@ def pmf_from_counts(counts: Mapping[Hashable, float]) -> Pmf:
     return Pmf(support, probs)
 
 
+def uniform_pmf(support: Iterable[Hashable]) -> Pmf:
+    """Equal mass on every element of ``support``, in its order."""
+    return pmf_from_counts({s: 1 for s in support})
+
+
 def _categorical_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Map uniforms in [0, 1) to support indices by inverse-CDF lookup."""
     idx = np.searchsorted(cumulative, u, side="right")

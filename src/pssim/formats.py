@@ -31,12 +31,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggregation import AggregatedEvent
 from .distributions import Pmf
 from .errors import PsSimError
-from .table import CanonicalTable, ReportTable, dates_of, report_columns
+from .table import AggregatedEventTable, CanonicalTable, ReportTable, dates_of, report_columns
 from .types import (
     TEMPORAL_BINS,
+    AggregatedEvent,
     DayBin,
     IngestedReport,
     Report,
@@ -131,6 +131,24 @@ def _csv_field(text: str) -> str:
     buf = io.StringIO()
     _writer(buf).writerow((text,))
     return buf.getvalue()[:-1]
+
+
+def _write_lines(path: Path, header: Sequence[str], rows: int, lines) -> None:
+    """Write a CSV header, then ``lines(chunk)`` for each slice of up to
+    CHUNK_ROWS of the ``rows`` rows; ``lines`` gives a list of LF-ended
+    row texts."""
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        for start in range(0, rows, CHUNK_ROWS):
+            handle.write("".join(lines(slice(start, start + CHUNK_ROWS))))
+
+
+def _distinct_dates(ordinals: np.ndarray):
+    """(ordinal, date) of each distinct ordinal of a column, in first-seen
+    order.  Not np.unique: its first call imports numpy.ma, about 0.5 MiB,
+    which shows in the peak memory of short runs."""
+    distinct = dict.fromkeys(ordinals.tolist())
+    return zip(distinct, map(dt.date.fromordinal, distinct))
 
 
 def _intern(raw: str, vocab: dict[str, int]) -> int:
@@ -547,23 +565,20 @@ def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
     sources, locs, types = (
         [_csv_field(s) for s in vocab] for vocab in (table.sources, table.locs, table.types)
     )
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(CANONICAL_HEADER) + "\n")
-        for start in range(0, len(table), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            handle.write(
-                "".join(
-                    [
-                        f"{prefixes[c]}{sources[s]},{locs[loc]},{types[k]}\n"
-                        for c, s, loc, k in zip(
-                            cell_of[rows].tolist(),
-                            table.source[rows].tolist(),
-                            table.loc[rows].tolist(),
-                            table.type[rows].tolist(),
-                        )
-                    ]
-                )
+    _write_lines(
+        path,
+        CANONICAL_HEADER,
+        len(table),
+        lambda rows: [
+            f"{prefixes[c]}{sources[s]},{locs[loc]},{types[k]}\n"
+            for c, s, loc, k in zip(
+                cell_of[rows].tolist(),
+                table.source[rows].tolist(),
+                table.loc[rows].tolist(),
+                table.type[rows].tolist(),
             )
+        ],
+    )
 
 
 def _canonical_cell(date_text: str, time_text: str) -> int:
@@ -602,62 +617,99 @@ def write_trace(reports: Iterable[Report], path: Path) -> None:
 
     ``reports`` is a ReportTable or any iterable of Report rows; the bytes
     equal csv.writer's output row by row.  The Day column is the weekday of
-    the date.
+    the date.  Only event slots that have reports get an (EventNo, Date,
+    Day, Time) prefix, and each distinct date's text is built once.
     """
     table = reports if isinstance(reports, ReportTable) else ReportTable.from_rows(reports)
-    prefixes = [
-        f"{no},{date.isoformat()},{weekday_of(date).label},{TEMPORAL_BINS[t].label},"
-        for no, date, t in zip(
-            table.event_no.tolist(), dates_of(table.date), table.time.tolist()
-        )
-    ]
+    used = np.flatnonzero(np.bincount(table.event, minlength=len(table.event_no)))
+    days = {
+        o: f"{date.isoformat()},{weekday_of(date).label},"
+        for o, date in _distinct_dates(table.date[used])
+    }
+    prefixes = [""] * len(table.event_no)
+    for slot, no, o, t in zip(
+        used.tolist(),
+        table.event_no[used].tolist(),
+        table.date[used].tolist(),
+        table.time[used].tolist(),
+    ):
+        prefixes[slot] = f"{no},{days[o]}{TEMPORAL_BINS[t].label},"
     sources = [_csv_field(s) for s in table.sources]
     types = [_csv_field(t) for t in table.types]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(TRACE_HEADER) + "\n")
-        for start in range(0, len(table), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
-            handle.write(
-                "".join(
-                    [
-                        f"{prefixes[e]}{n},{sources[s]},{types[r]},{types[o]}\n"
-                        for e, n, s, r, o in zip(
-                            table.event[rows].tolist(),
-                            table.report_no[rows].tolist(),
-                            table.source[rows].tolist(),
-                            table.reported[rows].tolist(),
-                            table.occurred[rows].tolist(),
-                        )
-                    ]
-                )
+    _write_lines(
+        path,
+        TRACE_HEADER,
+        len(table),
+        lambda rows: [
+            f"{prefixes[e]}{n},{sources[s]},{types[r]},{types[o]}\n"
+            for e, n, s, r, o in zip(
+                table.event[rows].tolist(),
+                table.report_no[rows].tolist(),
+                table.source[rows].tolist(),
+                table.reported[rows].tolist(),
+                table.occurred[rows].tolist(),
             )
+        ],
+    )
 
 
-def _trace_slot(prefix: tuple[str, str, str, str], slots: dict) -> int:
-    """Check one distinct (EventNo, Date, Day, Time) text and return its
-    slot index, or _MALFORMED / _MISMATCH.
+def _trace_slots(slots: dict):
+    """The check of one distinct (EventNo, Date, Day, Time) text, which
+    returns its slot index in ``slots``, or _MALFORMED / _MISMATCH.
 
     The checks run in the order every trace row has always been checked in:
     date and time bin, then the stated day against the date's weekday, then
-    the EventNo.
+    the EventNo.  The returned function parses each distinct Date, Day and
+    Time text once.
     """
-    event_no, date_text, day_text, time_text = prefix
-    try:
-        date = parse_date(date_text)
-        time = TemporalBin.from_label(time_text.strip())
-        stated = day_text.strip()
-        if stated and DayBin.from_label(stated) is not weekday_of(date):
+
+    @functools.cache
+    def date_of(text: str) -> tuple[int, DayBin] | None:
+        try:
+            date = parse_date(text)
+        except PsSimError:
+            return None
+        return date.toordinal(), weekday_of(date)
+
+    @functools.cache
+    def time_of(text: str) -> int | None:
+        try:
+            return TemporalBin.from_label(text.strip()).index
+        except PsSimError:
+            return None
+
+    @functools.cache
+    def day_of(text: str) -> DayBin | str | None:
+        """The stated day, "" when none is stated, None when unknown."""
+        stated = text.strip()
+        if not stated:
+            return ""
+        try:
+            return DayBin.from_label(stated)
+        except PsSimError:
+            return None
+
+    def slot_of(prefix: tuple[str, str, str, str]) -> int:
+        event_no, date_text, day_text, time_text = prefix
+        date, time = date_of(date_text), time_of(time_text)
+        if date is None or time is None:
+            return _MALFORMED
+        day = day_of(day_text)
+        if day is None:
+            return _MALFORMED
+        if day != "" and day is not date[1]:
             return _MISMATCH
-        number = int(event_no)
-    except (PsSimError, ValueError):
-        return _MALFORMED
-    if not _INT64_MIN <= number <= _INT64_MAX:
-        return _MALFORMED
-    return slots.setdefault((number, date.toordinal(), time.index), len(slots))
+        number = _int64(event_no)
+        if number is None:
+            return _MALFORMED
+        return slots.setdefault((number, date[0], time), len(slots))
+
+    return slot_of
 
 
 def _trace_rows(path, slots, sources, types):
     """The csv.reader loop of read_trace: one row at a time."""
+    slot_of = _trace_slots(slots)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         col = _header_columns(path, reader, TRACE_HEADER)
@@ -680,7 +732,7 @@ def _trace_rows(path, slots, sources, types):
                 prefix = prefix_of(row)
                 slot = status.get(prefix)
                 if slot is None:
-                    slot = status[prefix] = _trace_slot(prefix, slots)
+                    slot = status[prefix] = slot_of(prefix)
                 if slot < 0:
                     if slot == _MISMATCH:
                         mismatched += 1
@@ -718,7 +770,7 @@ def _trace_rows(path, slots, sources, types):
 
 def _trace_blocks(path, slots, sources, types):
     """The byte path of read_trace: one block at a time."""
-    prefixes = _Lookup(TRACE_HEADER[:4], functools.partial(_trace_slot, slots=slots))
+    prefixes = _Lookup(TRACE_HEADER[:4], _trace_slots(slots))
     source_codes = _Lookup(("SourceId",), functools.partial(_intern, vocab=sources))
     pairs: list[tuple[int, int]] = []  # type codes of each distinct pair
 
@@ -863,19 +915,35 @@ def read_ingest_meta(dataset_path: Path) -> dict | None:
 
 
 def write_events_csv(events: Iterable[AggregatedEvent], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(EVENTS_HEADER)
-        for ev in events:
-            w.writerow(
-                (
-                    ev.key.date.isoformat(),
-                    ev.key.day_time.label,
-                    ev.key.loc,
-                    ev.key.incident_type,
-                    ev.support_count,
-                )
+    """Write one row per aggregated event, in the given order.
+
+    ``events`` is an AggregatedEventTable, written from its columns, or any
+    iterable of AggregatedEvent rows; the bytes equal csv.writer's output
+    row by row.  Each distinct date's text is built once.
+    """
+    table = (
+        events
+        if isinstance(events, AggregatedEventTable)
+        else AggregatedEventTable.from_rows(events)
+    )
+    dates = {o: date.isoformat() for o, date in _distinct_dates(table.date)}
+    locs = [_csv_field(loc) for loc in table.locs]
+    types = [_csv_field(t) for t in table.types]
+    _write_lines(
+        path,
+        EVENTS_HEADER,
+        len(table),
+        lambda rows: [
+            f"{dates[o]},{TEMPORAL_BINS[t].label},{locs[loc]},{types[k]},{n}\n"
+            for o, t, loc, k, n in zip(
+                table.date[rows].tolist(),
+                table.time[rows].tolist(),
+                table.loc[rows].tolist(),
+                table.type[rows].tolist(),
+                table.support[rows].tolist(),
             )
+        ],
+    )
 
 
 def write_validation_csv(reports, path: Path) -> None:

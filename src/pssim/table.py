@@ -1,7 +1,8 @@
 """Columnar events and reports: structures of arrays with lazy row views.
 
 An EventTable holds one entry per event, a ReportTable one entry per trace
-report and a CanonicalTable one entry per ingested report.  Dates are
+report, a CanonicalTable one entry per ingested report and an
+AggregatedEventTable one entry per group of reports.  Dates are
 proleptic ordinals (``date.toordinal()``), time bins are indices into
 TEMPORAL_BINS, and string fields are integer codes into vocabularies kept
 beside the columns.  The day label is never stored: it is always the weekday
@@ -25,7 +26,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PsSimError
-from .types import TEMPORAL_BINS, Event, IngestedReport, Report, TemporalBin, weekday_of
+from .types import (
+    TEMPORAL_BINS,
+    AggregatedEvent,
+    Event,
+    EventKey,
+    IngestedReport,
+    Report,
+    TemporalBin,
+    weekday_of,
+)
 
 
 def code_dtype(size: int, length: int) -> np.dtype:
@@ -290,6 +300,86 @@ class CanonicalTable(_RowView):
         )
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class AggregatedEventTable(_RowView):
+    """Aggregated events as columns; a Sequence of AggregatedEvent rows.
+
+    Each event has the key codes its reports share and its support count.
+    ``event`` and ``source`` have one entry per grouped report: the index
+    of its event (``len(self)`` when its event was dropped) and its source
+    code.  Reporter sets are built from them only with the rows.
+    """
+
+    date: np.ndarray  # per event: date ordinal
+    time: np.ndarray  # per event: TemporalBin index
+    loc: np.ndarray  # per event: code into ``locs``
+    locs: tuple[str, ...]
+    type: np.ndarray  # per event: code into ``types``
+    types: tuple[str, ...]
+    support: np.ndarray  # per event: report count
+    event: np.ndarray  # per report: event index
+    source: np.ndarray  # per report: code into ``sources``
+    sources: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.support)
+
+    def _build_rows(self) -> tuple[AggregatedEvent, ...]:
+        width = max(len(self.sources), 1)
+        # distinct (event, source) pairs, sorted by event
+        pairs = np.unique(self.event.astype(np.int64) * width + self.source)
+        event, source = np.divmod(pairs, width)
+        bounds = np.searchsorted(event, np.arange(len(self) + 1)).tolist()
+        names = [self.sources[s] for s in source[: bounds[-1]].tolist()]
+        return tuple(
+            AggregatedEvent(
+                EventKey(date, TEMPORAL_BINS[t], self.locs[loc], self.types[k]),
+                support,
+                frozenset(names[start:end]),
+            )
+            for date, t, loc, k, support, start, end in zip(
+                dates_of(self.date),
+                self.time.tolist(),
+                self.loc.tolist(),
+                self.type.tolist(),
+                self.support.tolist(),
+                bounds,
+                bounds[1:],
+            )
+        )
+
+    @classmethod
+    def from_rows(cls, events: Iterable[AggregatedEvent]) -> "AggregatedEventTable":
+        """Encode AggregatedEvent rows; each reporter becomes one report."""
+        locs: dict[str, int] = {}
+        types: dict[str, int] = {}
+        sources: dict[str, int] = {}
+        keys, members = [], []
+        for i, ev in enumerate(events):
+            key = ev.key
+            keys.append(
+                (key.date.toordinal(), key.day_time.index,
+                 locs.setdefault(key.loc, len(locs)),
+                 types.setdefault(key.incident_type, len(types)),
+                 ev.support_count)
+            )
+            members += [(i, sources.setdefault(name, len(sources))) for name in ev.reporters]
+        date, time, loc, type_, support = np.asarray(keys, dtype=np.int64).reshape(-1, 5).T.copy()
+        event, source = np.asarray(members, dtype=np.int64).reshape(-1, 2).T.copy()
+        return cls(
+            date=date,
+            time=time,
+            loc=loc,
+            locs=tuple(locs),
+            type=type_,
+            types=tuple(types),
+            support=support,
+            event=event,
+            source=source,
+            sources=tuple(sources),
+        )
+
+
 def row_key(
     report, default_loc: str = "unspecified", use_occurred: bool = False
 ) -> tuple[dt.date, TemporalBin, str, str, str]:
@@ -370,7 +460,7 @@ def _trace_columns(
         codes, event, source = codes[keep], event[keep], source[keep]
     columns = CanonicalTable(
         date=table.date[event],
-        time=table.time[event],
+        time=table.time.astype(code_dtype(len(TEMPORAL_BINS), len(codes)))[event],
         source=source,
         sources=table.sources,
         loc=np.zeros(len(codes), dtype=code_dtype(1, len(codes))),

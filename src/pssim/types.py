@@ -1,4 +1,5 @@
-"""Domain vocabulary shared across the package: bins, reports, events, config.
+"""Domain vocabulary shared across the package: bins, reports, events,
+aggregated events, config.
 
 A day is split into eight three-hour temporal bins starting at 3AM; weekdays
 form seven day bins ordered Sunday through Saturday.  Locations are opaque
@@ -89,6 +90,9 @@ _DAY_INDEX = {b: i for i, b in enumerate(DAY_BINS)}
 _DAY_LOOKUP = {b.value: b for b in DAY_BINS}
 _DAY_LOOKUP.update({b.name: b for b in DAY_BINS})
 
+# incident types of `pssim simulate` and `pssim bench` when none are given
+DEFAULT_EV_TYPES: tuple[str, ...] = ("Jam", "Accident", "RoadClosure", "Hazard")
+
 
 def weekday_of(date: dt.date) -> DayBin:
     """Return the calendar weekday of ``date`` as a DayBin."""
@@ -137,6 +141,28 @@ class Event:
     time: TemporalBin
     loc: str
     incident_type: str
+
+
+@dataclass(frozen=True)
+class EventKey:
+    """Group identity of an aggregated event: the four-tuple that defines it."""
+
+    date: dt.date
+    day_time: TemporalBin
+    loc: str
+    incident_type: str
+
+    def sort_key(self) -> tuple:
+        return (self.date, self.day_time.index, self.loc, self.incident_type)
+
+
+@dataclass(frozen=True)
+class AggregatedEvent:
+    """One group of reports: its key, its report count and its reporters."""
+
+    key: EventKey
+    support_count: int
+    reporters: frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)

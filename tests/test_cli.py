@@ -599,3 +599,81 @@ def test_commands_build_no_report_rows(runner, tmp_path, monkeypatch):
     run_ok(runner, ["validate", str(canon), "-k", "3", "--out", out, "--plot-data", out + ".plot"])
     run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
     run_ok(runner, ["aggregate", str(trace), "--out", out, "--key", "occurred"])
+
+
+def test_aggregate_builds_no_event_rows(runner, tmp_path, monkeypatch, sample_canonical):
+    """`pssim aggregate` writes the events from the table's columns: no
+    aggregated-event row, and so no reporter set, is built."""
+    from pssim.table import AggregatedEventTable, CanonicalTable, ReportTable
+
+    def refuse(table):
+        raise AssertionError(f"{type(table).__name__} built its rows")
+
+    for table in (AggregatedEventTable, CanonicalTable, ReportTable):
+        monkeypatch.setattr(table, "_build_rows", refuse)
+    trace, out = tmp_path / "trace.csv", tmp_path / "events.csv"
+    run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
+    for source in (sample_canonical, trace):
+        for args in ([], ["--min-support", "2", "--key", "occurred"]):
+            result = run_ok(runner, ["aggregate", str(source), "--out", str(out)] + args)
+            assert "events from" in result.output
+            assert len(out.read_text().splitlines()) > 1
+
+
+def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
+    """Locations and types that need quoting, and --min-support drops: the
+    events file equals csv.writer's rows, written from the table and from
+    AggregatedEvent rows."""
+    import io
+    import math
+
+    from pssim.aggregation import aggregate
+    from pssim.distributions import pmf_from_counts
+    from pssim.formats import EVENTS_HEADER, ModelFile, read_trace, save_model, write_events_csv
+    from pssim.types import DAY_BINS, TEMPORAL_BINS
+
+    types = ("Road, closed", 'say "hi"', "Jam")
+    model = ModelFile(
+        mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
+        pmf_day=pmf_from_counts({d: 1 for d in DAY_BINS}),
+        pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
+        pmf_ev_type=pmf_from_counts({t: 1 for t in types}),
+        meta={},
+    )
+    model_path, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    save_model(model, model_path)
+    run_ok(
+        runner,
+        ["simulate", "--model", str(model_path), "--tau", "7", "--n", "60",
+         "--seed", "8", "--pr-lie", "0.3", "--out", str(trace)],
+    )
+    reports, rejects = read_trace(trace)
+    assert rejects == {}
+    counts = {}
+    for r in reports:
+        key = (r.date, r.time.index, r.event_reported)
+        counts[key] = counts.get(key, 0) + 1
+    assert min(counts.values()) == 1 and max(counts.values()) >= 2
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(EVENTS_HEADER)
+    for (date, t, incident), n in sorted(counts.items()):
+        if n >= 2:
+            writer.writerow(
+                (date.isoformat(), TEMPORAL_BINS[t].label, "Elm, North", incident, n)
+            )
+    expected = expected.getvalue().encode()
+    for quoted in (b'"Elm, North"', b'"Road, closed"', b'"say ""hi"""'):
+        assert quoted in expected
+
+    out, rows_out = tmp_path / "events.csv", tmp_path / "rows.csv"
+    run_ok(
+        runner,
+        ["aggregate", str(trace), "--out", str(out), "--loc", "Elm, North",
+         "--min-support", "2"],
+    )
+    assert out.read_bytes() == expected
+    events = aggregate(reports, min_support=2, default_loc="Elm, North").events
+    write_events_csv(iter(list(events)), rows_out)
+    assert rows_out.read_bytes() == expected

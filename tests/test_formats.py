@@ -202,6 +202,54 @@ class TestTraceFiles:
         write_trace(iter(list(trace.reports)), rows_path)
         assert rows_path.read_bytes() == table_path.read_bytes()
 
+    def test_events_without_reports_leave_the_bytes_unchanged(self, tmp_path):
+        import io
+
+        # few participants and many events: most event slots have no report
+        trace = simulate(make_config(n=4, tau=14, lambda_e=12.0, pr_lie=0.3, seed=17))
+        table = trace.reports
+        assert len(table.event_no) > 20 * len(np.unique(table.event)) > 0
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        for r in table:
+            writer.writerow(
+                (r.event_no, r.date.isoformat(), r.day.label, r.time.label,
+                 r.report_no, r.source_id, r.event_reported, r.event_occurred)
+            )
+        path = tmp_path / "trace.csv"
+        write_trace(table, path)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_each_distinct_date_day_and_time_text_is_parsed_once(self, tmp_path, monkeypatch):
+        trace = simulate(make_config(n=60, tau=7, lambda_e=6.0, seed=18))
+        path = tmp_path / "trace.csv"
+        write_trace(trace.reports, path)
+        text = path.read_text()
+        assert len(text) < formats.BYTE_PATH_MIN_BYTES  # the csv.reader path
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len({tuple(row[:4]) for row in rows}) > 2 * len({row[1] for row in rows})
+        calls = {"date": [], "time": [], "day": []}
+
+        def counted(name, parse):
+            def wrapper(text):
+                calls[name].append(text)
+                return parse(text)
+
+            return wrapper
+
+        monkeypatch.setattr(formats, "parse_date", counted("date", formats.parse_date))
+        monkeypatch.setattr(
+            formats.TemporalBin, "from_label", counted("time", formats.TemporalBin.from_label)
+        )
+        monkeypatch.setattr(
+            formats.DayBin, "from_label", counted("day", formats.DayBin.from_label)
+        )
+        back, rejects = read_trace(path)
+        assert rejects == {} and back == trace.reports
+        for name, column in (("date", 1), ("day", 2), ("time", 3)):
+            assert sorted(calls[name]) == sorted({row[column] for row in rows})
+
     def test_day_first_dates_accepted(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(
