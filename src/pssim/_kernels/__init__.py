@@ -1,7 +1,8 @@
 """Hot-loop kernels with a compiled core and a pure-Python fallback.
 
-The compiled extension (``_core``, built from Cython) is preferred when it
-imported successfully; otherwise the pure-Python implementations take over.
+The compiled backend (``_core``, a wrapper of the ``_assign`` extension that
+``setup.py`` builds from the hand-written ``_assign.c``) is preferred when it
+imports; otherwise the pure-Python implementations take over.
 Both backends consume identical pre-drawn uniforms and produce bit-identical
 results, so traces do not depend on which backend is active.  Set
 ``PSSIM_BACKEND=python`` (or ``compiled``) to override the selection.

@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PsSimError
-from .table import AggregatedEventTable, CanonicalTable, code_dtype, report_columns, row_key
-from .types import AggregatedEvent, EventKey
+from .table import AggregatedEventTable, CanonicalTable, code_dtype, report_columns
 
 _KEY_SPACE = 2**63  # packed keys are int64
 
@@ -26,29 +25,6 @@ _KEY_SPACE = 2**63  # packed keys are int64
 class AggregateResult:
     events: AggregatedEventTable
     rejected: int
-
-
-def map_report(
-    report, default_loc: str = "unspecified", use_occurred: bool = False
-) -> tuple[EventKey, str]:
-    """Project a report row onto its (EventKey, sourceId) pair.
-
-    Works on simulated trace rows (which carry reported and occurred types
-    but no location) and on ingested raw reports (which carry a location and
-    a single incident type).  A missing or None field raises PsSimError,
-    which `aggregate` turns into a record-level reject.
-    """
-    date, time, loc, incident, source = row_key(report, default_loc, use_occurred)
-    return EventKey(date, time, loc, incident), source
-
-
-def reduce_count(key: EventKey, values: Sequence[str]) -> AggregatedEvent:
-    """Count supporting reports; reporters deduplicate source ids."""
-    if not values:
-        raise PsSimError("cannot reduce an empty group")
-    return AggregatedEvent(
-        key=key, support_count=len(values), reporters=frozenset(values)
-    )
 
 
 def _ranks(vocab: Sequence[str]) -> np.ndarray:

@@ -15,14 +15,10 @@ from .simulator import simulate
 from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig
 
 
-def bench_grid(
-    n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="auto", workers=1
-):
+def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="auto"):
     """Time one simulation per grid point; returns rows of (n, m, seconds).
 
-    Timings are the median over ``repeats`` runs.  With workers > 1 grid
-    points run concurrently, which speeds the sweep but adds contention
-    noise to individual timings.
+    Timings are the median over ``repeats`` runs.
     """
     types = DEFAULT_EV_TYPES
     pmf_day = uniform_pmf(DAY_BINS)
@@ -40,8 +36,7 @@ def bench_grid(
         backend=backend,
     )
 
-    def run_point(point):
-        n, m = point
+    def run_point(n, m):
         config = SimConfig(
             tau=m,
             start_date=dt.date(2015, 2, 23),
@@ -64,13 +59,7 @@ def bench_grid(
             times.append(time.perf_counter() - t0)
         return n, m, float(np.median(times))
 
-    points = [(n, m) for n in n_values for m in m_values]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_point, points))
-    return [run_point(p) for p in points]
+    return [run_point(n, m) for n in n_values for m in m_values]
 
 
 def fit_growth_exponents(rows) -> tuple[float, float] | None:

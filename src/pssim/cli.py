@@ -454,22 +454,18 @@ def _parse_range(text: str, flag: str) -> list[int]:
     show_default=True,
     help="Participant-assignment kernel implementation.",
 )
-@click.option("--workers", type=int, default=1, show_default=True, help="Grid points run concurrently (distorts per-point timings).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
-def bench_cmd(n_range, m_range, seed, repeats, lambda_e, backend, workers, out):
+def bench_cmd(n_range, m_range, seed, repeats, lambda_e, backend, out):
     """Time trace generation over a grid of participant counts and durations."""
     if repeats < 1:
         raise click.UsageError(f"--repeats must be >= 1, got {repeats}")
-    if workers < 1:
-        raise click.UsageError(f"--workers must be >= 1, got {workers}")
     n_values = _parse_range(n_range, "--n-range")
     m_values = _parse_range(m_range, "--m-range")
 
     resolved, _ = _kernels.get_backend(backend)
     rows = bench_grid(
-        n_values, m_values, seed=seed, repeats=repeats,
-        lambda_e=lambda_e, backend=backend, workers=workers,
+        n_values, m_values, seed=seed, repeats=repeats, lambda_e=lambda_e, backend=backend
     )
     formats.write_bench_csv(rows, out)
     click.echo(f"timings -> {out} | backend {resolved} | {len(rows)} grid points")

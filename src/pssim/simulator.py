@@ -133,24 +133,6 @@ def assign_event_attributes(
     )
 
 
-def inject_false_report(
-    actual: str, ev_types: Sequence[str], pr_lie: float, rng: RandomSource
-) -> str:
-    """With probability pr_lie return a uniform draw from ev_types excluding
-    ``actual``; otherwise return ``actual``."""
-    if actual not in ev_types:
-        raise PsSimError(f"actual type {actual!r} not in event type list")
-    if not 0.0 <= pr_lie <= 1.0:
-        raise PsSimError(f"pr_lie must be in [0, 1], got {pr_lie}")
-    if pr_lie > 0.0 and len(ev_types) < 2:
-        raise PsSimError("pr_lie > 0 requires at least two event types")
-    if pr_lie == 0.0 or rng.generator.random() >= pr_lie:
-        return actual
-    actual_idx = list(ev_types).index(actual)
-    r = int(rng.generator.integers(0, len(ev_types) - 1))
-    return ev_types[r + (r >= actual_idx)]
-
-
 def attribute_reports(
     events: Sequence[Event],
     pool: ParticipantPool,

@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pssim.aggregation import (
-    EventKey,
-    aggregate,
-    map_report,
-    reduce_count,
-)
+from pssim.aggregation import aggregate
 from pssim.errors import PsSimError
 from pssim.formats import IngestedReport
+from pssim.table import row_key
 from pssim.types import Report, TemporalBin, weekday_of
 
 
@@ -29,25 +25,23 @@ MONDAY = dt.date(2015, 2, 23)
 
 
 class TestMapReport:
+    """The map step: ``row_key`` projects one report row onto its key and source."""
+
     def test_projection(self):
-        key, source = map_report(
-            raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1")
-        )
-        assert key == EventKey(MONDAY, TemporalBin.EM, "I-93S", "Jam")
-        assert source == "W1"
+        key = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1"))
+        assert key == (MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1")
 
     def test_source_does_not_affect_key(self):
-        a, _ = map_report(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1"))
-        b, _ = map_report(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W2"))
-        assert a == b
+        a = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1"))
+        b = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W2"))
+        assert a[:4] == b[:4]
 
     def test_trace_rows_key_on_reported_type_by_default(self):
         r = trace_report(MONDAY, TemporalBin.MD, "Accident", "Jam", "UID000001")
-        key, _ = map_report(r, default_loc="Elm Street")
-        assert key.incident_type == "Accident"
-        assert key.loc == "Elm Street"
-        key2, _ = map_report(r, default_loc="Elm Street", use_occurred=True)
-        assert key2.incident_type == "Jam"
+        _, _, loc, incident, _ = row_key(r, default_loc="Elm Street")
+        assert incident == "Accident"
+        assert loc == "Elm Street"
+        assert row_key(r, default_loc="Elm Street", use_occurred=True)[3] == "Jam"
 
     def test_missing_field_rejected(self):
         class Partial:
@@ -57,24 +51,23 @@ class TestMapReport:
             incident_type = "Jam"
 
         with pytest.raises(PsSimError, match="missing"):
-            map_report(Partial())
+            row_key(Partial())
 
 
 class TestReduceCount:
+    """The reduce step: ``aggregate`` counts each key's reports and
+    deduplicates their sources."""
+
     def test_counts_values(self):
-        key = EventKey(MONDAY, TemporalBin.EM, "x", "Jam")
-        assert reduce_count(key, ["a", "b", "c"]).support_count == 3
-        assert reduce_count(key, ["a"]).support_count == 1
+        reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "abc"]
+        assert [e.support_count for e in aggregate(reports).events] == [3]
+        assert [e.support_count for e in aggregate(reports[:1]).events] == [1]
 
     def test_duplicate_sources_counted_but_deduplicated(self):
-        key = EventKey(MONDAY, TemporalBin.EM, "x", "Jam")
-        ev = reduce_count(key, ["a", "a", "b"])
+        reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "aab"]
+        (ev,) = aggregate(reports).events
         assert ev.support_count == 3
         assert ev.reporters == frozenset({"a", "b"})
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(PsSimError):
-            reduce_count(EventKey(MONDAY, TemporalBin.EM, "x", "Jam"), [])
 
 
 def sequential_oracle(records, default_loc="unspecified"):

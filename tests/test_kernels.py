@@ -57,8 +57,9 @@ def test_first_pick_uniform_over_active_not_quota_weighted():
 def test_backends_bit_identical():
     _, core = _kernels.get_backend("compiled")
     rng = np.random.default_rng(42)
-    for n in (1, 2, 17, 300):
+    for n in (1, 2, 17, 300, 10_000):
         quotas, u = random_case(rng, n)
+        u[-1] = np.nextafter(1, 0)  # the largest u below 1 picks the last active index
         a = core.assign_participants(quotas, u)
         b = _pykernels.assign_participants(quotas, u)
         assert np.array_equal(a, b)
@@ -70,6 +71,22 @@ def test_compiled_kernel_exhaustion_raises():
     quotas = np.array([2], dtype=np.int64)
     with pytest.raises(ValueError, match="exhausted"):
         core.assign_participants(quotas, np.random.default_rng(3).random(5))
+
+
+@needs_compiled
+def test_compiled_entry_point_rejects_short_buffers():
+    from pssim._kernels._assign import assign
+
+    quotas = np.array([2, 3], dtype=np.int64)
+    u = np.random.default_rng(4).random(5)
+    assign(quotas.copy(), u, np.empty(5, dtype=np.int64), np.empty(2, dtype=np.int64))
+    for out, active in (
+        (np.empty(4, dtype=np.int64), np.empty(2, dtype=np.int64)),
+        (np.empty(5, dtype=np.int64), np.empty(1, dtype=np.int64)),
+        (np.empty(5, dtype=np.int32), np.empty(2, dtype=np.int64)),
+    ):
+        with pytest.raises(ValueError, match="does not match"):
+            assign(quotas.copy(), u, out, active)
 
 
 def test_backend_resolution():

@@ -20,7 +20,6 @@ from pssim.simulator import (
     assign_event_attributes,
     attribute_reports,
     gen_poisson_events,
-    inject_false_report,
     simulate,
 )
 from pssim.types import DayBin, Event, TemporalBin, weekday_of
@@ -109,39 +108,6 @@ class TestAssignEventAttributes:
         }
 
 
-class TestInjectFalseReport:
-    def test_never_lies_at_zero(self):
-        rng = RandomSource(0)
-        types = ("Jam", "Accident")
-        assert all(
-            inject_false_report("Jam", types, 0.0, rng) == "Jam" for _ in range(100)
-        )
-
-    def test_forced_complement_with_two_types(self):
-        rng = RandomSource(1)
-        types = ("Jam", "Accident")
-        assert all(
-            inject_false_report("Jam", types, 1.0, rng) == "Accident"
-            for _ in range(100)
-        )
-
-    def test_uniform_over_complement(self):
-        rng = RandomSource(9)
-        types = ("Jam", "Accident", "Hazard")
-        outs = [inject_false_report("Jam", types, 1.0, rng) for _ in range(10_000)]
-        freq_accident = outs.count("Accident") / 10_000
-        assert abs(freq_accident - 0.5) <= 0.015
-        assert "Jam" not in outs
-
-    def test_singleton_types_rejected_when_lying(self):
-        with pytest.raises(PsSimError):
-            inject_false_report("Jam", ("Jam",), 0.5, RandomSource(0))
-
-    def test_unknown_actual_rejected(self):
-        with pytest.raises(PsSimError):
-            inject_false_report("Meteor", ("Jam", "Accident"), 0.0, RandomSource(0))
-
-
 def one_event(day=DayBin.MONDAY, date=dt.date(2015, 2, 23), etype="Jam"):
     return Event(1, date, day, TemporalBin.MD, "Elm Street", etype)
 
@@ -167,6 +133,29 @@ class TestAttributeReports:
         )
         lies = sum(1 for r in reports if r.event_reported != r.event_occurred)
         assert abs(lies / 10_000 - 0.1) <= 0.009
+
+    def test_certain_lie_never_reports_the_occurred_type(self):
+        pool = ParticipantPool.from_quotas(np.full(10, 10, dtype=np.int64))
+        events = [one_event(etype="Jam"), one_event(etype="Accident")]
+        reports = attribute_reports(
+            events, pool, 1.0, ("Jam", "Accident"), RandomSource(1)
+        )
+        assert np.all(reports.reported != reports.occurred)
+
+    def test_lies_uniform_over_complement(self):
+        pool = ParticipantPool.from_quotas(np.full(100, 100, dtype=np.int64))
+        types = ("Jam", "Accident", "Hazard")
+        reports = attribute_reports(
+            [one_event(etype="Jam")], pool, 1.0, types, RandomSource(9)
+        )
+        lied = [types[i] for i in reports.reported.tolist()]
+        assert "Jam" not in lied
+        assert abs(lied.count("Accident") / 10_000 - 0.5) <= 0.015
+
+    def test_singleton_types_rejected_when_lying(self):
+        pool = ParticipantPool.from_quotas([3])
+        with pytest.raises(PsSimError, match="two event types"):
+            attribute_reports([one_event()], pool, 0.5, ("Jam",), RandomSource(0))
 
     def test_quota_conservation(self):
         rng_q = np.random.default_rng(3)
