@@ -13,6 +13,14 @@ with numpy, and equal field texts are grouped by sorting their bytes as
 timestamps, which seldom repeat, once per block).  Any other file is read
 row by row with csv.reader.  Both paths run the same checks and return the
 same tables and reject counts.
+
+The trace, canonical and events CSVs are written by one byte writer,
+_write_csv.  A row is a run of parts: a code into a vocabulary of field
+texts, each quoted once by csv.writer with the comma or LF after it, or an
+int64 column rendered as decimal in numpy.  Each chunk of CHUNK_ROWS rows
+is gathered from one byte blob with one index and written with one call,
+so the temporaries are those of one chunk.  The bytes equal csv.writer's
+output row by row.
 """
 
 from __future__ import annotations
@@ -20,21 +28,22 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import functools
-import io
 import itertools
 import json
 import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .distributions import Pmf
 from .errors import PsSimError
-from .table import AggregatedEventTable, CanonicalTable, ReportTable, dates_of, report_columns
+from .table import AggregatedEventTable, CanonicalTable, ReportTable, report_columns
 from .types import (
+    DAY_BINS,
     TEMPORAL_BINS,
     AggregatedEvent,
     DayBin,
@@ -110,7 +119,7 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-CHUNK_ROWS = 1 << 14  # rows per chunk of the writers and of the csv.reader path
+CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and of the csv.reader path
 BLOCK_BYTES = 1 << 19  # bytes per block of the byte path, cut after an LF
 BYTE_PATH_MIN_BYTES = 1 << 16  # smaller files are read by csv.reader
 _MALFORMED = -1
@@ -122,33 +131,118 @@ _MAX_KEY_WORDS = 16  # longer keys are looked up by text
 _PAD = bytes(8 * _MAX_KEY_WORDS)  # lets every key word be read past a block's end
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
+_TIME_FIELDS = tuple(f"{b.label}," for b in TEMPORAL_BINS)
+_WEEKDAY_LABELS = tuple(DAY_BINS[(i + 1) % 7].label for i in range(7))  # by date.weekday()
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as csv.writer writes it inside a row (quoted only if needed)."""
-    if not text:
-        return ""  # a lone empty field would be written as ""
-    buf = io.StringIO()
-    _writer(buf).writerow((text,))
-    return buf.getvalue()[:-1]
+def _csv_fields(texts: Iterable[str]) -> list[str]:
+    """Each text as csv.writer writes it inside a row, quoted only where
+    csv.writer quotes it (which differs between Python versions)."""
+    rows: list[str] = []
+    # csv.writer writes each row with one call; the empty second field keeps
+    # an empty text unquoted, where a lone empty field would be written as ""
+    _writer(SimpleNamespace(write=rows.append)).writerows((text, "") for text in texts)
+    return [row[:-2] for row in rows]
 
 
-def _write_lines(path: Path, header: Sequence[str], rows: int, lines) -> None:
-    """Write a CSV header, then ``lines(chunk)`` for each slice of up to
-    CHUNK_ROWS of the ``rows`` rows; ``lines`` gives a list of LF-ended
-    row texts."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        for start in range(0, rows, CHUNK_ROWS):
-            handle.write("".join(lines(slice(start, start + CHUNK_ROWS))))
+class _Texts(NamedTuple):
+    """A part of every row: ``texts[code]`` for the row's code.  The texts
+    are CSV fields, quoted as needed, with the comma or LF after them."""
+
+    texts: Sequence[str]
+    codes: np.ndarray
 
 
-def _distinct_dates(ordinals: np.ndarray):
-    """(ordinal, date) of each distinct ordinal of a column, in first-seen
-    order.  Not np.unique: its first call imports numpy.ma, about 0.5 MiB,
-    which shows in the peak memory of short runs."""
-    distinct = dict.fromkeys(ordinals.tolist())
-    return zip(distinct, map(dt.date.fromordinal, distinct))
+class _Decimal(NamedTuple):
+    """A part of every row: the row's int64 value in decimal, then ``end``."""
+
+    values: np.ndarray
+    end: bytes
+
+
+def _decimal(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The decimal text of each value followed by ``end``, right-aligned in
+    one row of a byte matrix each, and the column where each text starts."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |INT64_MIN| fits in uint64
+    length = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1  # digits
+    digits = int(length.max())
+    text = np.empty((len(values), 1 + digits + len(end)), dtype=np.uint8)  # sign, digits, end
+    text[:, 1 + digits :] = np.frombuffer(end, dtype=np.uint8)
+    ten, zero = np.uint64(10), np.uint64(ord("0"))
+    for column in range(digits, 0, -1):
+        rest = magnitude // ten
+        magnitude -= rest * ten
+        magnitude += zero
+        text[:, column] = magnitude
+        magnitude = rest
+    start = 1 + digits - length - negative
+    text[negative, start[negative]] = ord("-")
+    return text, start
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: int, parts: Sequence) -> None:
+    """Write a CSV header, then ``rows`` rows, each the texts of ``parts``
+    (_Texts or _Decimal) run together.
+
+    Each row part is a run of consecutive bytes of one blob, which holds
+    every _Texts text and a chunk's _Decimal texts.  The bytes of a chunk of
+    CHUNK_ROWS rows are gathered with one index, whose runs np.repeat
+    builds, and written with one call.
+    """
+    coded = [i for i, part in enumerate(parts) if isinstance(part, _Texts)]
+    vocabularies = [parts[i].texts for i in coded]
+    encoded = [text.encode() for texts in vocabularies for text in texts]
+    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    text_lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    text_starts = np.cumsum(text_lengths) - text_lengths
+    # where each _Texts part's texts begin among all texts
+    offsets = np.array(list(itertools.accumulate(map(len, vocabularies[:-1]), initial=0)))
+    with open(path, "wb") as handle:
+        handle.write(",".join(header).encode() + b"\n")
+        for first in range(0, rows, CHUNK_ROWS):
+            chunk = slice(first, first + CHUNK_ROWS)
+            count = min(CHUNK_ROWS, rows - first)
+            codes = np.empty((count, len(coded)), dtype=np.intp)
+            for j, i in enumerate(coded):
+                codes[:, j] = parts[i].codes[chunk]
+            codes += offsets
+            starts = np.empty((count, len(parts)), dtype=np.int64)
+            lengths = np.empty_like(starts)
+            starts[:, coded] = text_starts.take(codes)
+            lengths[:, coded] = text_lengths.take(codes)
+            data, size = [blob], len(blob)
+            for i, part in enumerate(parts):
+                if isinstance(part, _Decimal):
+                    text, start = _decimal(part.values[chunk], part.end)
+                    width = text.shape[1]
+                    starts[:, i] = np.arange(size, size + text.size, width) + start
+                    lengths[:, i] = width - start
+                    data.append(text.reshape(-1))
+                    size += text.size
+            starts, lengths = starts.reshape(-1), lengths.reshape(-1)
+            ends = np.cumsum(lengths)
+            total = int(ends[-1])
+            index_type = np.int32 if max(size, total) < 2**31 else np.int64
+            index = np.repeat((starts - ends + lengths).astype(index_type), lengths)
+            index += np.arange(total, dtype=index_type)
+            handle.write(np.take(np.concatenate(data), index))  # faster than [] with int32
+
+
+def _distinct_dates(ordinals: np.ndarray) -> tuple[list[dt.date], np.ndarray]:
+    """The distinct dates of an ordinal column in ascending order, and the
+    index of each row's date among them.  Not np.unique: its first call
+    imports numpy.ma, about 0.5 MiB, which shows in the peak memory of short
+    runs."""
+    order = np.argsort(ordinals)
+    ordered = ordinals[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = ordered[1:] != ordered[:-1]
+    index = np.empty(len(ordinals), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return list(map(dt.date.fromordinal, ordered[new].tolist())), index
 
 
 def _intern(raw: str, vocab: dict[str, int]) -> int:
@@ -552,32 +646,26 @@ def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
 
     ``reports`` is a CanonicalTable or any iterable of IngestedReport rows;
     the bytes equal csv.writer's output row by row.  The day column is the
-    weekday of the date.
+    weekday of the date.  Each distinct date's text is built once.
     """
     table, rejected = report_columns(reports)
     if rejected:
         raise PsSimError(f"{rejected} reports lack a canonical field")
-    cells, cell_of = np.unique(table.date * 8 + table.time, return_inverse=True)
-    prefixes = [
-        f"{date.isoformat()},{weekday_of(date).label},{TEMPORAL_BINS[t].label},"
-        for date, t in zip(dates_of(cells >> 3), (cells & 7).tolist())
-    ]
-    sources, locs, types = (
-        [_csv_field(s) for s in vocab] for vocab in (table.sources, table.locs, table.types)
-    )
-    _write_lines(
+    dates, date_of = _distinct_dates(table.date)
+    days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
+    sources, locs = ([f"{field}," for field in _csv_fields(v)] for v in (table.sources, table.locs))
+    types = [f"{field}\n" for field in _csv_fields(table.types)]
+    _write_csv(
         path,
         CANONICAL_HEADER,
         len(table),
-        lambda rows: [
-            f"{prefixes[c]}{sources[s]},{locs[loc]},{types[k]}\n"
-            for c, s, loc, k in zip(
-                cell_of[rows].tolist(),
-                table.source[rows].tolist(),
-                table.loc[rows].tolist(),
-                table.type[rows].tolist(),
-            )
-        ],
+        (
+            _Texts(days, date_of),
+            _Texts(_TIME_FIELDS, table.time),
+            _Texts(sources, table.source),
+            _Texts(locs, table.loc),
+            _Texts(types, table.type),
+        ),
     )
 
 
@@ -622,34 +710,29 @@ def write_trace(reports: Iterable[Report], path: Path) -> None:
     """
     table = reports if isinstance(reports, ReportTable) else ReportTable.from_rows(reports)
     used = np.flatnonzero(np.bincount(table.event, minlength=len(table.event_no)))
-    days = {
-        o: f"{date.isoformat()},{weekday_of(date).label},"
-        for o, date in _distinct_dates(table.date[used])
-    }
+    dates, date_of = _distinct_dates(table.date[used])
+    days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
     prefixes = [""] * len(table.event_no)
-    for slot, no, o, t in zip(
+    for slot, no, d, t in zip(
         used.tolist(),
         table.event_no[used].tolist(),
-        table.date[used].tolist(),
+        date_of.tolist(),
         table.time[used].tolist(),
     ):
-        prefixes[slot] = f"{no},{days[o]}{TEMPORAL_BINS[t].label},"
-    sources = [_csv_field(s) for s in table.sources]
-    types = [_csv_field(t) for t in table.types]
-    _write_lines(
+        prefixes[slot] = f"{no},{days[d]}{_TIME_FIELDS[t]}"
+    sources = [f"{field}," for field in _csv_fields(table.sources)]
+    types = _csv_fields(table.types)
+    _write_csv(
         path,
         TRACE_HEADER,
         len(table),
-        lambda rows: [
-            f"{prefixes[e]}{n},{sources[s]},{types[r]},{types[o]}\n"
-            for e, n, s, r, o in zip(
-                table.event[rows].tolist(),
-                table.report_no[rows].tolist(),
-                table.source[rows].tolist(),
-                table.reported[rows].tolist(),
-                table.occurred[rows].tolist(),
-            )
-        ],
+        (
+            _Texts(prefixes, table.event),
+            _Decimal(table.report_no, b","),
+            _Texts(sources, table.source),
+            _Texts([f"{field}," for field in types], table.reported),
+            _Texts([f"{field}\n" for field in types], table.occurred),
+        ),
     )
 
 
@@ -926,23 +1009,20 @@ def write_events_csv(events: Iterable[AggregatedEvent], path: Path) -> None:
         if isinstance(events, AggregatedEventTable)
         else AggregatedEventTable.from_rows(events)
     )
-    dates = {o: date.isoformat() for o, date in _distinct_dates(table.date)}
-    locs = [_csv_field(loc) for loc in table.locs]
-    types = [_csv_field(t) for t in table.types]
-    _write_lines(
+    dates, date_of = _distinct_dates(table.date)
+    locs = [f"{field}," for field in _csv_fields(table.locs)]
+    types = [f"{field}," for field in _csv_fields(table.types)]
+    _write_csv(
         path,
         EVENTS_HEADER,
         len(table),
-        lambda rows: [
-            f"{dates[o]},{TEMPORAL_BINS[t].label},{locs[loc]},{types[k]},{n}\n"
-            for o, t, loc, k, n in zip(
-                table.date[rows].tolist(),
-                table.time[rows].tolist(),
-                table.loc[rows].tolist(),
-                table.type[rows].tolist(),
-                table.support[rows].tolist(),
-            )
-        ],
+        (
+            _Texts([f"{date.isoformat()}," for date in dates], date_of),
+            _Texts(_TIME_FIELDS, table.time),
+            _Texts(locs, table.loc),
+            _Texts(types, table.type),
+            _Decimal(table.support, b"\n"),
+        ),
     )
 
 

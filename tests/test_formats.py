@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import datetime as dt
+import io
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import (
     CANONICAL_HEADER,
+    EVENTS_HEADER,
     ModelFile,
     load_model,
     model_to_json,
@@ -21,11 +23,23 @@ from pssim.formats import (
     read_trace,
     save_model,
     write_canonical,
+    write_events_csv,
     write_trace,
     TRACE_HEADER,
 )
 from pssim.simulator import simulate
-from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin
+from pssim.table import AggregatedEventTable, ReportTable, report_columns
+from pssim.types import (
+    DAY_BINS,
+    TEMPORAL_BINS,
+    AggregatedEvent,
+    DayBin,
+    EventKey,
+    IngestedReport,
+    Report,
+    TemporalBin,
+    weekday_of,
+)
 
 
 class TestTimestampParsing:
@@ -221,6 +235,24 @@ class TestTraceFiles:
         write_trace(table, path)
         assert path.read_bytes() == expected.getvalue().encode()
 
+    def test_every_int64_report_number_is_written_back_as_python_writes_it(self, tmp_path):
+        numbers = ["0", "-1", "007", "+5", " 42", "-9223372036854775808", "9223372036854775807"]
+        path = tmp_path / "in.csv"
+        path.write_text(
+            ",".join(TRACE_HEADER) + "\n"
+            + "".join(f"51,2016-01-09,Saturday,MidDay,{n},UID000858,Accident,Jam\n" for n in numbers)
+        )
+        table, rejects = read_trace(path)
+        assert rejects == {}
+        assert table.report_no.tolist() == [0, -1, 7, 5, 42, -(2**63), 2**63 - 1]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(TRACE_HEADER)
+        writer.writerows(WRITERS["trace"][3](r) for r in table)
+        out = tmp_path / "out.csv"
+        write_trace(table, out)
+        assert out.read_bytes() == expected.getvalue().encode()
+
     def test_each_distinct_date_day_and_time_text_is_parsed_once(self, tmp_path, monkeypatch):
         trace = simulate(make_config(n=60, tau=7, lambda_e=6.0, seed=18))
         path = tmp_path / "trace.csv"
@@ -272,6 +304,88 @@ class TestTraceFiles:
         back, rejects = read_trace(path)
         assert rejects == {"day/date mismatch": 1}
         assert len(back) == 1
+
+
+# texts that csv.writer quotes, or that are more than one byte in UTF-8
+WRITER_TEXTS = ("Straße", "東京", "Main St, north", 'say "hi"', " lead", "Jam")
+# numbers of the integer columns, INT64_MIN and INT64_MAX among them
+WRITER_NUMBERS = (0, -1, 7, -(2**63), 2**63 - 1, 10, 123456)
+
+
+def writer_row(kind, i):
+    """Row ``i`` of a writer's input; the first few rows use every text."""
+    date = dt.date(2015, 2, 23) + dt.timedelta(days=i % 3)
+    time = TEMPORAL_BINS[3 * i % 8]
+    a, b, c = (WRITER_TEXTS[(i + k) % 6] for k in (0, 3, 2 * i + 1))
+    number = WRITER_NUMBERS[i % len(WRITER_NUMBERS)]
+    if kind == "trace":
+        return Report(i % 3 - 1, date, weekday_of(date), time, number, a, b, c)
+    if kind == "canonical":
+        return IngestedReport(date, weekday_of(date), time, a, b, c)
+    return AggregatedEvent(EventKey(date, time, a, b), max(number, 1), frozenset({c}))
+
+
+# per writer: the function, its header, the table of some rows, and the
+# fields csv.writer writes for one row
+WRITERS = {
+    "trace": (
+        write_trace,
+        TRACE_HEADER,
+        ReportTable.from_rows,
+        lambda r: (r.event_no, r.date.isoformat(), r.day.label, r.time.label, r.report_no,
+                   r.source_id, r.event_reported, r.event_occurred),
+    ),
+    "canonical": (
+        write_canonical,
+        CANONICAL_HEADER,
+        lambda rows: report_columns(rows)[0],
+        lambda r: (r.date.isoformat(), r.day.label, r.time.label, r.source_id, r.loc,
+                   r.incident_type),
+    ),
+    "events": (
+        write_events_csv,
+        EVENTS_HEADER,
+        AggregatedEventTable.from_rows,
+        lambda e: (e.key.date.isoformat(), e.key.day_time.label, e.key.loc,
+                   e.key.incident_type, e.support_count),
+    ),
+}
+
+
+class TestWriters:
+    @pytest.mark.parametrize("kind", WRITERS)
+    @pytest.mark.parametrize("cut", [-1, 0, 1])
+    def test_bytes_equal_csv_writer_across_chunk_cuts(self, tmp_path, monkeypatch, kind, cut):
+        monkeypatch.setattr(formats, "CHUNK_ROWS", 4)
+        write, header, to_table, fields = WRITERS[kind]
+        rows = [writer_row(kind, i) for i in range(formats.CHUNK_ROWS + cut)]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(fields, rows))
+        expected = expected.getvalue().encode()
+        assert set(WRITER_TEXTS) <= {field for row in rows for field in fields(row)}
+        table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
+        write(to_table(rows), table_path)
+        write(iter(rows), rows_path)
+        assert table_path.read_bytes() == expected
+        assert rows_path.read_bytes() == expected
+
+    @pytest.mark.parametrize("kind", WRITERS)
+    def test_empty_input_writes_the_header(self, tmp_path, kind):
+        write, header, to_table, _ = WRITERS[kind]
+        path = tmp_path / "out.csv"
+        write(iter([]), path)
+        assert path.read_bytes() == (",".join(header) + "\n").encode()
+
+    def test_csv_fields_quote_as_csv_writer_does(self):
+        texts = ["", "a", "a,b", 'q"', " lead", "trail ", "line\nbreak", "lone\rcr", "Straße"]
+        expected = []
+        for text in texts:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow((text, "x"))
+            expected.append(buf.getvalue()[: -len(",x\n")])
+        assert formats._csv_fields(texts) == expected
 
 
 def small_model():

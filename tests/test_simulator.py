@@ -343,3 +343,46 @@ class TestTraceTables:
         # measured with 512 KiB blocks: 23.2 B/row retained, 66.4 B/row peak
         assert (retained - before) / n <= 26.0
         assert (peak - before) / n <= 75.0
+
+    def test_write_trace_memory_is_bounded_per_chunk(self, tmp_path):
+        import dataclasses
+        import gc
+        import tracemalloc
+
+        from pssim import formats
+
+        cfg = make_config(
+            n=10_000, tau=21, lambda_e=10.0, pr_lie=0.1, seed=1,
+            ev_types=("Jam", "Accident", "RoadClosure", "Hazard"),
+        )
+        table = simulate(cfg).reports
+        path = tmp_path / "trace.csv"
+        write_trace(table, path)  # lazy imports and caches outside the count
+
+        def peak(rows: int) -> int:
+            """Peak traced bytes of writing the first ``rows`` reports."""
+            head = dataclasses.replace(
+                table,
+                **{
+                    name: getattr(table, name)[:rows]
+                    for name in ("event", "report_no", "source", "reported", "occurred")
+                },
+            )
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                write_trace(head, path)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        n = len(table)
+        assert n > 95_000 and n // 4 > 5 * formats.CHUNK_ROWS
+        quarter, whole = peak(n // 4), peak(n)
+        # measured with 4096-row chunks: 6.1 MB for a quarter and for the
+        # whole; 2.2 MB of it is the 10,000 source texts and 1,599 slot
+        # prefixes, the rest the temporaries of one chunk (the whole table
+        # as one chunk peaks at 104 MB)
+        assert whole <= quarter + 64 * 1024
+        assert whole <= 7.5e6
