@@ -58,24 +58,42 @@ class QqData:
 
 @dataclass
 class BinnedData:
-    """Result of binning a report set over a window."""
+    """Result of binning a report set over a window.
+
+    The report count of each (user, week) pair is kept as columns: users in
+    first-seen order, and each user's weeks in first-seen order.
+    """
 
     overall: BinnedSeries
     per_location: dict[str, BinnedSeries]
-    user_weekly: dict[str, dict[int, int]]  # sourceId -> week index -> count
+    users: list[str]  # sourceIds, first seen first
+    pair_user: np.ndarray  # per (user, week) pair: index into users
+    pair_week: np.ndarray  # week index from the window start
+    pair_count: np.ndarray  # reports, always positive
     excluded: int
     window_start: dt.date
     window_days: int
     accepted: int = field(default=0)
 
+    @property
+    def user_weekly(self) -> dict[str, dict[int, int]]:
+        """sourceId -> week index -> count, built from the pair columns."""
+        out: dict[str, dict[int, int]] = {user: {} for user in self.users}
+        for u, w, c in zip(
+            self.pair_user.tolist(), self.pair_week.tolist(), self.pair_count.tolist()
+        ):
+            out[self.users[u]][w] = c
+        return out
+
     def weekly_samples(self) -> list[float]:
         """Positive per-(user, week) report counts, the participation samples."""
-        return [
-            float(c)
-            for weeks in self.user_weekly.values()
-            for c in weeks.values()
-            if c > 0
-        ]
+        return self.pair_count.astype(np.float64).tolist()
+
+    def mean_weekly(self) -> dict[str, float]:
+        """Each user's mean report count over the weeks it reported in."""
+        weeks = np.bincount(self.pair_user, minlength=len(self.users))
+        total = np.bincount(self.pair_user, self.pair_count, minlength=len(self.users))
+        return dict(zip(self.users, (total / weeks).tolist()))
 
 
 def bin_reports(
@@ -86,8 +104,9 @@ def bin_reports(
     ``reports`` is anything ``table.report_columns`` accepts; trace reports
     carry no location and are tallied under ``default_loc``.  Reports
     outside the window, and rows that lack a key field, are excluded with a
-    counter, not an error.  ``per_location`` and ``user_weekly`` list
-    locations, users and each user's weeks in first-seen order.
+    counter, not an error.  ``per_location`` lists locations, and the
+    (user, week) pair columns users and each user's weeks, in first-seen
+    order.
     """
     start, days = window
     if days < 1:
@@ -110,10 +129,16 @@ def bin_reports(
         name = table.locs[loc_codes[i]]
         per_location[name] = BinnedSeries(name, start, per_loc[i])
 
+    users, pair_user, pair_week, pair_count = _user_weekly(
+        table.source[inside], offset // 7, table.sources
+    )
     return BinnedData(
         overall=BinnedSeries("(all)", start, np.bincount(cell, minlength=n_cells)),
         per_location=per_location,
-        user_weekly=_user_weekly(table.source[inside], offset // 7, table.sources),
+        users=users,
+        pair_user=pair_user,
+        pair_week=pair_week,
+        pair_count=pair_count,
         excluded=len(table) - len(cell) + rejected,
         window_start=start,
         window_days=days,
@@ -123,31 +148,38 @@ def bin_reports(
 
 def _user_weekly(
     source: np.ndarray, week: np.ndarray, sources: Sequence[str]
-) -> dict[str, dict[int, int]]:
-    """Report count per (user, week); users in first-seen order, and each
-    user's weeks in first-seen order."""
-    if len(source) == 0:
-        return {}
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """BinnedData's users and pair columns of the report count per (user,
+    week): users in first-seen order, and each user's weeks in first-seen
+    order.
+
+    One argsort groups the rows: the (user, week) key times the row count
+    plus the row number is unique per row, so any sort order is the stable
+    one, and each group's first row comes first in it.
+    """
+    n = len(source)
+    if n == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return [], empty, empty, empty
     weeks = int(week.max()) + 1
-    pair, first, count = np.unique(
-        source.astype(np.int64) * weeks + week, return_index=True, return_counts=True
-    )
-    user = pair // weeks
+    codes = None
+    if len(sources) * weeks * n > 2**63:  # compact the user codes so the keys fit
+        codes, source = np.unique(source, return_inverse=True)
+    key = source.astype(np.int64) * weeks + week
+    order = np.argsort(key * n + np.arange(n))
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first place in order
+    first, count, key = order[start], np.diff(start, append=n), key[start]
+    user = key // weeks
     # pairs are sorted by user; a user is first seen at its earliest pair
     user_start = np.flatnonzero(np.diff(user, prepend=-1))
     user_first = np.minimum.reduceat(first, user_start)
-    user_rank = np.repeat(user_first, np.diff(user_start, append=len(pair)))
-    order = np.lexsort((first, user_rank))
-    out: dict[str, dict[int, int]] = {}
-    for u, w, c in zip(
-        user[order].tolist(), (pair % weeks)[order].tolist(), count[order].tolist()
-    ):
-        name = sources[u]
-        counts = out.get(name)
-        if counts is None:
-            counts = out[name] = {}
-        counts[w] = c
-    return out
+    seen = np.argsort(np.repeat(user_first, np.diff(user_start, append=len(key))) * n + first)
+    user, key, count = user[seen], key[seen], count[seen]
+    new_user = np.diff(user, prepend=-1) != 0
+    names = user[new_user] if codes is None else codes[user[new_user]]
+    users = [sources[code] for code in names.tolist()]
+    return users, np.cumsum(new_user) - 1, key % weeks, count
 
 
 def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
@@ -278,7 +310,7 @@ def fit_models(
         "window_start": binned.window_start.isoformat(),
         "window_days": binned.window_days,
         "reports": binned.accepted,
-        "users": len(binned.user_weekly),
+        "users": len(binned.users),
         "participation_samples": len(samples),
         "excluded": out_of_window,
         "diagnostics": {

@@ -134,11 +134,7 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
 
     outlier_users: list[str] = []
     if outlier_pct < 100.0:
-        binned = bin_reports(in_window, window)
-        mean_weekly = {
-            user: sum(weeks.values()) / len(weeks)
-            for user, weeks in binned.user_weekly.items()
-        }
+        mean_weekly = bin_reports(in_window, window).mean_weekly()
         _, outlier_users = filter_outliers(mean_weekly, outlier_pct)
     source_code = {name: code for code, name in enumerate(in_window.sources)}
     dropped = [source_code[user] for user in outlier_users]

@@ -6,13 +6,15 @@ Trace files use the eight-column report schema with ISO dates on output;
 day-first DD/MM/YYYY dates are accepted on ingest only.
 
 The three report readers find columns by header name.  A file of at least
-BYTE_PATH_MIN_BYTES with no quote, NUL or lone CR byte takes the byte path:
-blocks of BLOCK_BYTES whole lines are split at LF (CRLF too) and at commas
-with numpy, and equal field texts are grouped by sorting their bytes as
-8-byte words, so each distinct text reaches Python once per file (raw
-timestamps, which seldom repeat, once per block).  Any other file is read
-row by row with csv.reader.  Both paths run the same checks and return the
-same tables and reject counts.
+BYTE_PATH_MIN_BYTES with no NUL or lone CR byte, and no quote after its
+header line, takes the byte path: blocks of BLOCK_BYTES whole lines are
+split at LF (CRLF too) and at commas with numpy, and equal field texts are
+grouped by sorting their bytes as 8-byte words, so each distinct text
+reaches Python once per file.  Raw timestamps seldom repeat, so they are
+not grouped: those of the shape YYYY-MM-DDTHH:MM:SS followed by Z or
++-HH:MM are parsed in numpy, and only the others reach parse_timestamp, one
+row at a time.  Any other file is read row by row with csv.reader.  Both
+paths run the same checks and return the same tables and reject counts.
 
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
@@ -134,6 +136,12 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
 _TIME_FIELDS = tuple(f"{b.label}," for b in TEMPORAL_BINS)
 _WEEKDAY_LABELS = tuple(DAY_BINS[(i + 1) % 7].label for i in range(7))  # by date.weekday()
+# the timestamp shape that _ByteBlock.stamp_cells parses; 0 stands for any digit
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00", dtype=np.uint8)
+_STAMP_DIGITS = np.flatnonzero(_STAMP == ord("0"))
+_STAMP_MARKS = np.flatnonzero(np.isin(_STAMP, list(b"-T:")))  # the sign is checked apart
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # 1-based
+_DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
 
 
 def _csv_fields(texts: Iterable[str]) -> list[str]:
@@ -458,22 +466,72 @@ class _ByteBlock:
                 value[i], ok[i] = number, True
         return value, ok
 
+    def stamp_cells(self, name: str) -> np.ndarray:
+        """``_stamp_cell`` of one column's field in every row.  Fields of the
+        shape YYYY-MM-DDTHH:MM:SS followed by Z or ±HH:MM, with a valid
+        date and time, a year in 2..9998 (so no offset moves the instant out
+        of datetime's range) and an offset under 24 hours, are parsed here;
+        ``_stamp_cell`` decides every other one."""
+        starts, ends = self._bounds(name)
+        length = ends - starts
+        cell = np.full(len(self), _BAD_DATE, dtype=np.int64)
+        rows = np.flatnonzero((length == 20) | (length == 25))
+        windows = np.lib.stride_tricks.sliding_window_view(self.buf, len(_STAMP))
+        text = windows[starts[rows]]  # the pad covers a short last field
+        zulu, sign = length[rows] == 20, text[:, 19]
+        ok = np.where(zulu, sign == 90, (sign == 43) | (sign == 45))  # Z, or + or -
+        text[zulu, 19:] = np.frombuffer(b"+00:00", dtype=np.uint8)  # Z reads as +00:00
+        ok &= (text[:, _STAMP_MARKS] == _STAMP[_STAMP_MARKS]).all(axis=1)
+        digit = text[:, _STAMP_DIGITS] - np.uint8(48)
+        ok &= (digit < 10).all(axis=1)
+        pairs = digit[:, ::2].astype(np.int64) * 10 + digit[:, 1::2]  # two-digit numbers
+        century, year, month, day, hour, minute, second, offset_hour, offset_minute = (
+            np.ascontiguousarray(pairs.T)
+        )
+        year += century * 100
+        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+        good_month = (month >= 1) & (month <= 12)
+        month = np.where(good_month, month, 1)
+        ok &= good_month & (year >= 2) & (year <= 9998)
+        ok &= (day >= 1) & (day <= _DAYS_IN_MONTH[month] + (leap & (month == 2)))
+        ok &= (hour < 24) & (minute < 60) & (second < 60)
+        ok &= (offset_hour < 24) & (offset_minute < 60)
+        before = year - 1  # date.toordinal(): days since 0001-01-01, plus one
+        ordinal = before * 365 + before // 4 - before // 100 + before // 400
+        ordinal += _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
+        offset = (offset_hour * 60 + offset_minute) * np.where(text[:, 19] == 45, -1, 1)
+        minutes = ordinal * 1440 + hour * 60 + minute - offset  # in UTC
+        cell[rows[ok]] = (minutes // 1440 * 8 + (minutes % 1440 // 60 - 3) % 24 // 3)[ok]
+        rest = np.ones(len(self), dtype=bool)
+        rest[rows[ok]] = False
+        rest = np.flatnonzero(rest)
+        cell[rest] = [_stamp_cell(text) for text in self._texts([(starts, ends)], rest)]
+        return cell
+
 
 def _byte_path(path: Path) -> bool:
     """Whether a CSV is read by the byte path: it is at least
     BYTE_PATH_MIN_BYTES long (below that csv.reader's row loop is faster)
-    and holds no quote, NUL or lone CR, so the byte path splits it as
-    csv.reader would."""
+    and holds no NUL or lone CR, and no quote after its header line, so the
+    byte path splits it as csv.reader would.  _blocks parses the header
+    line with csv.reader, so it may hold quotes that close on it."""
     if os.path.getsize(path) < BYTE_PATH_MIN_BYTES:
         return False
     with open(path, "rb") as handle:
-        while block := handle.read(BLOCK_BYTES):
+        block = handle.readline()
+        if b'"' in block:
+            names = next(csv.reader([block.decode("utf-8", "replace")]))
+            if any("\n" in name for name in names):
+                return False  # a quoted name runs past the header line
+            block = block.replace(b'"', b"")
+        while block:
             if block.endswith(b"\r"):
                 block += handle.read(1)
             if b'"' in block or b"\0" in block:
                 return False
             if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
                 return False
+            block = handle.read(BLOCK_BYTES)
     return True
 
 
@@ -560,7 +618,8 @@ def _report_rows(path, required, cell: _Lookup, string_columns, vocabs):
 
 
 def _report_blocks(path, required, cell: _Lookup, string_columns, vocabs):
-    """The byte path of _read_reports: one block at a time."""
+    """The byte path of _read_reports: one block at a time.  Raw
+    timestamps are parsed by _ByteBlock.stamp_cells, not grouped."""
     strings = [
         _Lookup((name,), functools.partial(_intern, vocab=vocab))
         for name, vocab in zip(string_columns, vocabs)
@@ -569,7 +628,10 @@ def _report_blocks(path, required, cell: _Lookup, string_columns, vocabs):
     blank = [0, 0, 0]
     columns: list[list[np.ndarray]] = [[], [], [], [], []]
     for block in _blocks(path, required):
-        cells = block.values(cell)
+        if cell.resolve is _stamp_cell:
+            cells = block.stamp_cells(cell.names[0])
+        else:
+            cells = block.values(cell)
         keep = cells >= 0
         for code, count in zip(*np.unique(cells[~keep], return_counts=True)):
             bad_cells[int(code)] = bad_cells.get(int(code), 0) + int(count)
@@ -629,7 +691,7 @@ def read_raw_reports(
     if column_map:
         colmap.update(column_map)
     columns = [colmap[f] for f in RAW_FIELDS]
-    # timestamps seldom repeat, so they are checked once per block
+    # timestamps seldom repeat, so csv.reader's row loop does not keep them
     stamps = _Lookup(columns[:1], _stamp_cell, remember=False)
     table, bad_cells, blank = _read_reports(path, columns, stamps, columns[1:])
     rejects = {}

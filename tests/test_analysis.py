@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import SAMPLE_CSV, make_config
 from pssim.analysis import (
     BinnedSeries,
+    _user_weekly,
     autocorrelation,
     bin_reports,
     estimate_evtype_pmf,
@@ -441,3 +443,96 @@ def test_canonical_subsets_keep_the_row_order():
     binned = bin_reports(subset, ORACLE_WINDOW)
     _, _, user_weekly, _, _ = oracle_bin([rows[i] for i in pick], ORACLE_WINDOW)
     assert binned.weekly_samples() == [float(c) for w in user_weekly.values() for c in w.values()]
+
+
+# -- per-(user, week) pair columns --------------------------------------------
+
+
+def interleaved_rows():
+    """Users whose first rows interleave, whose weeks appear out of order,
+    and one user who is only seen outside the window."""
+    plan = [
+        ("u3", 15), ("u1", 2), ("u3", 0), ("u2", 22), ("u1", 29), ("u3", 15),
+        ("u1", 9), ("u5", 31), ("u2", 1), ("u1", 2), ("u3", 8), ("u2", 22),
+        ("u4", 28), ("u3", 0), ("u5", -1), ("u1", 16), ("u4", 3),
+    ]
+    return [
+        ingested(WINDOW_START + dt.timedelta(days=day), TemporalBin.MD, source=user)
+        for user, day in plan
+    ]
+
+
+def pair_rows(binned):
+    """The pair columns as (user, week, count) rows."""
+    return [
+        (binned.users[u], w, c)
+        for u, w, c in zip(
+            binned.pair_user.tolist(), binned.pair_week.tolist(), binned.pair_count.tolist()
+        )
+    ]
+
+
+@pytest.mark.parametrize("case", ["interleaved", "shuffled-1", "shuffled-2", "subset"])
+def test_pair_columns_match_the_oracle(case):
+    if case == "interleaved":
+        rows = interleaved_rows()
+    else:
+        _, rows = shuffled_canonical(int(case[-1]) if case != "subset" else 5)
+        if case == "subset":
+            rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))[:200]]
+    _, _, user_weekly, _, _ = oracle_bin(rows, ORACLE_WINDOW)
+    binned = bin_reports(rows, ORACLE_WINDOW)
+    assert binned.users == list(user_weekly)
+    assert pair_rows(binned) == [
+        (u, w, c) for u, weeks in user_weekly.items() for w, c in weeks.items()
+    ]
+    samples = binned.weekly_samples()
+    assert all(type(x) is float for x in samples)
+    assert [x.hex() for x in samples] == [
+        float(c).hex() for weeks in user_weekly.values() for c in weeks.values()
+    ]
+    # the mean the outlier filter of ingest compares
+    assert list(binned.mean_weekly().items()) == [
+        (u, sum(weeks.values()) / len(weeks)) for u, weeks in user_weekly.items()
+    ]
+
+
+def test_interleaved_users_keep_their_first_seen_weeks():
+    binned = bin_reports(interleaved_rows(), ORACLE_WINDOW)
+    assert binned.users == ["u3", "u1", "u2", "u4"]
+    assert binned.user_weekly == {
+        "u3": {2: 2, 0: 2, 1: 1},
+        "u1": {0: 2, 4: 1, 1: 1, 2: 1},
+        "u2": {3: 2, 0: 1},
+        "u4": {4: 1, 0: 1},
+    }
+
+
+def test_no_reports_in_the_window_give_empty_pairs():
+    rows = [ingested(WINDOW_START - dt.timedelta(days=1), TemporalBin.MD)]
+    binned = bin_reports(rows, ORACLE_WINDOW)
+    assert binned.users == [] and binned.user_weekly == {}
+    assert binned.weekly_samples() == [] and binned.mean_weekly() == {}
+
+
+class ManyNames(Sequence):
+    """2**62 source names, built on access; a code out of range raises."""
+
+    def __len__(self):
+        return 2**62
+
+    def __getitem__(self, code):
+        if not 0 <= code < len(self):
+            raise IndexError(code)
+        return f"s{code}"
+
+
+def test_user_codes_are_compacted_when_keys_would_overflow():
+    # 2**62 source codes times 4 weeks times 5 rows passes int64
+    source = np.array([2**61, 5, 2**61, 7, 5], dtype=np.int64)
+    week = np.array([3, 0, 1, 3, 0])
+    users, pair_user, pair_week, pair_count = _user_weekly(source, week, ManyNames())
+    assert users == [f"s{2**61}", "s5", "s7"]
+    assert pair_user.tolist() == [0, 0, 1, 2]
+    assert pair_week.tolist() == [3, 1, 0, 3]
+    assert pair_count.tolist() == [1, 1, 2, 1]

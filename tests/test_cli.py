@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import json
 
 import pytest
 from click.testing import CliRunner
@@ -118,6 +119,46 @@ class TestIngest:
         out = tmp_path / "canon.csv"
         result = run_ok(runner, ["ingest", str(raw), "--out", str(out)])
         assert "rejected 0 rows" in result.output
+
+    @pytest.mark.parametrize("pct", ["50", "80", "97.5"])
+    def test_outlier_pct_drops_users_above_their_mean_weekly_percentile(
+        self, runner, tmp_path, pct
+    ):
+        # 40 users over 4 weeks, each reporting in some weeks only, and
+        # their first rows interleaved; the oracle counts with dicts
+        import numpy as np
+
+        from pssim.analysis import filter_outliers
+
+        rng = np.random.default_rng(int(float(pct) * 10))
+        base = dt.datetime(2015, 2, 23, tzinfo=dt.timezone.utc)
+        rows, weekly = [], {}
+        for _ in range(1500):
+            user = f"u{int(rng.integers(0, 40)) ** 2 % 97:02d}"
+            seconds = int(rng.integers(0, 28 * 86400))
+            if (int(user[1:]) + seconds // (7 * 86400)) % 3 == 0:
+                continue  # a week the user is silent in
+            rows.append(f"{(base + dt.timedelta(seconds=seconds)).isoformat()},{user},A,Jam")
+            weeks = weekly.setdefault(user, {})
+            week = seconds // (7 * 86400)
+            weeks[week] = weeks.get(week, 0) + 1
+        raw = tmp_path / "raw.csv"
+        raw.write_text("timestamp,sourceId,loc,incidentType\n" + "\n".join(rows) + "\n")
+        mean = {user: sum(weeks.values()) / len(weeks) for user, weeks in weekly.items()}
+        _, dropped = filter_outliers(mean, float(pct))
+        assert dropped
+
+        out = tmp_path / "canon.csv"
+        run_ok(runner, ["ingest", str(raw), "--out", str(out), "--start", "2015-02-23",
+                        "--days", "28", "--outlier-pct", pct])
+        with open(out, newline="") as handle:
+            kept = {row["sourceId"] for row in csv.DictReader(handle)}
+        assert kept == set(weekly) - set(dropped)
+        meta = json.loads((tmp_path / "canon.csv.meta.json").read_text())
+        assert meta["outlier_users_removed"] == len(dropped)
+        assert meta["outlier_reports_removed"] == sum(
+            sum(weekly[user].values()) for user in dropped
+        )
 
 
 @pytest.fixture(scope="module")

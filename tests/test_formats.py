@@ -2,9 +2,12 @@ import csv
 import dataclasses
 import datetime as dt
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_config
 from pssim import formats
@@ -759,17 +762,18 @@ def columns(table):
     return out
 
 
-def read_both(tmp_path, kind, body: bytes):
-    """Read ``body`` under the kind's header through the byte path and
-    through csv.reader, forced by quoting the first header name (the names
-    stay the same); both must give equal tables and rejects."""
-    reader, head, _ = READERS[kind]
-    first, _, rest = head.partition(",")
-    plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
-    plain.write_bytes(f"{head}\n".encode() + body)
-    quoted.write_bytes(f'"{first}",{rest}\n'.encode() + body)
-    assert formats._byte_path(plain) and not formats._byte_path(quoted)
-    (table, rejects), (text_table, text_rejects) = reader(plain), reader(quoted)
+def read_both(tmp_path, kind, body: bytes, head: str | None = None):
+    """Read ``body`` under the kind's header (or ``head``) through the byte
+    path and through csv.reader, forced by raising BYTE_PATH_MIN_BYTES past
+    the file's size; both must give equal tables and rejects."""
+    reader, default_head, _ = READERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(f"{head or default_head}\n".encode() + body)
+    assert formats._byte_path(path)
+    table, rejects = reader(path)
+    with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", path.stat().st_size + 1):
+        assert not formats._byte_path(path)
+        text_table, text_rejects = reader(path)
     assert columns(table) == columns(text_table)
     assert rejects == text_rejects
     return table, rejects
@@ -890,3 +894,171 @@ def test_small_files_take_the_row_loop(tmp_path):
     assert formats._byte_path(path)
     path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\n")
     assert not formats._byte_path(path)
+
+
+def byte_body(kind, min_bytes):
+    """Copies of the kind's mixed body, at least ``min_bytes`` long."""
+    one = mixed_body(kind, copies=1)
+    return one * (min_bytes // len(one) + 1)
+
+
+# the required names stay the same; an extra last name holds a quoted comma
+QUOTED_HEADS = {
+    "trace": '"EventNo",Date,"Day",Time,ReportNo,SourceId,EventReported,"EventOccurred","a, b"',
+    "raw": '"timestamp",sourceId,"loc",incidentType,"a ""b"", c"',
+}
+
+
+@pytest.mark.parametrize("kind", QUOTED_HEADS)
+def test_quoted_header_names_keep_the_byte_path(tmp_path, kind):
+    body = byte_body(kind, formats.BYTE_PATH_MIN_BYTES)
+    table, rejects = read_both(tmp_path, kind, body, head=QUOTED_HEADS[kind])
+    plain, plain_rejects = read_both(tmp_path, kind, body)
+    assert columns(table) == columns(plain) and rejects == plain_rejects
+    assert len(table) > 0 and rejects
+
+
+def test_header_quote_that_does_not_close_takes_csv_reader(tmp_path):
+    # csv.reader reads the rest of the file into the last header name
+    path = tmp_path / "raw.csv"
+    path.write_bytes(f'{RAW_HEAD},"note\n'.encode() + byte_body("raw", formats.BYTE_PATH_MIN_BYTES))
+    assert not formats._byte_path(path)
+    table, rejects = read_raw_reports(path)
+    assert len(table) == 0 and rejects == {}
+
+
+def stamp_block(stamps) -> formats._ByteBlock:
+    """A byte-path block whose rows hold one timestamp and one more field."""
+    data = "".join(f"{stamp},x\n" for stamp in stamps).encode()
+    buf = np.zeros(len(data) + len(formats._PAD), dtype=np.uint8)
+    buf[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    block = formats._ByteBlock(buf, len(data), {"timestamp": 0, "x": 1})
+    assert len(block) == len(stamps)
+    return block
+
+
+STAMP_CASES = [
+    # leap days
+    "2000-02-29T12:00:00Z",
+    "2016-02-29T12:00:00+00:00",
+    "1900-02-29T12:00:00Z",
+    "2015-02-29T12:00:00Z",
+    "2016-02-30T12:00:00Z",
+    # offsets that move the cell across a day, a month and a year
+    "2015-02-23T02:59:59Z",
+    "2015-02-23T03:00:00Z",
+    "2015-02-23T22:00:00-05:00",
+    "2016-03-01T01:30:00+02:00",
+    "2015-03-31T22:00:00-05:00",
+    "2015-12-31T23:59:59-00:01",
+    "2016-01-01T00:00:00+00:01",
+    "2016-02-28T23:00:00-01:00",
+    # offsets at and past their limits
+    "2015-02-23T04:00:00-00:00",
+    "2015-02-23T04:00:00+23:59",
+    "2015-02-23T04:00:00-23:59",
+    "2015-02-23T04:00:00+24:00",
+    "2015-02-23T04:00:00-24:00",
+    "2015-02-23T04:00:00+05:60",
+    "2015-02-23T04:00:00+0500",
+    "2015-02-23T04:00:00+05",
+    # times, months and days out of range
+    "2015-02-23T24:00:00Z",
+    "2015-02-23T23:60:00Z",
+    "2015-02-23T04:00:60Z",
+    "2015-00-23T04:00:00Z",
+    "2015-13-23T04:00:00Z",
+    "2015-04-31T04:00:00Z",
+    "2015-04-00T04:00:00Z",
+    # other shapes
+    "2015-02-23T04:00:00z",
+    "2015-02-23T04:00:00.5Z",
+    "2015-02-23T04:00:00.123456+01:00",
+    "2015-02-23 04:00:00Z",
+    "2015-02-23t04:00:00Z",
+    "2015-02-23T04:00:00",
+    "2015-02-23T04:00Z",
+    " 2015-02-23T04:00:00Z",
+    "2015-02-23T04:00:00Z ",
+    "2015-02-23T04:00:00ZZ",
+    "2015-02-23T04:00:00Z+00:00",
+    "2015/02/23T04:00:00Z",
+    "2015-02-23T04:00:00=05:00",
+    # years at datetime's ends, where an offset can overflow
+    "0000-01-01T12:00:00Z",
+    "0001-01-01T00:30:00+01:00",
+    "0001-01-01T23:30:00-01:00",
+    "0001-01-01T00:00:00Z",
+    "0002-01-01T00:30:00+01:00",
+    "9998-12-31T23:30:00-01:00",
+    "9999-12-31T23:30:00-01:00",
+    "9999-12-31T22:30:00+01:00",
+    "9999-12-31T23:59:59Z",
+    # non-ASCII digits
+    "2015-02-2٣T04:00:00Z",
+    "٢٠١٥-02-23T04:00:00Z",
+    "2015-02-23T04:00:00+0٥:00",
+    # not a timestamp
+    "not-a-time",
+    "",
+    "   ",
+]
+
+
+class TestStampCells:
+    def test_each_text_as_stamp_cell_gives(self):
+        cells = stamp_block(STAMP_CASES).stamp_cells("timestamp")
+        assert dict(zip(STAMP_CASES, cells.tolist())) == {
+            stamp: formats._stamp_cell(stamp) for stamp in STAMP_CASES
+        }
+
+    def test_valid_fixed_shapes_never_reach_python(self, monkeypatch):
+        valid = [
+            s for s in STAMP_CASES
+            if len(s) in (20, 25) and s[10] == "T" and s[19] in "Z+-" and s.isascii()
+            and 2 <= int(s[:4]) <= 9998 and (s[19] == "Z" or s[-2:] < "60")
+            and formats._stamp_cell(s) >= 0
+        ]
+        assert len(valid) >= 15
+        calls = []
+        monkeypatch.setattr(formats, "_stamp_cell", lambda text: calls.append(text) or -1)
+        cells = stamp_block(valid).stamp_cells("timestamp")
+        assert calls == [] and (cells >= 0).all()
+
+    def test_byte_and_text_paths_agree(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(formats, "BYTE_PATH_MIN_BYTES", 0)
+        body = "".join(f"{stamp},u{i},Elm Street,Jam\n" for i, stamp in enumerate(STAMP_CASES))
+        table, rejects = read_both(tmp_path, "raw", body.encode())
+        accepted = [s for s in STAMP_CASES if formats._stamp_cell(s) >= 0]
+        assert rejects == {"bad timestamp": len(STAMP_CASES) - len(accepted)}
+        assert (table.date * 8 + table.time).tolist() == [formats._stamp_cell(s) for s in accepted]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 9999),
+                st.integers(1, 12),
+                st.integers(1, 31),
+                st.integers(0, 23),
+                st.integers(0, 59),
+                st.integers(0, 59),
+                st.one_of(
+                    st.just("Z"),
+                    st.tuples(st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59)),
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_random_fixed_shape_stamps(self, parts):
+        stamps = []
+        for year, month, day, hour, minute, second, offset in parts:
+            if offset != "Z":
+                offset = "%s%02d:%02d" % offset
+            stamps.append(
+                f"{year:04d}-{month:02d}-{day:02d}T{hour:02d}:{minute:02d}:{second:02d}{offset}"
+            )
+        cells = stamp_block(stamps).stamp_cells("timestamp")
+        assert cells.tolist() == [formats._stamp_cell(stamp) for stamp in stamps]
