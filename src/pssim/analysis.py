@@ -147,8 +147,8 @@ def bin_reports(
 
 
 def _user_weekly(
-    source: np.ndarray, week: np.ndarray, sources: Sequence[str]
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    source: np.ndarray, week: np.ndarray, sources: Sequence
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """BinnedData's users and pair columns of the report count per (user,
     week): users in first-seen order, and each user's weeks in first-seen
     order.
@@ -180,6 +180,36 @@ def _user_weekly(
     names = user[new_user] if codes is None else codes[user[new_user]]
     users = [sources[code] for code in names.tolist()]
     return users, np.cumsum(new_user) - 1, key % weeks, count
+
+
+def weekly_samples_by_location(
+    reports, window: tuple[dt.date, int]
+) -> dict[str, list[float]]:
+    """Each location's participation samples inside ``window``: what
+    ``bin_reports`` of that location's reports alone gives as
+    ``weekly_samples()``, in the same order, from one grouping over
+    (location, user, week).  A location name held by several codes is
+    the last code's, as ``table.locs`` lists them; locations with no
+    report inside the window are left out.
+    """
+    start, days = window
+    table, _ = report_columns(reports)
+    offset = table.date - start.toordinal()
+    inside = (offset >= 0) & (offset < days)
+    width = max(len(table.sources), 1)
+    # a (location, user) code is first seen where that user first reports there
+    users, pair_user, _, pair_count = _user_weekly(
+        table.loc[inside].astype(np.int64) * width + table.source[inside],
+        offset[inside] // 7,
+        range(len(table.locs) * width),
+    )
+    pair_loc = (np.asarray(users, dtype=np.int64) // width)[pair_user]
+    code_of = {name: code for code, name in enumerate(table.locs)}
+    return {
+        name: samples
+        for name, code in code_of.items()
+        if (samples := pair_count[pair_loc == code].astype(np.float64).tolist())
+    }
 
 
 def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
@@ -319,12 +349,11 @@ def fit_models(
         },
     }
     if per_location:
-        loc_code = {name: code for code, name in enumerate(table.locs)}
+        loc_samples = weekly_samples_by_location(table, window)
         per_loc_fit: dict[str, dict[str, float] | None] = {}
         for loc in sorted(binned.per_location):
             try:
-                loc_binned = bin_reports(table.take(table.loc == loc_code[loc]), window)
-                fit = fit_lognormal(loc_binned.weekly_samples())
+                fit = fit_lognormal(loc_samples.get(loc, []))
                 per_loc_fit[loc] = {"mlog": fit.m, "sdlog": fit.s}
             except PsSimError:
                 per_loc_fit[loc] = None

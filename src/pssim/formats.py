@@ -16,6 +16,14 @@ not grouped: those of the shape YYYY-MM-DDTHH:MM:SS followed by Z or
 row at a time.  Any other file is read row by row with csv.reader.  Both
 paths run the same checks and return the same tables and reject counts.
 
+write_trace and write_canonical also write ``<path>.cols`` next to a
+regular file of at least BYTE_PATH_MIN_BYTES: the writer's code and value
+columns as raw arrays after a JSON line with the CSV's SHA-256 (see
+_write_sidecar).  The readers read a file from that sidecar when its hash
+matches and it checks whole (_Sidecar); each distinct text its rows use is
+parsed with csv.reader and goes through the same checks, so the tables and
+reject counts are again the same.
+
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
 texts, each quoted once by csv.writer with the comma or LF after it, or an
@@ -27,13 +35,19 @@ output row by row.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import datetime as dt
 import functools
+import hashlib
 import itertools
 import json
+import math
 import operator
 import os
+import re
+import stat
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -89,19 +103,42 @@ class ModelFile:
     meta: dict
 
 
+# the timestamps parse_timestamp accepts; every [0-9] is one ASCII digit
+_TIMESTAMP = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})"
+    r"(?:[Tt ]([0-9]{2})(?::([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}|[0-9]{3}))?)?)?"
+    r"(?:[Zz]|([+-])([0-9]{2}):([0-9]{2})(?::([0-9]{2})(?:\.([0-9]{6}))?)?)?)?"
+)
+
+
 def parse_timestamp(text: str) -> dt.datetime:
     """Parse an ISO-8601 timestamp, normalized to UTC.
 
-    A trailing Z is accepted; timestamps without an offset are treated as
-    already being UTC.
+    After surrounding whitespace is stripped, the text must be, in ASCII
+    digits, ``YYYY-MM-DD``, optionally followed by ``T``, ``t`` or a space
+    and a time ``HH``, ``HH:MM``, ``HH:MM:SS``, ``HH:MM:SS.fff`` or
+    ``HH:MM:SS.ffffff``, which may be followed by ``Z``, ``z``, ``±HH:MM``,
+    ``±HH:MM:SS`` or ``±HH:MM:SS.ffffff``.  The date and time must exist
+    and an offset must be under 24 hours with minutes and seconds under 60;
+    timestamps without one are taken as UTC.  Python 3.10 and 3.11 both
+    accept every such text in ``datetime.fromisoformat`` (with Z read as
+    +00:00) and give it the same instant.  Raises ValueError otherwise, and
+    OverflowError when the instant in UTC is outside datetime's range.
     """
-    t = text.strip()
-    if t.endswith(("Z", "z")):
-        t = t[:-1] + "+00:00"
-    stamp = dt.datetime.fromisoformat(t)
-    if stamp.tzinfo is None:
-        return stamp.replace(tzinfo=dt.timezone.utc)
-    return stamp.astimezone(dt.timezone.utc)
+    match = _TIMESTAMP.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an ISO-8601 timestamp: {text!r}")
+    year, month, day, hour, minute, second, fraction, sign, *offset = match.groups()
+    numbers = [int(part or 0) for part in (year, month, day, hour, minute, second)]
+    stamp = dt.datetime(*numbers, int((fraction or "0").ljust(6, "0")), tzinfo=dt.timezone.utc)
+    if sign is None:
+        return stamp
+    hours, minutes, seconds, micros = (int(part or 0) for part in offset)
+    if minutes > 59 or seconds > 59:
+        raise ValueError(f"offset out of range: {text!r}")
+    delta = dt.timedelta(hours=hours, minutes=minutes, seconds=seconds, microseconds=micros)
+    zone = dt.timezone(-delta if sign == "-" else delta)  # ValueError from 24 hours on
+    return stamp.replace(tzinfo=zone).astimezone(dt.timezone.utc)
 
 
 def parse_date(text: str) -> dt.date:
@@ -142,6 +179,12 @@ _STAMP_DIGITS = np.flatnonzero(_STAMP == ord("0"))
 _STAMP_MARKS = np.flatnonzero(np.isin(_STAMP, list(b"-T:")))  # the sign is checked apart
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])  # 1-based
 _DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
+SIDECAR_VERSION = 1
+_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8")  # of a sidecar's code columns; decimals are "<i8"
+_SIDECAR_START = b'{"sha256": "'  # then the sidecar's own SHA-256, 64 hex digits
+_HASH_BYTES = 1 << 20  # bytes per read while a sidecar is checked
+_UNKNOWN = np.iinfo(np.int64).min  # the value of a key no text was resolved for yet
+_DENSE_KEYS = 1 << 24  # lookups over more code combinations group each block's keys
 
 
 def _csv_fields(texts: Iterable[str]) -> list[str]:
@@ -191,9 +234,12 @@ def _decimal(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
     return text, start
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: int, parts: Sequence) -> None:
+def _write_csv(
+    path: Path, header: Sequence[str], rows: int, parts: Sequence, sidecar: bool = False
+) -> None:
     """Write a CSV header, then ``rows`` rows, each the texts of ``parts``
-    (_Texts or _Decimal) run together.
+    (_Texts or _Decimal) run together.  With ``sidecar``, a regular file of
+    at least BYTE_PATH_MIN_BYTES also gets a sidecar (see _write_sidecar).
 
     Each row part is a run of consecutive bytes of one blob, which holds
     every _Texts text and a chunk's _Decimal texts.  The bytes of a chunk of
@@ -209,7 +255,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: int, parts: Sequence) ->
     # where each _Texts part's texts begin among all texts
     offsets = np.array(list(itertools.accumulate(map(len, vocabularies[:-1]), initial=0)))
     with open(path, "wb") as handle:
-        handle.write(",".join(header).encode() + b"\n")
+        line = ",".join(header).encode() + b"\n"
+        handle.write(line)
+        digest = None  # of the CSV, when it may get a sidecar
+        if sidecar and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            digest = hashlib.sha256(line)
         for first in range(0, rows, CHUNK_ROWS):
             chunk = slice(first, first + CHUNK_ROWS)
             count = min(CHUNK_ROWS, rows - first)
@@ -236,7 +286,68 @@ def _write_csv(path: Path, header: Sequence[str], rows: int, parts: Sequence) ->
             index_type = np.int32 if max(size, total) < 2**31 else np.int64
             index = np.repeat((starts - ends + lengths).astype(index_type), lengths)
             index += np.arange(total, dtype=index_type)
-            handle.write(np.take(np.concatenate(data), index))  # faster than [] with int32
+            chunk_bytes = np.take(np.concatenate(data), index)  # faster than [] with int32
+            handle.write(chunk_bytes)
+            if digest is not None:
+                digest.update(chunk_bytes)
+        size = handle.tell()
+    if digest is not None and rows and size >= BYTE_PATH_MIN_BYTES:
+        _write_sidecar(path, header, rows, parts, digest.hexdigest())
+
+
+def _sidecar_path(path: Path) -> str:
+    return os.fspath(path) + ".cols"
+
+
+def _write_sidecar(path: Path, header: Sequence[str], rows: int, parts: Sequence, csv_sha256: str):
+    """Write ``<path>.cols``: one JSON line, then the code and value columns
+    of ``parts`` as _write_csv wrote them to ``path``, part after part.
+
+    The JSON holds SIDECAR_VERSION, the SHA-256 of the CSV, the row count,
+    the header and, per part, the dtype of its column and its texts, or
+    ``"decimal": true``.  Its first key, "sha256", is the SHA-256 of the
+    whole sidecar read with those 64 digits as zeros.  The sidecar is
+    written to a temporary file and moved into place; when that fails the
+    CSV stands alone.
+    """
+    target = _sidecar_path(path)
+    temporary = f"{target}.{os.getpid()}.tmp"
+    described = [
+        {
+            "dtype": next(d for d in _CODE_DTYPES if np.iinfo(d).max >= len(part.texts) - 1),
+            "texts": list(part.texts),
+        }
+        if isinstance(part, _Texts)
+        else {"dtype": "<i8", "decimal": True}
+        for part in parts
+    ]
+    head = {
+        "sha256": "0" * 64,
+        "version": SIDECAR_VERSION,
+        "csv_sha256": csv_sha256,
+        "rows": rows,
+        "header": list(header),
+        "parts": described,
+    }
+    line = json.dumps(head).encode() + b"\n"
+    digest = hashlib.sha256(line)
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(line)
+            for part, about in zip(parts, described):
+                column = part.codes if isinstance(part, _Texts) else part.values
+                dtype = np.dtype(about["dtype"])
+                step = _HASH_BYTES // dtype.itemsize
+                for first in range(0, rows, step):
+                    chunk = np.ascontiguousarray(column[first : first + step], dtype=dtype)
+                    digest.update(chunk)
+                    handle.write(chunk)
+            handle.seek(len(_SIDECAR_START))
+            handle.write(digest.hexdigest().encode())
+        os.replace(temporary, target)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
 
 
 def _distinct_dates(ordinals: np.ndarray) -> tuple[list[dt.date], np.ndarray]:
@@ -445,7 +556,9 @@ class _ByteBlock:
         if lookup.remember:
             lookup.words = [[np.concatenate((w[:known], w[known + at])) for w in c] for c in columns]
             lookup.values = np.concatenate((lookup.values, value[groups[at]]))
-        return value[groups]
+        out = np.full(n, _MALFORMED, dtype=np.int64)
+        out[rows] = value[groups[rows]]
+        return out
 
     def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """``int()`` of one column's field in every row, as int64 values and
@@ -558,6 +671,236 @@ def _blocks(path: Path, required: Sequence[str]):
                 yield block
 
 
+def _sha256(path: Path, out: list[str]) -> None:
+    """Append the SHA-256 of a file to ``out``; append nothing when it
+    cannot be read."""
+    digest = hashlib.sha256()
+    buffer = bytearray(_HASH_BYTES)
+    try:
+        with open(path, "rb") as handle:
+            while read := handle.readinto(buffer):
+                digest.update(memoryview(buffer)[:read])
+    except OSError:
+        return
+    out.append(digest.hexdigest())
+
+
+class _Sidecar:
+    """The sidecar of a CSV that _write_sidecar wrote, checked whole and
+    open for reading its columns.
+
+    Before any row is read, the check covers the version and the JSON
+    layout, the CSV's SHA-256, the sidecar's length and its own SHA-256,
+    and that every code points into its part's texts.  Each text the rows
+    use is then parsed with csv.reader, as the CSV path parses it inside a
+    row, which gives the part and field of every column.  Raises ValueError
+    (or KeyError, TypeError or AttributeError, from a malformed JSON line)
+    when a check fails, and csv.Error as the CSV path does for a field over
+    the limit.
+    """
+
+    def __init__(self, path: Path, handle):
+        self.path, self.handle = path, handle
+        line = handle.readline()
+        head = json.loads(line)
+        if not line.startswith(_SIDECAR_START) or head["version"] != SIDECAR_VERSION:
+            raise ValueError("not a sidecar of this version")
+        self.rows, self.header, parts = head["rows"], head["header"], head["parts"]
+        self.texts = [None if part.get("decimal") is True else part["texts"] for part in parts]
+        if not (
+            type(self.rows) is int
+            and self.rows > 0
+            and all(isinstance(name, str) for name in self.header)
+            and all(
+                part["dtype"] in (("<i8",) if texts is None else _CODE_DTYPES)
+                for part, texts in zip(parts, self.texts)
+            )
+        ):
+            raise ValueError("malformed sidecar header")
+        self.dtypes = [np.dtype(part["dtype"]) for part in parts]
+        widths = [dtype.itemsize * self.rows for dtype in self.dtypes]
+        self.starts = list(itertools.accumulate(widths[:-1], initial=len(line)))
+        if os.fstat(handle.fileno()).st_size != len(line) + sum(widths):
+            raise ValueError("sidecar length")
+        # the CSV is hashed in a thread while the sidecar is checked: hashlib
+        # and file reads release the GIL
+        csv_sha256: list[str] = []
+        hashing = threading.Thread(target=_sha256, args=(path, csv_sha256))
+        hashing.start()
+        error = None
+        try:
+            self._check(handle, line, head)
+        except csv.Error as exc:  # the CSV path raises it too, when this is its sidecar
+            error = exc
+        finally:
+            hashing.join()
+        if csv_sha256 != [head["csv_sha256"]]:
+            raise ValueError("the CSV changed")
+        if error is not None:
+            raise error
+        self.known: dict[_Lookup, np.ndarray] = {}  # per lookup: value by key
+
+    def _check(self, handle, line: bytes, head: dict) -> None:
+        """Check the sidecar's own SHA-256 and codes, and parse the texts
+        the rows use into self.fields and self.place."""
+        digest = hashlib.sha256(_SIDECAR_START + b"0" * 64 + line[len(_SIDECAR_START) + 64 :])
+        used = [None if texts is None else np.zeros(len(texts), dtype=bool) for texts in self.texts]
+        for texts, dtype, seen in zip(self.texts, self.dtypes, used):
+            step = _HASH_BYTES // dtype.itemsize
+            for first in range(0, self.rows, step):
+                column = np.empty(min(step, self.rows - first), dtype=dtype)
+                handle.readinto(column)
+                digest.update(column)
+                if texts is not None:
+                    if int(column.max()) >= len(texts):
+                        raise ValueError("code out of range")
+                    seen[column] = True
+        if digest.hexdigest() != head["sha256"]:
+            raise ValueError("sidecar hash")
+        if csv.field_size_limit() < 20:  # a decimal field could pass it
+            raise ValueError("field size limit below a decimal's width")
+        self.fields = []  # per part: row code -> the fields of its text
+        self.place = []  # per column: its part and field
+        for j, (texts, seen) in enumerate(zip(self.texts, used)):
+            codes = [] if seen is None else np.flatnonzero(seen).tolist()
+            chosen = [texts[code] for code in codes]
+            # csv.writer leaves a CR unquoted, and csv.reader ends a row at it
+            if not all(
+                isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
+                for text in chosen
+            ):
+                raise ValueError("texts are not whole fields")
+            # csv.reader reads an empty line as no field, where a row has one
+            fields = [f or [""] for f in csv.reader(text[:-1] for text in chosen)]
+            width = len(fields[0]) if fields else 1
+            if len(fields) != len(chosen) or any(len(f) != width for f in fields):
+                raise ValueError("texts are not whole fields")
+            self.fields.append(None if seen is None else dict(zip(codes, map(tuple, fields))))
+            self.place += [(j, k) for k in range(width)]
+        if len(self.place) != len(self.header):
+            raise ValueError("parts do not cover the header")
+
+    @classmethod
+    def open(cls, path: Path) -> "_Sidecar | None":
+        """The valid sidecar of a CSV of at least BYTE_PATH_MIN_BYTES, or
+        None; smaller files are never looked up."""
+        if os.path.getsize(path) < BYTE_PATH_MIN_BYTES:
+            return None
+        try:
+            handle = open(_sidecar_path(path), "rb")
+        except OSError:
+            return None
+        try:
+            return cls(path, handle)
+        except (ValueError, KeyError, TypeError, AttributeError, OSError):
+            handle.close()
+            return None
+        except BaseException:
+            handle.close()
+            raise
+
+    def __enter__(self) -> "_Sidecar":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.handle.close()
+
+    def blocks(self, required: Sequence[str]):
+        """The rows as _CodedBlocks of CHUNK_ROWS rows.  Raises PsSimError
+        when a required column is absent, as the CSV path does."""
+        col = _header_columns(self.path, iter([self.header]), required)
+        for first in range(0, self.rows, CHUNK_ROWS):
+            columns = []
+            for start, dtype in zip(self.starts, self.dtypes):
+                column = np.empty(min(CHUNK_ROWS, self.rows - first), dtype=dtype)
+                self.handle.seek(start + first * dtype.itemsize)
+                if self.handle.readinto(column) != column.nbytes:
+                    raise PsSimError(f"{_sidecar_path(self.path)}: cut short while read")
+                columns.append(column)
+            yield _CodedBlock(self, columns, col)
+
+
+class _CodedBlock:
+    """Rows of a CSV read from its sidecar: per part, each row's code into
+    the part's texts, or its int64 value for a decimal part.  It has
+    _ByteBlock's interface and gives the same values, the texts being the
+    fields csv.reader reads from the CSV."""
+
+    def __init__(self, sidecar: _Sidecar, columns: list[np.ndarray], col: dict[str, int]):
+        self.sidecar, self.columns, self.col = sidecar, columns, col
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def _texts(self, places, rows: np.ndarray) -> list:
+        texts = []
+        for part, field in places:
+            codes, fields = self.columns[part][rows].tolist(), self.sidecar.fields[part]
+            texts.append(list(map(str, codes)) if fields is None else [fields[c][field] for c in codes])
+        return texts[0] if len(places) == 1 else list(zip(*texts))
+
+    def values(self, lookup: _Lookup, keep: np.ndarray | None = None) -> np.ndarray:
+        """``lookup``'s value of every row's text; rows outside ``keep`` get
+        _MALFORMED and resolve nothing.  Rows are keyed by the codes of the
+        parts that hold the lookup's columns, and each new key's text goes
+        to ``lookup.of`` once, in the order the kept rows first use it."""
+        n = len(self)
+        rows = np.arange(n) if keep is None else np.flatnonzero(keep)
+        places = [self.sidecar.place[self.col[name]] for name in lookup.names]
+        parts = sorted({part for part, _ in places})
+        sizes = [0 if self.sidecar.fields[j] is None else len(self.sidecar.texts[j]) for j in parts]
+        store = self.sidecar.known.get(lookup)
+        if 0 < math.prod(sizes) <= _DENSE_KEYS:  # the codes make one key
+            key = np.zeros(n, dtype=np.int64)
+            for j, size in zip(parts, sizes):
+                key = key * size + self.columns[j]
+            if store is None:
+                store = np.full(math.prod(sizes), _UNKNOWN, dtype=np.int64)
+                if lookup.remember:
+                    self.sidecar.known[lookup] = store
+        else:  # decimal values, or too many combinations: keys of this block only
+            key, first = _groups([self.columns[j].astype(np.uint64) for j in parts])
+            store = np.full(len(first), _UNKNOWN, dtype=np.int64)
+        kept = key[rows]
+        got = store[kept]
+        new = got == _UNKNOWN
+        if new.any():
+            new_rows, new_keys = rows[new], kept[new]
+            order = np.argsort(new_keys, kind="stable")
+            first_use = np.ones(len(order), dtype=bool)
+            first_use[1:] = new_keys[order[1:]] != new_keys[order[:-1]]
+            at = np.sort(new_rows[order[first_use]])
+            store[key[at]] = [lookup.of(text) for text in self._texts(places, at)]
+            got = store[kept]
+        value = np.full(n, _MALFORMED, dtype=np.int64)
+        value[rows] = got
+        return value
+
+    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """One column's int64 values in every row, and a mask that holds
+        them all.  The column is a decimal part, as ReportNo, the one
+        integer column read, is in every sidecar write_trace writes."""
+        column = self.columns[self.sidecar.place[self.col[name]][0]]
+        return column.astype(np.int64), np.ones(len(column), dtype=bool)
+
+    def stamp_cells(self, name: str) -> np.ndarray:
+        """``_stamp_cell`` of one column's field in every row."""
+        return self.values(_Lookup((name,), _stamp_cell, remember=False))
+
+
+def _read(path: Path, required: Sequence[str], read_blocks, read_rows):
+    """Read a CSV with ``read_blocks`` from its sidecar when it has a valid
+    one, else from its bytes when _byte_path allows, else with
+    ``read_rows``, csv.reader's loop."""
+    sidecar = _Sidecar.open(path)
+    if sidecar is not None:
+        with sidecar:
+            return read_blocks(sidecar.blocks(required))
+    if _byte_path(path):
+        return read_blocks(_blocks(path, required))
+    return read_rows(path)
+
+
 def _narrow(codes: np.ndarray, size: int) -> np.ndarray:
     """Codes below ``size`` in the smallest unsigned type that holds them."""
     return codes.astype(np.min_scalar_type(max(size - 1, 0)))
@@ -617,9 +960,9 @@ def _report_rows(path, required, cell: _Lookup, string_columns, vocabs):
     return columns, bad_cells, blank
 
 
-def _report_blocks(path, required, cell: _Lookup, string_columns, vocabs):
-    """The byte path of _read_reports: one block at a time.  Raw
-    timestamps are parsed by _ByteBlock.stamp_cells, not grouped."""
+def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
+    """The block loop of _read_reports, over _ByteBlocks or _CodedBlocks.
+    Raw timestamps are parsed by stamp_cells, not grouped."""
     strings = [
         _Lookup((name,), functools.partial(_intern, vocab=vocab))
         for name, vocab in zip(string_columns, vocabs)
@@ -627,7 +970,7 @@ def _report_blocks(path, required, cell: _Lookup, string_columns, vocabs):
     bad_cells: dict[int, int] = {}
     blank = [0, 0, 0]
     columns: list[list[np.ndarray]] = [[], [], [], [], []]
-    for block in _blocks(path, required):
+    for block in blocks:
         if cell.resolve is _stamp_cell:
             cells = block.stamp_cells(cell.names[0])
         else:
@@ -661,8 +1004,12 @@ def _read_reports(
     rows rejected because it is the first blank one.
     """
     vocabs: tuple[dict[str, int], ...] = ({}, {}, {})  # sources, locs, types
-    read = _report_blocks if _byte_path(path) else _report_rows
-    columns, bad_cells, blank = read(path, required, cell, string_columns, vocabs)
+    columns, bad_cells, blank = _read(
+        path,
+        required,
+        lambda blocks: _report_blocks(blocks, cell, string_columns, vocabs),
+        lambda path: _report_rows(path, required, cell, string_columns, vocabs),
+    )
     date, time, source, loc, type_ = (_joined(c) for c in columns)
     sources, locs, types = vocabs
     table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
@@ -728,6 +1075,7 @@ def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
             _Texts(locs, table.loc),
             _Texts(types, table.type),
         ),
+        sidecar=True,
     )
 
 
@@ -795,6 +1143,7 @@ def write_trace(reports: Iterable[Report], path: Path) -> None:
             _Texts([f"{field}," for field in types], table.reported),
             _Texts([f"{field}\n" for field in types], table.occurred),
         ),
+        sidecar=True,
     )
 
 
@@ -913,8 +1262,8 @@ def _trace_rows(path, slots, sources, types):
     return columns, malformed, mismatched
 
 
-def _trace_blocks(path, slots, sources, types):
-    """The byte path of read_trace: one block at a time."""
+def _trace_blocks(blocks, slots, sources, types):
+    """The block loop of read_trace, over _ByteBlocks or _CodedBlocks."""
     prefixes = _Lookup(TRACE_HEADER[:4], _trace_slots(slots))
     source_codes = _Lookup(("SourceId",), functools.partial(_intern, vocab=sources))
     pairs: list[tuple[int, int]] = []  # type codes of each distinct pair
@@ -927,7 +1276,7 @@ def _trace_blocks(path, slots, sources, types):
     pair_codes = _Lookup(("EventReported", "EventOccurred"), pair_of)
     columns: list[list[np.ndarray]] = [[], [], [], [], []]
     malformed = mismatched = 0
-    for block in _blocks(path, TRACE_HEADER):
+    for block in blocks:
         slot = block.values(prefixes)
         mismatched += int(np.count_nonzero(slot == _MISMATCH))
         malformed += int(np.count_nonzero(slot == _MALFORMED))
@@ -958,8 +1307,12 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
     slots: dict[tuple[int, int, int], int] = {}
     sources: dict[str, int] = {}
     types: dict[str, int] = {}  # reported and occurred types share it
-    read = _trace_blocks if _byte_path(path) else _trace_rows
-    columns, malformed, mismatched = read(path, slots, sources, types)
+    columns, malformed, mismatched = _read(
+        path,
+        TRACE_HEADER,
+        lambda blocks: _trace_blocks(blocks, slots, sources, types),
+        lambda path: _trace_rows(path, slots, sources, types),
+    )
     rejects = {}
     if malformed:
         rejects["malformed row"] = malformed

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import datetime as dt
 import math
 from collections.abc import Sequence
@@ -17,6 +18,7 @@ from pssim.analysis import (
     estimate_pmfs,
     filter_outliers,
     qq_against_lognormal,
+    weekly_samples_by_location,
 )
 from pssim.distributions import LogNormalParams, RandomSource, fit_lognormal, pmf_from_counts
 from pssim.errors import PsSimError
@@ -536,3 +538,46 @@ def test_user_codes_are_compacted_when_keys_would_overflow():
     assert pair_user.tolist() == [0, 0, 1, 2]
     assert pair_week.tolist() == [3, 1, 0, 3]
     assert pair_count.tolist() == [1, 1, 2, 1]
+
+
+def per_subset_samples(table, window):
+    """The reference: bin_reports of each location's reports alone."""
+    code_of = {name: code for code, name in enumerate(table.locs)}
+    out = {}
+    for name in bin_reports(table, window).per_location:
+        binned = bin_reports(table.take(table.loc == code_of[name]), window)
+        out[name] = [sample.hex() for sample in binned.weekly_samples()]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_weekly_samples_by_location_equal_the_per_subset_path(seed):
+    table, _ = shuffled_canonical(seed)
+    samples = weekly_samples_by_location(table, ORACLE_WINDOW)
+    hexed = {name: [sample.hex() for sample in values] for name, values in samples.items()}
+    assert hexed == per_subset_samples(table, ORACLE_WINDOW)
+    assert len(hexed) == 3 and all(hexed.values())
+
+
+def test_weekly_samples_by_location_on_the_sample_export():
+    table, _ = read_raw_reports(SAMPLE_CSV)
+    window = (dt.date(2015, 2, 23), 35)
+    samples = weekly_samples_by_location(table, window)
+    hexed = {name: [sample.hex() for sample in values] for name, values in samples.items()}
+    assert hexed == per_subset_samples(table, window)
+
+
+def test_weekly_samples_by_location_take_the_last_code_of_a_name():
+    # two codes name "A": the per-subset path binned only the last one's reports
+    from pssim.table import CanonicalTable
+
+    table = CanonicalTable.from_codes(
+        np.full(4, WINDOW_START.toordinal()), np.zeros(4), [0, 1, 0, 0], {"u": 0, "v": 1},
+        [0, 1, 1, 2], {"A": 0, "A ": 1, "B": 2}, np.zeros(4), {"Jam": 0},
+    )
+    table = dataclasses.replace(table, locs=("A", "A", "B"))
+    samples = weekly_samples_by_location(table, WINDOW)
+    assert samples == {"A": [1.0, 1.0], "B": [1.0]}
+    assert {name: [x.hex() for x in v] for name, v in samples.items()} == per_subset_samples(
+        table, WINDOW
+    )

@@ -706,3 +706,38 @@ def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     events = aggregate(reports, min_support=2, default_loc="Elm, North").events
     write_events_csv(iter(list(events)), rows_out)
     assert rows_out.read_bytes() == expected
+
+
+def test_outputs_do_not_depend_on_sidecars(runner, tmp_path, monkeypatch):
+    """Every command gives the same bytes whether its trace or canonical
+    input is read from the column sidecar or from the CSV."""
+    from unittest import mock
+
+    from pssim import formats
+
+    monkeypatch.setattr(formats, "BYTE_PATH_MIN_BYTES", 0)  # every file gets a sidecar
+    canon, trace = tmp_path / "canonical.csv", tmp_path / "trace.csv"
+    run_ok(runner, ["ingest", str(SAMPLE_CSV), "--out", str(canon)])
+    run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
+    commands = {
+        "model.json": ["fit", str(canon), "--per-location"],
+        "events.csv": ["aggregate", str(canon), "--min-support", "2"],
+        "folds.csv": ["validate", str(canon), "-k", "3", "--seed", "4"],
+        "trace-events.csv": ["aggregate", str(trace), "--key", "occurred"],
+    }
+    outputs = {}
+    for sidecars in (True, False):
+        if not sidecars:
+            for path in (canon, trace):
+                (tmp_path / f"{path.name}.cols").unlink()
+        reads = mock.patch.object(
+            formats._CodedBlock, "__len__", autospec=True, side_effect=lambda block: len(block.columns[0])
+        )
+        for name, args in commands.items():
+            out = tmp_path / f"{sidecars}-{name}"
+            with reads as spy:
+                run_ok(runner, args + ["--out", str(out)])
+            assert spy.called == sidecars, name
+            outputs.setdefault(name, []).append(out.read_bytes())
+    for name, (with_sidecars, without) in outputs.items():
+        assert with_sidecars == without, name

@@ -1,7 +1,13 @@
 import csv
 import dataclasses
 import datetime as dt
+import functools
+import hashlib
 import io
+import json
+import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -280,8 +286,8 @@ class TestTraceFiles:
         monkeypatch.setattr(
             formats.DayBin, "from_label", counted("day", formats.DayBin.from_label)
         )
-        back, rejects = read_trace(path)
-        assert rejects == {} and back == trace.reports
+        (back, rejects), taken = read_by(read_trace, path)
+        assert taken == "rows" and rejects == {} and back == trace.reports
         for name, column in (("date", 1), ("day", 2), ("time", 3)):
             assert sorted(calls[name]) == sorted({row[column] for row in rows})
 
@@ -762,18 +768,46 @@ def columns(table):
     return out
 
 
+def read_by(reader, path):
+    """``reader(path)`` and the path that read the rows: "sidecar", "bytes"
+    or "rows" (csv.reader's loop), or None when no row was read."""
+    taken = set()
+
+    def spy(name, function):
+        def wrapper(*args, **kwargs):
+            taken.add(name)
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.multiple(
+        formats,
+        _trace_rows=spy("rows", formats._trace_rows),
+        _report_rows=spy("rows", formats._report_rows),
+    ), mock.patch.object(
+        formats._CodedBlock, "__len__", spy("sidecar", formats._CodedBlock.__len__)
+    ), mock.patch.object(formats._ByteBlock, "__len__", spy("bytes", formats._ByteBlock.__len__)):
+        result = reader(path)
+    assert len(taken) <= 1, taken
+    return result, (taken.pop() if taken else None)
+
+
 def read_both(tmp_path, kind, body: bytes, head: str | None = None):
     """Read ``body`` under the kind's header (or ``head``) through the byte
     path and through csv.reader, forced by raising BYTE_PATH_MIN_BYTES past
-    the file's size; both must give equal tables and rejects."""
+    the file's size; both must give equal tables and rejects.  A sidecar
+    left by an earlier write of the path is deleted first."""
     reader, default_head, _ = READERS[kind]
     path = tmp_path / f"{kind}.csv"
     path.write_bytes(f"{head or default_head}\n".encode() + body)
+    Path(f"{path}.cols").unlink(missing_ok=True)
     assert formats._byte_path(path)
-    table, rejects = reader(path)
+    (table, rejects), taken = read_by(reader, path)
+    assert taken == "bytes"
     with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", path.stat().st_size + 1):
         assert not formats._byte_path(path)
-        text_table, text_rejects = reader(path)
+        (text_table, text_rejects), taken = read_by(reader, path)
+        assert taken == "rows"
     assert columns(table) == columns(text_table)
     assert rejects == text_rejects
     return table, rejects
@@ -851,8 +885,11 @@ class TestByteAndTextPathsAgree:
         trace = simulate(make_config(seed=11, pr_lie=0.3, n=300, tau=14))
         path = tmp_path / "trace.csv"
         write_trace(trace.reports, path)
+        Path(f"{path}.cols").unlink()
         monkeypatch.setattr(formats, "BLOCK_BYTES", 512)
-        expected = columns(read_trace(path)[0])
+        (table, _), taken = read_by(read_trace, path)
+        assert taken == "bytes"
+        expected = columns(table)
         monkeypatch.setattr(formats, "_MIX", np.uint64(0))
         assert columns(read_trace(path)[0]) == expected
 
@@ -860,7 +897,8 @@ class TestByteAndTextPathsAgree:
         path = tmp_path / "trace.csv"
         path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\r{GOOD_ROW}\n", newline="")
         assert not formats._byte_path(path)  # csv.reader ends a row at a lone CR
-        assert len(read_trace(path)[0]) == 2
+        (table, _), taken = read_by(read_trace, path)
+        assert taken == "rows" and len(table) == 2
         path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\0\n")
         assert not formats._byte_path(path)
         try:  # csv.reader rejects NUL before Python 3.11
@@ -892,8 +930,13 @@ def test_small_files_take_the_row_loop(tmp_path):
     write_trace(trace.reports, path)
     assert path.stat().st_size >= formats.BYTE_PATH_MIN_BYTES
     assert formats._byte_path(path)
+    assert read_by(read_trace, path)[1] == "sidecar"
     path.write_text(f"{TRACE_HEAD}\n{GOOD_ROW}\n")
     assert not formats._byte_path(path)
+    # the sidecar of the large file is left behind, and never looked up
+    with mock.patch.object(formats, "_sidecar_path", side_effect=AssertionError):
+        (table, _), taken = read_by(read_trace, path)
+    assert taken == "rows" and len(table) == 1
 
 
 def byte_body(kind, min_bytes):
@@ -923,8 +966,8 @@ def test_header_quote_that_does_not_close_takes_csv_reader(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_bytes(f'{RAW_HEAD},"note\n'.encode() + byte_body("raw", formats.BYTE_PATH_MIN_BYTES))
     assert not formats._byte_path(path)
-    table, rejects = read_raw_reports(path)
-    assert len(table) == 0 and rejects == {}
+    (table, rejects), taken = read_by(read_raw_reports, path)
+    assert taken == "rows" and len(table) == 0 and rejects == {}
 
 
 def stamp_block(stamps) -> formats._ByteBlock:
@@ -1002,7 +1045,101 @@ STAMP_CASES = [
     "not-a-time",
     "",
     "   ",
+    # the rest of the grammar, and shapes one Python version or both reject
+    "2015-02-23",
+    "2015-02-23T04",
+    "2015-02-23T04:00:00.123Z",
+    "2015-02-23T04:00:00.1234Z",
+    "2015-02-23T04:00:00+05:30:15",
+    "2015-02-23T04:00:00-05:30:15.250000",
+    "2015-02-23T04:00:00+05:30:15.25",
+    "2015-02-23_04:00:00Z",
+    "2015-02-23T04:00:00 +05:00",
+    "20150223T040000Z",
 ]
+
+# parse_timestamp of every STAMP_CASES text as a UTC instant, None for a
+# reject; literal, so that it holds on every Python version
+STAMP_INSTANTS = {
+    "2000-02-29T12:00:00Z": dt.datetime(2000, 2, 29, 12, 0, 0),
+    "2016-02-29T12:00:00+00:00": dt.datetime(2016, 2, 29, 12, 0, 0),
+    "1900-02-29T12:00:00Z": None,
+    "2015-02-29T12:00:00Z": None,
+    "2016-02-30T12:00:00Z": None,
+    "2015-02-23T02:59:59Z": dt.datetime(2015, 2, 23, 2, 59, 59),
+    "2015-02-23T03:00:00Z": dt.datetime(2015, 2, 23, 3, 0, 0),
+    "2015-02-23T22:00:00-05:00": dt.datetime(2015, 2, 24, 3, 0, 0),
+    "2016-03-01T01:30:00+02:00": dt.datetime(2016, 2, 29, 23, 30, 0),
+    "2015-03-31T22:00:00-05:00": dt.datetime(2015, 4, 1, 3, 0, 0),
+    "2015-12-31T23:59:59-00:01": dt.datetime(2016, 1, 1, 0, 0, 59),
+    "2016-01-01T00:00:00+00:01": dt.datetime(2015, 12, 31, 23, 59, 0),
+    "2016-02-28T23:00:00-01:00": dt.datetime(2016, 2, 29, 0, 0, 0),
+    "2015-02-23T04:00:00-00:00": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00+23:59": dt.datetime(2015, 2, 22, 4, 1, 0),
+    "2015-02-23T04:00:00-23:59": dt.datetime(2015, 2, 24, 3, 59, 0),
+    "2015-02-23T04:00:00+24:00": None,
+    "2015-02-23T04:00:00-24:00": None,
+    "2015-02-23T04:00:00+05:60": None,
+    "2015-02-23T04:00:00+0500": None,
+    "2015-02-23T04:00:00+05": None,
+    "2015-02-23T24:00:00Z": None,
+    "2015-02-23T23:60:00Z": None,
+    "2015-02-23T04:00:60Z": None,
+    "2015-00-23T04:00:00Z": None,
+    "2015-13-23T04:00:00Z": None,
+    "2015-04-31T04:00:00Z": None,
+    "2015-04-00T04:00:00Z": None,
+    "2015-02-23T04:00:00z": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00.5Z": None,
+    "2015-02-23T04:00:00.123456+01:00": dt.datetime(2015, 2, 23, 3, 0, 0, 123456),
+    "2015-02-23 04:00:00Z": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23t04:00:00Z": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00Z": dt.datetime(2015, 2, 23, 4, 0, 0),
+    " 2015-02-23T04:00:00Z": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00Z ": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00ZZ": None,
+    "2015-02-23T04:00:00Z+00:00": None,
+    "2015/02/23T04:00:00Z": None,
+    "2015-02-23T04:00:00=05:00": None,
+    "0000-01-01T12:00:00Z": None,
+    "0001-01-01T00:30:00+01:00": None,
+    "0001-01-01T23:30:00-01:00": dt.datetime(1, 1, 2, 0, 30, 0),
+    "0001-01-01T00:00:00Z": dt.datetime(1, 1, 1, 0, 0, 0),
+    "0002-01-01T00:30:00+01:00": dt.datetime(1, 12, 31, 23, 30, 0),
+    "9998-12-31T23:30:00-01:00": dt.datetime(9999, 1, 1, 0, 30, 0),
+    "9999-12-31T23:30:00-01:00": None,
+    "9999-12-31T22:30:00+01:00": dt.datetime(9999, 12, 31, 21, 30, 0),
+    "9999-12-31T23:59:59Z": dt.datetime(9999, 12, 31, 23, 59, 59),
+    "2015-02-2٣T04:00:00Z": None,
+    "٢٠١٥-02-23T04:00:00Z": None,
+    "2015-02-23T04:00:00+0٥:00": None,
+    "not-a-time": None,
+    "": None,
+    "   ": None,
+    "2015-02-23": dt.datetime(2015, 2, 23, 0, 0, 0),
+    "2015-02-23T04": dt.datetime(2015, 2, 23, 4, 0, 0),
+    "2015-02-23T04:00:00.123Z": dt.datetime(2015, 2, 23, 4, 0, 0, 123000),
+    "2015-02-23T04:00:00.1234Z": None,
+    "2015-02-23T04:00:00+05:30:15": dt.datetime(2015, 2, 22, 22, 29, 45),
+    "2015-02-23T04:00:00-05:30:15.250000": dt.datetime(2015, 2, 23, 9, 30, 15, 250000),
+    "2015-02-23T04:00:00+05:30:15.25": None,
+    "2015-02-23_04:00:00Z": None,
+    "2015-02-23T04:00:00 +05:00": None,
+    "20150223T040000Z": None,
+}
+
+
+def test_timestamp_grammar_table():
+    assert list(STAMP_INSTANTS) == STAMP_CASES
+    for text, instant in STAMP_INSTANTS.items():
+        if instant is None:
+            with pytest.raises((ValueError, OverflowError)):
+                parse_timestamp(text)
+        else:
+            stamp = parse_timestamp(text)
+            assert stamp.tzinfo is dt.timezone.utc
+            assert stamp == instant.replace(tzinfo=dt.timezone.utc), text
 
 
 class TestStampCells:
@@ -1062,3 +1199,345 @@ class TestStampCells:
             )
         cells = stamp_block(stamps).stamp_cells("timestamp")
         assert cells.tolist() == [formats._stamp_cell(stamp) for stamp in stamps]
+
+
+# -- the column sidecar of pssim-written traces and canonical files -----------
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+# texts csv.writer quotes, spaces that must survive, and non-ASCII texts
+QUOTED_TEXTS = ("Road, closed", 'say "hi"', "two\nlines", "Jam")
+PLAIN_TEXTS = (" lead", "trail ", "Straße", "東京", "Jam")
+BLANK_TEXTS = ("", "   ")  # rows with these are rejected
+
+
+def sidecar_table(kind, texts, n=11):
+    """A trace or canonical table of ``n`` rows that uses every text (the
+    blank ones too) as a source and a type, and ReportNo and EventNo at
+    int64's ends.  Occurred types first appear before they are reported."""
+    texts = list(dict.fromkeys(texts + BLANK_TEXTS))
+    dates = dt.date(2016, 1, 9).toordinal() + np.arange(n) % 3
+    if kind == "trace":
+        event_no = np.array([INT64_MIN, INT64_MAX, 0, -1, 7])
+        slots = {(int(event_no[i]), int(dates[i]), i % 8): i for i in range(len(event_no))}
+        return ReportTable.from_codes(
+            slots,
+            np.arange(n) % len(event_no),
+            np.resize([INT64_MIN, INT64_MAX, 0, -1, 112, 1], n),
+            np.arange(n) % len(texts),
+            {text: code for code, text in enumerate(texts)},
+            (np.arange(n) + 1) % len(texts),
+            np.arange(n) % len(texts),
+            {text: code for code, text in enumerate(texts)},
+        )
+    vocab = {text: code for code, text in enumerate(texts)}
+    codes = np.arange(n) % len(texts)
+    return formats.CanonicalTable.from_codes(
+        dates, np.arange(n) % 8, codes, vocab, (codes + 2) % len(texts), vocab,
+        (codes + 1) % len(texts), vocab,
+    )
+
+
+SIDECAR_KINDS = {
+    "trace": (write_trace, read_trace),
+    "canonical": (write_canonical, read_canonical),
+}
+
+
+def read_every_way(reader, path, sidecar=True):
+    """Read a pssim-written CSV from its sidecar (which must be declined
+    when ``sidecar`` is false), from its bytes (when the byte path takes
+    it) and with csv.reader; all must give equal columns, vocabularies and
+    rejects."""
+    (table, rejects), taken = read_by(reader, path)
+    assert (taken == "sidecar") == sidecar
+    cols = Path(f"{path}.cols")
+    saved = cols.read_bytes()
+    cols.unlink()
+    others = []
+    if formats._byte_path(path):
+        others.append(read_by(reader, path))
+        assert others[-1][1] == "bytes"
+    with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", path.stat().st_size + 1):
+        others.append(read_by(reader, path))
+        assert others[-1][1] == "rows"
+    cols.write_bytes(saved)
+    for (other, other_rejects), _ in others:
+        assert columns(table) == columns(other)
+        assert rejects == other_rejects
+    return table, rejects, len(others)
+
+
+def reseal(cols: Path, edit_head=None, edit_payload=None) -> None:
+    """Edit a sidecar's JSON line or payload and make its own SHA-256 match
+    again, as _write_sidecar computes it."""
+    line, _, payload = cols.read_bytes().partition(b"\n")
+    head, payload = json.loads(line), bytearray(payload)
+    if edit_head:
+        edit_head(head)
+    if edit_payload:
+        edit_payload(head, payload)
+    head["sha256"] = "0" * 64
+    digest = hashlib.sha256(json.dumps(head).encode() + b"\n" + payload).hexdigest()
+    head["sha256"] = digest
+    cols.write_bytes(json.dumps(head).encode() + b"\n" + payload)
+
+
+class TestSidecar:
+    @pytest.fixture(autouse=True)
+    def sidecars_for_small_files(self, monkeypatch):
+        monkeypatch.setattr(formats, "BYTE_PATH_MIN_BYTES", 0)
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    @pytest.mark.parametrize("texts", [PLAIN_TEXTS, QUOTED_TEXTS], ids=["plain", "quoted"])
+    def test_every_path_reads_the_same(self, tmp_path, kind, texts):
+        write, read = SIDECAR_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        write(sidecar_table(kind, texts), path)
+        table, rejects, others = read_every_way(read, path)
+        assert others == (2 if texts is PLAIN_TEXTS else 1)
+        # stripped, as every string field is read
+        assert set(table.sources) == {text.strip() for text in texts}
+        assert sum(rejects.values()) > 0 and len(table) > 0
+        if kind == "trace":
+            assert table.report_no.tolist()[:2] == [INT64_MIN, INT64_MAX]
+            assert table.event_no.tolist() == [INT64_MIN, INT64_MAX, 0, -1, 7]
+            # the type a row reports is interned before the one it saw
+            assert table.types[:2] == (texts[1].strip(), texts[0].strip())
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_chunk_cuts_change_nothing(self, tmp_path, monkeypatch, kind):
+        write, read = SIDECAR_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        table = sidecar_table(kind, PLAIN_TEXTS + QUOTED_TEXTS, n=40)
+        write(table, path)
+        csv_bytes, cols_bytes = path.read_bytes(), Path(f"{path}.cols").read_bytes()
+        whole, whole_rejects, _ = read_every_way(read, path)
+        # sidecar columns written and checked 8 bytes at a time, read 3 rows at a time
+        monkeypatch.setattr(formats, "_HASH_BYTES", 8)
+        monkeypatch.setattr(formats, "CHUNK_ROWS", 3)
+        write(table, path)
+        assert path.read_bytes() == csv_bytes
+        assert Path(f"{path}.cols").read_bytes() == cols_bytes
+        cut, cut_rejects, _ = read_every_way(read, path)
+        assert columns(cut) == columns(whole) and cut_rejects == whole_rejects
+
+    def test_simulated_trace(self, tmp_path):
+        trace = simulate(make_config(seed=9, pr_lie=0.2, n=200))
+        path = tmp_path / "trace.csv"
+        write_trace(trace.reports, path)
+        table, rejects, _ = read_every_way(read_trace, path)
+        assert rejects == {} and table == trace.reports
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(INT64_MIN, INT64_MAX),
+                st.text(st.sampled_from('ab ,"\n\r\xe9東'), max_size=4),
+                st.text(st.sampled_from("ab ,\xe9"), max_size=3),
+                st.text(st.sampled_from('ab "'), max_size=3),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_property_every_path_reads_the_same(self, rows):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.csv"
+            date = dt.date(2016, 1, 9)
+            write_trace(
+                [Report(i % 3, date, weekday_of(date), TEMPORAL_BINS[i % 8], number, source, a, b)
+                 for i, (number, source, a, b) in enumerate(rows)],
+                path,
+            )
+            # csv.writer leaves a CR unquoted, so csv.reader splits that row
+            cr = any("\r" in text for row in rows for text in row[1:])
+            table, rejects, _ = read_every_way(read_trace, path, sidecar=not cr)
+        assert cr or len(table) + sum(rejects.values()) == len(rows)
+
+    def test_layout_is_a_json_line_and_raw_columns(self, tmp_path, monkeypatch):
+        table = sidecar_table("trace", PLAIN_TEXTS)
+        path = tmp_path / "trace.csv"
+        replaced, replace = [], os.replace
+        monkeypatch.setattr(
+            formats.os, "replace", lambda a, b: replaced.append((a, b)) or replace(a, b)
+        )
+        write_trace(table, path)
+        cols = Path(f"{path}.cols")
+        assert replaced == [(f"{cols}.{os.getpid()}.tmp", str(cols))]
+        line, _, payload = cols.read_bytes().partition(b"\n")
+        head = json.loads(line)
+        assert head["version"] == formats.SIDECAR_VERSION and head["rows"] == len(table)
+        assert head["csv_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert head["header"] == list(TRACE_HEADER)
+        columns_ = (table.event, table.report_no, table.source, table.reported, table.occurred)
+        assert payload == b"".join(
+            np.asarray(column, dtype=part["dtype"]).tobytes()
+            for column, part in zip(columns_, head["parts"])
+        )
+        assert [part.get("decimal", False) for part in head["parts"]] == [0, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["csv byte", "truncated", "version", "payload hash", "code out of range", "dtype", "header"],
+    )
+    def test_a_damaged_sidecar_gives_way_to_the_csv(self, tmp_path, damage):
+        path = tmp_path / "trace.csv"
+        write_trace(sidecar_table("trace", PLAIN_TEXTS), path)
+        cols = Path(f"{path}.cols")
+        if damage == "csv byte":  # a ReportNo digit, so the row still parses
+            data = path.read_bytes()
+            at = data.index(b",112,") + 1
+            path.write_bytes(data[:at] + b"9" + data[at + 1 :])
+        elif damage == "truncated":
+            cols.write_bytes(cols.read_bytes()[:-1])
+        elif damage == "version":
+            reseal(cols, lambda head: head.update(version=formats.SIDECAR_VERSION + 1))
+        elif damage == "payload hash":
+            data = bytearray(cols.read_bytes())
+            data[-1] ^= 1
+            cols.write_bytes(bytes(data))
+        elif damage == "code out of range":  # the last occurred code
+            reseal(cols, edit_payload=lambda head, payload: payload.__setitem__(
+                -1, len(head["parts"][-1]["texts"])
+            ))
+        elif damage == "dtype":  # the same width, so only the dtype is wrong
+            reseal(cols, lambda head: head["parts"][-1].update(dtype="|i1"))
+        else:  # a header the parts do not cover
+            reseal(cols, lambda head: head["header"].append("extra"))
+        (table, rejects), taken = read_by(read_trace, path)
+        assert taken == "bytes"
+        cols.unlink()
+        expected, expected_rejects = read_trace(path)
+        assert columns(table) == columns(expected) and rejects == expected_rejects
+
+    @pytest.mark.parametrize("fault", ["temporary file", "move"])
+    def test_unwritable_sidecar_leaves_the_csv(self, tmp_path, monkeypatch, fault):
+        table = sidecar_table("trace", PLAIN_TEXTS)
+        expected = tmp_path / "expected.csv"
+        write_trace(table, expected)
+        if fault == "move":
+            monkeypatch.setattr(formats.os, "replace", mock.Mock(side_effect=PermissionError))
+        else:
+            monkeypatch.setattr(formats, "_sidecar_path", lambda path: f"{tmp_path}/no/such/dir")
+        path = tmp_path / "trace.csv"
+        write_trace(table, path)
+        assert path.read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["expected.csv", "expected.csv.cols", "trace.csv"]
+
+    def test_unwritable_sidecar_lets_the_command_succeed(self, tmp_path, monkeypatch):
+        from click.testing import CliRunner
+
+        from pssim.cli import main
+
+        monkeypatch.setattr(formats.os, "replace", mock.Mock(side_effect=PermissionError))
+        out = tmp_path / "trace.csv"
+        result = CliRunner().invoke(main, ["simulate", "--n", "20", "--tau", "7", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.stat().st_size > 0 and not Path(f"{out}.cols").exists()
+
+    def test_field_size_limit_still_raises(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        for long in ("U" * 40, "U" * 41):
+            write_trace(sidecar_table("trace", PLAIN_TEXTS + (long,)), path)
+            limit = csv.field_size_limit(40)
+            try:
+                if len(long) == 40:
+                    assert read_by(read_trace, path)[1] == "sidecar"
+                else:
+                    with pytest.raises(csv.Error, match="field limit"):
+                        read_trace(path)
+                    # a changed CSV without the long field: its sidecar is not used
+                    path.write_bytes(path.read_bytes().replace(long.encode(), b"U" * 40))
+                    assert read_by(read_trace, path)[1] == "bytes"
+            finally:
+                csv.field_size_limit(limit)
+
+    def test_grouped_keys_read_the_same(self, tmp_path, monkeypatch):
+        # lookups over more code combinations group each block's keys by sorting
+        path = tmp_path / "trace.csv"
+        write_trace(sidecar_table("trace", PLAIN_TEXTS + QUOTED_TEXTS, n=40), path)
+        expected, expected_rejects, _ = read_every_way(read_trace, path)
+        monkeypatch.setattr(formats, "_DENSE_KEYS", 0)
+        monkeypatch.setattr(formats, "CHUNK_ROWS", 7)
+        table, rejects, _ = read_every_way(read_trace, path)
+        assert columns(table) == columns(expected) and rejects == expected_rejects
+
+    def test_any_layout_of_parts_reads_the_same(self, tmp_path):
+        # parts over several columns, and EventOccurred as a decimal part that lookups use
+        path = tmp_path / "trace.csv"
+        codes = np.arange(12)
+        formats._write_csv(
+            path,
+            TRACE_HEADER,
+            len(codes),
+            (
+                formats._Texts(["51,2016-01-09,Saturday,", "52,2016-01-10,Sunday,"], codes % 2),
+                formats._Texts(["MidDay,", "Lunchtime,", "Night,"], codes % 3),
+                formats._Decimal(codes * 7, b","),
+                formats._Texts(["u1,Jam,", '"a, b",Jam,', " ,Jam,"], codes % 3),
+                formats._Decimal(codes - 3, b"\n"),
+            ),
+            sidecar=True,
+        )
+        table, rejects, _ = read_every_way(read_trace, path)
+        assert len(table) > 0 and rejects["malformed row"] > 0
+        read = functools.partial(
+            read_raw_reports,
+            column_map={
+                "timestamp": "EventNo", "sourceId": "SourceId", "loc": "Time", "incidentType": "EventOccurred"
+            },
+        )
+        stamp_cell = {"51": -1, "52": 8 * dt.date(2016, 1, 10).toordinal() + 3}.__getitem__
+        with mock.patch.object(formats, "_stamp_cell", stamp_cell):
+            table, rejects, _ = read_every_way(read, path)
+        assert len(table) > 0 and rejects
+
+    def test_raw_read_of_a_canonical_file_uses_its_sidecar(self, tmp_path):
+        path = tmp_path / "canonical.csv"
+        write_canonical(sidecar_table("canonical", PLAIN_TEXTS), path)
+        read = functools.partial(read_raw_reports, column_map={"timestamp": "date"})
+        table, rejects, _ = read_every_way(read, path)
+        assert len(table) > 0 and rejects
+
+
+def test_small_files_get_no_sidecar(tmp_path):
+    trace = simulate(make_config(seed=9, n=50, tau=7))
+    path = tmp_path / "trace.csv"
+    with mock.patch.object(formats, "_sidecar_path", side_effect=AssertionError):
+        write_trace(trace.reports, path)
+        assert path.stat().st_size < formats.BYTE_PATH_MIN_BYTES
+        assert read_by(read_trace, path)[1] == "rows"
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+
+
+def test_write_to_a_device_gets_no_sidecar(monkeypatch):
+    monkeypatch.setattr(formats, "BYTE_PATH_MIN_BYTES", 0)
+    with mock.patch.object(formats, "_write_sidecar", side_effect=AssertionError):
+        write_trace(simulate(make_config(seed=9, n=50, tau=7)).reports, Path(os.devnull))
+
+
+@pytest.mark.parametrize("kind", ["bytes", "sidecar"])
+def test_rows_outside_keep_get_malformed(tmp_path, kind):
+    """A row outside ``keep`` gets _MALFORMED even when its text is known,
+    from an earlier call or from a kept row of the same call."""
+    path = tmp_path / "trace.csv"
+    rows = [GOOD_ROW.replace("UID000858", source) for source in ("a", "b", "a", "c")]
+    path.write_text(TRACE_HEAD + "\n" + "\n".join(rows) + "\n")
+    if kind == "sidecar":
+        with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", 0):
+            write_trace(read_trace(path)[0], path)
+            sidecar = formats._Sidecar.open(path)
+        with sidecar:
+            block = next(sidecar.blocks(TRACE_HEADER))
+    else:
+        block = next(formats._blocks(path, TRACE_HEADER))
+    values = {"a": 5, "b": 7, "c": 9}
+    lookup = formats._Lookup(("SourceId",), values.__getitem__)
+    assert block.values(lookup).tolist() == [5, 7, 5, 9]
+    keep = np.array([True, False, False, False])
+    assert block.values(lookup, keep).tolist() == [5, -1, -1, -1]
+    fresh = formats._Lookup(("SourceId",), values.__getitem__)
+    keep = np.array([False, True, False, True])
+    assert block.values(fresh, keep).tolist() == [-1, 7, -1, 9]
+    assert block.values(fresh, ~keep).tolist() == [5, -1, 5, -1]

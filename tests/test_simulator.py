@@ -319,9 +319,16 @@ class TestTraceTables:
         assert (retained - before) / n <= 40.0
         assert (peak - before) / n <= 80.0
 
-    def test_read_trace_memory_per_row_is_bounded(self, tmp_path):
+    @staticmethod
+    def measured_trace_read(tmp_path, sidecar: bool):
+        """Traced bytes retained and at peak per row by reading a 100k-row
+        trace, from its sidecar or (with the sidecar deleted) its bytes."""
         import gc
         import tracemalloc
+        from pathlib import Path
+        from unittest import mock
+
+        from pssim import formats
 
         cfg = make_config(
             n=10_000, tau=21, lambda_e=10.0, pr_lie=0.1, seed=1,
@@ -329,7 +336,12 @@ class TestTraceTables:
         )
         path = tmp_path / "trace.csv"
         write_trace(simulate(cfg).reports, path)
-        read_trace(path)  # lazy imports and caches outside the count
+        if not sidecar:
+            Path(f"{path}.cols").unlink()
+        block = formats._CodedBlock if sidecar else formats._ByteBlock
+        with mock.patch.object(block, "integers", autospec=True, side_effect=block.integers) as spy:
+            read_trace(path)  # lazy imports and caches outside the count
+        assert spy.called  # the rows are read by the path named
         gc.collect()
         tracemalloc.start()
         try:
@@ -340,9 +352,19 @@ class TestTraceTables:
             tracemalloc.stop()
         n = len(table)
         assert rejects == {} and 95_000 < n < 110_000
+        return (retained - before) / n, (peak - before) / n
+
+    def test_read_trace_memory_per_row_is_bounded(self, tmp_path):
+        retained, peak = self.measured_trace_read(tmp_path, sidecar=False)
         # measured with 512 KiB blocks: 23.2 B/row retained, 66.4 B/row peak
-        assert (retained - before) / n <= 26.0
-        assert (peak - before) / n <= 75.0
+        assert retained <= 26.0
+        assert peak <= 75.0
+
+    def test_read_trace_memory_per_row_is_bounded_from_sidecar(self, tmp_path):
+        retained, peak = self.measured_trace_read(tmp_path, sidecar=True)
+        # measured with 4096-row blocks: 24.4 B/row retained, 60.2 B/row peak
+        assert retained <= 26.0
+        assert peak <= 75.0
 
     def test_write_trace_memory_is_bounded_per_chunk(self, tmp_path):
         import dataclasses
