@@ -5,24 +5,27 @@ All CSVs are comma-delimited UTF-8 with a header row and LF line endings.
 Trace files use the eight-column report schema with ISO dates on output;
 day-first DD/MM/YYYY dates are accepted on ingest only.
 
-The three report readers find columns by header name.  A file of at least
-BYTE_PATH_MIN_BYTES with no NUL or lone CR byte, and no quote after its
-header line, takes the byte path: blocks of BLOCK_BYTES whole lines are
-split at LF (CRLF too) and at commas with numpy, and equal field texts are
-grouped by sorting their bytes as 8-byte words, so each distinct text
-reaches Python once per file.  Raw timestamps seldom repeat, so they are
-not grouped: those of the shape YYYY-MM-DDTHH:MM:SS followed by Z or
-+-HH:MM are parsed in numpy, and only the others reach parse_timestamp, one
-row at a time.  Any other file is read row by row with csv.reader.  Both
-paths run the same checks and return the same tables and reject counts.
+The three report readers find columns by header name, and each runs one
+loop over blocks of rows that _read takes from one of three sources:
 
-write_trace and write_canonical also write ``<path>.cols`` next to a
-regular file of at least BYTE_PATH_MIN_BYTES: the writer's code and value
-columns as raw arrays after a JSON line with the CSV's SHA-256 (see
-_write_sidecar).  The readers read a file from that sidecar when its hash
-matches and it checks whole (_Sidecar); each distinct text its rows use is
-parsed with csv.reader and goes through the same checks, so the tables and
-reject counts are again the same.
+* the sidecar ``<path>.cols`` that write_trace and write_canonical leave
+  next to a regular file of at least BYTE_PATH_MIN_BYTES: the writer's
+  code and value columns as raw arrays after a JSON line with the CSV's
+  SHA-256 (see _write_sidecar).  It is read when that hash matches and it
+  checks whole (_Sidecar), in _CodedBlocks; each distinct text its rows
+  use is parsed with csv.reader.
+* the bytes of a file of at least BYTE_PATH_MIN_BYTES with no NUL or lone
+  CR byte, and no quote after its header line, in _ByteBlocks: blocks of
+  BLOCK_BYTES whole lines are split at LF (CRLF too) and at commas with
+  numpy, and equal field texts are grouped by sorting their bytes as
+  8-byte words, so each distinct text reaches Python once per file.  Raw
+  timestamps seldom repeat, so they are not grouped: those of the shape
+  YYYY-MM-DDTHH:MM:SS followed by Z or +-HH:MM are parsed in numpy, and
+  only the others reach parse_timestamp, one row at a time.
+* csv.reader's rows for any other file, in _RowBlocks of CHUNK_ROWS rows.
+
+All three offer the same values, integers and stamp_cells, so a file gives
+the same table and reject counts whichever source reads it.
 
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
@@ -30,7 +33,8 @@ texts, each quoted once by csv.writer with the comma or LF after it, or an
 int64 column rendered as decimal in numpy.  Each chunk of CHUNK_ROWS rows
 is gathered from one byte blob with one index and written with one call,
 so the temporaries are those of one chunk.  The bytes equal csv.writer's
-output row by row.
+output row by row, except that a field holding a CR is quoted too, so that
+csv.reader reads every row back whole (see _csv_fields).
 """
 
 from __future__ import annotations
@@ -43,7 +47,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import re
 import stat
@@ -158,7 +161,7 @@ def _writer(handle):
     return csv.writer(handle, lineterminator="\n")
 
 
-CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and of the csv.reader path
+CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and per block of the sidecar and csv.reader
 BLOCK_BYTES = 1 << 19  # bytes per block of the byte path, cut after an LF
 BYTE_PATH_MIN_BYTES = 1 << 16  # smaller files are read by csv.reader
 _MALFORMED = -1
@@ -188,13 +191,17 @@ _DENSE_KEYS = 1 << 24  # lookups over more code combinations group each block's 
 
 
 def _csv_fields(texts: Iterable[str]) -> list[str]:
-    """Each text as csv.writer writes it inside a row, quoted only where
-    csv.writer quotes it (which differs between Python versions)."""
+    """Each text as a field inside a row: quoted where csv.writer quotes it
+    (which differs between Python versions), and also where it holds a CR,
+    which csv.reader reads as a line end when it is not quoted."""
     rows: list[str] = []
-    # csv.writer writes each row with one call; the empty second field keeps
-    # an empty text unquoted, where a lone empty field would be written as ""
-    _writer(SimpleNamespace(write=rows.append)).writerows((text, "") for text in texts)
-    return [row[:-2] for row in rows]
+    # csv.writer writes each row with one call and quotes the characters of
+    # its line end; the empty second field keeps an empty text unquoted,
+    # where a lone empty field would be written as ""
+    csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n").writerows(
+        (text, "") for text in texts
+    )
+    return [row[: -len(",\r\n")] for row in rows]
 
 
 class _Texts(NamedTuple):
@@ -396,16 +403,6 @@ def read_header(path: Path) -> list[str]:
     readers parse it; raises PsSimError when the file is empty."""
     with open(path, newline="", encoding="utf-8") as handle:
         return list(_header_columns(path, csv.reader(handle), ()))
-
-
-def _chunks(reader):
-    """The data rows as iterators of up to CHUNK_ROWS rows each; a
-    chunk must be used up before the next one is taken."""
-    while True:
-        first_line = reader.line_num
-        yield itertools.islice(reader, CHUNK_ROWS)
-        if reader.line_num == first_line:
-            return
 
 
 class _Lookup:
@@ -624,7 +621,7 @@ class _ByteBlock:
 
 def _byte_path(path: Path) -> bool:
     """Whether a CSV is read by the byte path: it is at least
-    BYTE_PATH_MIN_BYTES long (below that csv.reader's row loop is faster)
+    BYTE_PATH_MIN_BYTES long (below that csv.reader's rows are faster)
     and holds no NUL or lone CR, and no quote after its header line, so the
     byte path splits it as csv.reader would.  _blocks parses the header
     line with csv.reader, so it may hold quotes that close on it."""
@@ -764,7 +761,8 @@ class _Sidecar:
         for j, (texts, seen) in enumerate(zip(self.texts, used)):
             codes = [] if seen is None else np.flatnonzero(seen).tolist()
             chosen = [texts[code] for code in codes]
-            # csv.writer leaves a CR unquoted, and csv.reader ends a row at it
+            # a text with a CR is left to the CSV: files written before a CR
+            # was quoted hold it bare, and csv.reader ends a row there
             if not all(
                 isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
                 for text in chosen
@@ -888,17 +886,79 @@ class _CodedBlock:
         return self.values(_Lookup((name,), _stamp_cell, remember=False))
 
 
-def _read(path: Path, required: Sequence[str], read_blocks, read_rows):
-    """Read a CSV with ``read_blocks`` from its sidecar when it has a valid
-    one, else from its bytes when _byte_path allows, else with
-    ``read_rows``, csv.reader's loop."""
+class _RowBlock:
+    """Rows that csv.reader read, stored by column: blank lines are no rows,
+    and short rows are padded with empty fields to the header's width.  It
+    has _ByteBlock's interface and gives the same values."""
+
+    def __init__(self, rows: list[list[str]], col: dict[str, int]):
+        width = max(col.values()) + 1
+        if min(map(len, rows)) < width:  # a blank line or a short row
+            rows = [row + [""] * (width - len(row)) for row in rows if row]
+        self.size, self.columns, self.col = len(rows), list(zip(*rows)), col
+
+    def __len__(self) -> int:
+        return self.size
+
+    def values(self, lookup: _Lookup, keep: np.ndarray | None = None) -> np.ndarray:
+        """``lookup``'s value of every row's text; rows outside ``keep`` get
+        _MALFORMED and resolve nothing.  One pass over the rows, which
+        resolves each text the lookup does not know, in row order."""
+        columns = [self.columns[self.col[name]] for name in lookup.names]
+        texts = columns[0] if len(columns) == 1 else zip(*columns)
+        # lookup.of's work without a call per text; a lookup that does not
+        # remember keeps its texts for this block only
+        known = lookup.by_text if lookup.remember else {}
+        get, resolve = known.get, lookup.resolve
+        value = [
+            (got if (got := get(text)) is not None else known.setdefault(text, resolve(text)))
+            if kept
+            else _MALFORMED
+            for text, kept in zip(texts, itertools.repeat(True) if keep is None else keep.tolist())
+        ]
+        return np.array(value, dtype=np.int64)
+
+    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``int()`` of one column's field in every row, as int64 values and
+        a mask of the rows where it parsed and fits in int64."""
+        texts = self.columns[self.col[name]]
+        try:  # every field parses and fits, as in any file pssim wrote
+            return np.array(list(map(int, texts)), dtype=np.int64), np.ones(len(texts), dtype=bool)
+        except (ValueError, OverflowError):
+            numbers = list(map(_int64, texts))
+        ok = np.array([number is not None for number in numbers], dtype=bool)
+        return np.array([number or 0 for number in numbers], dtype=np.int64), ok
+
+    def stamp_cells(self, name: str) -> np.ndarray:
+        """``_stamp_cell`` of one column's field in every row."""
+        return self.values(_Lookup((name,), _stamp_cell, remember=False))
+
+
+def _row_blocks(path: Path, required: Sequence[str]):
+    """The data rows of a CSV that csv.reader reads, as _RowBlocks of the
+    rows of up to CHUNK_ROWS lines.  Raises PsSimError when a required
+    column is absent."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        col = _header_columns(path, reader, required)
+        while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+            block = _RowBlock(rows, col)
+            if len(block):
+                yield block
+
+
+def _read(path: Path, required: Sequence[str]):
+    """The data rows of a CSV as blocks: from its sidecar when it has a
+    valid one, else from its bytes when _byte_path allows, else from
+    csv.reader's rows."""
     sidecar = _Sidecar.open(path)
     if sidecar is not None:
         with sidecar:
-            return read_blocks(sidecar.blocks(required))
-    if _byte_path(path):
-        return read_blocks(_blocks(path, required))
-    return read_rows(path)
+            yield from sidecar.blocks(required)
+    elif _byte_path(path):
+        yield from _blocks(path, required)
+    else:
+        yield from _row_blocks(path, required)
 
 
 def _narrow(codes: np.ndarray, size: int) -> np.ndarray:
@@ -910,59 +970,9 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def _report_rows(path, required, cell: _Lookup, string_columns, vocabs):
-    """The csv.reader loop of _read_reports: one row at a time."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        col = _header_columns(path, reader, required)
-        width = max(col.values()) + 1
-        cell_text_of = operator.itemgetter(*(col[c] for c in cell.names))
-        strings_of = operator.itemgetter(*(col[c] for c in string_columns))
-
-        sources, locs, types = vocabs
-        seen_sources: dict[str, int] = {}  # field text -> code
-        seen_locs: dict[str, int] = {}
-        seen_types: dict[str, int] = {}
-        bad_cells: dict[int, int] = {}
-        blank = [0, 0, 0]
-        columns: list[list[np.ndarray]] = [[], [], [], [], []]
-        for chunk in _chunks(reader):
-            cells, codes = [], []
-            for row in chunk:
-                if len(row) < width:
-                    if not row:
-                        continue  # blank line
-                    row += [""] * (width - len(row))
-                cell_code = cell.of(cell_text_of(row))
-                if cell_code < 0:
-                    bad_cells[cell_code] = bad_cells.get(cell_code, 0) + 1
-                    continue
-                src, loc, typ = strings_of(row)
-                s = seen_sources.get(src)
-                if s is None:
-                    s = seen_sources[src] = _intern(src, sources)
-                lc = seen_locs.get(loc)
-                if lc is None:
-                    lc = seen_locs[loc] = _intern(loc, locs)
-                t = seen_types.get(typ)
-                if t is None:
-                    t = seen_types[typ] = _intern(typ, types)
-                if s < 0 or lc < 0 or t < 0:
-                    blank[(s, lc, t).index(_MALFORMED)] += 1
-                    continue
-                cells.append(cell_code)
-                codes.append((s, lc, t))
-            cells = np.asarray(cells, dtype=np.int64)
-            columns[0].append(cells >> 3)
-            columns[1].append(cells & 7)
-            for column, code in zip(columns[2:], np.asarray(codes, dtype=np.int64).reshape(-1, 3).T):
-                column.append(code)
-    return columns, bad_cells, blank
-
-
 def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
-    """The block loop of _read_reports, over _ByteBlocks or _CodedBlocks.
-    Raw timestamps are parsed by stamp_cells, not grouped."""
+    """The block loop of _read_reports, over the blocks _read gives.  Raw
+    timestamps are parsed by stamp_cells, not grouped."""
     strings = [
         _Lookup((name,), functools.partial(_intern, vocab=vocab))
         for name, vocab in zip(string_columns, vocabs)
@@ -1004,12 +1014,7 @@ def _read_reports(
     rows rejected because it is the first blank one.
     """
     vocabs: tuple[dict[str, int], ...] = ({}, {}, {})  # sources, locs, types
-    columns, bad_cells, blank = _read(
-        path,
-        required,
-        lambda blocks: _report_blocks(blocks, cell, string_columns, vocabs),
-        lambda path: _report_rows(path, required, cell, string_columns, vocabs),
-    )
+    columns, bad_cells, blank = _report_blocks(_read(path, required), cell, string_columns, vocabs)
     date, time, source, loc, type_ = (_joined(c) for c in columns)
     sources, locs, types = vocabs
     table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
@@ -1038,7 +1043,7 @@ def read_raw_reports(
     if column_map:
         colmap.update(column_map)
     columns = [colmap[f] for f in RAW_FIELDS]
-    # timestamps seldom repeat, so csv.reader's row loop does not keep them
+    # timestamps seldom repeat, so their texts are not kept
     stamps = _Lookup(columns[:1], _stamp_cell, remember=False)
     table, bad_cells, blank = _read_reports(path, columns, stamps, columns[1:])
     rejects = {}
@@ -1201,69 +1206,8 @@ def _trace_slots(slots: dict):
     return slot_of
 
 
-def _trace_rows(path, slots, sources, types):
-    """The csv.reader loop of read_trace: one row at a time."""
-    slot_of = _trace_slots(slots)
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        col = _header_columns(path, reader, TRACE_HEADER)
-        prefix_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[:4]))
-        rest_of = operator.itemgetter(*(col[c] for c in TRACE_HEADER[4:]))
-
-        status: dict[tuple, int] = {}  # prefix text -> slot or reject
-        seen_sources: dict[str, int] = {}  # field text -> code
-        seen_types: dict[str, int] = {}
-        columns: list[list[np.ndarray]] = [[], [], [], [], []]
-        malformed = mismatched = 0
-        width = max(col.values()) + 1
-        for chunk in _chunks(reader):
-            event, report_no, source, reported, occurred = [], [], [], [], []
-            for row in chunk:
-                if len(row) < width:
-                    if not row:
-                        continue  # blank line
-                    row += [""] * (width - len(row))
-                prefix = prefix_of(row)
-                slot = status.get(prefix)
-                if slot is None:
-                    slot = status[prefix] = slot_of(prefix)
-                if slot < 0:
-                    if slot == _MISMATCH:
-                        mismatched += 1
-                    else:
-                        malformed += 1
-                    continue
-                number, src, rep, occ = rest_of(row)
-                s = seen_sources.get(src)
-                if s is None:
-                    s = seen_sources[src] = _intern(src, sources)
-                r = seen_types.get(rep)
-                if r is None:
-                    r = seen_types[rep] = _intern(rep, types)
-                o = seen_types.get(occ)
-                if o is None:
-                    o = seen_types[occ] = _intern(occ, types)
-                if s < 0 or r < 0 or o < 0:
-                    malformed += 1
-                    continue
-                n = _int64(number)
-                if n is None:
-                    malformed += 1
-                    continue
-                report_no.append(n)
-                event.append(slot)
-                source.append(s)
-                reported.append(r)
-                occurred.append(o)
-            for column, values in zip(
-                columns, (event, report_no, source, reported, occurred)
-            ):
-                column.append(np.asarray(values, dtype=np.int64))
-    return columns, malformed, mismatched
-
-
 def _trace_blocks(blocks, slots, sources, types):
-    """The block loop of read_trace, over _ByteBlocks or _CodedBlocks."""
+    """The block loop of read_trace, over the blocks _read gives."""
     prefixes = _Lookup(TRACE_HEADER[:4], _trace_slots(slots))
     source_codes = _Lookup(("SourceId",), functools.partial(_intern, vocab=sources))
     pairs: list[tuple[int, int]] = []  # type codes of each distinct pair
@@ -1307,12 +1251,7 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
     slots: dict[tuple[int, int, int], int] = {}
     sources: dict[str, int] = {}
     types: dict[str, int] = {}  # reported and occurred types share it
-    columns, malformed, mismatched = _read(
-        path,
-        TRACE_HEADER,
-        lambda blocks: _trace_blocks(blocks, slots, sources, types),
-        lambda path: _trace_rows(path, slots, sources, types),
-    )
+    columns, malformed, mismatched = _trace_blocks(_read(path, TRACE_HEADER), slots, sources, types)
     rejects = {}
     if malformed:
         rejects["malformed row"] = malformed

@@ -388,13 +388,14 @@ class TestWriters:
         assert path.read_bytes() == (",".join(header) + "\n").encode()
 
     def test_csv_fields_quote_as_csv_writer_does(self):
-        texts = ["", "a", "a,b", 'q"', " lead", "trail ", "line\nbreak", "lone\rcr", "Straße"]
+        texts = ["", "a", "a,b", 'q"', " lead", "trail ", "line\nbreak", "Straße"]
         expected = []
         for text in texts:
             buf = io.StringIO()
             csv.writer(buf, lineterminator="\n").writerow((text, "x"))
             expected.append(buf.getvalue()[: -len(",x\n")])
-        assert formats._csv_fields(texts) == expected
+        # and a CR is quoted too, where csv.writer may leave it bare
+        assert formats._csv_fields(texts + ["lone\rcr"]) == expected + ['"lone\rcr"']
 
 
 def small_model():
@@ -770,7 +771,7 @@ def columns(table):
 
 def read_by(reader, path):
     """``reader(path)`` and the path that read the rows: "sidecar", "bytes"
-    or "rows" (csv.reader's loop), or None when no row was read."""
+    or "rows" (csv.reader), or None when no row was read."""
     taken = set()
 
     def spy(name, function):
@@ -780,10 +781,8 @@ def read_by(reader, path):
 
         return wrapper
 
-    with mock.patch.multiple(
-        formats,
-        _trace_rows=spy("rows", formats._trace_rows),
-        _report_rows=spy("rows", formats._report_rows),
+    with mock.patch.object(
+        formats, "_row_blocks", spy("rows", formats._row_blocks)
     ), mock.patch.object(
         formats._CodedBlock, "__len__", spy("sidecar", formats._CodedBlock.__len__)
     ), mock.patch.object(formats._ByteBlock, "__len__", spy("bytes", formats._ByteBlock.__len__)):
@@ -828,8 +827,14 @@ class TestByteAndTextPathsAgree:
     def test_each_case(self, tmp_path, kind, row):
         read_both(tmp_path, kind, f"{row}\n".encode())
 
-    @pytest.mark.parametrize("kind", READERS)
-    def test_mixed_file(self, tmp_path, kind):
+    @pytest.mark.parametrize(
+        "kind, chunk_rows",
+        [pytest.param(kind, formats.CHUNK_ROWS, id=kind) for kind in READERS]
+        + [pytest.param(kind, 1, id=f"{kind}-chunk_rows=1") for kind in READERS],
+    )
+    def test_mixed_file(self, tmp_path, monkeypatch, kind, chunk_rows):
+        # with one row per chunk, a chunk of a blank line alone does not end the read
+        monkeypatch.setattr(formats, "CHUNK_ROWS", chunk_rows)
         table, rejects = read_both(tmp_path, kind, mixed_body(kind))
         assert sum(rejects.values()) + len(table) == 2 * len(READERS[kind][2])
 
@@ -1350,10 +1355,10 @@ class TestSidecar:
                  for i, (number, source, a, b) in enumerate(rows)],
                 path,
             )
-            # csv.writer leaves a CR unquoted, so csv.reader splits that row
+            # the sidecar leaves texts with a CR to the CSV
             cr = any("\r" in text for row in rows for text in row[1:])
             table, rejects, _ = read_every_way(read_trace, path, sidecar=not cr)
-        assert cr or len(table) + sum(rejects.values()) == len(rows)
+        assert len(table) + sum(rejects.values()) == len(rows)
 
     def test_layout_is_a_json_line_and_raw_columns(self, tmp_path, monkeypatch):
         table = sidecar_table("trace", PLAIN_TEXTS)
@@ -1517,7 +1522,7 @@ def test_write_to_a_device_gets_no_sidecar(monkeypatch):
         write_trace(simulate(make_config(seed=9, n=50, tau=7)).reports, Path(os.devnull))
 
 
-@pytest.mark.parametrize("kind", ["bytes", "sidecar"])
+@pytest.mark.parametrize("kind", ["bytes", "sidecar", "rows"])
 def test_rows_outside_keep_get_malformed(tmp_path, kind):
     """A row outside ``keep`` gets _MALFORMED even when its text is known,
     from an earlier call or from a kept row of the same call."""
@@ -1530,8 +1535,10 @@ def test_rows_outside_keep_get_malformed(tmp_path, kind):
             sidecar = formats._Sidecar.open(path)
         with sidecar:
             block = next(sidecar.blocks(TRACE_HEADER))
-    else:
+    elif kind == "bytes":
         block = next(formats._blocks(path, TRACE_HEADER))
+    else:
+        block = next(formats._row_blocks(path, TRACE_HEADER))
     values = {"a": 5, "b": 7, "c": 9}
     lookup = formats._Lookup(("SourceId",), values.__getitem__)
     assert block.values(lookup).tolist() == [5, 7, 5, 9]
