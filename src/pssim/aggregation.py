@@ -11,7 +11,7 @@ support count, and builds the reporter sets only when its rows are used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,26 +91,20 @@ def _group(cols: CanonicalTable, min_support: int) -> AggregatedEventTable:
 
 
 def aggregate(
-    reports: Iterable,
-    partitions: int = 1,
-    workers: int | None = None,
+    reports,
     min_support: int = 1,
     default_loc: str = "unspecified",
     use_occurred: bool = False,
 ) -> AggregateResult:
     """Group reports into aggregated events, sorted by key order.
 
-    ``reports`` is anything ``report_columns`` accepts: a CanonicalTable, a
-    ReportTable or an iterable of report rows.  The events come as an
-    AggregatedEventTable, a Sequence of AggregatedEvent rows whose reporter
-    sets are built on first access.  Rejected records (missing
-    fields) are counted, not fatal.  Events with fewer than
-    ``min_support`` supporting reports are dropped after counting.
-    ``partitions`` and ``workers`` are accepted for compatibility and have no
-    effect: the grouping runs as one sort in this process.
+    ``reports`` is a CanonicalTable or a ReportTable (see
+    ``table.report_columns``).  The events come as an AggregatedEventTable,
+    a Sequence of AggregatedEvent rows whose reporter sets are built on
+    first access.  Rejected records (missing fields) are counted, not
+    fatal.  Events with fewer than ``min_support`` supporting reports are
+    dropped after counting.  The grouping runs as one sort in this process.
     """
-    if partitions < 1:
-        raise PsSimError(f"partition count must be >= 1, got {partitions}")
     if min_support < 1:
         raise PsSimError(f"min_support must be >= 1, got {min_support}")
     cols, rejected = report_columns(reports, default_loc, use_occurred)

@@ -101,9 +101,9 @@ def bin_reports(
 ) -> BinnedData:
     """Tally reports into per-location (date, bin) cells and per-user weeks.
 
-    ``reports`` is anything ``table.report_columns`` accepts; trace reports
-    carry no location and are tallied under ``default_loc``.  Reports
-    outside the window, and rows that lack a key field, are excluded with a
+    ``reports`` is a CanonicalTable or a ReportTable; trace reports carry
+    no location and are tallied under ``default_loc``.  Reports outside
+    the window, and trace reports with an empty type, are excluded with a
     counter, not an error.  ``per_location`` lists locations, and the
     (user, week) pair columns users and each user's weeks, in first-seen
     order.
@@ -227,8 +227,8 @@ def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
 def estimate_evtype_pmf(reports) -> Pmf:
     """Pmf over incident types, support sorted lexicographically.
 
-    ``reports`` is anything ``table.report_columns`` accepts; trace reports
-    count under their reported type.
+    ``reports`` is a CanonicalTable or a ReportTable; trace reports count
+    under their reported type.
     """
     table, _ = report_columns(reports)
     counts = np.bincount(table.type, minlength=len(table.types)).tolist()

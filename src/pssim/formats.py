@@ -60,14 +60,11 @@ import numpy as np
 
 from .distributions import Pmf
 from .errors import PsSimError
-from .table import AggregatedEventTable, CanonicalTable, ReportTable, report_columns
+from .table import AggregatedEventTable, CanonicalTable, ReportTable
 from .types import (
     DAY_BINS,
     TEMPORAL_BINS,
-    AggregatedEvent,
     DayBin,
-    IngestedReport,
-    Report,
     TemporalBin,
     weekday_of,
 )
@@ -682,6 +679,19 @@ def _sha256(path: Path, out: list[str]) -> None:
     out.append(digest.hexdigest())
 
 
+def _bare_cr(text: str) -> bool:
+    """Whether a field text holds a CR outside quotes.  _csv_fields quotes
+    every CR, but older files hold bare ones, at which csv.reader ends the
+    row; parsed alone, such a text loses its CR or raises csv.Error."""
+    if "\r" not in text:
+        return False
+    try:
+        fields = next(csv.reader([text[:-1]]), [])
+    except csv.Error:
+        return True
+    return sum(field.count("\r") for field in fields) != text.count("\r")
+
+
 class _Sidecar:
     """The sidecar of a CSV that _write_sidecar wrote, checked whole and
     open for reading its columns.
@@ -761,13 +771,10 @@ class _Sidecar:
         for j, (texts, seen) in enumerate(zip(self.texts, used)):
             codes = [] if seen is None else np.flatnonzero(seen).tolist()
             chosen = [texts[code] for code in codes]
-            # a text with a CR is left to the CSV: files written before a CR
-            # was quoted hold it bare, and csv.reader ends a row there
-            if not all(
-                isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
-                for text in chosen
-            ):
+            if not all(isinstance(text, str) and text[-1:] in (",", "\n") for text in chosen):
                 raise ValueError("texts are not whole fields")
+            if any(map(_bare_cr, chosen)):
+                raise ValueError("a CR outside quotes")
             # csv.reader reads an empty line as no field, where a row has one
             fields = [f or [""] for f in csv.reader(text[:-1] for text in chosen)]
             width = len(fields[0]) if fields else 1
@@ -1055,16 +1062,12 @@ def read_raw_reports(
     return table, rejects
 
 
-def write_canonical(reports: Iterable[IngestedReport], path: Path) -> None:
+def write_canonical(table: CanonicalTable, path: Path) -> None:
     """Write the canonical dataset schema with ISO dates.
 
-    ``reports`` is a CanonicalTable or any iterable of IngestedReport rows;
-    the bytes equal csv.writer's output row by row.  The day column is the
+    The bytes equal csv.writer's output row by row.  The day column is the
     weekday of the date.  Each distinct date's text is built once.
     """
-    table, rejected = report_columns(reports)
-    if rejected:
-        raise PsSimError(f"{rejected} reports lack a canonical field")
     dates, date_of = _distinct_dates(table.date)
     days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
     sources, locs = ([f"{field}," for field in _csv_fields(v)] for v in (table.sources, table.locs))
@@ -1115,15 +1118,14 @@ def read_canonical(path: Path) -> tuple[CanonicalTable, dict[str, int]]:
     return table, {reason: count for reason, count in counts if count}
 
 
-def write_trace(reports: Iterable[Report], path: Path) -> None:
+def write_trace(table: ReportTable, path: Path) -> None:
     """Write the eight-column trace schema with ISO dates.
 
-    ``reports`` is a ReportTable or any iterable of Report rows; the bytes
-    equal csv.writer's output row by row.  The Day column is the weekday of
-    the date.  Only event slots that have reports get an (EventNo, Date,
-    Day, Time) prefix, and each distinct date's text is built once.
+    The bytes equal csv.writer's output row by row.  The Day column is the
+    weekday of the date.  Only event slots that have reports get an
+    (EventNo, Date, Day, Time) prefix, and each distinct date's text is
+    built once.
     """
-    table = reports if isinstance(reports, ReportTable) else ReportTable.from_rows(reports)
     used = np.flatnonzero(np.bincount(table.event, minlength=len(table.event_no)))
     dates, date_of = _distinct_dates(table.date[used])
     days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
@@ -1351,18 +1353,12 @@ def read_ingest_meta(dataset_path: Path) -> dict | None:
     return meta if isinstance(meta, dict) else None
 
 
-def write_events_csv(events: Iterable[AggregatedEvent], path: Path) -> None:
-    """Write one row per aggregated event, in the given order.
+def write_events_csv(table: AggregatedEventTable, path: Path) -> None:
+    """Write one row per aggregated event, in the table's order.
 
-    ``events`` is an AggregatedEventTable, written from its columns, or any
-    iterable of AggregatedEvent rows; the bytes equal csv.writer's output
-    row by row.  Each distinct date's text is built once.
+    The bytes equal csv.writer's output row by row.  Each distinct date's
+    text is built once.
     """
-    table = (
-        events
-        if isinstance(events, AggregatedEventTable)
-        else AggregatedEventTable.from_rows(events)
-    )
     dates, date_of = _distinct_dates(table.date)
     locs = [f"{field}," for field in _csv_fields(table.locs)]
     types = [f"{field}," for field in _csv_fields(table.types)]

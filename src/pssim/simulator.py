@@ -36,7 +36,7 @@ from .distributions import (
 )
 from .errors import PsSimError
 from .table import EventTable, ReportTable, code_dtype
-from .types import DAY_BINS, Event, SimConfig, weekday_of
+from .types import DAY_BINS, SimConfig, weekday_of
 
 
 @dataclass
@@ -134,7 +134,7 @@ def assign_event_attributes(
 
 
 def attribute_reports(
-    events: Sequence[Event],
+    events: EventTable,
     pool: ParticipantPool,
     pr_lie: float,
     ev_types: Sequence[str],
@@ -146,10 +146,8 @@ def attribute_reports(
     Each report picks an event uniformly at random and a participant
     uniformly among those with remaining quota (quota decremented); the
     occurred type comes from the event and the reported type goes through
-    lie injection.  ``events`` is an EventTable or a sequence of Event rows.
+    lie injection.
     """
-    if not isinstance(events, EventTable):
-        events = EventTable.from_rows(events)
     if not len(events):
         raise PsSimError("no events to report")
     total = int(pool.quotas.sum())

@@ -10,8 +10,9 @@ of the date.
 
 The tables are read-only Sequences of the row dataclasses in types.py.  The
 rows are built on the first element access, once per table, so code that
-works on the columns never creates a per-row object.  ``report_columns``
-gives every counting stage its input as a CanonicalTable.
+works on the columns never creates a per-row object.  Every stage takes a
+table, not rows: ``report_columns`` gives each counting stage a
+CanonicalTable, as it is or projected from a ReportTable.
 """
 
 from __future__ import annotations
@@ -21,11 +22,9 @@ import datetime as dt
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .errors import PsSimError
 from .types import (
     TEMPORAL_BINS,
     AggregatedEvent,
@@ -33,7 +32,6 @@ from .types import (
     EventKey,
     IngestedReport,
     Report,
-    TemporalBin,
     weekday_of,
 )
 
@@ -117,27 +115,6 @@ class EventTable(_RowView):
             )
         )
 
-    @classmethod
-    def from_rows(cls, events: Iterable[Event]) -> "EventTable":
-        types: dict[str, int] = {}
-        locs: dict[str, int] = {}
-        rows = [
-            (e.event_no, e.date.toordinal(), e.time.index,
-             types.setdefault(e.incident_type, len(types)),
-             locs.setdefault(e.loc, len(locs)))
-            for e in events
-        ]
-        no, date, time, type_, loc = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T.copy()
-        return cls(
-            event_no=no,
-            date=date,
-            time=time,
-            type=type_,
-            types=tuple(types),
-            loc=loc,
-            locs=tuple(locs),
-        )
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class ReportTable(_RowView):
@@ -215,31 +192,13 @@ class ReportTable(_RowView):
             types=tuple(types),
         )
 
-    @classmethod
-    def from_rows(cls, reports: Iterable[Report]) -> "ReportTable":
-        """Encode Report rows; each distinct (EventNo, date, time) is a slot."""
-        slots: dict[tuple[int, int, int], int] = {}
-        sources: dict[str, int] = {}
-        types: dict[str, int] = {}
-        event, report_no, source, reported, occurred = [], [], [], [], []
-        for r in reports:
-            key = (r.event_no, r.date.toordinal(), r.time.index)
-            event.append(slots.setdefault(key, len(slots)))
-            report_no.append(r.report_no)
-            source.append(sources.setdefault(r.source_id, len(sources)))
-            reported.append(types.setdefault(r.event_reported, len(types)))
-            occurred.append(types.setdefault(r.event_occurred, len(types)))
-        return cls.from_codes(
-            slots, event, report_no, source, sources, reported, occurred, types
-        )
-
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CanonicalTable(_RowView):
     """Ingested reports as columns; a Sequence of IngestedReport rows.
 
-    Every column has one entry per report.  ``report_columns`` gives trace
-    reports and report rows in this form too.
+    Every column has one entry per report.  ``report_columns`` gives a
+    ReportTable in this form too.
     """
 
     date: np.ndarray  # date ordinal
@@ -348,64 +307,6 @@ class AggregatedEventTable(_RowView):
             )
         )
 
-    @classmethod
-    def from_rows(cls, events: Iterable[AggregatedEvent]) -> "AggregatedEventTable":
-        """Encode AggregatedEvent rows; each reporter becomes one report."""
-        locs: dict[str, int] = {}
-        types: dict[str, int] = {}
-        sources: dict[str, int] = {}
-        keys, members = [], []
-        for i, ev in enumerate(events):
-            key = ev.key
-            keys.append(
-                (key.date.toordinal(), key.day_time.index,
-                 locs.setdefault(key.loc, len(locs)),
-                 types.setdefault(key.incident_type, len(types)),
-                 ev.support_count)
-            )
-            members += [(i, sources.setdefault(name, len(sources))) for name in ev.reporters]
-        date, time, loc, type_, support = np.asarray(keys, dtype=np.int64).reshape(-1, 5).T.copy()
-        event, source = np.asarray(members, dtype=np.int64).reshape(-1, 2).T.copy()
-        return cls(
-            date=date,
-            time=time,
-            loc=loc,
-            locs=tuple(locs),
-            type=type_,
-            types=tuple(types),
-            support=support,
-            event=event,
-            source=source,
-            sources=tuple(sources),
-        )
-
-
-def row_key(
-    report, default_loc: str = "unspecified", use_occurred: bool = False
-) -> tuple[dt.date, TemporalBin, str, str, str]:
-    """(date, time bin, loc, incident type, sourceId) of one report row.
-
-    Works on simulated trace rows (which carry reported and occurred types
-    but no location) and on ingested rows (which carry a location and a
-    single incident type).  A missing or None field, or an empty incident
-    type, raises PsSimError.
-    """
-    date = getattr(report, "date", None)
-    time = getattr(report, "time", None)
-    source = getattr(report, "source_id", None)
-    loc = getattr(report, "loc", None) or default_loc
-    if use_occurred:
-        incident = getattr(report, "event_occurred", None) or getattr(
-            report, "incident_type", None
-        )
-    else:
-        incident = getattr(report, "event_reported", None) or getattr(
-            report, "incident_type", None
-        )
-    if date is None or time is None or source is None or not incident:
-        raise PsSimError(f"report is missing key fields: {report!r}")
-    return date, time, loc, incident, source
-
 
 def report_columns(
     reports, default_loc: str = "unspecified", use_occurred: bool = False
@@ -413,38 +314,18 @@ def report_columns(
     """The reports as key columns, and the number rejected for a missing field.
 
     A CanonicalTable is returned as it is.  A ReportTable is projected
-    without building rows: trace rows carry no location, so every row gets
-    ``default_loc``, and the type is the reported one (the occurred one with
-    ``use_occurred``); rows whose type is empty are rejected.  Any other
-    iterable of report rows is encoded once through ``row_key``.
+    without building rows: trace reports carry no location, so every report
+    gets ``default_loc``, and the type is the reported one (the occurred one
+    with ``use_occurred``); reports whose type is empty are rejected.  Any
+    other input raises TypeError.
     """
     if isinstance(reports, CanonicalTable):
         return reports, 0
     if isinstance(reports, ReportTable):
         return _trace_columns(reports, default_loc, use_occurred)
-    sources: dict[str, int] = {}
-    locs: dict[str, int] = {}
-    types: dict[str, int] = {}
-    rows = []
-    rejected = 0
-    for report in reports:
-        try:
-            date, time, loc, incident, source = row_key(report, default_loc, use_occurred)
-        except PsSimError:
-            rejected += 1
-            continue
-        rows.append(
-            (
-                date.toordinal(),
-                time.index,
-                sources.setdefault(source, len(sources)),
-                locs.setdefault(loc, len(locs)),
-                types.setdefault(incident, len(types)),
-            )
-        )
-    date, time, source, loc, type_ = np.asarray(rows, dtype=np.int64).reshape(-1, 5).T
-    table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
-    return table, rejected
+    raise TypeError(
+        f"reports must be a CanonicalTable or a ReportTable, not {type(reports).__name__}"
+    )
 
 
 def _trace_columns(
@@ -454,7 +335,7 @@ def _trace_columns(
     event, source = table.event, table.source
     rejected = 0
     blank = [code for code, name in enumerate(table.types) if not name]
-    if blank:  # an empty type is a missing key field, as in row_key
+    if blank:  # an empty type is a missing key field
         keep = ~np.isin(codes, blank)
         rejected = len(codes) - int(np.count_nonzero(keep))
         codes, event, source = codes[keep], event[keep], source[keep]

@@ -74,7 +74,7 @@ def histogram(reports, axis: str) -> dict[Hashable, float]:
     increasing count order.
     perDayBin / perTimeBin: fraction of reports per bin, zero-filled over the
     full 7- or 8-bin support.  The day bin is the weekday of the date.
-    ``reports`` is anything ``table.report_columns`` accepts.
+    ``reports`` is a CanonicalTable or a ReportTable.
     """
     if axis not in AXES:
         raise PsSimError(f"unknown axis {axis!r}; expected one of {AXES}")
@@ -168,7 +168,7 @@ def fold_config(
     location parameter is anchored so the expected per-participant quota
     matches the fold's mean reports per user, and n matches the fold's user
     count, so both traces live at comparable scale.  ``train`` and ``fold``
-    are anything ``table.report_columns`` accepts.
+    are CanonicalTables or ReportTables.
     """
     start, days = window
     train, _ = report_columns(train)
@@ -210,8 +210,9 @@ def cross_validate(
     """k-fold validation: per fold, fit on the remaining folds, simulate a
     trace of matching scale, and compare histograms along all three axes.
 
-    Each training set holds the other folds in fold order.  Every
-    AxisResult keeps the real and simulated histograms it scored.
+    ``real_data`` is a CanonicalTable or a ReportTable.  Each training set
+    holds the other folds in fold order.  Every AxisResult keeps the real
+    and simulated histograms it scored.
     """
     if k < 2:
         raise PsSimError(f"need k >= 2 folds, got {k}")

@@ -4,54 +4,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import canonical_table, trace_table
 from pssim.aggregation import aggregate
-from pssim.errors import PsSimError
-from pssim.formats import IngestedReport
-from pssim.table import row_key
-from pssim.types import Report, TemporalBin, weekday_of
+from pssim.analysis import bin_reports
+from pssim.types import TemporalBin, weekday_of
+from pssim.validation import histogram
 
 
 def raw_report(date, time, loc, incident, source):
-    return IngestedReport(date, weekday_of(date), time, source, loc, incident)
-
-
-def trace_report(date, time, reported, occurred, source, event_no=1, report_no=1):
-    return Report(
-        event_no, date, weekday_of(date), time, report_no, source, reported, occurred
-    )
+    """A canonical_table row."""
+    return date, time, source, loc, incident
 
 
 MONDAY = dt.date(2015, 2, 23)
 
 
-class TestMapReport:
-    """The map step: ``row_key`` projects one report row onto its key and source."""
-
-    def test_projection(self):
-        key = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1"))
-        assert key == (MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1")
-
-    def test_source_does_not_affect_key(self):
-        a = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W1"))
-        b = row_key(raw_report(MONDAY, TemporalBin.EM, "I-93S", "Jam", "W2"))
-        assert a[:4] == b[:4]
-
-    def test_trace_rows_key_on_reported_type_by_default(self):
-        r = trace_report(MONDAY, TemporalBin.MD, "Accident", "Jam", "UID000001")
-        _, _, loc, incident, _ = row_key(r, default_loc="Elm Street")
-        assert incident == "Accident"
-        assert loc == "Elm Street"
-        assert row_key(r, default_loc="Elm Street", use_occurred=True)[3] == "Jam"
-
-    def test_missing_field_rejected(self):
-        class Partial:
-            date = MONDAY
-            time = TemporalBin.EM
-            source_id = None
-            incident_type = "Jam"
-
-        with pytest.raises(PsSimError, match="missing"):
-            row_key(Partial())
+@pytest.mark.parametrize(
+    "stage",
+    [
+        aggregate,
+        lambda rows: bin_reports(rows, (MONDAY, 7)),
+        lambda rows: histogram(rows, "perUser"),
+    ],
+    ids=["aggregate", "bin_reports", "histogram"],
+)
+def test_row_input_is_refused(stage):
+    rows = list(canonical_table([raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a")]))
+    with pytest.raises(TypeError, match="CanonicalTable or a ReportTable, not list"):
+        stage(rows)
 
 
 class TestReduceCount:
@@ -60,18 +40,19 @@ class TestReduceCount:
 
     def test_counts_values(self):
         reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "abc"]
-        assert [e.support_count for e in aggregate(reports).events] == [3]
-        assert [e.support_count for e in aggregate(reports[:1]).events] == [1]
+        assert [e.support_count for e in aggregate(canonical_table(reports)).events] == [3]
+        assert [e.support_count for e in aggregate(canonical_table(reports[:1])).events] == [1]
 
     def test_duplicate_sources_counted_but_deduplicated(self):
         reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "aab"]
-        (ev,) = aggregate(reports).events
+        (ev,) = aggregate(canonical_table(reports)).events
         assert ev.support_count == 3
         assert ev.reporters == frozenset({"a", "b"})
 
 
 def sequential_oracle(records, default_loc="unspecified"):
-    """Naive single-pass dictionary count, independent of the pipeline."""
+    """Naive single-pass dictionary count over a table's rows, independent
+    of the pipeline."""
     groups = {}
     for r in records:
         incident = getattr(r, "event_reported", None) or r.incident_type
@@ -86,7 +67,19 @@ def sequential_oracle(records, default_loc="unspecified"):
     }
 
 
+def event_dict(events):
+    """Aggregated events in the form sequential_oracle gives."""
+    return {
+        (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type): (
+            e.support_count,
+            e.reporters,
+        )
+        for e in events
+    }
+
+
 def random_records(rng, n):
+    """A CanonicalTable of ``n`` random reports."""
     bins = list(TemporalBin)
     out = []
     for i in range(n):
@@ -100,84 +93,48 @@ def random_records(rng, n):
                 f"W{int(rng.integers(1, 40)):04d}",
             )
         )
-    return out
+    return canonical_table(out)
 
 
 class TestAggregate:
     def test_empty_input(self):
-        result = aggregate([], partitions=4)
+        result = aggregate(canonical_table([]))
         assert result.events == ()
         assert result.rejected == 0
 
-    def test_matches_oracle_and_is_partition_independent(self):
+    def test_matches_oracle(self):
         import numpy as np
 
         records = random_records(np.random.default_rng(23), 1000)
-        oracle = sequential_oracle(records)
-        outputs = []
-        for p in (1, 4, 16):
-            result = aggregate(records, partitions=p, workers=4)
-            outputs.append(result.events)
-            got = {
-                (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type): (
-                    e.support_count,
-                    e.reporters,
-                )
-                for e in result.events
-            }
-            assert got == oracle
-        assert outputs[0] == outputs[1] == outputs[2]
-
-    def test_invalid_partition_count_rejected(self):
-        with pytest.raises(PsSimError, match="partition count"):
-            aggregate([], partitions=0)
+        assert event_dict(aggregate(records).events) == sequential_oracle(records)
 
     def test_conservation_and_sort_order(self):
         import numpy as np
 
         records = random_records(np.random.default_rng(5), 300)
-        result = aggregate(records, partitions=8)
+        result = aggregate(records)
         assert sum(e.support_count for e in result.events) == len(records)
         keys = [e.key.sort_key() for e in result.events]
         assert keys == sorted(keys)
 
     def test_min_support_drops_small_groups(self):
-        records = [
+        records = canonical_table([
             raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a"),
             raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "b"),
             raw_report(MONDAY, TemporalBin.M, "x", "Jam", "c"),
-        ]
+        ])
         result = aggregate(records, min_support=2)
         assert len(result.events) == 1
         assert result.events[0].support_count == 2
 
+    # a blank ingested type never reaches a table: read_canonical rejects it
     @pytest.mark.parametrize(
-        "row",
-        [
-            raw_report(MONDAY, TemporalBin.EM, "x", "", "a"),
-            trace_report(MONDAY, TemporalBin.EM, "", "Jam", "a"),
-        ],
-        ids=["ingested", "trace"],
+        "table", [trace_table([(1, MONDAY, TemporalBin.EM, 1, "a", "", "Jam")])], ids=["trace"]
     )
-    def test_blank_type_rejected_for_every_row_class(self, row):
-        result = aggregate([row])
+    def test_blank_type_rejected_for_every_row_class(self, table):
+        result = aggregate(table)
         assert result.rejected == 1
         assert len(result.events) == 0
-
-    def test_rejects_counted_pipeline_continues(self):
-        class Broken:
-            date = None
-            time = None
-            source_id = None
-
-        records = [
-            raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a"),
-            Broken(),
-            raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "b"),
-        ]
-        result = aggregate(records, partitions=2)
-        assert result.rejected == 1
-        assert sum(e.support_count for e in result.events) == 2
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -191,11 +148,10 @@ class TestAggregate:
             ),
             max_size=60,
         ),
-        partitions=st.integers(1, 6),
     )
-    def test_property_partition_count_never_changes_output(self, data, partitions):
+    def test_property_matches_sequential_oracle(self, data):
         bins = list(TemporalBin)
-        records = [
+        records = canonical_table([
             raw_report(
                 MONDAY + dt.timedelta(days=d),
                 bins[b],
@@ -204,9 +160,8 @@ class TestAggregate:
                 f"W{uid}",
             )
             for d, b, loc, incident, uid in data
-        ]
-        base = aggregate(records, partitions=1).events
-        assert aggregate(records, partitions=partitions, workers=3).events == base
+        ])
+        assert event_dict(aggregate(records).events) == sequential_oracle(records)
 
 
 # first seen: Jam, Road, Accident, accident -- lexicographic: Accident, Jam, Road, accident
@@ -288,19 +243,6 @@ class TestTraceKeyOrder:
         ]
         assert out.read_text().splitlines() == expected
 
-    def test_table_and_rows_give_the_same_events(self, tmp_path):
-        import numpy as np
-
-        from pssim.formats import read_trace
-
-        path = tmp_path / "trace.csv"
-        write_key_order_trace(path, np.random.default_rng(12))
-        table, _ = read_trace(path)
-        for use_occurred in (False, True):
-            assert aggregate(table, use_occurred=use_occurred, min_support=2) == aggregate(
-                list(table), use_occurred=use_occurred, min_support=2
-            )
-
 
 class TestColumnarResult:
     def test_rows_are_built_only_on_access(self):
@@ -324,27 +266,10 @@ class TestColumnarResult:
             key: value for key, value in sequential_oracle(records).items() if value[0] >= 3
         }
         result = aggregate(records, min_support=3)
-        got = {
-            (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type): (
-                e.support_count,
-                e.reporters,
-            )
-            for e in result.events
-        }
-        assert got == oracle
+        assert event_dict(result.events) == oracle
         assert [e.key.sort_key() for e in result.events] == sorted(
             e.key.sort_key() for e in result.events
         )
-
-    def test_from_rows_gives_an_equal_table(self):
-        import numpy as np
-
-        from pssim.table import AggregatedEventTable
-
-        events = aggregate(random_records(np.random.default_rng(33), 300)).events
-        again = AggregatedEventTable.from_rows(iter(list(events)))
-        assert again == events
-        assert AggregatedEventTable.from_rows([]) == ()
 
     def test_keys_too_wide_for_int64_are_renumbered_in_order(self, monkeypatch):
         import numpy as np

@@ -7,7 +7,7 @@ from collections.abc import Sequence
 import numpy as np
 import pytest
 
-from conftest import SAMPLE_CSV, make_config
+from conftest import SAMPLE_CSV, canonical_table, make_config, trace_table
 from pssim.analysis import (
     BinnedSeries,
     _user_weekly,
@@ -22,16 +22,17 @@ from pssim.analysis import (
 )
 from pssim.distributions import LogNormalParams, RandomSource, fit_lognormal, pmf_from_counts
 from pssim.errors import PsSimError
-from pssim.formats import IngestedReport, read_raw_reports
+from pssim.formats import read_raw_reports
 from pssim.simulator import simulate
-from pssim.types import DayBin, Report, TemporalBin, weekday_of
+from pssim.types import DayBin, TemporalBin
 
 WINDOW_START = dt.date(2015, 2, 23)
 WINDOW = (WINDOW_START, 7)
 
 
 def ingested(date, time, source="u1", loc="Elm Street", incident="Jam"):
-    return IngestedReport(date, weekday_of(date), time, source, loc, incident)
+    """A canonical_table row."""
+    return date, time, source, loc, incident
 
 
 def brute_force_tally(path):
@@ -77,7 +78,7 @@ def brute_force_tally(path):
 class TestBinReports:
     def test_single_report_lands_in_its_cell(self):
         monday_4am = ingested(WINDOW_START, TemporalBin.EM)
-        binned = bin_reports([monday_4am], WINDOW)
+        binned = bin_reports(canonical_table([monday_4am]), WINDOW)
         assert binned.overall.cells[0] == 1  # day 0, bin EM
         assert binned.overall.cells.sum() == 1
         assert binned.per_location["Elm Street"].cells[0] == 1
@@ -85,37 +86,34 @@ class TestBinReports:
     def test_out_of_window_excluded_with_counter(self):
         inside = ingested(WINDOW_START, TemporalBin.MD)
         outside = ingested(WINDOW_START + dt.timedelta(days=30), TemporalBin.MD)
-        binned = bin_reports([inside, outside], WINDOW)
+        binned = bin_reports(canonical_table([inside, outside]), WINDOW)
         assert binned.excluded == 1
         assert binned.accepted == 1
 
+    # a blank ingested type never reaches a table: read_canonical rejects it
     @pytest.mark.parametrize(
-        "row",
-        [
-            ingested(WINDOW_START, TemporalBin.MD, incident=""),
-            Report(1, WINDOW_START, weekday_of(WINDOW_START), TemporalBin.MD, 1, "u1", "", "Jam"),
-        ],
-        ids=["ingested", "trace"],
+        "table", [trace_table([(1, WINDOW_START, TemporalBin.MD, 1, "u1", "", "Jam")])],
+        ids=["trace"],
     )
-    def test_blank_type_is_excluded_for_every_row_class(self, row):
-        binned = bin_reports([row], WINDOW)
+    def test_blank_type_is_excluded_for_every_row_class(self, table):
+        binned = bin_reports(table, WINDOW)
         assert (binned.accepted, binned.excluded) == (0, 1)
 
     def test_empty_window_rejected(self):
         with pytest.raises(PsSimError, match="empty window"):
-            bin_reports([], (WINDOW_START, 0))
+            bin_reports(canonical_table([]), (WINDOW_START, 0))
 
     def test_conservation(self):
         rng = np.random.default_rng(3)
         bins = list(TemporalBin)
-        reports = [
+        reports = canonical_table(
             ingested(
                 WINDOW_START + dt.timedelta(days=int(rng.integers(0, 12))),
                 bins[int(rng.integers(0, 8))],
                 source=f"u{rng.integers(0, 9)}",
             )
             for _ in range(400)
-        ]
+        )
         binned = bin_reports(reports, WINDOW)
         assert int(binned.overall.cells.sum()) + binned.excluded == 400
 
@@ -158,10 +156,10 @@ class TestEstimatePmfs:
         assert pmf_day.as_dict() == pytest.approx(expected.as_dict())
 
     def test_evtype_pmf_sorted_support(self):
-        reports = [
+        reports = canonical_table(
             ingested(WINDOW_START, TemporalBin.EM, incident=t)
             for t in ("Jam", "Accident", "Jam", "Hazard")
-        ]
+        )
         pmf = estimate_evtype_pmf(reports)
         assert pmf.support == ("Accident", "Hazard", "Jam")
         assert pmf.prob("Jam") == 0.5
@@ -313,7 +311,7 @@ class TestRoundTrip:
 
 
 def oracle_bin(reports, window, default_loc="unspecified"):
-    """Tally one row at a time, in input order, with dicts."""
+    """Tally a table's rows one at a time, in order, with dicts."""
     start, days = window
     end = start + dt.timedelta(days=days)
     overall = [0] * (8 * days)
@@ -360,13 +358,11 @@ def oracle_histogram(reports, axis):
 
 
 def shuffled_canonical(seed, n=600):
-    """Ingested reports over 5 weeks around a 30-day window, in random
-    order, so first-seen order differs from sorted order everywhere."""
-    from pssim.table import report_columns
-
+    """A CanonicalTable of reports over 5 weeks around a 30-day window, in
+    random order, so first-seen order differs from sorted order everywhere."""
     rng = np.random.default_rng(seed)
     bins = list(TemporalBin)
-    rows = [
+    return canonical_table(
         ingested(
             WINDOW_START + dt.timedelta(days=int(rng.integers(-3, 34))),
             bins[int(rng.integers(0, 8))],
@@ -375,15 +371,11 @@ def shuffled_canonical(seed, n=600):
             incident=("Jam", "Accident", "Hazard", "Closure")[int(rng.integers(0, 4))],
         )
         for _ in range(n)
-    ]
-    table, rejected = report_columns(rows)
-    assert rejected == 0
-    return table, rows
+    )
 
 
 def simulated_trace(seed):
-    trace = simulate(make_config(n=60, tau=21, lambda_e=4.0, pr_lie=0.3, seed=seed))
-    return trace.reports, list(trace.reports)
+    return simulate(make_config(n=60, tau=21, lambda_e=4.0, pr_lie=0.3, seed=seed)).reports
 
 
 ORACLE_WINDOW = (WINDOW_START, 30)
@@ -393,57 +385,51 @@ ORACLE_WINDOW = (WINDOW_START, 30)
 @pytest.mark.parametrize("kind", ["canonical", "trace"])
 class TestColumnarMatchesOracle:
     def inputs(self, kind, seed):
-        """(table, its rows): a CanonicalTable or a ReportTable, and the
-        same reports as a plain list."""
+        """A CanonicalTable or a ReportTable; the oracles read its rows."""
         return shuffled_canonical(seed) if kind == "canonical" else simulated_trace(seed)
 
     def test_bin_reports(self, kind, seed):
-        table, rows = self.inputs(kind, seed)
+        table = self.inputs(kind, seed)
         # the trace spans 21 days from WINDOW_START; cut both of its ends
         window = ORACLE_WINDOW if kind == "canonical" else (WINDOW_START + dt.timedelta(days=5), 10)
-        overall, per_loc, user_weekly, excluded, accepted = oracle_bin(rows, window)
+        overall, per_loc, user_weekly, excluded, accepted = oracle_bin(table, window)
         assert excluded > 0 and accepted > 0
-        for reports in (table, rows):
-            binned = bin_reports(reports, window)
-            assert binned.overall.cells.tolist() == overall
-            assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == list(
-                per_loc.items()
-            )
-            # dict order is part of the result: users, then weeks, first seen
-            assert [(u, list(w.items())) for u, w in binned.user_weekly.items()] == [
-                (u, list(w.items())) for u, w in user_weekly.items()
-            ]
-            assert binned.weekly_samples() == [
-                float(c) for w in user_weekly.values() for c in w.values()
-            ]
-            assert (binned.excluded, binned.accepted) == (excluded, accepted)
+        binned = bin_reports(table, window)
+        assert binned.overall.cells.tolist() == overall
+        assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == list(
+            per_loc.items()
+        )
+        # dict order is part of the result: users, then weeks, first seen
+        assert [(u, list(w.items())) for u, w in binned.user_weekly.items()] == [
+            (u, list(w.items())) for u, w in user_weekly.items()
+        ]
+        assert binned.weekly_samples() == [
+            float(c) for w in user_weekly.values() for c in w.values()
+        ]
+        assert (binned.excluded, binned.accepted) == (excluded, accepted)
 
     def test_estimate_evtype_pmf(self, kind, seed):
-        table, rows = self.inputs(kind, seed)
-        expected = pmf_from_counts(oracle_evtype_counts(rows))
-        assert estimate_evtype_pmf(table) == expected
-        assert estimate_evtype_pmf(rows) == expected
+        table = self.inputs(kind, seed)
+        assert estimate_evtype_pmf(table) == pmf_from_counts(oracle_evtype_counts(table))
 
     @pytest.mark.parametrize("axis", ["perUser", "perDayBin", "perTimeBin"])
     def test_histogram(self, kind, seed, axis):
         from pssim.validation import histogram
 
-        table, rows = self.inputs(kind, seed)
-        expected = oracle_histogram(rows, axis)
-        for reports in (table, rows):
-            got = histogram(reports, axis)
-            assert list(got.items()) == list(expected.items())
-            if axis == "perUser":
-                assert all(type(k) is int for k in got)
+        table = self.inputs(kind, seed)
+        got = histogram(table, axis)
+        assert list(got.items()) == list(oracle_histogram(table, axis).items())
+        if axis == "perUser":
+            assert all(type(k) is int for k in got)
 
 
 def test_canonical_subsets_keep_the_row_order():
-    table, rows = shuffled_canonical(4)
-    pick = np.random.default_rng(4).permutation(len(rows))[:250]
+    table = shuffled_canonical(4)
+    pick = np.random.default_rng(4).permutation(len(table))[:250]
     subset = table.take(pick)
-    assert list(subset) == [rows[i] for i in pick]
+    assert list(subset) == [table[i] for i in pick]
     binned = bin_reports(subset, ORACLE_WINDOW)
-    _, _, user_weekly, _, _ = oracle_bin([rows[i] for i in pick], ORACLE_WINDOW)
+    _, _, user_weekly, _, _ = oracle_bin(subset, ORACLE_WINDOW)
     assert binned.weekly_samples() == [float(c) for w in user_weekly.values() for c in w.values()]
 
 
@@ -451,17 +437,17 @@ def test_canonical_subsets_keep_the_row_order():
 
 
 def interleaved_rows():
-    """Users whose first rows interleave, whose weeks appear out of order,
-    and one user who is only seen outside the window."""
+    """A CanonicalTable of users whose first rows interleave, whose weeks
+    appear out of order, and one user who is only seen outside the window."""
     plan = [
         ("u3", 15), ("u1", 2), ("u3", 0), ("u2", 22), ("u1", 29), ("u3", 15),
         ("u1", 9), ("u5", 31), ("u2", 1), ("u1", 2), ("u3", 8), ("u2", 22),
         ("u4", 28), ("u3", 0), ("u5", -1), ("u1", 16), ("u4", 3),
     ]
-    return [
+    return canonical_table(
         ingested(WINDOW_START + dt.timedelta(days=day), TemporalBin.MD, source=user)
         for user, day in plan
-    ]
+    )
 
 
 def pair_rows(binned):
@@ -479,9 +465,9 @@ def test_pair_columns_match_the_oracle(case):
     if case == "interleaved":
         rows = interleaved_rows()
     else:
-        _, rows = shuffled_canonical(int(case[-1]) if case != "subset" else 5)
+        rows = shuffled_canonical(int(case[-1]) if case != "subset" else 5)
         if case == "subset":
-            rows = [rows[i] for i in np.random.default_rng(5).permutation(len(rows))[:200]]
+            rows = rows.take(np.random.default_rng(5).permutation(len(rows))[:200])
     _, _, user_weekly, _, _ = oracle_bin(rows, ORACLE_WINDOW)
     binned = bin_reports(rows, ORACLE_WINDOW)
     assert binned.users == list(user_weekly)
@@ -511,7 +497,7 @@ def test_interleaved_users_keep_their_first_seen_weeks():
 
 
 def test_no_reports_in_the_window_give_empty_pairs():
-    rows = [ingested(WINDOW_START - dt.timedelta(days=1), TemporalBin.MD)]
+    rows = canonical_table([ingested(WINDOW_START - dt.timedelta(days=1), TemporalBin.MD)])
     binned = bin_reports(rows, ORACLE_WINDOW)
     assert binned.users == [] and binned.user_weekly == {}
     assert binned.weekly_samples() == [] and binned.mean_weekly() == {}
@@ -552,7 +538,7 @@ def per_subset_samples(table, window):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_weekly_samples_by_location_equal_the_per_subset_path(seed):
-    table, _ = shuffled_canonical(seed)
+    table = shuffled_canonical(seed)
     samples = weekly_samples_by_location(table, ORACLE_WINDOW)
     hexed = {name: [sample.hex() for sample in values] for name, values in samples.items()}
     assert hexed == per_subset_samples(table, ORACLE_WINDOW)

@@ -466,6 +466,13 @@ class TestAggregate:
         run_ok(runner, ["aggregate", str(quoted), "--out", str(quoted_events)])
         assert quoted_events.read_bytes() == plain_events.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["--workers", "--partitions"])
+    def test_counts_below_one_rejected(self, runner, tmp_path, sample_canonical, flag):
+        out = tmp_path / "events.csv"
+        result = runner.invoke(main, ["aggregate", str(sample_canonical), "--out", str(out), flag, "0"])
+        assert result.exit_code == 2
+        assert f"{flag} must be >= 1, got 0" in result.output
+
     def test_workers_env_var(self, runner, tmp_path, sample_canonical):
         out = tmp_path / "events.csv"
         result = runner.invoke(
@@ -651,8 +658,8 @@ def test_aggregate_builds_no_event_rows(runner, tmp_path, monkeypatch, sample_ca
 
 def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     """Locations and types that need quoting, and --min-support drops: the
-    events file equals csv.writer's rows, written from the table and from
-    AggregatedEvent rows."""
+    events file equals csv.writer's rows, written by the command and by the
+    library from the table read back."""
     import io
     import math
 
@@ -696,7 +703,7 @@ def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     for quoted in (b'"Elm, North"', b'"Road, closed"', b'"say ""hi"""'):
         assert quoted in expected
 
-    out, rows_out = tmp_path / "events.csv", tmp_path / "rows.csv"
+    out, library_out = tmp_path / "events.csv", tmp_path / "library.csv"
     run_ok(
         runner,
         ["aggregate", str(trace), "--out", str(out), "--loc", "Elm, North",
@@ -704,8 +711,8 @@ def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     )
     assert out.read_bytes() == expected
     events = aggregate(reports, min_support=2, default_loc="Elm, North").events
-    write_events_csv(iter(list(events)), rows_out)
-    assert rows_out.read_bytes() == expected
+    write_events_csv(events, library_out)
+    assert library_out.read_bytes() == expected
 
 
 def test_outputs_do_not_depend_on_sidecars(runner, tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import aggregated_table, canonical_table, make_config, trace_table
 from pssim import formats
 from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
@@ -37,18 +37,8 @@ from pssim.formats import (
     TRACE_HEADER,
 )
 from pssim.simulator import simulate
-from pssim.table import AggregatedEventTable, ReportTable, report_columns
-from pssim.types import (
-    DAY_BINS,
-    TEMPORAL_BINS,
-    AggregatedEvent,
-    DayBin,
-    EventKey,
-    IngestedReport,
-    Report,
-    TemporalBin,
-    weekday_of,
-)
+from pssim.table import ReportTable
+from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin
 
 
 class TestTimestampParsing:
@@ -178,7 +168,11 @@ class TestCanonicalRoundTrip:
             )
         table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
         write_canonical(reports, table_path)
-        write_canonical(iter(list(reports)), rows_path)
+        # the rows encoded again, through their row views
+        write_canonical(
+            canonical_table((r.date, r.time, r.source_id, r.loc, r.incident_type) for r in reports),
+            rows_path,
+        )
         assert table_path.read_bytes() == expected.getvalue().encode()
         assert rows_path.read_bytes() == table_path.read_bytes()
 
@@ -222,7 +216,14 @@ class TestTraceFiles:
         trace = simulate(make_config(seed=9, pr_lie=0.2))
         table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
         write_trace(trace.reports, table_path)
-        write_trace(iter(list(trace.reports)), rows_path)
+        # the rows encoded again: one slot per event that has reports
+        rows = trace_table(
+            (r.event_no, r.date, r.time, r.report_no, r.source_id, r.event_reported,
+             r.event_occurred)
+            for r in trace.reports
+        )
+        assert len(rows.event_no) < len(trace.reports.event_no)
+        write_trace(rows, rows_path)
         assert rows_path.read_bytes() == table_path.read_bytes()
 
     def test_events_without_reports_leave_the_bytes_unchanged(self, tmp_path):
@@ -322,39 +323,40 @@ WRITER_NUMBERS = (0, -1, 7, -(2**63), 2**63 - 1, 10, 123456)
 
 
 def writer_row(kind, i):
-    """Row ``i`` of a writer's input; the first few rows use every text."""
+    """Row ``i`` of a writer's input, as its encoder in conftest takes it;
+    the first few rows use every text."""
     date = dt.date(2015, 2, 23) + dt.timedelta(days=i % 3)
     time = TEMPORAL_BINS[3 * i % 8]
     a, b, c = (WRITER_TEXTS[(i + k) % 6] for k in (0, 3, 2 * i + 1))
     number = WRITER_NUMBERS[i % len(WRITER_NUMBERS)]
     if kind == "trace":
-        return Report(i % 3 - 1, date, weekday_of(date), time, number, a, b, c)
+        return i % 3 - 1, date, time, number, a, b, c
     if kind == "canonical":
-        return IngestedReport(date, weekday_of(date), time, a, b, c)
-    return AggregatedEvent(EventKey(date, time, a, b), max(number, 1), frozenset({c}))
+        return date, time, a, b, c
+    return date, time, a, b, max(number, 1), frozenset({c})
 
 
-# per writer: the function, its header, the table of some rows, and the
-# fields csv.writer writes for one row
+# per writer: the function, its header, the encoder of its table, and the
+# fields csv.writer writes for one row of the table
 WRITERS = {
     "trace": (
         write_trace,
         TRACE_HEADER,
-        ReportTable.from_rows,
+        trace_table,
         lambda r: (r.event_no, r.date.isoformat(), r.day.label, r.time.label, r.report_no,
                    r.source_id, r.event_reported, r.event_occurred),
     ),
     "canonical": (
         write_canonical,
         CANONICAL_HEADER,
-        lambda rows: report_columns(rows)[0],
+        canonical_table,
         lambda r: (r.date.isoformat(), r.day.label, r.time.label, r.source_id, r.loc,
                    r.incident_type),
     ),
     "events": (
         write_events_csv,
         EVENTS_HEADER,
-        AggregatedEventTable.from_rows,
+        aggregated_table,
         lambda e: (e.key.date.isoformat(), e.key.day_time.label, e.key.loc,
                    e.key.incident_type, e.support_count),
     ),
@@ -367,24 +369,21 @@ class TestWriters:
     def test_bytes_equal_csv_writer_across_chunk_cuts(self, tmp_path, monkeypatch, kind, cut):
         monkeypatch.setattr(formats, "CHUNK_ROWS", 4)
         write, header, to_table, fields = WRITERS[kind]
-        rows = [writer_row(kind, i) for i in range(formats.CHUNK_ROWS + cut)]
+        table = to_table(writer_row(kind, i) for i in range(formats.CHUNK_ROWS + cut))
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(fields, rows))
-        expected = expected.getvalue().encode()
-        assert set(WRITER_TEXTS) <= {field for row in rows for field in fields(row)}
-        table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
-        write(to_table(rows), table_path)
-        write(iter(rows), rows_path)
-        assert table_path.read_bytes() == expected
-        assert rows_path.read_bytes() == expected
+        writer.writerows(map(fields, table))
+        assert set(WRITER_TEXTS) <= {field for row in table for field in fields(row)}
+        path = tmp_path / "out.csv"
+        write(table, path)
+        assert path.read_bytes() == expected.getvalue().encode()
 
     @pytest.mark.parametrize("kind", WRITERS)
     def test_empty_input_writes_the_header(self, tmp_path, kind):
         write, header, to_table, _ = WRITERS[kind]
         path = tmp_path / "out.csv"
-        write(iter([]), path)
+        write(to_table([]), path)
         assert path.read_bytes() == (",".join(header) + "\n").encode()
 
     def test_csv_fields_quote_as_csv_writer_does(self):
@@ -1351,14 +1350,36 @@ class TestSidecar:
             path = Path(scratch) / "trace.csv"
             date = dt.date(2016, 1, 9)
             write_trace(
-                [Report(i % 3, date, weekday_of(date), TEMPORAL_BINS[i % 8], number, source, a, b)
-                 for i, (number, source, a, b) in enumerate(rows)],
+                trace_table(
+                    (i % 3, date, TEMPORAL_BINS[i % 8], number, source, a, b)
+                    for i, (number, source, a, b) in enumerate(rows)
+                ),
                 path,
             )
-            # the sidecar leaves texts with a CR to the CSV
-            cr = any("\r" in text for row in rows for text in row[1:])
-            table, rejects, _ = read_every_way(read_trace, path, sidecar=not cr)
+            table, rejects, _ = read_every_way(read_trace, path)
         assert len(table) + sum(rejects.values()) == len(rows)
+
+    @pytest.mark.parametrize("bare", ["a\rb", "ab\r"], ids=["inside", "last"])
+    def test_a_bare_cr_is_declined(self, tmp_path, bare):
+        # as written before a CR was quoted: csv.reader ends the row there
+        path = tmp_path / "trace.csv"
+        write_trace(trace_table([(1, dt.date(2016, 1, 9), TemporalBin.MD, 1, bare, "Jam", "Jam")]), path)
+        assert read_by(read_trace, path)[1] == "sidecar"
+        quoted = f'"{bare}"'
+        data = path.read_bytes().replace(quoted.encode(), bare.encode())
+        path.write_bytes(data)
+
+        def unquote(head):
+            head["csv_sha256"] = hashlib.sha256(data).hexdigest()
+            for part in head["parts"]:
+                if "texts" in part:
+                    part["texts"] = [text.replace(quoted, bare) for text in part["texts"]]
+
+        reseal(Path(f"{path}.cols"), unquote)
+        with open(f"{path}.cols", "rb") as handle:
+            with pytest.raises(ValueError, match="a CR outside quotes"):
+                formats._Sidecar(path, handle)
+        read_every_way(read_trace, path, sidecar=False)
 
     def test_layout_is_a_json_line_and_raw_columns(self, tmp_path, monkeypatch):
         table = sidecar_table("trace", PLAIN_TEXTS)

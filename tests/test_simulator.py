@@ -5,7 +5,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from conftest import make_config
+from conftest import event_table, make_config
 from pssim._kernels import available_backends
 from pssim.distributions import (
     RandomSource,
@@ -22,7 +22,7 @@ from pssim.simulator import (
     gen_poisson_events,
     simulate,
 )
-from pssim.types import DayBin, Event, TemporalBin, weekday_of
+from pssim.types import DayBin, TemporalBin, weekday_of
 
 
 class TestGenPoissonEvents:
@@ -108,15 +108,16 @@ class TestAssignEventAttributes:
         }
 
 
-def one_event(day=DayBin.MONDAY, date=dt.date(2015, 2, 23), etype="Jam"):
-    return Event(1, date, day, TemporalBin.MD, "Elm Street", etype)
+def events_of(*types):
+    """An EventTable of one Monday event per type."""
+    return event_table((1, dt.date(2015, 2, 23), TemporalBin.MD, "Elm Street", t) for t in types)
 
 
 class TestAttributeReports:
     def test_single_participant_forced_outcome(self):
         pool = ParticipantPool.from_quotas([5])
         reports = attribute_reports(
-            [one_event()], pool, 0.0, ("Jam", "Accident"), RandomSource(4)
+            events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(4)
         )
         assert len(reports) == 5
         assert all(r.source_id == "UID000001" for r in reports)
@@ -127,7 +128,7 @@ class TestAttributeReports:
     def test_lie_fraction_converges(self):
         quotas = np.full(100, 100, dtype=np.int64)  # 10,000 reports
         pool = ParticipantPool.from_quotas(quotas)
-        events = [one_event(etype="Jam"), one_event(etype="Accident")]
+        events = events_of("Jam", "Accident")
         reports = attribute_reports(
             events, pool, 0.1, ("Jam", "Accident", "Hazard"), RandomSource(12)
         )
@@ -136,7 +137,7 @@ class TestAttributeReports:
 
     def test_certain_lie_never_reports_the_occurred_type(self):
         pool = ParticipantPool.from_quotas(np.full(10, 10, dtype=np.int64))
-        events = [one_event(etype="Jam"), one_event(etype="Accident")]
+        events = events_of("Jam", "Accident")
         reports = attribute_reports(
             events, pool, 1.0, ("Jam", "Accident"), RandomSource(1)
         )
@@ -146,7 +147,7 @@ class TestAttributeReports:
         pool = ParticipantPool.from_quotas(np.full(100, 100, dtype=np.int64))
         types = ("Jam", "Accident", "Hazard")
         reports = attribute_reports(
-            [one_event(etype="Jam")], pool, 1.0, types, RandomSource(9)
+            events_of("Jam"), pool, 1.0, types, RandomSource(9)
         )
         lied = [types[i] for i in reports.reported.tolist()]
         assert "Jam" not in lied
@@ -155,7 +156,7 @@ class TestAttributeReports:
     def test_singleton_types_rejected_when_lying(self):
         pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="two event types"):
-            attribute_reports([one_event()], pool, 0.5, ("Jam",), RandomSource(0))
+            attribute_reports(events_of("Jam"), pool, 0.5, ("Jam",), RandomSource(0))
 
     def test_quota_conservation(self):
         rng_q = np.random.default_rng(3)
@@ -163,7 +164,7 @@ class TestAttributeReports:
         quotas[0] = max(quotas[0], 1)
         pool = ParticipantPool.from_quotas(quotas)
         reports = attribute_reports(
-            [one_event()], pool, 0.0, ("Jam", "Accident"), RandomSource(7)
+            events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(7)
         )
         assert len(reports) == int(quotas.sum())
         assert pool.quotas.tolist() == [0] * 40
@@ -177,19 +178,19 @@ class TestAttributeReports:
         pool = ParticipantPool.from_quotas([0, 0])
         with pytest.raises(PsSimError, match="no remaining quota"):
             attribute_reports(
-                [one_event()], pool, 0.0, ("Jam", "Accident"), RandomSource(0)
+                events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(0)
             )
 
     def test_no_events_rejected(self):
         pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="no events"):
-            attribute_reports([], pool, 0.0, ("Jam", "Accident"), RandomSource(0))
+            attribute_reports(events_of(), pool, 0.0, ("Jam", "Accident"), RandomSource(0))
 
     def test_unknown_event_type_rejected(self):
         pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="not in the configured type list"):
             attribute_reports(
-                [one_event(etype="Meteor")],
+                events_of("Meteor"),
                 pool,
                 0.0,
                 ("Jam", "Accident"),
@@ -284,18 +285,6 @@ class TestTraceTables:
         assert trace.lie_count == sum(
             1 for r in trace.reports if r.event_reported != r.event_occurred
         )
-
-    def test_attribute_reports_accepts_event_rows_and_tables(self):
-        cfg = make_config(seed=6)
-        events = assign_event_attributes(40, cfg, RandomSource(1))
-        from_table = attribute_reports(
-            events, ParticipantPool.from_quotas([5, 7, 2]), 0.2, cfg.ev_types, RandomSource(2)
-        )
-        from_rows = attribute_reports(
-            list(events), ParticipantPool.from_quotas([5, 7, 2]), 0.2, cfg.ev_types,
-            RandomSource(2),
-        )
-        assert from_table == from_rows
 
     def test_memory_per_report_is_bounded(self):
         import gc

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config
+from conftest import make_config, trace_table
 from pssim.distributions import RandomSource, pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.simulator import simulate
-from pssim.types import DayBin, Report, TemporalBin, weekday_of
+from pssim.types import DayBin, TemporalBin
 from pssim.validation import (
     AXES,
     align_histograms,
@@ -27,8 +27,8 @@ MONDAY = dt.date(2015, 2, 23)
 
 
 def report(source="u1", day_offset=0, time=TemporalBin.MD, no=1):
-    date = MONDAY + dt.timedelta(days=day_offset)
-    return Report(1, date, weekday_of(date), time, no, source, "Jam", "Jam")
+    """A trace_table row."""
+    return 1, MONDAY + dt.timedelta(days=day_offset), time, no, source, "Jam", "Jam"
 
 
 class TestKfold:
@@ -73,7 +73,7 @@ class TestKfold:
 
 class TestHistogram:
     def test_per_user_fractions(self):
-        reports = (
+        reports = trace_table(
             [report(source="a", no=i) for i in range(2)]
             + [report(source="b", no=i) for i in range(2)]
             + [report(source="c", no=i) for i in range(5)]
@@ -82,23 +82,23 @@ class TestHistogram:
         assert h == {2: pytest.approx(2 / 3), 5: pytest.approx(1 / 3)}
 
     def test_indicator_time_histogram(self):
-        reports = [report(time=TemporalBin.MD, no=i) for i in range(9)]
+        reports = trace_table(report(time=TemporalBin.MD, no=i) for i in range(9))
         h = histogram(reports, "perTimeBin")
         assert h[TemporalBin.MD] == 1.0
         assert sum(h.values()) == pytest.approx(1.0, abs=1e-9)
         assert len(h) == 8
 
     def test_day_histogram_sums_to_one(self):
-        reports = [report(day_offset=i % 7, no=i) for i in range(25)]
+        reports = trace_table(report(day_offset=i % 7, no=i) for i in range(25))
         h = histogram(reports, "perDayBin")
         assert len(h) == 7
         assert sum(h.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_input_rejected(self):
         with pytest.raises(PsSimError):
-            histogram([], "perUser")
+            histogram(trace_table([]), "perUser")
         with pytest.raises(PsSimError):
-            histogram([report()], "perFortnight")
+            histogram(trace_table([report()]), "perFortnight")
 
     def test_sample_csv_per_user_histogram_matches_hand_tally(self):
         import csv
@@ -184,7 +184,7 @@ class TestCrossValidate:
 
     def test_k_below_two_rejected(self):
         with pytest.raises(PsSimError):
-            cross_validate([report()], k=1, seed=0)
+            cross_validate(trace_table([report()]), k=1, seed=0)
 
     def test_deterministic(self):
         trace = simulate(make_config(n=300, seed=8, lambda_e=10.0))
