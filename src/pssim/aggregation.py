@@ -92,6 +92,7 @@ def _group(cols: CanonicalTable, min_support: int) -> AggregatedEventTable:
 
 def aggregate(
     reports,
+    *,
     min_support: int = 1,
     default_loc: str = "unspecified",
     use_occurred: bool = False,

@@ -679,19 +679,6 @@ def _sha256(path: Path, out: list[str]) -> None:
     out.append(digest.hexdigest())
 
 
-def _bare_cr(text: str) -> bool:
-    """Whether a field text holds a CR outside quotes.  _csv_fields quotes
-    every CR, but older files hold bare ones, at which csv.reader ends the
-    row; parsed alone, such a text loses its CR or raises csv.Error."""
-    if "\r" not in text:
-        return False
-    try:
-        fields = next(csv.reader([text[:-1]]), [])
-    except csv.Error:
-        return True
-    return sum(field.count("\r") for field in fields) != text.count("\r")
-
-
 class _Sidecar:
     """The sidecar of a CSV that _write_sidecar wrote, checked whole and
     open for reading its columns.
@@ -771,10 +758,13 @@ class _Sidecar:
         for j, (texts, seen) in enumerate(zip(self.texts, used)):
             codes = [] if seen is None else np.flatnonzero(seen).tolist()
             chosen = [texts[code] for code in codes]
-            if not all(isinstance(text, str) and text[-1:] in (",", "\n") for text in chosen):
+            # a text with a CR is left to the CSV: files written before a CR
+            # was quoted hold it bare, and csv.reader ends a row there
+            if not all(
+                isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
+                for text in chosen
+            ):
                 raise ValueError("texts are not whole fields")
-            if any(map(_bare_cr, chosen)):
-                raise ValueError("a CR outside quotes")
             # csv.reader reads an empty line as no field, where a row has one
             fields = [f or [""] for f in csv.reader(text[:-1] for text in chosen)]
             width = len(fields[0]) if fields else 1

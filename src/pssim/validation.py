@@ -63,7 +63,12 @@ def _fold_rows(n: int, k: int, rng: RandomSource) -> list[np.ndarray]:
 
 
 def kfold_split(reports: Sequence, k: int, rng: RandomSource) -> list[list]:
-    """Shuffle and split into k disjoint folds with sizes differing by <= 1."""
+    """Shuffle and split into k disjoint folds with sizes differing by <= 1.
+
+    Each fold is a list of the items of ``reports`` (row views for a table),
+    which no stage takes; to get a fold as a table, pass ``_fold_rows``'s
+    indices to ``CanonicalTable.take``, as ``cross_validate`` does.
+    """
     return [[reports[j] for j in rows] for rows in _fold_rows(len(reports), k, rng)]
 
 

@@ -34,6 +34,13 @@ def test_row_input_is_refused(stage):
         stage(rows)
 
 
+def test_options_are_keyword_only():
+    # aggregate(table, 4) once set a partition count; it must not set min_support
+    table = canonical_table([raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a")])
+    with pytest.raises(TypeError):
+        aggregate(table, 4)
+
+
 class TestReduceCount:
     """The reduce step: ``aggregate`` counts each key's reports and
     deduplicates their sources."""
