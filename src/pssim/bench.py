@@ -15,7 +15,7 @@ from .simulator import simulate
 from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig
 
 
-def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="auto"):
+def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0):
     """Time one simulation per grid point; returns rows of (n, m, seconds).
 
     Timings are the median over ``repeats`` runs.
@@ -32,8 +32,7 @@ def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="au
             n=10, lambda_e=lambda_e, mlog=math.log(3.0), sdlog=0.5,
             pmf_time=pmf_time, pmf_day=pmf_day, pmf_ev_type=pmf_ev,
             seed=seed, loc="bench",
-        ),
-        backend=backend,
+        )
     )
 
     def run_point(n, m):
@@ -55,7 +54,7 @@ def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0, backend="au
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            simulate(config, backend=backend)
+            simulate(config)
             times.append(time.perf_counter() - t0)
         return n, m, float(np.median(times))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import _kernels, formats
+from . import formats
 from .aggregation import aggregate
 from .analysis import bin_reports, filter_outliers, fit_models
 from .bench import bench_grid, fit_growth_exponents
@@ -443,28 +443,18 @@ def _parse_range(text: str, flag: str) -> list[int]:
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True, help="Runs per grid point; median is reported.")
 @click.option("--lambda", "lambda_e", type=float, default=10.0, show_default=True)
-@click.option(
-    "--backend",
-    type=click.Choice(["auto", "compiled", "python"]),
-    default="auto",
-    show_default=True,
-    help="Participant-assignment kernel implementation.",
-)
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
-def bench_cmd(n_range, m_range, seed, repeats, lambda_e, backend, out):
+def bench_cmd(n_range, m_range, seed, repeats, lambda_e, out):
     """Time trace generation over a grid of participant counts and durations."""
     if repeats < 1:
         raise click.UsageError(f"--repeats must be >= 1, got {repeats}")
     n_values = _parse_range(n_range, "--n-range")
     m_values = _parse_range(m_range, "--m-range")
 
-    resolved, _ = _kernels.get_backend(backend)
-    rows = bench_grid(
-        n_values, m_values, seed=seed, repeats=repeats, lambda_e=lambda_e, backend=backend
-    )
+    rows = bench_grid(n_values, m_values, seed=seed, repeats=repeats, lambda_e=lambda_e)
     formats.write_bench_csv(rows, out)
-    click.echo(f"timings -> {out} | backend {resolved} | {len(rows)} grid points")
+    click.echo(f"timings -> {out} | {len(rows)} grid points")
     exponents = fit_growth_exponents(rows)
     if exponents is None:
         click.echo("growth exponents: need at least a 2x2 grid to fit")

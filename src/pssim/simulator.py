@@ -15,9 +15,10 @@ Stream layout (fixed; golden traces depend on it):
                   uniforms, then replacement-type integers for the liars
 
 Each stage consumes its own substream of the master seed, so adding draws in
-one stage never perturbs another.  The participant-assignment loop runs on
-pre-drawn uniforms, which keeps the compiled and pure-Python kernel backends
-bit-identical.
+one stage never perturbs another.  The participant uniforms are read
+participant-major as exponential gaps: participant p's first quota[p]
+uniforms time its reports, and reports go to participants in the order
+those clocks fire (see ``_kernels``).
 """
 
 from __future__ import annotations
@@ -139,14 +140,13 @@ def attribute_reports(
     pr_lie: float,
     ev_types: Sequence[str],
     rng: RandomSource,
-    backend: str = "auto",
 ) -> ReportTable:
-    """Emit exactly sum(pool.quotas) reports.
+    """Emit exactly sum(pool.quotas) reports and use up the whole pool.
 
     Each report picks an event uniformly at random and a participant
-    uniformly among those with remaining quota (quota decremented); the
-    occurred type comes from the event and the reported type goes through
-    lie injection.
+    uniformly among those with quota left, as drawn by the participants'
+    exponential clocks; the occurred type comes from the event and the
+    reported type goes through lie injection.
     """
     if not len(events):
         raise PsSimError("no events to report")
@@ -170,8 +170,7 @@ def attribute_reports(
     # bounds peak memory per report
     event = gen.integers(0, len(events), size=total).astype(code_dtype(len(events), total))
     u_part = gen.random(total)
-    _, kernels = _kernels.get_backend(backend)
-    part_idx = kernels.assign_participants(pool.quotas, u_part)
+    part_idx = _kernels.assign_participants(pool.quotas, u_part)
     del u_part
 
     occurred = ev_type_idx[event].astype(type_dtype)
@@ -182,8 +181,7 @@ def attribute_reports(
         r = gen.integers(0, len(ev_types) - 1, size=n_lies)
         reported[lie_mask] = r + (r >= occurred[lie_mask])
 
-    consumed = np.bincount(part_idx, minlength=pool.quotas.size)
-    pool.quotas = pool.quotas - consumed
+    pool.quotas = np.zeros_like(pool.quotas)
 
     return ReportTable(
         event_no=events.event_no,
@@ -199,12 +197,8 @@ def attribute_reports(
     )
 
 
-def simulate(config: SimConfig, backend: str = "auto") -> Trace:
-    """Run the full pipeline; a pure function of (config, seed).
-
-    ``backend`` selects the participant-assignment kernel implementation;
-    both backends produce bit-identical traces.
-    """
+def simulate(config: SimConfig) -> Trace:
+    """Run the full pipeline; a pure function of (config, seed)."""
     master = RandomSource(config.seed)
 
     params = rescale(config.mlog, config.sdlog, config.tau)
@@ -224,6 +218,5 @@ def simulate(config: SimConfig, backend: str = "auto") -> Trace:
         config.pr_lie,
         config.ev_types,
         master.substream("reports"),
-        backend=backend,
     )
     return Trace(reports=reports, events=events, config=config, seed=config.seed)

@@ -579,15 +579,6 @@ class TestBench:
         )
         assert result.exit_code == 2
 
-    def test_python_backend_selectable(self, runner, tmp_path):
-        out = tmp_path / "bench.csv"
-        result = run_ok(
-            runner,
-            ["bench", "--n-range", "50", "--m-range", "7", "--repeats", "1",
-             "--backend", "python", "--out", str(out)],
-        )
-        assert "backend python" in result.output
-
 
 def test_cli_import_loads_only_numpy_and_click():
     """`import pssim.cli` is paid by every command; keep it to the runtime

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from conftest import event_table, make_config
-from pssim._kernels import available_backends
 from pssim.distributions import (
     RandomSource,
     lognormal_sample_counts,
@@ -205,14 +204,6 @@ class TestSimulate:
         t2 = simulate(cfg)
         assert t1.reports == t2.reports
         assert t1.events == t2.events
-
-    def test_backends_produce_identical_traces(self):
-        if "compiled" not in available_backends():
-            pytest.skip("compiled kernel extension not built")
-        cfg = make_config(pr_lie=0.1, seed=5)
-        assert simulate(cfg, backend="compiled").reports == simulate(
-            cfg, backend="python"
-        ).reports
 
     def test_referential_integrity_and_ordering(self):
         trace = simulate(make_config(seed=13, pr_lie=0.15, n=50))
