@@ -51,8 +51,7 @@ def assign_participants(quotas: np.ndarray, u: np.ndarray) -> np.ndarray:
     # restart the running sum at each participant: its first gap carries
     # minus the previous participant's total
     starts = np.cumsum(counts) - counts
-    if len(starts) > 1:
-        clock[starts[1:]] -= np.add.reduceat(clock, starts)[:-1]
+    clock[starts[1:]] -= np.add.reduceat(clock, starts)[:-1]
     np.cumsum(clock, out=clock)
 
     order = np.argsort(clock)

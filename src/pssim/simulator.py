@@ -15,10 +15,11 @@ Stream layout (fixed; golden traces depend on it):
                   uniforms, then replacement-type integers for the liars
 
 Each stage consumes its own substream of the master seed, so adding draws in
-one stage never perturbs another.  The participant uniforms are read
-participant-major as exponential gaps: participant p's first quota[p]
-uniforms time its reports, and reports go to participants in the order
-those clocks fire (see ``_kernels``).
+one stage never perturbs another.  The participant uniforms are read as
+exponential gaps, laid out participant-major: the first quota[0] belong to
+participant 0, the next quota[1] to participant 1, and so on.  Participant
+p's k-th report fires at the sum of its first k gaps, and reports go to
+participants in firing order (see ``_kernels``).
 """
 
 from __future__ import annotations

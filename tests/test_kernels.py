@@ -7,6 +7,7 @@ import pssim
 from conftest import make_config
 from pssim import _kernels
 from pssim._kernels import assign_participants
+from pssim.errors import PsSimError
 from pssim.simulator import simulate
 
 
@@ -80,7 +81,7 @@ def test_property_output_rearranges_the_quotas(quotas, seed):
 
 
 def test_exact_ties_keep_participant_major_order():
-    x = 0.5  # participants 0 and 2 share a gap, and u = 0 is a zero gap
+    x = 0.5  # participants 0 and 3 share a gap, and u = 0 is a zero gap
     quotas = np.array([2, 1, 0, 2], dtype=np.int64)
     u = np.array([0.0, x, 0.0, 0.0, x])
     for _ in range(20):
@@ -122,3 +123,5 @@ def test_simulate_calls_the_kernel_get_backend_names(monkeypatch):
     trace = simulate(make_config(seed=3, n=40))
     assert calls == [len(trace.reports)]
     assert name == pssim.KERNEL_BACKEND == "numpy"
+    with pytest.raises(PsSimError, match="unknown kernel backend"):
+        _kernels.get_backend("compiled")
