@@ -50,6 +50,7 @@ def oracle_law(quotas):
 
 def chi_square(sampler, quotas, draws, seed):
     law = oracle_law(quotas)
+    assert abs(sum(law.values()) - 1.0) < 1e-12
     rng = np.random.default_rng(seed)
     total = sum(quotas)
     seen = {}
@@ -66,7 +67,6 @@ def test_sequence_law_is_the_sequential_loops(sampler, quotas, draws, seed):
     # (3, 1, 2, 0, 1) has 420 sequences, (2, 2, 1) has 30; the bound is the
     # mean plus five standard deviations of a chi-square on that many dof
     stat, dof = chi_square(sampler, quotas, draws, seed)
-    assert abs(sum(oracle_law(quotas).values()) - 1.0) < 1e-12
     assert stat < dof + 5 * np.sqrt(2 * dof)
 
 
