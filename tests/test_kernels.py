@@ -80,6 +80,22 @@ def test_property_output_rearranges_the_quotas(quotas, seed):
     assert not np.isin(out, np.flatnonzero(quotas == 0)).any()
 
 
+def test_python_kernel_conserves_quotas():
+    # the sampler and the Python loop kept as its oracle
+    rng = np.random.default_rng(0)
+    quotas = rng.integers(0, 8, size=50).astype(np.int64)
+    u = rng.random(int(quotas.sum()))
+    for sampler in (assign_participants, sequential_oracle):
+        assert np.array_equal(np.bincount(sampler(quotas, u), minlength=50), quotas)
+
+
+def test_python_kernel_skips_zero_quota_participants():
+    quotas = np.array([0, 3, 0, 2], dtype=np.int64)
+    u = np.random.default_rng(1).random(5)
+    for sampler in (assign_participants, sequential_oracle):
+        assert set(sampler(quotas, u).tolist()) <= {1, 3}
+
+
 def test_exact_ties_keep_participant_major_order():
     x = 0.5  # participants 0 and 3 share a gap, and u = 0 is a zero gap
     quotas = np.array([2, 1, 0, 2], dtype=np.int64)
