@@ -7,7 +7,6 @@ import pssim
 from conftest import make_config
 from pssim import _kernels
 from pssim._kernels import assign_participants
-from pssim.errors import PsSimError
 from pssim.simulator import simulate
 
 
@@ -139,5 +138,3 @@ def test_simulate_calls_the_kernel_get_backend_names(monkeypatch):
     trace = simulate(make_config(seed=3, n=40))
     assert calls == [len(trace.reports)]
     assert name == pssim.KERNEL_BACKEND == "numpy"
-    with pytest.raises(PsSimError, match="unknown kernel backend"):
-        _kernels.get_backend("compiled")
