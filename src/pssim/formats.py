@@ -35,6 +35,14 @@ is gathered from one byte blob with one index and written with one call,
 so the temporaries are those of one chunk.  The bytes equal csv.writer's
 output row by row, except that a field holding a CR is quoted too, so that
 csv.reader reads every row back whole (see _csv_fields).
+
+Every output but the sidecar, which is moved into place, is opened by
+_overwrite: without O_TRUNC, written over from its start and cut to length
+on close.  On ext4, emptying an existing file at open frees its blocks
+(slow where discard is on) and makes its close start writeback
+(auto_da_alloc); writing in place avoids both.  A run killed mid-write
+leaves a damaged file: the new bytes, then the old file's tail when the
+old file was longer.
 """
 
 from __future__ import annotations
@@ -154,8 +162,24 @@ def parse_date(text: str) -> dt.date:
         raise PsSimError(f"unparseable date {t!r}") from None
 
 
-def _writer(handle):
-    return csv.writer(handle, lineterminator="\n")
+@contextlib.contextmanager
+def _overwrite(path: Path, mode: str = "wb"):
+    """Open ``path`` to be written over from its start, creating it as
+    ``open(path, "w")`` does, binary or as UTF-8 text with no newline
+    translation.  On exit, after an exception too, a regular file is cut
+    at the position reached, so it holds only the new bytes."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        handle = open(fd, mode) if "b" in mode else open(fd, mode, newline="", encoding="utf-8")
+    except BaseException:
+        os.close(fd)
+        raise
+    with handle:
+        try:
+            yield handle
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
 
 
 CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and per block of the sidecar and csv.reader
@@ -258,7 +282,7 @@ def _write_csv(
     text_starts = np.cumsum(text_lengths) - text_lengths
     # where each _Texts part's texts begin among all texts
     offsets = np.array(list(itertools.accumulate(map(len, vocabularies[:-1]), initial=0)))
-    with open(path, "wb") as handle:
+    with _overwrite(path) as handle:
         line = ",".join(header).encode() + b"\n"
         handle.write(line)
         digest = None  # of the CSV, when it may get a sidecar
@@ -1289,7 +1313,8 @@ def model_to_json(model: ModelFile) -> str:
 
 
 def save_model(model: ModelFile, path: Path) -> None:
-    Path(path).write_text(model_to_json(model), encoding="utf-8")
+    with _overwrite(path, "w") as handle:
+        handle.write(model_to_json(model))
 
 
 def load_model(path: Path) -> ModelFile:
@@ -1327,8 +1352,8 @@ def _ingest_meta_path(dataset_path: Path) -> Path:
 def write_ingest_meta(dataset_path: Path, meta: dict) -> None:
     """Persist ingestion provenance (window, outlier threshold, reject
     summary) next to the canonical dataset."""
-    text = json.dumps(meta, indent=2, sort_keys=True) + "\n"
-    _ingest_meta_path(dataset_path).write_text(text, encoding="utf-8")
+    with _overwrite(_ingest_meta_path(dataset_path), "w") as handle:
+        handle.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def read_ingest_meta(dataset_path: Path) -> dict | None:
@@ -1366,32 +1391,30 @@ def write_events_csv(table: AggregatedEventTable, path: Path) -> None:
     )
 
 
+def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV header and rows with csv.writer."""
+    with _overwrite(path, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_validation_csv(reports, path: Path) -> None:
     from .validation import AXES  # local import to keep formats a leaf module
 
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(VALIDATION_HEADER)
+    def rows():
         for rep in reports:
             for axis in AXES:
                 res = rep.axis(axis)
-                w.writerow(
-                    (rep.fold, axis, res.correlation, res.rmse, res.real_n, res.sim_n)
-                )
+                yield rep.fold, axis, res.correlation, res.rmse, res.real_n, res.sim_n
+
+    _write_rows(path, VALIDATION_HEADER, rows())
 
 
 def write_bench_csv(rows: Iterable[tuple[int, int, float]], path: Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(BENCH_HEADER)
-        for n, m, seconds in rows:
-            w.writerow((n, m, seconds))
+    _write_rows(path, BENCH_HEADER, rows)
 
 
 def write_plot_data(rows: Iterable[Sequence], path: Path) -> None:
     """Tidy long-format plot data: (plot, series, x, y) per row."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        w = _writer(handle)
-        w.writerow(PLOT_HEADER)
-        for row in rows:
-            w.writerow(row)
+    _write_rows(path, PLOT_HEADER, rows)

@@ -5,8 +5,11 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
+import stat
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +23,11 @@ from pssim import formats
 from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import (
+    BENCH_HEADER,
     CANONICAL_HEADER,
     EVENTS_HEADER,
+    PLOT_HEADER,
+    VALIDATION_HEADER,
     ModelFile,
     load_model,
     model_to_json,
@@ -31,14 +37,18 @@ from pssim.formats import (
     read_raw_reports,
     read_trace,
     save_model,
+    write_bench_csv,
     write_canonical,
     write_events_csv,
+    write_plot_data,
     write_trace,
+    write_validation_csv,
     TRACE_HEADER,
 )
 from pssim.simulator import simulate
 from pssim.table import ReportTable
 from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin
+from pssim.validation import AXES, AxisResult, ValidationReport
 
 
 class TestTimestampParsing:
@@ -1549,3 +1559,197 @@ def test_rows_outside_keep_get_malformed(tmp_path, kind):
     keep = np.array([False, True, False, True])
     assert block.values(fresh, keep).tolist() == [-1, 7, -1, 9]
     assert block.values(fresh, ~keep).tolist() == [5, -1, 5, -1]
+
+
+def validation_reports(folds):
+    """Fold reports with made-up scores, a NaN correlation among them."""
+
+    def scores(k):
+        return AxisResult(math.nan if k == 1 else 1 / (k + 1), k / 7, 10 * k, 3 * k + 1, {}, {})
+
+    return [ValidationReport(fold, *(scores(3 * fold + j) for j in range(3))) for fold in range(folds)]
+
+
+def validation_rows(reports):
+    return [
+        (report.fold, axis, s.correlation, s.rmse, s.real_n, s.sim_n)
+        for report in reports
+        for axis in AXES
+        for s in [report.axis(axis)]
+    ]
+
+
+# per text writer: the function, its header, a maker of an input of n
+# entries, and the rows csv.writer writes for that input
+TEXT_WRITERS = {
+    "validation": (write_validation_csv, VALIDATION_HEADER, validation_reports, validation_rows),
+    "bench": (write_bench_csv, BENCH_HEADER, lambda n: [(100 * i, 10 + i, i / 3) for i in range(n)], list),
+    "plot": (
+        write_plot_data,
+        PLOT_HEADER,
+        lambda n: [("acf", WRITER_TEXTS[i % 6], WRITER_TEXTS[i % 5], 1 / (i + 1)) for i in range(n)],
+        list,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", TEXT_WRITERS)
+def test_text_writer_bytes_equal_csv_writer(tmp_path, kind):
+    write, header, make, rows_of = TEXT_WRITERS[kind]
+    data = make(7)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows_of(data))
+    path = tmp_path / "out.csv"
+    write(data, path)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
+OUTPUT_KINDS = (*WRITERS, *TEXT_WRITERS, "model", "ingest_meta")
+
+
+def write_output(kind, path, big):
+    """Write a long (``big``) or a short output of one kind to ``path``, and
+    return the file written."""
+    n = 3000 if big else 20
+    if kind == "trace":
+        config = make_config(seed=3, n=2000, tau=14) if big else make_config(seed=4, n=50, tau=7)
+        write_trace(simulate(config).reports, path)
+    elif kind in WRITERS:
+        write, _, to_table, _ = WRITERS[kind]
+        write(to_table(writer_row(kind, i) for i in range(n)), path)
+    elif kind in TEXT_WRITERS:
+        write, _, make, _ = TEXT_WRITERS[kind]
+        write(make(n), path)
+    elif kind == "model":
+        save_model(dataclasses.replace(small_model(), meta={"rows": list(range(n))}), path)
+    else:
+        formats.write_ingest_meta(path, {"rejects": {f"reason {i}": i for i in range(n)}})
+        return Path(f"{path}.meta.json")
+    return path
+
+
+class TestOverwrite:
+    """Outputs are written over from their start and cut to length."""
+
+    @pytest.mark.parametrize("kind", OUTPUT_KINDS)
+    def test_rewrite_equals_a_fresh_write(self, tmp_path, kind):
+        out = write_output(kind, tmp_path / "out", big=True)
+        old_size = out.stat().st_size
+        assert write_output(kind, tmp_path / "out", big=False) == out
+        fresh = write_output(kind, tmp_path / "fresh", big=False)
+        assert out.stat().st_size < old_size
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_no_output_is_opened_with_o_trunc(self, tmp_path):
+        """On ext4, a truncating open (O_TRUNC) of an existing file frees
+        its blocks at open, which is slow where the filesystem is mounted
+        with discard, and makes its close start writeback (auto_da_alloc)."""
+        outputs = {write_output(kind, tmp_path / kind, big=True) for kind in OUTPUT_KINDS}
+        with mock.patch.object(formats.os, "open", wraps=os.open) as spy:
+            for kind in OUTPUT_KINDS:
+                write_output(kind, tmp_path / kind, big=False)
+        assert outputs <= {Path(call.args[0]) for call in spy.call_args_list}
+        assert not any(call.args[1] & os.O_TRUNC for call in spy.call_args_list)
+
+    def test_a_failed_write_leaves_a_prefix_of_the_new_bytes(self, tmp_path, monkeypatch):
+        path = write_output("trace", tmp_path / "out", big=True)
+        fresh = write_output("trace", tmp_path / "fresh", big=False).read_bytes()
+        decimal, calls = formats._decimal, []
+
+        def fail_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("second chunk")
+            return decimal(*args)
+
+        monkeypatch.setattr(formats, "CHUNK_ROWS", 100)
+        monkeypatch.setattr(formats, "_decimal", fail_second)
+        with pytest.raises(RuntimeError, match="second chunk"):
+            write_output("trace", path, big=False)
+        # the header and the first chunk, and nothing of the old file
+        assert path.read_bytes() == b"".join(fresh.splitlines(keepends=True)[:101])
+
+    def test_a_failed_text_write_leaves_the_rows_written(self, tmp_path):
+        path = write_output("plot", tmp_path / "out", big=True)
+
+        def rows():
+            yield "acf", "Elm", 1, 0.5
+            raise RuntimeError("second row")
+
+        with pytest.raises(RuntimeError, match="second row"):
+            write_plot_data(rows(), path)
+        assert path.read_bytes() == b"plot,series,x,y\nacf,Elm,1,0.5\n"
+
+    def test_the_descriptor_is_closed_when_open_fails(self, tmp_path, monkeypatch):
+        fds = []
+
+        def os_open(*args, _open=os.open):
+            fds.append(_open(*args))
+            return fds[-1]
+
+        monkeypatch.setattr(formats.os, "open", os_open)
+        monkeypatch.setattr(formats, "open", mock.Mock(side_effect=MemoryError), raising=False)
+        with pytest.raises(MemoryError):
+            write_output("bench", tmp_path / "out", big=False)
+        assert len(fds) == 1
+        with pytest.raises(OSError):
+            os.fstat(fds[0])
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_of_open_w(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "w"):
+                pass
+            outputs = [write_output(kind, tmp_path / kind, big=False) for kind in OUTPUT_KINDS]
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert [stat.S_IMODE(out.stat().st_mode) for out in outputs] == [mode] * len(outputs)
+
+    @pytest.mark.parametrize("kind", [*TEXT_WRITERS, "model"])
+    def test_text_writers_write_to_devnull(self, kind):
+        write_output(kind, Path(os.devnull), big=False)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+    def test_a_fifo_gets_every_byte_and_is_not_cut(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        write_output("bench", fifo, big=False)
+        reader.join(timeout=60)
+        assert got == [write_output("bench", tmp_path / "fresh", big=False).read_bytes()]
+
+
+def test_a_large_trace_rewritten_in_place_is_read_from_its_new_sidecar(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(simulate(make_config(seed=3, n=2000, tau=14)).reports, path)
+    write_trace(simulate(make_config(seed=5, n=1500, tau=14)).reports, path)
+    assert path.stat().st_size >= formats.BYTE_PATH_MIN_BYTES
+    (table, rejects), taken = read_by(read_trace, path)
+    assert taken == "sidecar"
+    Path(f"{path}.cols").unlink()
+    (plain, plain_rejects), taken = read_by(read_trace, path)
+    assert taken == "bytes"
+    assert columns(table) == columns(plain)
+    assert rejects == plain_rejects
+
+
+def test_a_large_trace_rewritten_small_is_read_by_csv_reader(tmp_path):
+    path, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
+    write_trace(simulate(make_config(seed=3, n=2000, tau=14)).reports, path)
+    old_sidecar = Path(f"{path}.cols").read_bytes()
+    small = simulate(make_config(seed=4, n=50, tau=7)).reports
+    write_trace(small, path)
+    write_trace(small, fresh)
+    assert path.stat().st_size < formats.BYTE_PATH_MIN_BYTES
+    assert Path(f"{path}.cols").read_bytes() == old_sidecar  # still next to it
+    (table, rejects), taken = read_by(read_trace, path)
+    assert taken == "rows"
+    (expected, expected_rejects), _ = read_by(read_trace, fresh)
+    assert columns(table) == columns(expected)
+    assert rejects == expected_rejects
