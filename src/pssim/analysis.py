@@ -3,7 +3,10 @@
 Estimates the categorical day/time/type pmfs, the log-normal participation
 parameters with Q-Q diagnostics, per-location Poisson rates, autocorrelation
 of binned report counts, and percentile-based outlier filtering.  Every
-counting stage works on the code columns of ``table.report_columns``.
+counting stage works on the code columns of ``table.report_columns``, and
+groups by counting over their code spaces (locations, user x week cells)
+rather than by sorting the rows; only when the user x week space is large
+against the row count are the rows sorted instead (``DENSE_CELLS_PER_ROW``).
 """
 
 from __future__ import annotations
@@ -18,13 +21,18 @@ from .distributions import (
     LogNormalParams,
     Pmf,
     fit_lognormal,
-    lognormal_quantile,
+    lognormal_quantiles,
     pmf_from_counts,
 )
 from .errors import PsSimError
 from .formats import ModelFile
 from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, weekday_of
+
+#: ``_user_weekly`` counts (user, week) pairs in a dense array while the
+#: user codes times the weeks stay at most this many times (rows + 256),
+#: and sorts the rows above that.
+DENSE_CELLS_PER_ROW = 4
 
 
 @dataclass(frozen=True)
@@ -118,15 +126,17 @@ def bin_reports(
     cell = offset * 8 + table.time[inside]
     n_cells = 8 * days
 
-    loc_codes, loc_first, loc = np.unique(
-        table.loc[inside], return_index=True, return_inverse=True
-    )
+    loc = table.loc[inside]
+    first = _first_rows(loc, len(table.locs))
+    present = np.flatnonzero(first < len(loc))  # location codes seen in the window
+    rank = np.zeros(len(table.locs), dtype=np.int64)  # so only they get cells
+    rank[present] = np.arange(len(present))
     per_loc = np.bincount(
-        loc * n_cells + cell, minlength=len(loc_codes) * n_cells
-    ).reshape(len(loc_codes), n_cells)
+        rank[loc] * n_cells + cell, minlength=len(present) * n_cells
+    ).reshape(len(present), n_cells)
     per_location = {}
-    for i in np.argsort(loc_first).tolist():
-        name = table.locs[loc_codes[i]]
+    for i in np.argsort(first[present]).tolist():
+        name = table.locs[present[i]]
         per_location[name] = BinnedSeries(name, start, per_loc[i])
 
     users, pair_user, pair_week, pair_count = _user_weekly(
@@ -146,6 +156,14 @@ def bin_reports(
     )
 
 
+def _first_rows(codes: np.ndarray, size: int) -> np.ndarray:
+    """Each code's first row in ``codes``, and ``len(codes)`` for a code in
+    0..size-1 that does not occur."""
+    first = np.full(size, len(codes), dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    return first
+
+
 def _user_weekly(
     source: np.ndarray, week: np.ndarray, sources: Sequence
 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
@@ -153,9 +171,16 @@ def _user_weekly(
     week): users in first-seen order, and each user's weeks in first-seen
     order.
 
-    One argsort groups the rows: the (user, week) key times the row count
-    plus the row number is unique per row, so any sort order is the stable
-    one, and each group's first row comes first in it.
+    The rows are grouped into the distinct pairs, in (user, week) order,
+    with each pair's first row and count; then only the pairs are sorted,
+    by their user's first row and then their own.  While the user codes
+    times the weeks are at most ``DENSE_CELLS_PER_ROW * (rows + 256)``,
+    the pairs are counted over that code space with ``bincount`` and
+    ``np.minimum.at``: two int64 arrays of that size, at most 64 bytes per
+    row plus 16 KiB.  Above it, one argsort groups the rows: the (user,
+    week) key times the row count plus the row number is unique per row,
+    so any sort order is the stable one, and each group's first row comes
+    first in it.
     """
     n = len(source)
     if n == 0:
@@ -163,13 +188,20 @@ def _user_weekly(
         return [], empty, empty, empty
     weeks = int(week.max()) + 1
     codes = None
-    if len(sources) * weeks * n > 2**63:  # compact the user codes so the keys fit
-        codes, source = np.unique(source, return_inverse=True)
-    key = source.astype(np.int64) * weeks + week
-    order = np.argsort(key * n + np.arange(n))
-    key = key[order]
-    start = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first place in order
-    first, count, key = order[start], np.diff(start, append=n), key[start]
+    if len(sources) * weeks <= DENSE_CELLS_PER_ROW * (n + 256):
+        key = source.astype(np.int64) * weeks + week
+        count = np.bincount(key)
+        first = _first_rows(key, len(count))
+        key = np.flatnonzero(count)
+        first, count = first[key], count[key]
+    else:
+        if len(sources) * weeks * n > 2**63:  # compact the user codes so the keys fit
+            codes, source = np.unique(source, return_inverse=True)
+        key = source.astype(np.int64) * weeks + week
+        order = np.argsort(key * n + np.arange(n))
+        key = key[order]
+        start = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first place in order
+        first, count, key = order[start], np.diff(start, append=n), key[start]
     user = key // weeks
     # pairs are sorted by user; a user is first seen at its earliest pair
     user_start = np.flatnonzero(np.diff(user, prepend=-1))
@@ -274,7 +306,7 @@ def qq_against_lognormal(
     if arr[0] == arr[-1]:
         raise PsSimError("zero variance: all samples identical")
     positions = (np.arange(1, n + 1) - 0.5) / n
-    theoretical = np.asarray([lognormal_quantile(p, params) for p in positions])
+    theoretical = lognormal_quantiles(positions, params)
     r = np.corrcoef(theoretical, arr)[0, 1]
     points = tuple(zip(theoretical.tolist(), arr.tolist()))
     return QqData(points=points, r2=float(r * r))
@@ -299,13 +331,14 @@ def filter_outliers(
 
 def fit_models(
     records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
-) -> tuple[ModelFile, BinnedData, list[float], QqData | None]:
+) -> tuple[ModelFile, BinnedData, np.ndarray, QqData | None]:
     """Fit every model parameter from reports inside ``window``.
 
     Returns the model with its fitting metadata (``out_of_window`` is
     recorded as the excluded count), the binned reports, the participation
-    samples and their Q-Q fit (None when it is undefined).  With
-    ``per_location`` the participation model is also fitted per location.
+    samples (the report count of each user-week pair) and their Q-Q fit
+    (None when it is undefined).  With ``per_location`` the participation
+    model is also fitted per location.
     """
     table, _ = report_columns(records)
     binned = bin_reports(table, window)
@@ -316,7 +349,7 @@ def fit_models(
         loc: estimate_lambda(series)
         for loc, series in sorted(binned.per_location.items())
     }
-    samples = binned.weekly_samples()
+    samples = binned.pair_count
     participation = fit_lognormal(samples)
 
     qq = None

@@ -118,9 +118,17 @@ def uniform_pmf(support: Iterable[Hashable]) -> Pmf:
 
 
 def _categorical_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Map uniforms in [0, 1) to support indices by inverse-CDF lookup."""
-    idx = np.searchsorted(cumulative, u, side="right")
-    return np.minimum(idx, len(cumulative) - 1)
+    """Map uniforms in [0, 1) to support indices by inverse-CDF lookup.
+
+    The index of ``u`` is the number of entries of ``cumulative[:-1]`` at
+    or below it, one vectorized compare per entry: the same index as
+    ``min(searchsorted(cumulative, u, "right"), K - 1)``, so a ``u`` past a
+    rounded-down last entry still maps to the last index.
+    """
+    idx = np.zeros(np.shape(u), dtype=np.intp)
+    for edge in cumulative[:-1].tolist():
+        idx += u >= edge
+    return idx
 
 
 def pmf_sample(pmf: Pmf, rng: RandomSource) -> Hashable:
@@ -168,6 +176,44 @@ def lognormal_quantile(p: float, params: LogNormalParams) -> float:
     return math.exp(params.m + params.s * _STANDARD_NORMAL.inv_cdf(p))
 
 
+def lognormal_quantiles(p: np.ndarray, params: LogNormalParams) -> np.ndarray:
+    """``lognormal_quantile`` of every level in ``p``, bit for bit.
+
+    ``NormalDist.inv_cdf`` is Wichura's AS241; its central branch
+    (|p - 0.5| <= 0.425) is plain arithmetic, so it is evaluated here on
+    the whole array with the same constants in the same order.  The tails
+    still go through ``inv_cdf``, and every exponential through
+    ``math.exp``, whose last bit numpy's ``exp`` need not match.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        raise PsSimError("quantile levels must be in (0, 1)")
+    q = p - 0.5
+    central = np.abs(q) <= 0.425
+    z = np.empty_like(p)
+    qc = q[central]
+    r = 0.180625 - qc * qc
+    num = (((((((2.50908_09287_30122_6727e+3 * r +
+                 3.34305_75583_58812_8105e+4) * r +
+                 6.72657_70927_00870_0853e+4) * r +
+                 4.59219_53931_54987_1457e+4) * r +
+                 1.37316_93765_50946_1125e+4) * r +
+                 1.97159_09503_06551_4427e+3) * r +
+                 1.33141_66789_17843_7745e+2) * r +
+                 3.38713_28727_96366_6080e+0) * qc
+    den = (((((((5.22649_52788_52854_5610e+3 * r +
+                 2.87290_85735_72194_2674e+4) * r +
+                 3.93078_95800_09271_0610e+4) * r +
+                 2.12137_94301_58659_5867e+4) * r +
+                 5.39419_60214_24751_1077e+3) * r +
+                 6.87187_00749_20579_0830e+2) * r +
+                 4.23133_30701_60091_1252e+1) * r +
+                 1.0)
+    z[central] = num / den
+    z[~central] = [_STANDARD_NORMAL.inv_cdf(x) for x in p[~central].tolist()]
+    return np.asarray([math.exp(x) for x in (params.m + params.s * z).tolist()])
+
+
 def lognormal_sample_counts(
     n: int, params: LogNormalParams, rng: RandomSource
 ) -> np.ndarray:
@@ -182,9 +228,11 @@ def lognormal_sample_counts(
     return np.rint(draws).astype(np.int64)
 
 
-def fit_lognormal(samples: Iterable[float]) -> LogNormalParams:
+def fit_lognormal(samples: Iterable[float] | np.ndarray) -> LogNormalParams:
     """Log-moment estimator: m = mean(ln x), s = sample std dev of ln x."""
-    arr = np.asarray(list(samples), dtype=np.float64)
+    if not isinstance(samples, np.ndarray):
+        samples = list(samples)
+    arr = np.asarray(samples, dtype=np.float64)
     if arr.size < 2:
         raise PsSimError(f"need at least 2 samples to fit, got {arr.size}")
     if np.any(arr <= 0.0):

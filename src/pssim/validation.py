@@ -181,10 +181,10 @@ def fold_config(
     pmf_day, pmf_time = estimate_pmfs(binned.overall)
     pmf_ev = estimate_evtype_pmf(train)
     lam = estimate_lambda(binned.overall)
-    participation = fit_lognormal(binned.weekly_samples())
+    participation = fit_lognormal(binned.pair_count)
 
     fold, _ = report_columns(fold)
-    fold_users = len(np.unique(fold.source))
+    fold_users = int(np.count_nonzero(np.bincount(fold.source)))
     mean_per_user = len(fold) / fold_users
     sdlog = participation.s
     mlog = math.log(mean_per_user) - sdlog**2 / 2.0 - math.log(days / 7.0)

@@ -4,10 +4,15 @@ import datetime as dt
 import math
 from collections.abc import Sequence
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_CSV, canonical_table, make_config, trace_table
+from pssim import analysis
 from pssim.analysis import (
     BinnedSeries,
     _user_weekly,
@@ -524,6 +529,54 @@ def test_user_codes_are_compacted_when_keys_would_overflow():
     assert pair_user.tolist() == [0, 0, 1, 2]
     assert pair_week.tolist() == [3, 1, 0, 3]
     assert pair_count.tolist() == [1, 1, 2, 1]
+
+
+def grouped(source, week, sources, cells_per_row=None):
+    """``_user_weekly``'s result, and whether it counted densely; with
+    ``cells_per_row``, the dense bound is patched to that value."""
+    if cells_per_row is None:
+        cells_per_row = analysis.DENSE_CELLS_PER_ROW
+    spy = mock.patch.object(analysis, "_first_rows", wraps=analysis._first_rows)
+    with spy as first_rows, mock.patch.object(analysis, "DENSE_CELLS_PER_ROW", cells_per_row):
+        result = _user_weekly(np.asarray(source), np.asarray(week), sources)
+    return result, first_rows.called
+
+
+def assert_same_grouping(a, b):
+    assert a[0] == b[0]
+    for x, y in zip(a[1:], b[1:]):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12)), min_size=1, max_size=60),
+    st.integers(0, 200),
+)
+def test_dense_and_sorted_grouping_agree(rows, spare_codes):
+    source, week = zip(*rows)
+    sources = [f"s{code}" for code in range(max(source) + 1 + spare_codes)]
+    dense, was_dense = grouped(source, week, sources, cells_per_row=10**9)
+    by_sort, was_sorted = grouped(source, week, sources, cells_per_row=0)
+    assert was_dense and not was_sorted
+    assert_same_grouping(dense, by_sort)
+
+
+@pytest.mark.parametrize("rows", [1, 40, 1000])
+@pytest.mark.parametrize("past_bound", [0, 1])
+def test_grouping_at_the_dense_bound(rows, past_bound):
+    # one week, so the code space is the vocabulary size
+    cells = analysis.DENSE_CELLS_PER_ROW * (rows + 256) + past_bound
+    rng = np.random.default_rng(rows)
+    source = rng.integers(0, cells, rows)
+    source[0] = cells - 1  # the widest code used
+    sources = range(cells)
+    result, was_dense = grouped(source, np.zeros(rows, dtype=np.int64), sources)
+    assert was_dense == (not past_bound)
+    assert_same_grouping(result, grouped(source, np.zeros(rows, dtype=np.int64), sources, 0)[0])
+    order = list(dict.fromkeys(source.tolist()))
+    assert result[0] == order
+    assert result[3].tolist() == [int(np.count_nonzero(source == code)) for code in order]
 
 
 def per_subset_samples(table, window):

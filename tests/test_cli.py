@@ -739,3 +739,77 @@ def test_outputs_do_not_depend_on_sidecars(runner, tmp_path, monkeypatch):
             outputs.setdefault(name, []).append(out.read_bytes())
     for name, (with_sidecars, without) in outputs.items():
         assert with_sidecars == without, name
+
+
+# What ingest -> fit --per-location -> validate -k 3 --seed 4 computed on the
+# sample export when it was first recorded, to 12 significant digits: the
+# last bits of np.log differ between numpy's AVX-512 and other code paths.
+PINNED_MODEL = {
+    "mlog": 1.32765292615,
+    "sdlog": 0.643908455965,
+    "lambda_overall": 5.625,
+    "lambda_by_loc": {"Elm Street": 2.67857142857, "Harbor Drive": 1.19642857143, "Route 9": 1.75},
+    "per_location_participation": {
+        "Elm Street": (0.823535460141, 0.547251782583),
+        "Harbor Drive": (0.390440297254, 0.446203155474),
+        "Route 9": (0.469527509862, 0.549029598205),
+    },
+    "pmf_day": (
+        0.0761904761905, 0.174603174603, 0.180952380952, 0.155555555556,
+        0.203174603175, 0.165079365079, 0.0444444444444,
+    ),
+    "pmf_time": (
+        0.0253968253968, 0.0825396825397, 0.0857142857143, 0.260317460317,
+        0.155555555556, 0.0857142857143, 0.126984126984, 0.177777777778,
+    ),
+    "pmf_event_type": (0.346031746032, 0.139682539683, 0.514285714286),
+    "qq_r2": 0.973364699881,
+}
+PINNED_FOLDS = [  # fold, axis, correlation, rmse, realN, simN
+    (0, "perUser", 0.907560885867, 0.0714364445145, 105, 118),
+    (0, "perDayBin", 0.834978403444, 0.0363373901173, 105, 118),
+    (0, "perTimeBin", 0.779825780325, 0.0440893731898, 105, 118),
+    (1, "perUser", 0.877269752148, 0.0765889875627, 105, 103),
+    (1, "perDayBin", 0.40514778285, 0.0682093945071, 105, 103),
+    (1, "perTimeBin", 0.904103633114, 0.0371930156443, 105, 103),
+    (2, "perUser", 0.976955997287, 0.0377039235996, 105, 111),
+    (2, "perDayBin", 0.678773496655, 0.0509143397715, 105, 111),
+    (2, "perTimeBin", 0.642570021439, 0.0591379542136, 105, 111),
+]
+
+
+def test_fit_and_validate_match_the_pinned_values(runner, tmp_path):
+    canon, model = tmp_path / "canonical.csv", tmp_path / "model.json"
+    folds = tmp_path / "folds.csv"
+    run_ok(runner, ["ingest", str(SAMPLE_CSV), "--out", str(canon)])
+    run_ok(runner, ["fit", str(canon), "--per-location", "--out", str(model)])
+    run_ok(runner, ["validate", str(canon), "-k", "3", "--seed", "4", "--out", str(folds)])
+
+    def pinned(value):
+        return pytest.approx(value, rel=1e-11, abs=1e-15)
+
+    fitted = json.loads(model.read_text())
+    per_loc = fitted["meta"]["per_location_participation"]
+    assert {
+        "mlog": fitted["participation"]["mlog"],
+        "sdlog": fitted["participation"]["sdlog"],
+        "lambda_overall": fitted["lambda_e"]["overall"],
+        "lambda_by_loc": fitted["lambda_e"]["by_location"],
+        "per_location_participation": {
+            loc: (fit["mlog"], fit["sdlog"]) for loc, fit in per_loc.items()
+        },
+        "pmf_day": tuple(fitted["pmf_day"]["probs"]),
+        "pmf_time": tuple(fitted["pmf_time"]["probs"]),
+        "pmf_event_type": tuple(fitted["pmf_event_type"]["probs"]),
+        "qq_r2": fitted["meta"]["diagnostics"]["qq_r2"],
+    } == {
+        key: {k: pinned(v) for k, v in value.items()} if isinstance(value, dict) else pinned(value)
+        for key, value in PINNED_MODEL.items()
+    }
+    with open(folds, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [
+        (int(r["fold"]), r["axis"], float(r["correlation"]), float(r["rmse"]),
+         int(r["realN"]), int(r["simN"]))
+        for r in rows
+    ] == [(f, a, pinned(c), pinned(e), n, m) for f, a, c, e, n, m in PINNED_FOLDS]

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pssim.distributions import (
     GENERATOR_NAME,
     LogNormalParams,
     Pmf,
     RandomSource,
+    _categorical_indices,
     fit_lognormal,
     lognormal_cdf,
     lognormal_pdf,
     lognormal_quantile,
+    lognormal_quantiles,
     lognormal_sample_counts,
     pmf_from_counts,
     pmf_sample,
@@ -91,6 +95,62 @@ class TestPmfSampling:
         assert a == [pmf.support[draws1[0]]]
 
 
+def searchsorted_indices(cumulative, u):
+    """The sampler's reference: binary search, clamped to the last index."""
+    return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+
+@st.composite
+def cumulatives_and_uniforms(draw):
+    """A pmf's cumulative, possibly with zero-probability entries and a last
+    entry short of 1, and uniforms that include its entries and their
+    neighbouring floats."""
+    counts = draw(st.lists(st.integers(0, 3) | st.integers(0, 10**9), min_size=1, max_size=12))
+    if not any(counts):
+        counts[-1] = 1
+    shortfall = draw(st.integers(0, 3))  # ulps of 1 the last entry misses
+    cumulative = pmf_from_counts(dict(enumerate(counts))).cumulative() * (1.0 - shortfall * 2**-53)
+    edges = [
+        x
+        for c in cumulative.tolist()
+        for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 1.0))
+        if 0.0 <= x < 1.0
+    ]
+    u = draw(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True) | st.sampled_from(edges), max_size=40)
+    )
+    return cumulative, np.asarray(u, dtype=np.float64)
+
+
+class TestCategoricalIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(cumulatives_and_uniforms())
+    def test_equal_to_the_clamped_binary_search(self, case):
+        cumulative, u = case
+        expected = searchsorted_indices(cumulative, u)
+        got = _categorical_indices(cumulative, u)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        for x, index in zip(u.tolist(), expected.tolist()):  # pmf_sample's 0-d draw
+            scalar = _categorical_indices(cumulative, np.asarray(x))
+            assert scalar.shape == () and int(scalar) == index
+
+    def test_boundaries_and_a_rounded_down_last_entry(self):
+        cumulative = Pmf(tuple(range(10)), (0.1,) * 10).cumulative()
+        assert cumulative[-1] < 1.0  # ten tenths sum to 1 - 2**-53
+        u = np.array([0.0, 0.1, np.nextafter(0.1, 0.0), cumulative[-1], np.nextafter(1.0, 0.0)])
+        assert _categorical_indices(cumulative, u).tolist() == [0, 1, 0, 9, 9]
+        assert np.array_equal(
+            _categorical_indices(cumulative, u), searchsorted_indices(cumulative, u)
+        )
+
+    def test_pmf_sample_reads_one_uniform(self):
+        pmf = pmf_from_counts({"A": 2, "B": 0, "C": 5, "D": 3})
+        for seed in range(20):
+            u = RandomSource(seed).generator.random()
+            index = int(searchsorted_indices(pmf.cumulative(), u))
+            assert pmf_sample(pmf, RandomSource(seed)) == pmf.support[index]
+
+
 class TestLogNormal:
     def test_pdf_at_one_with_unit_params(self):
         assert lognormal_pdf(1.0, LogNormalParams(0.0, 1.0)) == pytest.approx(
@@ -131,6 +191,25 @@ class TestLogNormal:
             assert lognormal_cdf(
                 lognormal_quantile(p, params), params
             ) == pytest.approx(p, abs=1e-9)
+
+    @pytest.mark.parametrize("m, s", [(0.0, 1.0), (1.3, 0.64), (-2.5, 3.0)])
+    def test_array_quantiles_equal_the_scalar_ones_bit_for_bit(self, m, s):
+        params = LogNormalParams(m, s)
+        n = 20_660  # the Q-Q plotting positions of the fit_validate export
+        p = np.concatenate(
+            [
+                (np.arange(1, n + 1) - 0.5) / n,
+                np.random.default_rng(4).random(5_000),
+                [0.075, np.nextafter(0.075, 0.0), 0.925, np.nextafter(0.925, 1.0), 0.5, 1e-300],
+            ]
+        )
+        expected = [lognormal_quantile(x, params).hex() for x in p.tolist()]
+        assert [x.hex() for x in lognormal_quantiles(p, params).tolist()] == expected
+
+    def test_array_quantile_levels_must_be_inside_the_unit_interval(self):
+        for p in ([0.5, 0.0], [1.0], [np.nan]):
+            with pytest.raises(PsSimError, match="quantile levels"):
+                lognormal_quantiles(np.array(p), LogNormalParams(0.0, 1.0))
 
     def test_scale_must_be_positive(self):
         with pytest.raises(PsSimError):
