@@ -58,9 +58,11 @@ class BinnedSeries:
 
 @dataclass(frozen=True)
 class QqData:
-    """Quantile-quantile pairs plus the r^2 of their best-fit line."""
+    """Theoretical and empirical quantiles, pairwise, plus the r^2 of their
+    best-fit line."""
 
-    points: tuple[tuple[float, float], ...]
+    theoretical: np.ndarray
+    empirical: np.ndarray
     r2: float
 
 
@@ -143,7 +145,7 @@ def bin_reports(
         table.source[inside], offset // 7, table.sources
     )
     return BinnedData(
-        overall=BinnedSeries("(all)", start, np.bincount(cell, minlength=n_cells)),
+        overall=BinnedSeries("(all)", start, per_loc.sum(axis=0)),
         per_location=per_location,
         users=users,
         pair_user=pair_user,
@@ -308,8 +310,7 @@ def qq_against_lognormal(
     positions = (np.arange(1, n + 1) - 0.5) / n
     theoretical = lognormal_quantiles(positions, params)
     r = np.corrcoef(theoretical, arr)[0, 1]
-    points = tuple(zip(theoretical.tolist(), arr.tolist()))
-    return QqData(points=points, r2=float(r * r))
+    return QqData(theoretical=theoretical, empirical=arr, r2=float(r * r))
 
 
 def filter_outliers(
@@ -329,18 +330,15 @@ def filter_outliers(
     return kept, rejected
 
 
-def fit_models(
-    records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
-) -> tuple[ModelFile, BinnedData, np.ndarray, QqData | None]:
-    """Fit every model parameter from reports inside ``window``.
+def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[ModelFile, BinnedData]:
+    """The model's parameters from the reports inside ``window``: the day,
+    time and type pmfs, lambda overall and per location, and the
+    participation mlog and sdlog.
 
-    Returns the model with its fitting metadata (``out_of_window`` is
-    recorded as the excluded count), the binned reports, the participation
-    samples (the report count of each user-week pair) and their Q-Q fit
-    (None when it is undefined).  With ``per_location`` the participation
-    model is also fitted per location.
+    Returns the model, with an empty ``meta``, and the binned reports it
+    was estimated from.
     """
-    table, _ = report_columns(records)
+    table, _ = report_columns(reports)
     binned = bin_reports(table, window)
     pmf_day, pmf_time = estimate_pmfs(binned.overall)
     pmf_ev = estimate_evtype_pmf(table)
@@ -349,13 +347,39 @@ def fit_models(
         loc: estimate_lambda(series)
         for loc, series in sorted(binned.per_location.items())
     }
+    participation = fit_lognormal(binned.pair_count)
+    model = ModelFile(
+        mlog=participation.m,
+        sdlog=participation.s,
+        lambda_overall=lam_overall,
+        lambda_by_loc=lam_by_loc,
+        pmf_day=pmf_day,
+        pmf_time=pmf_time,
+        pmf_ev_type=pmf_ev,
+        meta={},
+    )
+    return model, binned
+
+
+def fit_models(
+    records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
+) -> tuple[ModelFile, BinnedData, np.ndarray, QqData | None]:
+    """Fit every model parameter from reports inside ``window``.
+
+    Returns ``estimate_model``'s model with its fitting metadata
+    (``out_of_window`` is recorded as the excluded count), the binned
+    reports, the participation samples (the report count of each user-week
+    pair) and their Q-Q fit (None when it is undefined).  With
+    ``per_location`` the participation model is also fitted per location.
+    """
+    table, _ = report_columns(records)
+    model, binned = estimate_model(table, window)
     samples = binned.pair_count
-    participation = fit_lognormal(samples)
 
     qq = None
     if len(samples) >= 10:
         try:
-            qq = qq_against_lognormal(samples, participation)
+            qq = qq_against_lognormal(samples, LogNormalParams(model.mlog, model.sdlog))
         except PsSimError:
             qq = None
 
@@ -369,18 +393,18 @@ def fit_models(
         except PsSimError:
             acf[loc] = None
 
-    meta = {
-        "window_start": binned.window_start.isoformat(),
-        "window_days": binned.window_days,
-        "reports": binned.accepted,
-        "users": len(binned.users),
-        "participation_samples": len(samples),
-        "excluded": out_of_window,
-        "diagnostics": {
+    model.meta.update(
+        window_start=binned.window_start.isoformat(),
+        window_days=binned.window_days,
+        reports=binned.accepted,
+        users=len(binned.users),
+        participation_samples=len(samples),
+        excluded=out_of_window,
+        diagnostics={
             "qq_r2": None if qq is None else qq.r2,
             "acf": acf,
         },
-    }
+    )
     if per_location:
         loc_samples = weekly_samples_by_location(table, window)
         per_loc_fit: dict[str, dict[str, float] | None] = {}
@@ -390,16 +414,5 @@ def fit_models(
                 per_loc_fit[loc] = {"mlog": fit.m, "sdlog": fit.s}
             except PsSimError:
                 per_loc_fit[loc] = None
-        meta["per_location_participation"] = per_loc_fit
-
-    model = ModelFile(
-        mlog=participation.m,
-        sdlog=participation.s,
-        lambda_overall=lam_overall,
-        lambda_by_loc=lam_by_loc,
-        pmf_day=pmf_day,
-        pmf_time=pmf_time,
-        pmf_ev_type=pmf_ev,
-        meta=meta,
-    )
+        model.meta["per_location_participation"] = per_loc_fit
     return model, binned, samples, qq

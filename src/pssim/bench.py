@@ -4,6 +4,7 @@ and durations, and fit polynomial growth exponents to the timings.  The
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 import time
@@ -20,37 +21,26 @@ def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0):
 
     Timings are the median over ``repeats`` runs.
     """
-    types = DEFAULT_EV_TYPES
-    pmf_day = uniform_pmf(DAY_BINS)
-    pmf_time = uniform_pmf(TEMPORAL_BINS)
-    pmf_ev = uniform_pmf(types)
-
-    # warm caches and lazy imports so the first grid point is not penalized
-    simulate(
-        SimConfig(
-            tau=7, start_date=dt.date(2015, 2, 23), ev_types=types, pr_lie=0.1,
-            n=10, lambda_e=lambda_e, mlog=math.log(3.0), sdlog=0.5,
-            pmf_time=pmf_time, pmf_day=pmf_day, pmf_ev_type=pmf_ev,
-            seed=seed, loc="bench",
-        )
+    base = SimConfig(
+        tau=7,
+        start_date=dt.date(2015, 2, 23),
+        ev_types=DEFAULT_EV_TYPES,
+        pr_lie=0.1,
+        n=10,
+        lambda_e=lambda_e,
+        mlog=math.log(3.0),  # three reports per participant-week on average
+        sdlog=0.5,
+        pmf_time=uniform_pmf(TEMPORAL_BINS),
+        pmf_day=uniform_pmf(DAY_BINS),
+        pmf_ev_type=uniform_pmf(DEFAULT_EV_TYPES),
+        seed=seed,
+        loc="bench",
     )
+    # warm caches and lazy imports so the first grid point is not penalized
+    simulate(base)
 
     def run_point(n, m):
-        config = SimConfig(
-            tau=m,
-            start_date=dt.date(2015, 2, 23),
-            ev_types=types,
-            pr_lie=0.1,
-            n=n,
-            lambda_e=lambda_e,
-            mlog=math.log(3.0),  # three reports per participant-week on average
-            sdlog=0.5,
-            pmf_time=pmf_time,
-            pmf_day=pmf_day,
-            pmf_ev_type=pmf_ev,
-            seed=seed,
-            loc="bench",
-        )
+        config = dataclasses.replace(base, tau=m, n=n)
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()

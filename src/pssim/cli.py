@@ -48,30 +48,36 @@ def _parse_iso_date(text: str, flag: str) -> dt.date:
         raise click.UsageError(f"{flag} must be an ISO date (YYYY-MM-DD), got {text!r}")
 
 
-def _infer_window(
-    ordinals: np.ndarray, start: str | None, days: int | None, what: str
-) -> tuple[dt.date, int]:
-    """The --start/--days window; either end defaults to the span of the
-    reports' date ordinals."""
-    if start is not None:
-        first = _parse_iso_date(start, "--start")
-    else:
-        if not len(ordinals):
-            raise PsSimError(f"no reports in {what}; cannot infer a window")
-        first = dt.date.fromordinal(int(ordinals.min()))
+def _read_window(read, path: Path, start: str | None, days: int | None, what: str):
+    """Read ``path`` with ``read`` and keep the reports inside the
+    --start/--days window; either end defaults to the span of the reports'
+    dates.
+
+    A read error is a usage error.  Returns (reports inside, rejects,
+    window, count outside); raises PsSimError when no report is inside.
+    """
+    try:
+        reports, rejects = read(path)
+    except PsSimError as exc:
+        raise click.UsageError(str(exc))
+    first = None if start is None else _parse_iso_date(start, "--start")
+    if (first is None or days is None) and not len(reports):
+        raise PsSimError(f"no reports in {path}; cannot infer a window")
+    first = first or dt.date.fromordinal(int(reports.date.min()))
     if days is None:
-        if not len(ordinals):
-            raise PsSimError(f"no reports in {what}; cannot infer a window")
-        days = int(ordinals.max()) - first.toordinal() + 1
+        days = int(reports.date.max()) - first.toordinal() + 1
     if days < 1:
         raise click.UsageError(f"--days must be >= 1, got {days}")
-    return first, days
+    offset = reports.date - first.toordinal()
+    inside = reports.take((offset >= 0) & (offset < days))
+    if not len(inside):
+        raise PsSimError(f"no reports inside the {what} window")
+    return inside, rejects, (first, days), len(reports) - len(inside)
 
 
-def _in_window(ordinals: np.ndarray, window: tuple[dt.date, int]) -> np.ndarray:
-    """Mask of the date ordinals inside the window."""
-    offset = ordinals - window[0].toordinal()
-    return (offset >= 0) & (offset < window[1])
+def _echo_rejects(rejects: dict[str, int]) -> None:
+    for reason in sorted(rejects):
+        click.echo(f"rejected {rejects[reason]} rows: {reason}")
 
 
 @click.group()
@@ -120,18 +126,11 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
     if not 0.0 < outlier_pct <= 100.0:
         raise click.UsageError(f"--outlier-pct must be in (0, 100], got {outlier_pct}")
 
-    try:
-        reports, rejects = formats.read_raw_reports(input_csv, colmap)
-    except PsSimError as exc:
-        raise click.UsageError(str(exc))
-
-    window = _infer_window(reports.date, start, days, str(input_csv))
+    in_window, rejects, window, excluded = _read_window(
+        functools.partial(formats.read_raw_reports, column_map=colmap),
+        input_csv, start, days, "ingestion",
+    )
     first, ndays = window
-    in_window = reports.take(_in_window(reports.date, window))
-    excluded = len(reports) - len(in_window)
-    if not len(in_window):
-        raise PsSimError("no reports inside the ingestion window")
-
     outlier_users: list[str] = []
     if outlier_pct < 100.0:
         mean_weekly = bin_reports(in_window, window).mean_weekly()
@@ -162,10 +161,8 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
         f"window {first.isoformat()} +{ndays}d | out-of-window {excluded} | "
         f"outlier users removed {len(outlier_users)} ({removed_reports} reports)"
     )
-    if rejects:
-        for reason in sorted(rejects):
-            click.echo(f"rejected {rejects[reason]} rows: {reason}")
-    else:
+    _echo_rejects(rejects)
+    if not rejects:
         click.echo("rejected 0 rows")
 
 
@@ -184,17 +181,9 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
 @_model_errors_exit_3
 def fit(dataset, out, start, days, per_location, plot_data):
     """Fit all model parameters from a canonical dataset and write a model file."""
-    try:
-        records, rejects = formats.read_canonical(dataset)
-    except PsSimError as exc:
-        raise click.UsageError(str(exc))
-    window = _infer_window(records.date, start, days, str(dataset))
-    in_window = records.take(_in_window(records.date, window))
-    if not len(in_window):
-        raise PsSimError("no reports inside the fitting window")
-    excluded = len(records) - len(in_window)
-    records = in_window
-
+    records, rejects, window, excluded = _read_window(
+        formats.read_canonical, dataset, start, days, "fitting"
+    )
     model, binned, samples, qq = fit_models(records, window, per_location, excluded)
     ingest_meta = formats.read_ingest_meta(dataset)
     if ingest_meta is not None:
@@ -218,9 +207,7 @@ def fit(dataset, out, start, days, per_location, plot_data):
         else:
             lags = " ".join(f"{v:+.3f}" for v in values)
             click.echo(f"ACF lags 1..{len(values)} {loc}: {lags}")
-    if rejects:
-        for reason in sorted(rejects):
-            click.echo(f"rejected {rejects[reason]} rows: {reason}")
+    _echo_rejects(rejects)
 
     if plot_data is not None:
         per_user = np.bincount(records.source)
@@ -236,7 +223,7 @@ def fit(dataset, out, start, days, per_location, plot_data):
         for label, p in zip(model.pmf_ev_type.support, model.pmf_ev_type.probs):
             rows.append(("pmf_event_type", "fit", label, p))
         if qq is not None:
-            for theo, emp in qq.points:
+            for theo, emp in zip(qq.theoretical.tolist(), qq.empirical.tolist()):
                 rows.append(("qq_participation", "sample", theo, emp))
         for loc, values in acf_table.items():
             if values is not None:
@@ -377,12 +364,9 @@ def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
     """Cross-validate simulated traces against a real dataset (k folds)."""
     if folds < 2:
         raise click.UsageError(f"--folds must be >= 2, got {folds}")
-    try:
-        records, rejects = formats.read_canonical(dataset)
-    except PsSimError as exc:
-        raise click.UsageError(str(exc))
-    window = _infer_window(records.date, start, days, str(dataset))
-    records = records.take(_in_window(records.date, window))
+    records, rejects, window, _ = _read_window(
+        formats.read_canonical, dataset, start, days, "validation"
+    )
 
     results = cross_validate(records, folds, seed, window)
     if out is not None:
@@ -390,25 +374,17 @@ def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
         click.echo(f"per-fold metrics -> {out}")
 
     stats = summarize(results)
-    labels = {
-        "perUser": "Reports per user",
-        "perDayBin": "Reports per day bin",
-        "perTimeBin": "Reports per time bin",
-    }
     click.echo(f"{'Parameter':<22}{'Correlation':<20}RMSE")
-    for axis in AXES:
+    for axis, label in AXES.items():
         s = stats[axis]
         corr = f"{s['correlation_mean']:.4f} ± {s['correlation_std']:.4f}"
         err = f"{s['rmse_mean']:.4f} ± {s['rmse_std']:.4f}"
-        click.echo(f"{labels[axis]:<22}{corr:<20}{err}")
-    if rejects:
-        for reason in sorted(rejects):
-            click.echo(f"rejected {rejects[reason]} rows: {reason}")
+        click.echo(f"{label:<22}{corr:<20}{err}")
+    _echo_rejects(rejects)
 
     if plot_data is not None:
         rows = []
-        for axis in AXES:
-            scored = results[0].axis(axis)
+        for axis, scored in results[0].axes.items():
             for series, hist in (("real", scored.real), ("simulated", scored.sim)):
                 for key_, frac in hist.items():
                     x = key_.label if hasattr(key_, "label") else key_

@@ -1400,15 +1400,12 @@ def _write_rows(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> 
 
 
 def write_validation_csv(reports, path: Path) -> None:
-    from .validation import AXES  # local import to keep formats a leaf module
-
-    def rows():
-        for rep in reports:
-            for axis in AXES:
-                res = rep.axis(axis)
-                yield rep.fold, axis, res.correlation, res.rmse, res.real_n, res.sim_n
-
-    _write_rows(path, VALIDATION_HEADER, rows())
+    rows = (
+        (rep.fold, axis, res.correlation, res.rmse, res.real_n, res.sim_n)
+        for rep in reports
+        for axis, res in rep.axes.items()
+    )
+    _write_rows(path, VALIDATION_HEADER, rows)
 
 
 def write_bench_csv(rows: Iterable[tuple[int, int, float]], path: Path) -> None:

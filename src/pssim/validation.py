@@ -11,14 +11,20 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .analysis import bin_reports, estimate_evtype_pmf, estimate_lambda, estimate_pmfs
-from .distributions import RandomSource, fit_lognormal
+from .analysis import estimate_model
+from .distributions import RandomSource
 from .errors import PsSimError
 from .simulator import simulate
 from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, SimConfig
 
-AXES = ("perUser", "perDayBin", "perTimeBin")
+#: The comparison axes, in order, each with its label in ``pssim validate``'s
+#: table.
+AXES = {
+    "perUser": "Reports per user",
+    "perDayBin": "Reports per day bin",
+    "perTimeBin": "Reports per time bin",
+}
 
 
 @dataclass(frozen=True)
@@ -35,19 +41,13 @@ class AxisResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-fold comparison along all three histogram axes."""
+    """Per-fold comparison: each axis's result by name, in ``AXES`` order."""
 
     fold: int
-    per_user: AxisResult
-    per_day_bin: AxisResult
-    per_time_bin: AxisResult
+    axes: dict[str, AxisResult]
 
     def axis(self, name: str) -> AxisResult:
-        return {
-            "perUser": self.per_user,
-            "perDayBin": self.per_day_bin,
-            "perTimeBin": self.per_time_bin,
-        }[name]
+        return self.axes[name]
 
 
 def _fold_rows(n: int, k: int, rng: RandomSource) -> list[np.ndarray]:
@@ -82,7 +82,7 @@ def histogram(reports, axis: str) -> dict[Hashable, float]:
     ``reports`` is a CanonicalTable or a ReportTable.
     """
     if axis not in AXES:
-        raise PsSimError(f"unknown axis {axis!r}; expected one of {AXES}")
+        raise PsSimError(f"unknown axis {axis!r}; expected one of {tuple(AXES)}")
     table, _ = report_columns(reports)
     total = len(table)
     if not total:
@@ -169,38 +169,32 @@ def fold_config(
 ) -> SimConfig:
     """Fit models on the training reports, scaled to the test fold's size.
 
-    Shape parameters (sdlog, pmfs, lambda) come from the training folds; the
-    location parameter is anchored so the expected per-participant quota
+    Shape parameters (sdlog, pmfs, lambda) are ``estimate_model``'s, from
+    the training folds, as ``pssim fit`` estimates them; the location
+    parameter is anchored so the expected per-participant quota
     matches the fold's mean reports per user, and n matches the fold's user
     count, so both traces live at comparable scale.  ``train`` and ``fold``
     are CanonicalTables or ReportTables.
     """
     start, days = window
-    train, _ = report_columns(train)
-    binned = bin_reports(train, window)
-    pmf_day, pmf_time = estimate_pmfs(binned.overall)
-    pmf_ev = estimate_evtype_pmf(train)
-    lam = estimate_lambda(binned.overall)
-    participation = fit_lognormal(binned.pair_count)
-
+    model, _ = estimate_model(train, window)
     fold, _ = report_columns(fold)
     fold_users = int(np.count_nonzero(np.bincount(fold.source)))
     mean_per_user = len(fold) / fold_users
-    sdlog = participation.s
-    mlog = math.log(mean_per_user) - sdlog**2 / 2.0 - math.log(days / 7.0)
+    mlog = math.log(mean_per_user) - model.sdlog**2 / 2.0 - math.log(days / 7.0)
 
     return SimConfig(
         tau=days,
         start_date=start,
-        ev_types=tuple(pmf_ev.support),
+        ev_types=tuple(model.pmf_ev_type.support),
         pr_lie=0.0,
         n=fold_users,
-        lambda_e=lam,
+        lambda_e=model.lambda_overall,
         mlog=mlog,
-        sdlog=sdlog,
-        pmf_time=pmf_time,
-        pmf_day=pmf_day,
-        pmf_ev_type=pmf_ev,
+        sdlog=model.sdlog,
+        pmf_time=model.pmf_time,
+        pmf_day=model.pmf_day,
+        pmf_ev_type=model.pmf_ev_type,
         seed=seed,
         loc="validation",
     )
@@ -213,7 +207,7 @@ def cross_validate(
     window: tuple[dt.date, int] | None = None,
 ) -> list[ValidationReport]:
     """k-fold validation: per fold, fit on the remaining folds, simulate a
-    trace of matching scale, and compare histograms along all three axes.
+    trace of matching scale, and compare histograms along every axis.
 
     ``real_data`` is a CanonicalTable or a ReportTable.  Each training set
     holds the other folds in fold order.  Every AxisResult keeps the real
@@ -240,15 +234,7 @@ def cross_validate(
             train, fold, window, seed=int(seed_gen.integers(0, 2**63))
         )
         trace = simulate(config)
-        axes = compare_axes(fold, trace.reports)
-        results.append(
-            ValidationReport(
-                fold=i,
-                per_user=axes["perUser"],
-                per_day_bin=axes["perDayBin"],
-                per_time_bin=axes["perTimeBin"],
-            )
-        )
+        results.append(ValidationReport(i, compare_axes(fold, trace.reports)))
     return results
 
 

@@ -239,8 +239,8 @@ class TestQq:
         samples = RandomSource(14).generator.lognormal(1.2, 0.6, size=10_000)
         qq = qq_against_lognormal(samples, fit_lognormal(samples))
         assert qq.r2 >= 0.99
-        assert len(qq.points) == 10_000
-        theo = [p[0] for p in qq.points]
+        assert len(qq.theoretical) == len(qq.empirical) == 10_000
+        theo = qq.theoretical.tolist()
         assert theo == sorted(theo)
 
     def test_uniform_samples_fit_worse(self):

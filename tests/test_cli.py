@@ -514,6 +514,15 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(tmp_path / "nope.csv")])
         assert result.exit_code == 2
 
+    def test_window_without_reports_exits_3(self, runner, sample_canonical):
+        result = runner.invoke(
+            main,
+            ["validate", str(sample_canonical), "-k", "3",
+             "--start", "2030-01-01", "--days", "7"],
+        )
+        assert result.exit_code == 3
+        assert "error: no reports inside the validation window" in result.output
+
     def test_plot_data(self, runner, tmp_path, sample_canonical):
         plot = tmp_path / "plot.csv"
         run_ok(

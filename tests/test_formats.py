@@ -1567,7 +1567,10 @@ def validation_reports(folds):
     def scores(k):
         return AxisResult(math.nan if k == 1 else 1 / (k + 1), k / 7, 10 * k, 3 * k + 1, {}, {})
 
-    return [ValidationReport(fold, *(scores(3 * fold + j) for j in range(3))) for fold in range(folds)]
+    return [
+        ValidationReport(fold, {axis: scores(3 * fold + j) for j, axis in enumerate(AXES)})
+        for fold in range(folds)
+    ]
 
 
 def validation_rows(reports):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_config, trace_table
+from conftest import SAMPLE_CSV, make_config, trace_table
+from pssim.analysis import fit_models
 from pssim.distributions import RandomSource, pmf_from_counts
 from pssim.errors import PsSimError
+from pssim.formats import read_raw_reports
 from pssim.simulator import simulate
 from pssim.types import DayBin, TemporalBin
 from pssim.validation import (
@@ -16,6 +18,7 @@ from pssim.validation import (
     align_histograms,
     compare_axes,
     cross_validate,
+    fold_config,
     histogram,
     kfold_split,
     pearson_correlation,
@@ -203,6 +206,25 @@ class TestCrossValidate:
                 "rmse_mean",
                 "rmse_std",
             }
+
+
+class TestFoldConfig:
+    def test_shape_parameters_are_the_fitted_ones(self):
+        # validate's per-fold model must be what `pssim fit` gives for the
+        # same training rows
+        reports, _ = read_raw_reports(SAMPLE_CSV)
+        first, last = int(reports.date.min()), int(reports.date.max())
+        window = (dt.date.fromordinal(first), last - first + 1)
+        held_out = np.arange(len(reports)) % 3 == 0
+        train, fold = reports.take(~held_out), reports.take(held_out)
+        model = fit_models(train, window, per_location=False)[0]
+        config = fold_config(train, fold, window, seed=1)
+        assert config.sdlog == model.sdlog
+        assert config.lambda_e == model.lambda_overall
+        assert (config.pmf_day, config.pmf_time, config.pmf_ev_type) == (
+            model.pmf_day, model.pmf_time, model.pmf_ev_type
+        )
+        assert config.ev_types == model.pmf_ev_type.support
 
 
 class TestCompareAxes:
