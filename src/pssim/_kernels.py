@@ -7,6 +7,12 @@ whose k-th report fires at the sum of k independent Exp(1) gaps, and
 reports are emitted in firing order.  Every clock is memoryless, so each
 next firing is uniform over the participants that still have quota: the
 emitted sequence has exactly the law of the sequential loop.
+
+The clocks are ordered by numpy's default argsort, which is SIMD-accelerated
+where the CPU allows (AVX-512 or AVX2 on x86) but not stable.  Clocks that
+tie exactly are rare, and only when the sorted clocks hold one is the order
+taken again from a stable sort, so the output is the same on every input
+and every CPU.
 """
 
 from __future__ import annotations
@@ -50,6 +56,10 @@ def assign_participants(quotas: np.ndarray, u: np.ndarray) -> np.ndarray:
     clock[starts[1:]] -= np.add.reduceat(clock, starts)[:-1]
     np.cumsum(clock, out=clock)
 
-    order = np.argsort(clock, kind="stable")
-    del clock
+    # without an exact tie (or a NaN) the order is unique, so stable
+    order = np.argsort(clock)
+    ordered = clock[order]
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = np.argsort(clock, kind="stable")
+    del clock, ordered
     return np.repeat(held, counts)[order]

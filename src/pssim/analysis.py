@@ -99,12 +99,6 @@ class BinnedData:
         """Positive per-(user, week) report counts, the participation samples."""
         return self.pair_count.astype(np.float64).tolist()
 
-    def mean_weekly(self) -> dict[str, float]:
-        """Each user's mean report count over the weeks it reported in."""
-        weeks = np.bincount(self.pair_user, minlength=len(self.users))
-        total = np.bincount(self.pair_user, self.pair_count, minlength=len(self.users))
-        return dict(zip(self.users, (total / weeks).tolist()))
-
 
 def bin_reports(
     reports, window: tuple[dt.date, int], default_loc: str = "unspecified"
@@ -122,8 +116,7 @@ def bin_reports(
     if days < 1:
         raise PsSimError(f"empty window: days must be >= 1, got {days}")
     table, rejected = report_columns(reports, default_loc)
-    offset = table.date - start.toordinal()
-    inside = (offset >= 0) & (offset < days)
+    offset, inside = _window_offsets(table, window)
     offset = offset[inside]
     cell = offset * 8 + table.time[inside]
     n_cells = 8 * days
@@ -156,6 +149,30 @@ def bin_reports(
         window_days=days,
         accepted=len(cell),
     )
+
+
+def mean_weekly(reports, window: tuple[dt.date, int]) -> dict[str, float]:
+    """Each user's mean report count over the weeks it reported in inside
+    ``window``, users in first-seen order, from the (user, week) pairs
+    ``bin_reports`` counts but without its (date, bin) cells.  The outlier
+    filter of ingest compares these means.
+    """
+    table, _ = report_columns(reports)
+    offset, inside = _window_offsets(table, window)
+    users, pair_user, _, pair_count = _user_weekly(
+        table.source[inside], offset[inside] // 7, table.sources
+    )
+    weeks = np.bincount(pair_user, minlength=len(users))
+    total = np.bincount(pair_user, pair_count, minlength=len(users))
+    return dict(zip(users, (total / weeks).tolist()))
+
+
+def _window_offsets(table, window: tuple[dt.date, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Each report's day offset from the window start, and whether the
+    window holds it."""
+    start, days = window
+    offset = table.date - start.toordinal()
+    return offset, (offset >= 0) & (offset < days)
 
 
 def _first_rows(codes: np.ndarray, size: int) -> np.ndarray:
@@ -226,10 +243,8 @@ def weekly_samples_by_location(
     the last code's, as ``table.locs`` lists them; locations with no
     report inside the window are left out.
     """
-    start, days = window
     table, _ = report_columns(reports)
-    offset = table.date - start.toordinal()
-    inside = (offset >= 0) & (offset < days)
+    offset, inside = _window_offsets(table, window)
     width = max(len(table.sources), 1)
     # a (location, user) code is first seen where that user first reports there
     users, pair_user, _, pair_count = _user_weekly(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import formats
 from .aggregation import aggregate
-from .analysis import bin_reports, filter_outliers, fit_models
+from .analysis import filter_outliers, fit_models, mean_weekly
 from .bench import bench_grid, fit_growth_exponents
 from .distributions import uniform_pmf
 from .errors import PsSimError
@@ -133,8 +133,7 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
     first, ndays = window
     outlier_users: list[str] = []
     if outlier_pct < 100.0:
-        mean_weekly = bin_reports(in_window, window).mean_weekly()
-        _, outlier_users = filter_outliers(mean_weekly, outlier_pct)
+        _, outlier_users = filter_outliers(mean_weekly(in_window, window), outlier_pct)
     source_code = {name: code for code, name in enumerate(in_window.sources)}
     dropped = [source_code[user] for user in outlier_users]
     kept = in_window.take(~np.isin(in_window.source, dropped))

@@ -30,11 +30,14 @@ the same table and reject counts whichever source reads it.
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
 texts, each quoted once by csv.writer with the comma or LF after it, or an
-int64 column rendered as decimal in numpy.  Each chunk of CHUNK_ROWS rows
-is gathered from one byte blob with one index and written with one call,
-so the temporaries are those of one chunk.  The bytes equal csv.writer's
-output row by row, except that a field holding a CR is quoted too, so that
-csv.reader reads every row back whole (see _csv_fields).
+int64 column rendered as decimal in numpy.  Each vocabulary becomes a slab,
+a byte matrix with one text per row padded with 0xFF, a byte UTF-8 never
+holds (see _slabs).  A chunk of CHUNK_ROWS rows takes its codes' slab rows
+and its decimals, padded the same way, side by side into one matrix, and
+is written with one call less its 0xFF bytes, so the temporaries are those
+of one chunk.  The bytes equal csv.writer's output row by row, except that
+a field holding a CR is quoted too, so that csv.reader reads every row
+back whole (see _csv_fields).
 
 Every output but the sidecar, which is moved into place, is opened by
 _overwrite: without O_TRUNC, written over from its start and cut to length
@@ -58,7 +61,6 @@ import math
 import os
 import re
 import stat
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -195,6 +197,9 @@ _PAD = bytes(8 * _MAX_KEY_WORDS)  # lets every key word be read past a block's e
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)  # 10 .. 10**19
+_FILL = b"\xff"  # pads the writer's texts; UTF-8 never holds this byte
+_SLAB_WIDTHS = 64 << np.arange(56)  # the widest text of each class of writer slabs
+_CHUNK_BYTES = 1 << 20  # the most bytes of a writer chunk, when its rows are wide
 _TIME_FIELDS = tuple(f"{b.label}," for b in TEMPORAL_BINS)
 _WEEKDAY_LABELS = tuple(DAY_BINS[(i + 1) % 7].label for i in range(7))  # by date.weekday()
 # the timestamp shape that _ByteBlock.stamp_cells parses; 0 stands for any digit
@@ -240,26 +245,61 @@ class _Decimal(NamedTuple):
     end: bytes
 
 
-def _decimal(values: np.ndarray, end: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _slabs(texts: Sequence[str]) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """The texts of a _Texts part as byte slabs: (texts x width) uint8
+    matrices, one text per row padded with _FILL, each with the slab row of
+    every code, or None when that row is the code itself.
+
+    Texts of up to _SLAB_WIDTHS[0] bytes share one slab, and longer ones
+    go to one slab per power-of-two width, so a slab holds at most that
+    many bytes per text or twice its texts' bytes.  A slab that lacks some
+    texts ends in an all-_FILL row, the row of their codes.
+    """
+    encoded = [text.encode() for text in texts]
+    lengths = list(map(len, encoded))
+    width = max(lengths, default=0)
+    if width <= _SLAB_WIDTHS[0]:  # the usual case: one slab
+        return [(_slab(encoded, width), None)]
+    lengths = np.array(lengths)
+    width_class = np.searchsorted(_SLAB_WIDTHS, lengths)
+    slabs = []
+    for k in np.flatnonzero(np.bincount(width_class)).tolist():
+        at = np.flatnonzero(width_class == k)
+        row = np.full(len(encoded), len(at), dtype=np.intp)
+        row[at] = np.arange(len(at))
+        chosen = [encoded[i] for i in at.tolist()] + [b""]
+        slabs.append((_slab(chosen, int(lengths[at].max())), row))
+    return slabs
+
+
+def _slab(encoded: list[bytes], width: int) -> np.ndarray:
+    """The texts as rows of a byte matrix ``width`` wide, each padded with _FILL."""
+    slab = b"".join([text.ljust(width, _FILL) for text in encoded])
+    return np.frombuffer(slab, dtype=np.uint8).reshape(len(encoded), width)
+
+
+def _decimal(values: np.ndarray, end: bytes) -> np.ndarray:
     """The decimal text of each value followed by ``end``, right-aligned in
-    one row of a byte matrix each, and the column where each text starts."""
+    one row of a byte matrix each, with _FILL before it."""
     negative = values < 0
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)  # |INT64_MIN| fits in uint64
     length = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + 1  # digits
     digits = int(length.max())
     text = np.empty((len(values), 1 + digits + len(end)), dtype=np.uint8)  # sign, digits, end
+    text[:, 0] = ord(_FILL)
     text[:, 1 + digits :] = np.frombuffer(end, dtype=np.uint8)
-    ten, zero = np.uint64(10), np.uint64(ord("0"))
+    ten, zero, fill = np.uint64(10), np.uint64(ord("0")), np.uint64(ord(_FILL))
     for column in range(digits, 0, -1):
         rest = magnitude // ten
-        magnitude -= rest * ten
-        magnitude += zero
-        text[:, column] = magnitude
+        digit = magnitude - rest * ten
+        digit += zero
+        if column < digits:  # nothing is left of a number's digits; 0 has one
+            np.copyto(digit, fill, where=magnitude == 0)
+        text[:, column] = digit
         magnitude = rest
-    start = 1 + digits - length - negative
-    text[negative, start[negative]] = ord("-")
-    return text, start
+    text[negative, digits - length[negative]] = ord("-")
+    return text
 
 
 def _write_csv(
@@ -268,59 +308,49 @@ def _write_csv(
     """Write a CSV header, then ``rows`` rows, each the texts of ``parts``
     (_Texts or _Decimal) run together.  With ``sidecar``, a regular file of
     at least BYTE_PATH_MIN_BYTES also gets a sidecar (see _write_sidecar).
-
-    Each row part is a run of consecutive bytes of one blob, which holds
-    every _Texts text and a chunk's _Decimal texts.  The bytes of a chunk of
-    CHUNK_ROWS rows are gathered with one index, whose runs np.repeat
-    builds, and written with one call.
     """
-    coded = [i for i, part in enumerate(parts) if isinstance(part, _Texts)]
-    vocabularies = [parts[i].texts for i in coded]
-    encoded = [text.encode() for texts in vocabularies for text in texts]
-    blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-    text_lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    text_starts = np.cumsum(text_lengths) - text_lengths
-    # where each _Texts part's texts begin among all texts
-    offsets = np.array(list(itertools.accumulate(map(len, vocabularies[:-1]), initial=0)))
     with _overwrite(path) as handle:
         line = ",".join(header).encode() + b"\n"
         handle.write(line)
         digest = None  # of the CSV, when it may get a sidecar
         if sidecar and stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             digest = hashlib.sha256(line)
-        for first in range(0, rows, CHUNK_ROWS):
-            chunk = slice(first, first + CHUNK_ROWS)
-            count = min(CHUNK_ROWS, rows - first)
-            codes = np.empty((count, len(coded)), dtype=np.intp)
-            for j, i in enumerate(coded):
-                codes[:, j] = parts[i].codes[chunk]
-            codes += offsets
-            starts = np.empty((count, len(parts)), dtype=np.int64)
-            lengths = np.empty_like(starts)
-            starts[:, coded] = text_starts.take(codes)
-            lengths[:, coded] = text_lengths.take(codes)
-            data, size = [blob], len(blob)
-            for i, part in enumerate(parts):
-                if isinstance(part, _Decimal):
-                    text, start = _decimal(part.values[chunk], part.end)
-                    width = text.shape[1]
-                    starts[:, i] = np.arange(size, size + text.size, width) + start
-                    lengths[:, i] = width - start
-                    data.append(text.reshape(-1))
-                    size += text.size
-            starts, lengths = starts.reshape(-1), lengths.reshape(-1)
-            ends = np.cumsum(lengths)
-            total = int(ends[-1])
-            index_type = np.int32 if max(size, total) < 2**31 else np.int64
-            index = np.repeat((starts - ends + lengths).astype(index_type), lengths)
-            index += np.arange(total, dtype=index_type)
-            chunk_bytes = np.take(np.concatenate(data), index)  # faster than [] with int32
-            handle.write(chunk_bytes)
-            if digest is not None:
-                digest.update(chunk_bytes)
+        _write_chunks(handle, rows, parts, digest)
         size = handle.tell()
     if digest is not None and rows and size >= BYTE_PATH_MIN_BYTES:
         _write_sidecar(path, header, rows, parts, digest.hexdigest())
+
+
+def _write_chunks(handle, rows: int, parts: Sequence, digest) -> None:
+    """Write the rows of ``parts`` to ``handle``, and into ``digest`` when
+    it is not None.
+
+    Each chunk of CHUNK_ROWS rows, fewer when its rows are wide, is one
+    byte matrix: the slab rows of its _Texts codes and its _Decimal texts,
+    side by side.  It is written with one call, less its _FILL bytes.  The
+    temporaries are those of one chunk and the slabs, and all are gone
+    when this returns.
+    """
+    slabs = [_slabs(part.texts) if isinstance(part, _Texts) else None for part in parts]
+    width = sum(  # of a row, at most
+        len(part.end) + 20 if of is None else sum(slab.shape[1] for slab, _ in of)
+        for part, of in zip(parts, slabs)
+    )
+    step = max(1, min(CHUNK_ROWS, _CHUNK_BYTES // max(width, 1)))
+    for first in range(0, rows, step):
+        chunk = slice(first, first + step)
+        columns = []
+        for part, of in zip(parts, slabs):
+            if of is None:
+                columns.append(_decimal(part.values[chunk], part.end))
+                continue
+            codes = part.codes[chunk]
+            for slab, row in of:
+                columns.append(slab.take(codes if row is None else row.take(codes), axis=0))
+        data = np.concatenate(columns, axis=1).tobytes().translate(None, _FILL)
+        handle.write(data)
+        if digest is not None:
+            digest.update(data)
 
 
 def _sidecar_path(path: Path) -> str:
@@ -689,18 +719,14 @@ def _blocks(path: Path, required: Sequence[str]):
                 yield block
 
 
-def _sha256(path: Path, out: list[str]) -> None:
-    """Append the SHA-256 of a file to ``out``; append nothing when it
-    cannot be read."""
+def _sha256(path: Path) -> str:
+    """The SHA-256 of a file, read in blocks of _HASH_BYTES."""
     digest = hashlib.sha256()
     buffer = bytearray(_HASH_BYTES)
-    try:
-        with open(path, "rb") as handle:
-            while read := handle.readinto(buffer):
-                digest.update(memoryview(buffer)[:read])
-    except OSError:
-        return
-    out.append(digest.hexdigest())
+    with open(path, "rb") as handle:
+        while read := handle.readinto(buffer):
+            digest.update(memoryview(buffer)[:read])
+    return digest.hexdigest()
 
 
 class _Sidecar:
@@ -713,8 +739,8 @@ class _Sidecar:
     use is then parsed with csv.reader, as the CSV path parses it inside a
     row, which gives the part and field of every column.  Raises ValueError
     (or KeyError, TypeError or AttributeError, from a malformed JSON line)
-    when a check fails, and csv.Error as the CSV path does for a field over
-    the limit.
+    when a check fails, OSError when the CSV cannot be read, and csv.Error
+    as the CSV path does for a field over the limit.
     """
 
     def __init__(self, path: Path, handle):
@@ -740,22 +766,11 @@ class _Sidecar:
         self.starts = list(itertools.accumulate(widths[:-1], initial=len(line)))
         if os.fstat(handle.fileno()).st_size != len(line) + sum(widths):
             raise ValueError("sidecar length")
-        # the CSV is hashed in a thread while the sidecar is checked: hashlib
-        # and file reads release the GIL
-        csv_sha256: list[str] = []
-        hashing = threading.Thread(target=_sha256, args=(path, csv_sha256))
-        hashing.start()
-        error = None
-        try:
-            self._check(handle, line, head)
-        except csv.Error as exc:  # the CSV path raises it too, when this is its sidecar
-            error = exc
-        finally:
-            hashing.join()
-        if csv_sha256 != [head["csv_sha256"]]:
+        # first, so that _check raises csv.Error, as the CSV path does, only
+        # for the sidecar of this CSV
+        if _sha256(path) != head["csv_sha256"]:
             raise ValueError("the CSV changed")
-        if error is not None:
-            raise error
+        self._check(handle, line, head)
         self.known: dict[_Lookup, np.ndarray] = {}  # per lookup: value by key
 
     def _check(self, handle, line: bytes, head: dict) -> None:

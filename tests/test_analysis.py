@@ -22,6 +22,7 @@ from pssim.analysis import (
     estimate_lambda,
     estimate_pmfs,
     filter_outliers,
+    mean_weekly,
     qq_against_lognormal,
     weekly_samples_by_location,
 )
@@ -485,7 +486,7 @@ def test_pair_columns_match_the_oracle(case):
         float(c).hex() for weeks in user_weekly.values() for c in weeks.values()
     ]
     # the mean the outlier filter of ingest compares
-    assert list(binned.mean_weekly().items()) == [
+    assert list(mean_weekly(rows, ORACLE_WINDOW).items()) == [
         (u, sum(weeks.values()) / len(weeks)) for u, weeks in user_weekly.items()
     ]
 
@@ -505,7 +506,7 @@ def test_no_reports_in_the_window_give_empty_pairs():
     rows = canonical_table([ingested(WINDOW_START - dt.timedelta(days=1), TemporalBin.MD)])
     binned = bin_reports(rows, ORACLE_WINDOW)
     assert binned.users == [] and binned.user_weekly == {}
-    assert binned.weekly_samples() == [] and binned.mean_weekly() == {}
+    assert binned.weekly_samples() == [] and mean_weekly(rows, ORACLE_WINDOW) == {}
 
 
 class ManyNames(Sequence):

@@ -389,6 +389,62 @@ class TestWriters:
         write(table, path)
         assert path.read_bytes() == expected.getvalue().encode()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            # CR is left out, as the writer quotes it where csv.writer may not,
+            # and NUL, which csv.writer does not treat alike in every version
+            st.text(
+                st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\0"),
+                max_size=300,
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.lists(st.integers(0, 2**16), min_size=1, max_size=40),
+    )
+    def test_property_bytes_equal_csv_writer_for_any_texts(self, drawn, picks):
+        # 4-byte UTF-8, U+FFFF, and texts of very different widths in one part
+        texts = [*drawn, "\N{GRINNING FACE}", "\U0010ffff", "\uffff", "w" * 70, "é" * 400]
+        write, header, to_table, fields = WRITERS["canonical"]
+        date, n = dt.date(2016, 1, 9), len(texts)
+        table = to_table(
+            (date, TEMPORAL_BINS[i % 8], *(texts[(p + k) % n] for k in (0, 5, 9)))
+            for i, p in enumerate([*range(n), *picks])  # every text is used
+        )
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(fields, table))
+        with tempfile.TemporaryDirectory() as scratch, mock.patch.object(formats, "CHUNK_ROWS", 7):
+            path = Path(scratch) / "out.csv"
+            write(table, path)
+            assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_one_wide_text_does_not_widen_every_row(self, tmp_path):
+        import tracemalloc
+
+        # 5,000 short sources and one of 100,000 bytes: one slab padded to
+        # its width would take 500 MB, and a chunk of 4,096 such rows 400 MB
+        sources = [f"u{i}" for i in range(5_000)] + ["w" * 100_000]
+        table = canonical_table(
+            (dt.date(2016, 1, 9), TEMPORAL_BINS[i % 8], source, "Elm", "Jam")
+            for i, source in enumerate(sources * 2)
+        )
+        path = tmp_path / "canonical.csv"
+        tracemalloc.start()
+        try:
+            write_canonical(table, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # measured: 3.9 MB
+        rows = (
+            f"2016-01-09,Saturday,{TEMPORAL_BINS[i % 8].label},{source},Elm,Jam\n"
+            for i, source in enumerate(sources * 2)
+        )
+        assert path.read_text() == ",".join(CANONICAL_HEADER) + "\n" + "".join(rows)
+
     @pytest.mark.parametrize("kind", WRITERS)
     def test_empty_input_writes_the_header(self, tmp_path, kind):
         write, header, to_table, _ = WRITERS[kind]

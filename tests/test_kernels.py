@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,22 @@ def test_exact_ties_keep_participant_major_order():
     for _ in range(20):
         assert assign_participants(quotas, u).tolist() == [0, 1, 3, 0, 3]
         assert assign_participants(quotas, np.zeros(5)).tolist() == [0, 0, 1, 3, 3]
+
+
+def test_many_exact_ties_give_the_stable_order():
+    # numpy sorts 5 clocks by insertion sort, which is stable anyway; tens of
+    # thousands of clocks that often tie exactly reach its unstable sorts
+    rng = np.random.default_rng(3)
+    quotas = rng.integers(0, 40, size=4000)
+    u = rng.integers(0, 2, size=int(quotas.sum())) * 0.5  # gaps 0 and ln 2
+    assert len(u) >= 50_000
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        out = assign_participants(quotas, u)
+    clock = argsort.call_args_list[0].args[0]
+    assert argsort.call_count == 2  # the ties sent it to the stable sort
+    held = np.flatnonzero(quotas)
+    expected = np.repeat(held, quotas[held])[np.argsort(clock, kind="stable")]
+    assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("length", [2, 4])

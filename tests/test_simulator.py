@@ -382,9 +382,9 @@ class TestTraceTables:
         n = len(table)
         assert n > 95_000 and n // 4 > 5 * formats.CHUNK_ROWS
         quarter, whole = peak(n // 4), peak(n)
-        # measured with 4096-row chunks: 6.1 MB for a quarter and for the
+        # measured with 4096-row chunks: 2.4 MB for a quarter and for the
         # whole; 2.2 MB of it is the 10,000 source texts and 1,599 slot
-        # prefixes, the rest the temporaries of one chunk (the whole table
-        # as one chunk peaks at 104 MB)
+        # prefixes, the rest the slabs and the temporaries of one chunk,
+        # which are gone before the sidecar is written
         assert whole <= quarter + 64 * 1024
-        assert whole <= 7.5e6
+        assert whole <= 3.0e6
