@@ -27,17 +27,28 @@ loop over blocks of rows that _read takes from one of three sources:
 All three offer the same values, integers and stamp_cells, so a file gives
 the same table and reject counts whichever source reads it.
 
+Each reader fills its per-row columns block by block (_Column), codes in
+the smallest unsigned type of their vocabulary so far: from a sidecar,
+which gives the row count first, into arrays of their final length; from
+the other two sources, into one part per block, joined a column at a time
+at the end.  Reading the 485,533 rows of the benchmark's trace_pipeline
+trace, read_trace retains 16.6 bytes per row, 14 of them columns and the
+rest vocabularies, and peaks at 28.4 bytes per row from the sidecar and
+29.1 on the byte path (tracemalloc).
+
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
 texts, each quoted once by csv.writer with the comma or LF after it, or an
-int64 column rendered as decimal in numpy.  Each vocabulary becomes a slab,
-a byte matrix with one text per row padded with 0xFF, a byte UTF-8 never
-holds (see _slabs).  A chunk of CHUNK_ROWS rows takes its codes' slab rows
-and its decimals, padded the same way, side by side into one matrix, and
-is written with one call less its 0xFF bytes, so the temporaries are those
-of one chunk.  The bytes equal csv.writer's output row by row, except that
-a field holding a CR is quoted too, so that csv.reader reads every row
-back whole (see _csv_fields).
+int64 column rendered as decimal in numpy.  Codes may reach their texts
+through an index, applied a chunk of rows at a time, so that write_trace
+gives a text only to the event slots that have reports.  Each vocabulary
+becomes a slab, a byte matrix with one text per row padded with 0xFF, a
+byte UTF-8 never holds (see _slabs).  A chunk of CHUNK_ROWS rows takes its
+codes' slab rows and its decimals, padded the same way, side by side into
+one matrix, and is written with one call less its 0xFF bytes, so the
+temporaries are those of one chunk.  The bytes equal csv.writer's output
+row by row, except that a field holding a CR is quoted too, so that
+csv.reader reads every row back whole (see _csv_fields).
 
 Every output but the sidecar, which is moved into place, is opened by
 _overwrite: without O_TRUNC, written over from its start and cut to length
@@ -70,7 +81,15 @@ import numpy as np
 
 from .distributions import Pmf
 from .errors import PsSimError
-from .table import AggregatedEventTable, CanonicalTable, ReportTable
+from .table import (
+    AggregatedEventTable,
+    CanonicalTable,
+    ReportTable,
+    code_dtype,
+    column_dtype,
+    mark,
+    take,
+)
 from .types import (
     DAY_BINS,
     TEMPORAL_BINS,
@@ -231,11 +250,19 @@ def _csv_fields(texts: Iterable[str]) -> list[str]:
 
 
 class _Texts(NamedTuple):
-    """A part of every row: ``texts[code]`` for the row's code.  The texts
-    are CSV fields, quoted as needed, with the comma or LF after them."""
+    """A part of every row: ``texts[code]`` for the row's code, or
+    ``texts[index[code]]`` given an ``index``.  The texts are CSV fields,
+    quoted as needed, with the comma or LF after them."""
 
     texts: Sequence[str]
     codes: np.ndarray
+    index: np.ndarray | None = None
+
+    def positions(self, rows: slice) -> np.ndarray:
+        """The position in ``texts`` of the text of each row in ``rows``;
+        the writers take them a chunk of rows at a time."""
+        codes = self.codes[rows]
+        return codes if self.index is None else take(self.index, codes)
 
 
 class _Decimal(NamedTuple):
@@ -344,7 +371,7 @@ def _write_chunks(handle, rows: int, parts: Sequence, digest) -> None:
             if of is None:
                 columns.append(_decimal(part.values[chunk], part.end))
                 continue
-            codes = part.codes[chunk]
+            codes = part.positions(chunk)
             for slab, row in of:
                 columns.append(slab.take(codes if row is None else row.take(codes), axis=0))
         data = np.concatenate(columns, axis=1).tobytes().translate(None, _FILL)
@@ -393,11 +420,12 @@ def _write_sidecar(path: Path, header: Sequence[str], rows: int, parts: Sequence
         with open(temporary, "wb") as handle:
             handle.write(line)
             for part, about in zip(parts, described):
-                column = part.codes if isinstance(part, _Texts) else part.values
                 dtype = np.dtype(about["dtype"])
                 step = _HASH_BYTES // dtype.itemsize
                 for first in range(0, rows, step):
-                    chunk = np.ascontiguousarray(column[first : first + step], dtype=dtype)
+                    chunk = slice(first, first + step)
+                    chunk = part.positions(chunk) if isinstance(part, _Texts) else part.values[chunk]
+                    chunk = np.ascontiguousarray(chunk, dtype=dtype)
                     digest.update(chunk)
                     handle.write(chunk)
             handle.seek(len(_SIDECAR_START))
@@ -750,14 +778,14 @@ class _Sidecar:
         if not line.startswith(_SIDECAR_START) or head["version"] != SIDECAR_VERSION:
             raise ValueError("not a sidecar of this version")
         self.rows, self.header, parts = head["rows"], head["header"], head["parts"]
-        self.texts = [None if part.get("decimal") is True else part["texts"] for part in parts]
+        texts = [None if part.get("decimal") is True else part["texts"] for part in parts]
         if not (
             type(self.rows) is int
             and self.rows > 0
             and all(isinstance(name, str) for name in self.header)
             and all(
-                part["dtype"] in (("<i8",) if texts is None else _CODE_DTYPES)
-                for part, texts in zip(parts, self.texts)
+                part["dtype"] in (("<i8",) if part_texts is None else _CODE_DTYPES)
+                for part, part_texts in zip(parts, texts)
             )
         ):
             raise ValueError("malformed sidecar header")
@@ -770,33 +798,33 @@ class _Sidecar:
         # for the sidecar of this CSV
         if _sha256(path) != head["csv_sha256"]:
             raise ValueError("the CSV changed")
-        self._check(handle, line, head)
+        self._check(handle, line, head, texts)
         self.known: dict[_Lookup, np.ndarray] = {}  # per lookup: value by key
 
-    def _check(self, handle, line: bytes, head: dict) -> None:
+    def _check(self, handle, line: bytes, head: dict, texts: list) -> None:
         """Check the sidecar's own SHA-256 and codes, and parse the texts
         the rows use into self.fields and self.place."""
         digest = hashlib.sha256(_SIDECAR_START + b"0" * 64 + line[len(_SIDECAR_START) + 64 :])
-        used = [None if texts is None else np.zeros(len(texts), dtype=bool) for texts in self.texts]
-        for texts, dtype, seen in zip(self.texts, self.dtypes, used):
+        used = [None if part is None else np.zeros(len(part), dtype=bool) for part in texts]
+        for part, dtype, seen in zip(texts, self.dtypes, used):
             step = _HASH_BYTES // dtype.itemsize
             for first in range(0, self.rows, step):
                 column = np.empty(min(step, self.rows - first), dtype=dtype)
                 handle.readinto(column)
                 digest.update(column)
-                if texts is not None:
-                    if int(column.max()) >= len(texts):
+                if part is not None:
+                    if int(column.max()) >= len(part):
                         raise ValueError("code out of range")
-                    seen[column] = True
+                    mark(seen, column)
         if digest.hexdigest() != head["sha256"]:
             raise ValueError("sidecar hash")
         if csv.field_size_limit() < 20:  # a decimal field could pass it
             raise ValueError("field size limit below a decimal's width")
-        self.fields = []  # per part: row code -> the fields of its text
+        self.fields = []  # per part: by row code, the fields of its text when used
         self.place = []  # per column: its part and field
-        for j, (texts, seen) in enumerate(zip(self.texts, used)):
+        for j, (part, seen) in enumerate(zip(texts, used)):
             codes = [] if seen is None else np.flatnonzero(seen).tolist()
-            chosen = [texts[code] for code in codes]
+            chosen = [part[code] for code in codes]
             # a text with a CR is left to the CSV: files written before a CR
             # was quoted hold it bare, and csv.reader ends a row there
             if not all(
@@ -809,7 +837,10 @@ class _Sidecar:
             width = len(fields[0]) if fields else 1
             if len(fields) != len(chosen) or any(len(f) != width for f in fields):
                 raise ValueError("texts are not whole fields")
-            self.fields.append(None if seen is None else dict(zip(codes, map(tuple, fields))))
+            by_code = None if seen is None else [None] * len(part)
+            for code, field in zip(codes, fields):
+                by_code[code] = tuple(field)
+            self.fields.append(by_code)
             self.place += [(j, k) for k in range(width)]
         if len(self.place) != len(self.header):
             raise ValueError("parts do not cover the header")
@@ -882,7 +913,7 @@ class _CodedBlock:
         rows = np.arange(n) if keep is None else np.flatnonzero(keep)
         places = [self.sidecar.place[self.col[name]] for name in lookup.names]
         parts = sorted({part for part, _ in places})
-        sizes = [0 if self.sidecar.fields[j] is None else len(self.sidecar.texts[j]) for j in parts]
+        sizes = [0 if self.sidecar.fields[j] is None else len(self.sidecar.fields[j]) for j in parts]
         store = self.sidecar.known.get(lookup)
         if 0 < math.prod(sizes) <= _DENSE_KEYS:  # the codes make one key
             key = np.zeros(n, dtype=np.int64)
@@ -983,30 +1014,66 @@ def _row_blocks(path: Path, required: Sequence[str]):
                 yield block
 
 
+@contextlib.contextmanager
 def _read(path: Path, required: Sequence[str]):
-    """The data rows of a CSV as blocks: from its sidecar when it has a
-    valid one, else from its bytes when _byte_path allows, else from
-    csv.reader's rows."""
+    """The data rows of a CSV as blocks, with their count when it is known
+    before they are read, else None: from its sidecar when it has a valid
+    one, else from its bytes when _byte_path allows, else from csv.reader's
+    rows."""
     sidecar = _Sidecar.open(path)
     if sidecar is not None:
         with sidecar:
-            yield from sidecar.blocks(required)
+            yield sidecar.rows, sidecar.blocks(required)
     elif _byte_path(path):
-        yield from _blocks(path, required)
+        yield None, _blocks(path, required)
     else:
-        yield from _row_blocks(path, required)
+        yield None, _row_blocks(path, required)
 
 
-def _narrow(codes: np.ndarray, size: int) -> np.ndarray:
-    """Codes below ``size`` in the smallest unsigned type that holds them."""
-    return codes.astype(np.min_scalar_type(max(size - 1, 0)))
+class _Column:
+    """A per-row column of a reader, filled block by block with int64
+    values or with codes into a vocabulary that grows as rows are read.
+
+    Codes are held in the smallest unsigned type of the vocabulary so far.
+    With the row count known before the first block, the column is one
+    array of that length, filled in place and widened over the rows filled
+    when the vocabulary outgrows its type; its pages are touched only as
+    rows arrive.  Otherwise each block's part is kept and the parts are
+    joined once, by ``done``, which drops them.
+    """
+
+    def __init__(self, rows: int | None):
+        self.rows, self.filled = rows, 0
+        self.parts: list[np.ndarray] = []
+        self.array: np.ndarray | None = None
+
+    def add(self, values: np.ndarray, size: int | None = None) -> None:
+        """Append a block's values, codes below ``size`` or, with no size,
+        int64 values."""
+        dtype = np.dtype(np.int64) if size is None else np.min_scalar_type(max(size - 1, 0))
+        if self.rows is None:
+            self.parts.append(values.astype(dtype, copy=False))
+            return
+        if self.array is None:
+            self.array = np.empty(self.rows, dtype=dtype)
+        elif dtype.itemsize > self.array.itemsize:
+            wider = np.empty(self.rows, dtype=dtype)
+            wider[: self.filled] = self.array[: self.filled]
+            self.array = wider
+        self.array[self.filled : self.filled + len(values)] = values
+        self.filled += len(values)
+
+    def done(self) -> np.ndarray:
+        """The rows filled as one array, in the type of their last block."""
+        if self.rows is None:
+            parts, self.parts = self.parts, []
+            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        if self.filled < self.rows:  # rejected rows leave a tail
+            return self.array[: self.filled].copy()
+        return self.array
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
+def _report_blocks(rows: int | None, blocks, cell: _Lookup, string_columns, vocabs):
     """The block loop of _read_reports, over the blocks _read gives.  Raw
     timestamps are parsed by stamp_cells, not grouped."""
     strings = [
@@ -1015,7 +1082,7 @@ def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
     ]
     bad_cells: dict[int, int] = {}
     blank = [0, 0, 0]
-    columns: list[list[np.ndarray]] = [[], [], [], [], []]
+    columns = [_Column(rows) for _ in range(5)]
     for block in blocks:
         if cell.resolve is _stamp_cell:
             cells = block.stamp_cells(cell.names[0])
@@ -1030,10 +1097,10 @@ def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
             blank[i] += int(np.count_nonzero(missing))
             keep &= ~missing
         cells = cells[keep]
-        columns[0].append(cells >> 3)
-        columns[1].append((cells & 7).astype(np.uint8))
+        columns[0].add(cells >> 3)
+        columns[1].add(cells & 7, len(TEMPORAL_BINS))
         for column, code, vocab in zip(columns[2:], codes, vocabs):
-            column.append(_narrow(code[keep], len(vocab)))
+            column.add(code[keep], len(vocab))
     return columns, bad_cells, blank
 
 
@@ -1050,8 +1117,9 @@ def _read_reports(
     rows rejected because it is the first blank one.
     """
     vocabs: tuple[dict[str, int], ...] = ({}, {}, {})  # sources, locs, types
-    columns, bad_cells, blank = _report_blocks(_read(path, required), cell, string_columns, vocabs)
-    date, time, source, loc, type_ = (_joined(c) for c in columns)
+    with _read(path, required) as (rows, blocks):
+        columns, bad_cells, blank = _report_blocks(rows, blocks, cell, string_columns, vocabs)
+    date, time, source, loc, type_ = (column.done() for column in columns)
     sources, locs, types = vocabs
     table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
     return table, bad_cells, blank
@@ -1151,21 +1219,21 @@ def write_trace(table: ReportTable, path: Path) -> None:
     """Write the eight-column trace schema with ISO dates.
 
     The bytes equal csv.writer's output row by row.  The Day column is the
-    weekday of the date.  Only event slots that have reports get an
-    (EventNo, Date, Day, Time) prefix, and each distinct date's text is
-    built once.
+    weekday of the date.  Only the event slots that have reports get an
+    (EventNo, Date, Day, Time) prefix, in slot order, and each distinct
+    date's text is built once.
     """
-    used = np.flatnonzero(np.bincount(table.event, minlength=len(table.event_no)))
+    has_reports = np.zeros(len(table.event_no), dtype=column_dtype(np.bool_, len(table.event_no)))
+    mark(has_reports, table.event)
+    used = np.flatnonzero(has_reports)
     dates, date_of = _distinct_dates(table.date[used])
     days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
-    prefixes = [""] * len(table.event_no)
-    for slot, no, d, t in zip(
-        used.tolist(),
-        table.event_no[used].tolist(),
-        date_of.tolist(),
-        table.time[used].tolist(),
-    ):
-        prefixes[slot] = f"{no},{days[d]}{_TIME_FIELDS[t]}"
+    prefixes = [
+        f"{no},{days[d]}{_TIME_FIELDS[t]}"
+        for no, d, t in zip(table.event_no[used].tolist(), date_of.tolist(), table.time[used].tolist())
+    ]
+    prefix_of = np.zeros(len(table.event_no), dtype=code_dtype(len(used), len(table.event_no)))
+    prefix_of[used] = np.arange(len(used))
     sources = [f"{field}," for field in _csv_fields(table.sources)]
     types = _csv_fields(table.types)
     _write_csv(
@@ -1173,7 +1241,7 @@ def write_trace(table: ReportTable, path: Path) -> None:
         TRACE_HEADER,
         len(table),
         (
-            _Texts(prefixes, table.event),
+            _Texts(prefixes, table.event, prefix_of),
             _Decimal(table.report_no, b","),
             _Texts(sources, table.source),
             _Texts([f"{field}," for field in types], table.reported),
@@ -1237,7 +1305,7 @@ def _trace_slots(slots: dict):
     return slot_of
 
 
-def _trace_blocks(blocks, slots, sources, types):
+def _trace_blocks(rows: int | None, blocks, slots, sources, types):
     """The block loop of read_trace, over the blocks _read gives."""
     prefixes = _Lookup(TRACE_HEADER[:4], _trace_slots(slots))
     source_codes = _Lookup(("SourceId",), functools.partial(_intern, vocab=sources))
@@ -1249,7 +1317,7 @@ def _trace_blocks(blocks, slots, sources, types):
         return len(pairs) - 1
 
     pair_codes = _Lookup(("EventReported", "EventOccurred"), pair_of)
-    columns: list[list[np.ndarray]] = [[], [], [], [], []]
+    columns = [_Column(rows) for _ in range(5)]
     malformed = mismatched = 0
     for block in blocks:
         slot = block.values(prefixes)
@@ -1262,12 +1330,12 @@ def _trace_blocks(blocks, slots, sources, types):
         number, number_ok = block.integers("ReportNo")
         ok = (source >= 0) & (pair >= 0).all(axis=1) & number_ok[keep]
         malformed += int(np.count_nonzero(~ok))
-        rows = np.flatnonzero(keep)[ok]
-        columns[0].append(_narrow(slot[rows], len(slots)))
-        columns[1].append(number[rows])
-        columns[2].append(_narrow(source[ok], len(sources)))
-        columns[3].append(_narrow(pair[ok, 0], len(types)))
-        columns[4].append(_narrow(pair[ok, 1], len(types)))
+        taken = np.flatnonzero(keep)[ok]
+        columns[0].add(slot[taken], len(slots))
+        columns[1].add(number[taken])
+        columns[2].add(source[ok], len(sources))
+        columns[3].add(pair[ok, 0], len(types))
+        columns[4].add(pair[ok, 1], len(types))
     return columns, malformed, mismatched
 
 
@@ -1282,13 +1350,14 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
     slots: dict[tuple[int, int, int], int] = {}
     sources: dict[str, int] = {}
     types: dict[str, int] = {}  # reported and occurred types share it
-    columns, malformed, mismatched = _trace_blocks(_read(path, TRACE_HEADER), slots, sources, types)
+    with _read(path, TRACE_HEADER) as (rows, blocks):
+        columns, malformed, mismatched = _trace_blocks(rows, blocks, slots, sources, types)
     rejects = {}
     if malformed:
         rejects["malformed row"] = malformed
     if mismatched:
         rejects["day/date mismatch"] = mismatched
-    event, report_no, source, reported, occurred = (_joined(c) for c in columns)
+    event, report_no, source, reported, occurred = (column.done() for column in columns)
     table = ReportTable.from_codes(
         slots, event, report_no, source, sources, reported, occurred, types
     )

@@ -37,7 +37,7 @@ from .distributions import (
     rescale,
 )
 from .errors import PsSimError
-from .table import EventTable, ReportTable, code_dtype
+from .table import EventTable, ReportTable, code_dtype, take
 from .types import DAY_BINS, SimConfig, weekday_of
 
 
@@ -174,7 +174,7 @@ def attribute_reports(
     part_idx = _kernels.assign_participants(pool.quotas, u_part)
     del u_part
 
-    occurred = ev_type_idx[event].astype(type_dtype)
+    occurred = take(ev_type_idx.astype(type_dtype), event)
     reported = occurred.copy()
     lie_mask = gen.random(total) < pr_lie
     n_lies = int(lie_mask.sum())
@@ -190,7 +190,7 @@ def attribute_reports(
         time=events.time,
         event=event,
         report_no=np.arange(1, total + 1, dtype=np.int64),
-        source=part_idx.astype(code_dtype(len(pool.ids), total)),
+        source=part_idx.astype(code_dtype(len(pool.ids), total), copy=False),
         sources=pool.ids,
         reported=reported,
         occurred=occurred,

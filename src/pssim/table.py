@@ -36,17 +36,41 @@ from .types import (
 )
 
 
-def code_dtype(size: int, length: int) -> np.dtype:
-    """Integer type for a column of ``length`` codes in 0..size-1.
+TAKE_ROWS = 1 << 16  # codes per call of take() and mark()
 
-    Columns of 1024 codes or more use the smallest unsigned type that holds
-    the codes.  Shorter ones stay int64: numpy keeps freed blocks under 1 KiB
-    in a cache per exact size, so many short compact columns of varying
-    lengths grow the process while saving next to nothing.
+
+def column_dtype(dtype, length: int) -> np.dtype:
+    """``dtype`` for a column of ``length`` entries, or int64 below 1024.
+
+    numpy keeps freed blocks under 1 KiB in a cache per exact size, so many
+    short compact columns of varying lengths grow the process while saving
+    next to nothing.
     """
-    if length < 1024:
-        return np.dtype(np.int64)
-    return np.min_scalar_type(max(size - 1, 0))
+    return np.dtype(np.int64 if length < 1024 else dtype)
+
+
+def code_dtype(size: int, length: int) -> np.dtype:
+    """Integer type for a column of ``length`` codes in 0..size-1: the
+    smallest unsigned type that holds them (see column_dtype)."""
+    return column_dtype(np.min_scalar_type(max(size - 1, 0)), length)
+
+
+def take(values: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values[index]``, into ``out`` when given, TAKE_ROWS entries at a
+    time.  numpy casts an index to intp before it gathers, so one gather by
+    a whole column of narrow codes holds 8 bytes per entry beside them."""
+    if out is None:
+        out = np.empty(len(index), dtype=values.dtype)
+    for first in range(0, len(index), TAKE_ROWS):
+        np.take(values, index[first : first + TAKE_ROWS], out=out[first : first + TAKE_ROWS])
+    return out
+
+
+def mark(seen: np.ndarray, codes: np.ndarray) -> None:
+    """Set ``seen[codes]`` to True, TAKE_ROWS codes at a time, as numpy
+    casts an index to intp here too."""
+    for first in range(0, len(codes), TAKE_ROWS):
+        seen[codes[first : first + TAKE_ROWS]] = True
 
 
 def dates_of(ordinals: np.ndarray) -> list[dt.date]:
@@ -183,12 +207,12 @@ class ReportTable(_RowView):
             event_no=event_no,
             date=date,
             time=time,
-            event=np.asarray(event).astype(code_dtype(len(slots), n)),
+            event=np.asarray(event).astype(code_dtype(len(slots), n), copy=False),
             report_no=np.asarray(report_no, dtype=np.int64),
-            source=np.asarray(source).astype(code_dtype(len(sources), n)),
+            source=np.asarray(source).astype(code_dtype(len(sources), n), copy=False),
             sources=tuple(sources),
-            reported=np.asarray(reported).astype(type_dtype),
-            occurred=np.asarray(occurred).astype(type_dtype),
+            reported=np.asarray(reported).astype(type_dtype, copy=False),
+            occurred=np.asarray(occurred).astype(type_dtype, copy=False),
             types=tuple(types),
         )
 
@@ -249,12 +273,12 @@ class CanonicalTable(_RowView):
         n = len(date)
         return cls(
             date=np.asarray(date, dtype=np.int64),
-            time=np.asarray(time).astype(code_dtype(len(TEMPORAL_BINS), n)),
-            source=np.asarray(source).astype(code_dtype(len(sources), n)),
+            time=np.asarray(time).astype(code_dtype(len(TEMPORAL_BINS), n), copy=False),
+            source=np.asarray(source).astype(code_dtype(len(sources), n), copy=False),
             sources=tuple(sources),
-            loc=np.asarray(loc).astype(code_dtype(len(locs), n)),
+            loc=np.asarray(loc).astype(code_dtype(len(locs), n), copy=False),
             locs=tuple(locs),
-            type=np.asarray(type_).astype(code_dtype(len(types), n)),
+            type=np.asarray(type_).astype(code_dtype(len(types), n), copy=False),
             types=tuple(types),
         )
 
@@ -340,8 +364,9 @@ def _trace_columns(
         rejected = len(codes) - int(np.count_nonzero(keep))
         codes, event, source = codes[keep], event[keep], source[keep]
     columns = CanonicalTable(
-        date=table.date[event],
-        time=table.time.astype(code_dtype(len(TEMPORAL_BINS), len(codes)))[event],
+        # any date ordinal fits in int32
+        date=take(table.date.astype(column_dtype(np.int32, len(codes))), event),
+        time=take(table.time.astype(code_dtype(len(TEMPORAL_BINS), len(codes))), event),
         source=source,
         sources=table.sources,
         loc=np.zeros(len(codes), dtype=code_dtype(1, len(codes))),

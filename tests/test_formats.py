@@ -1391,6 +1391,24 @@ class TestSidecar:
         cut, cut_rejects, _ = read_every_way(read, path)
         assert columns(cut) == columns(whole) and cut_rejects == whole_rejects
 
+    def test_codes_that_outgrow_one_byte_are_widened(self, tmp_path, monkeypatch):
+        # 1,200 rows in blocks of 100, whose sources and event slots pass
+        # 256 in the eleventh block: the sidecar's columns are filled one
+        # byte wide until then
+        monkeypatch.setattr(formats, "CHUNK_ROWS", 100)
+        date = dt.date(2016, 1, 9)
+        path = tmp_path / "trace.csv"
+        write_trace(
+            trace_table(
+                (i // 4, date, TEMPORAL_BINS[0], i, f"S{i // 4}", "Jam", "Hazard")
+                for i in range(1200)
+            ),
+            path,
+        )
+        table, rejects, _ = read_every_way(read_trace, path)
+        assert rejects == {} and len(table.sources) == len(table.event_no) == 300
+        assert table.source.dtype == table.event.dtype == np.uint16
+
     def test_simulated_trace(self, tmp_path):
         trace = simulate(make_config(seed=9, pr_lie=0.2, n=200))
         path = tmp_path / "trace.csv"

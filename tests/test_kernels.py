@@ -122,6 +122,27 @@ def test_many_exact_ties_give_the_stable_order():
     assert np.array_equal(out, expected)
 
 
+def test_a_tie_across_tie_windows_gives_the_stable_order():
+    # one report per participant, with gaps in [1, 2), where the kernel's
+    # running sums are exact, so each clock is its gap; the clocks sorted to
+    # the last place of the first tie window and the first of the next are
+    # equal, and no other two are
+    window = _kernels.TIE_WINDOW
+    quotas = np.ones(window + 1000, dtype=np.int64)
+    u = np.random.default_rng(8).uniform(1 - np.exp(-1), 1 - np.exp(-2), size=len(quotas))
+    ranked = np.argsort(-np.log1p(-u))
+    u[ranked[window]] = u[ranked[window - 1]]
+    with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+        out = assign_participants(quotas, u)
+    clock = argsort.call_args_list[0].args[0]
+    ordered = np.sort(clock)
+    assert np.flatnonzero(ordered[1:] == ordered[:-1]).tolist() == [window - 1]
+    assert argsort.call_count == 2  # the tie sent it to the stable sort
+    held = np.flatnonzero(quotas)
+    expected = np.repeat(held, quotas[held])[np.argsort(clock, kind="stable")]
+    assert np.array_equal(out, expected)
+
+
 @pytest.mark.parametrize("length", [2, 4])
 def test_wrong_uniform_count_raises(length):
     quotas = np.array([1, 0, 2], dtype=np.int64)
