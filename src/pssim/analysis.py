@@ -27,7 +27,7 @@ from .distributions import (
 from .errors import PsSimError
 from .formats import ModelFile
 from .table import report_columns
-from .types import DAY_BINS, TEMPORAL_BINS, weekday_of
+from .types import DAY_BINS, TEMPORAL_BINS, day_index
 
 #: ``_user_weekly`` counts (user, week) pairs in a dense array while the
 #: user codes times the weeks stay at most this many times (rows + 256),
@@ -264,10 +264,9 @@ def weekly_samples_by_location(
 def estimate_pmfs(binned: BinnedSeries) -> tuple[Pmf, Pmf]:
     """Estimate (pmf_day, pmf_time) from an aggregate binned series."""
     by_day = binned.cells.reshape(binned.days, 8)
-    day_counts = {day: 0 for day in DAY_BINS}
-    for i in range(binned.days):
-        day = weekday_of(binned.start_date + dt.timedelta(days=i))
-        day_counts[day] += int(by_day[i].sum())
+    days = day_index(binned.start_date.toordinal() + np.arange(binned.days))
+    day_totals = np.bincount(days, weights=by_day.sum(axis=1), minlength=len(DAY_BINS))
+    day_counts = dict(zip(DAY_BINS, day_totals.astype(np.int64).tolist()))
     time_totals = by_day.sum(axis=0)
     time_counts = {b: int(time_totals[b.index]) for b in TEMPORAL_BINS}
     return pmf_from_counts(day_counts), pmf_from_counts(time_counts)

@@ -5,15 +5,12 @@ and durations, and fit polynomial growth exponents to the timings.  The
 from __future__ import annotations
 
 import dataclasses
-import datetime as dt
 import math
 import time
 
 import numpy as np
 
-from .distributions import uniform_pmf
-from .simulator import simulate
-from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig
+from .simulator import default_config, simulate
 
 
 def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0):
@@ -21,21 +18,7 @@ def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0):
 
     Timings are the median over ``repeats`` runs.
     """
-    base = SimConfig(
-        tau=7,
-        start_date=dt.date(2015, 2, 23),
-        ev_types=DEFAULT_EV_TYPES,
-        pr_lie=0.1,
-        n=10,
-        lambda_e=lambda_e,
-        mlog=math.log(3.0),  # three reports per participant-week on average
-        sdlog=0.5,
-        pmf_time=uniform_pmf(TEMPORAL_BINS),
-        pmf_day=uniform_pmf(DAY_BINS),
-        pmf_ev_type=uniform_pmf(DEFAULT_EV_TYPES),
-        seed=seed,
-        loc="bench",
-    )
+    base = default_config(tau=7, pr_lie=0.1, n=10, lambda_e=lambda_e, seed=seed, loc="bench")
     # warm caches and lazy imports so the first grid point is not penalized
     simulate(base)
 

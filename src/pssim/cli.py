@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import datetime as dt
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -20,10 +19,9 @@ from . import formats
 from .aggregation import aggregate
 from .analysis import filter_outliers, fit_models, mean_weekly
 from .bench import bench_grid, fit_growth_exponents
-from .distributions import uniform_pmf
 from .errors import PsSimError
-from .simulator import simulate
-from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig
+from .simulator import default_config, simulate
+from .types import DEFAULT_EV_TYPES
 from .validation import AXES, cross_validate, summarize
 
 
@@ -258,39 +256,28 @@ def simulate_cmd(
         raise click.UsageError(f"--n must be >= 1, got {n_participants}")
     start = _parse_iso_date(start_date, "--start-date")
 
+    fields = {}
     if model_path is not None:
         model = formats.load_model(model_path)
-        base_mlog, base_sdlog = model.mlog, model.sdlog
-        base_lambda = model.lambda_by_loc.get(loc, model.lambda_overall)
-        pmf_day, pmf_time, pmf_ev = model.pmf_day, model.pmf_time, model.pmf_ev_type
-        types = tuple(pmf_ev.support)
+        fields = dict(
+            ev_types=model.pmf_ev_type.support,
+            mlog=model.mlog,
+            sdlog=model.sdlog,
+            lambda_e=model.lambda_by_loc.get(loc, model.lambda_overall),
+            pmf_day=model.pmf_day,
+            pmf_time=model.pmf_time,
+            pmf_ev_type=model.pmf_ev_type,
+        )
         if ev_types is not None:
             raise click.UsageError("--ev-types conflicts with --model (types come from the model)")
-    else:
-        types = (
-            tuple(t.strip() for t in ev_types.split(",") if t.strip())
-            if ev_types
-            else DEFAULT_EV_TYPES
-        )
-        base_mlog, base_sdlog, base_lambda = math.log(3.0), 0.5, 10.0
-        pmf_day = uniform_pmf(DAY_BINS)
-        pmf_time = uniform_pmf(TEMPORAL_BINS)
-        pmf_ev = uniform_pmf(types)
+    elif ev_types:
+        fields["ev_types"] = tuple(t.strip() for t in ev_types.split(",") if t.strip())
+    given = {"mlog": mlog, "sdlog": sdlog, "lambda_e": lambda_e}
+    fields.update({name: value for name, value in given.items() if value is not None})
 
-    config = SimConfig(
-        tau=tau,
-        start_date=start,
-        ev_types=types,
-        pr_lie=pr_lie,
-        n=n_participants,
-        lambda_e=lambda_e if lambda_e is not None else base_lambda,
-        mlog=mlog if mlog is not None else base_mlog,
-        sdlog=sdlog if sdlog is not None else base_sdlog,
-        pmf_time=pmf_time,
-        pmf_day=pmf_day,
-        pmf_ev_type=pmf_ev,
-        seed=seed,
-        loc=loc or "unspecified",
+    config = default_config(
+        tau=tau, start_date=start, pr_lie=pr_lie, n=n_participants, seed=seed,
+        loc=loc or "unspecified", **fields,
     )
     trace = simulate(config)
     formats.write_trace(trace.reports, out)
@@ -317,19 +304,17 @@ def _read_reports_any(path: Path):
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--workers", type=int, default=None, help="Accepted for compatibility; has no effect (grouping is one in-process sort).")
-@click.option("--partitions", type=int, default=None, help="Accepted for compatibility; has no effect.")
 @click.option("--min-support", type=int, default=1, show_default=True)
 @click.option("--loc", default="unspecified", show_default=True, help="Location label for trace rows (traces carry none).")
 @click.option("--key", type=click.Choice(["reported", "occurred"]), default="reported", show_default=True, help="Which incident type keys trace rows.")
 @_model_errors_exit_3
-def aggregate_cmd(input_csv, out, workers, partitions, min_support, loc, key):
+def aggregate_cmd(input_csv, out, workers, min_support, loc, key):
     """Group reports into events keyed by (date, time bin, loc, type) with
     supporting-report counts."""
     if min_support < 1:
         raise click.UsageError(f"--min-support must be >= 1, got {min_support}")
-    for flag, value in (("--workers", workers), ("--partitions", partitions)):
-        if value is not None and value < 1:
-            raise click.UsageError(f"{flag} must be >= 1, got {value}")
+    if workers is not None and workers < 1:
+        raise click.UsageError(f"--workers must be >= 1, got {workers}")
 
     try:
         records, rejects = _read_reports_any(input_csv)

@@ -87,16 +87,11 @@ from .table import (
     ReportTable,
     code_dtype,
     column_dtype,
+    distinct_dates,
     mark,
     take,
 )
-from .types import (
-    DAY_BINS,
-    TEMPORAL_BINS,
-    DayBin,
-    TemporalBin,
-    weekday_of,
-)
+from .types import TEMPORAL_BINS, DayBin, TemporalBin, time_index, weekday_of
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -220,7 +215,6 @@ _FILL = b"\xff"  # pads the writer's texts; UTF-8 never holds this byte
 _SLAB_WIDTHS = 64 << np.arange(56)  # the widest text of each class of writer slabs
 _CHUNK_BYTES = 1 << 20  # the most bytes of a writer chunk, when its rows are wide
 _TIME_FIELDS = tuple(f"{b.label}," for b in TEMPORAL_BINS)
-_WEEKDAY_LABELS = tuple(DAY_BINS[(i + 1) % 7].label for i in range(7))  # by date.weekday()
 # the timestamp shape that _ByteBlock.stamp_cells parses; 0 stands for any digit
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00+00:00", dtype=np.uint8)
 _STAMP_DIGITS = np.flatnonzero(_STAMP == ord("0"))
@@ -436,18 +430,14 @@ def _write_sidecar(path: Path, header: Sequence[str], rows: int, parts: Sequence
             os.unlink(temporary)
 
 
-def _distinct_dates(ordinals: np.ndarray) -> tuple[list[dt.date], np.ndarray]:
-    """The distinct dates of an ordinal column in ascending order, and the
-    index of each row's date among them.  Not np.unique: its first call
-    imports numpy.ma, about 0.5 MiB, which shows in the peak memory of short
-    runs."""
-    order = np.argsort(ordinals)
-    ordered = ordinals[order]
-    new = np.ones(len(ordered), dtype=bool)
-    new[1:] = ordered[1:] != ordered[:-1]
-    index = np.empty(len(ordinals), dtype=np.intp)
-    index[order] = np.cumsum(new) - 1
-    return list(map(dt.date.fromordinal, ordered[new].tolist())), index
+def _date_fields(ordinals: np.ndarray, day: bool) -> tuple[list[str], np.ndarray]:
+    """The texts "date," of the distinct dates of an ordinal column, or
+    "date,day," with ``day``, and each row's code among them (see
+    distinct_dates).  The day is the weekday of the date."""
+    dates, codes = distinct_dates(ordinals)
+    if day:
+        return [f"{date.isoformat()},{weekday_of(date).label}," for date in dates], codes
+    return [f"{date.isoformat()}," for date in dates], codes
 
 
 def _intern(raw: str, vocab: dict[str, int]) -> int:
@@ -690,7 +680,7 @@ class _ByteBlock:
         ordinal += _DAYS_BEFORE_MONTH[month] + (leap & (month > 2)) + day
         offset = (offset_hour * 60 + offset_minute) * np.where(text[:, 19] == 45, -1, 1)
         minutes = ordinal * 1440 + hour * 60 + minute - offset  # in UTC
-        cell[rows[ok]] = (minutes // 1440 * 8 + (minutes % 1440 // 60 - 3) % 24 // 3)[ok]
+        cell[rows[ok]] = (minutes // 1440 * 8 + time_index(minutes % 1440 // 60))[ok]
         rest = np.ones(len(self), dtype=bool)
         rest[rows[ok]] = False
         rest = np.flatnonzero(rest)
@@ -1131,7 +1121,7 @@ def _stamp_cell(text: str) -> int:
         stamp = parse_timestamp(text)
     except (ValueError, OverflowError):  # unparseable, or out of range in UTC
         return _BAD_DATE
-    return stamp.toordinal() * 8 + (stamp.hour - 3) % 24 // 3
+    return stamp.toordinal() * 8 + time_index(stamp.hour)
 
 
 def read_raw_reports(
@@ -1165,8 +1155,7 @@ def write_canonical(table: CanonicalTable, path: Path) -> None:
     The bytes equal csv.writer's output row by row.  The day column is the
     weekday of the date.  Each distinct date's text is built once.
     """
-    dates, date_of = _distinct_dates(table.date)
-    days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
+    days, date_of = _date_fields(table.date, day=True)
     sources, locs = ([f"{field}," for field in _csv_fields(v)] for v in (table.sources, table.locs))
     types = [f"{field}\n" for field in _csv_fields(table.types)]
     _write_csv(
@@ -1226,8 +1215,7 @@ def write_trace(table: ReportTable, path: Path) -> None:
     has_reports = np.zeros(len(table.event_no), dtype=column_dtype(np.bool_, len(table.event_no)))
     mark(has_reports, table.event)
     used = np.flatnonzero(has_reports)
-    dates, date_of = _distinct_dates(table.date[used])
-    days = [f"{date.isoformat()},{_WEEKDAY_LABELS[date.weekday()]}," for date in dates]
+    days, date_of = _date_fields(table.date[used], day=True)
     prefixes = [
         f"{no},{days[d]}{_TIME_FIELDS[t]}"
         for no, d, t in zip(table.event_no[used].tolist(), date_of.tolist(), table.time[used].tolist())
@@ -1402,10 +1390,15 @@ def save_model(model: ModelFile, path: Path) -> None:
 
 
 def load_model(path: Path) -> ModelFile:
+    """Read a model file; raises PsSimError when it is not valid JSON, not
+    an object of the current schema version, or lacks a field or holds one
+    of the wrong type."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise PsSimError(f"{path}: not a valid model file ({exc})") from None
+    if not isinstance(payload, dict):
+        raise PsSimError(f"{path}: not a valid model file (not a JSON object)")
     version = payload.get("version")
     if version != MODEL_SCHEMA_VERSION:
         raise PsSimError(
@@ -1427,6 +1420,10 @@ def load_model(path: Path) -> ModelFile:
         )
     except KeyError as exc:
         raise PsSimError(f"{path}: model file lacks field {exc}") from None
+    except PsSimError:
+        raise
+    except (AttributeError, TypeError, ValueError) as exc:  # a field of the wrong type
+        raise PsSimError(f"{path}: not a valid model file ({exc})") from None
 
 
 def _ingest_meta_path(dataset_path: Path) -> Path:
@@ -1458,7 +1455,7 @@ def write_events_csv(table: AggregatedEventTable, path: Path) -> None:
     The bytes equal csv.writer's output row by row.  Each distinct date's
     text is built once.
     """
-    dates, date_of = _distinct_dates(table.date)
+    dates, date_of = _date_fields(table.date, day=False)
     locs = [f"{field}," for field in _csv_fields(table.locs)]
     types = [f"{field}," for field in _csv_fields(table.types)]
     _write_csv(
@@ -1466,7 +1463,7 @@ def write_events_csv(table: AggregatedEventTable, path: Path) -> None:
         EVENTS_HEADER,
         len(table),
         (
-            _Texts([f"{date.isoformat()}," for date in dates], date_of),
+            _Texts(dates, date_of),
             _Texts(_TIME_FIELDS, table.time),
             _Texts(locs, table.loc),
             _Texts(types, table.type),

@@ -4,6 +4,10 @@ Pipeline: rescale participation parameters to the simulation horizon, draw
 per-participant report quotas, draw the event count from per-cell Poisson
 rates, assign event attributes by pmf sampling, then attribute every quota
 unit to a uniformly chosen event with optional false-report injection.
+Quotas are one array, indexed by participant; events and reports are
+tables.  An event's date is placed by arithmetic on date ordinals (see
+``assign_event_attributes``).  ``default_config`` is the configuration of
+``pssim simulate`` without a model and of ``pssim bench``.
 
 Stream layout (fixed; golden traces depend on it):
 
@@ -24,6 +28,8 @@ participants in firing order (see ``_kernels``).
 
 from __future__ import annotations
 
+import datetime as dt
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,28 +41,34 @@ from .distributions import (
     lognormal_sample_counts,
     pmf_sample_indices,
     rescale,
+    uniform_pmf,
 )
 from .errors import PsSimError
 from .table import EventTable, ReportTable, code_dtype, take
-from .types import DAY_BINS, SimConfig, weekday_of
+from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig, day_index
 
 
-@dataclass
-class ParticipantPool:
-    """Participants with their remaining report quotas."""
-
-    quotas: np.ndarray
-    ids: tuple[str, ...]
-
-    @classmethod
-    def from_quotas(cls, quotas: Sequence[int]) -> "ParticipantPool":
-        q = np.asarray(quotas, dtype=np.int64)
-        if q.ndim != 1 or q.size == 0:
-            raise PsSimError("quota vector must be non-empty and one-dimensional")
-        if np.any(q < 0):
-            raise PsSimError("quotas must be nonnegative")
-        ids = tuple(f"UID{i + 1:06d}" for i in range(q.size))
-        return cls(quotas=q, ids=ids)
+def default_config(ev_types: Sequence[str] = DEFAULT_EV_TYPES, **fields) -> SimConfig:
+    """The configuration that ``pssim simulate`` runs without a model and
+    ``pssim bench`` times: uniform day, time and type pmfs over
+    ``ev_types``, a window starting on Monday 2015-02-23, weekly
+    participation of mlog ln 3 (three reports per participant-week on
+    average) and sdlog 0.5, 10 events per temporal bin and no false
+    reports.  ``fields`` give tau, n and seed, and replace any other field.
+    """
+    ev_types = tuple(ev_types)
+    defaults = dict(
+        start_date=dt.date(2015, 2, 23),
+        ev_types=ev_types,
+        pr_lie=0.0,
+        lambda_e=10.0,
+        mlog=math.log(3.0),
+        sdlog=0.5,
+        pmf_time=uniform_pmf(TEMPORAL_BINS),
+        pmf_day=uniform_pmf(DAY_BINS),
+        pmf_ev_type=uniform_pmf(ev_types),
+    )
+    return SimConfig(**{**defaults, **fields})
 
 
 @dataclass(frozen=True)
@@ -95,15 +107,19 @@ def assign_event_attributes(
 
     The date is uniform among window dates whose weekday equals the sampled
     day bin, which keeps every event's day label consistent with its date.
+    The window's first date of weekday d is ``start + (d - day(start)) mod
+    7``, and it holds ``(tau - that offset + 6) // 7`` dates of weekday d,
+    seven days apart.
     """
     if count < 1:
         raise PsSimError(f"event count must be >= 1, got {count}")
 
-    dates_by_day = {day: [] for day in DAY_BINS}
-    for d in config.dates:
-        dates_by_day[weekday_of(d)].append(d.toordinal())
-    for day, p in zip(config.pmf_day.support, config.pmf_day.probs):
-        if p > 0.0 and not dates_by_day[day]:
+    start = config.start_date.toordinal()
+    days = np.asarray([day.index for day in config.pmf_day.support], dtype=np.int64)
+    first = (days - day_index(start)) % 7  # days from the start
+    sizes = (config.tau - first + 6) // 7
+    for day, p, size in zip(config.pmf_day.support, config.pmf_day.probs, sizes.tolist()):
+        if p > 0.0 and not size:
             raise PsSimError(
                 f"window too short for day pmf: no {day.label} in the "
                 f"{config.tau}-day window starting {config.start_date}"
@@ -114,11 +130,6 @@ def assign_event_attributes(
     type_idx = pmf_sample_indices(config.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count)
 
-    candidates = [dates_by_day[day] for day in config.pmf_day.support]
-    sizes = np.asarray([len(c) for c in candidates], dtype=np.int64)
-    by_day = np.zeros((len(candidates), int(sizes.max())), dtype=np.int64)
-    for i, ordinals in enumerate(candidates):
-        by_day[i, : len(ordinals)] = ordinals
     cand_sizes = sizes[day_idx]
     date_pick = np.minimum((u_date * cand_sizes).astype(np.int64), cand_sizes - 1)
 
@@ -126,7 +137,7 @@ def assign_event_attributes(
     types = tuple(config.pmf_ev_type.support)
     return EventTable(
         event_no=np.arange(1, count + 1, dtype=np.int64),
-        date=by_day[day_idx, date_pick],
+        date=start + first[day_idx] + 7 * date_pick,
         time=bin_index[time_idx],
         type=type_idx,
         types=types,
@@ -137,23 +148,29 @@ def assign_event_attributes(
 
 def attribute_reports(
     events: EventTable,
-    pool: ParticipantPool,
+    quotas: Sequence[int],
     pr_lie: float,
     ev_types: Sequence[str],
     rng: RandomSource,
 ) -> ReportTable:
-    """Emit exactly sum(pool.quotas) reports and use up the whole pool.
+    """Emit exactly sum(quotas) reports, quotas[i] of them by participant i,
+    whose id is UID followed by i + 1 in six digits.
 
     Each report picks an event uniformly at random and a participant
     uniformly among those with quota left, as drawn by the participants'
     exponential clocks; the occurred type comes from the event and the
     reported type goes through lie injection.
     """
+    quotas = np.asarray(quotas, dtype=np.int64)
+    if quotas.ndim != 1 or quotas.size == 0:
+        raise PsSimError("quota vector must be non-empty and one-dimensional")
+    if np.any(quotas < 0):
+        raise PsSimError("quotas must be nonnegative")
     if not len(events):
         raise PsSimError("no events to report")
-    total = int(pool.quotas.sum())
+    total = int(quotas.sum())
     if total < 1:
-        raise PsSimError("participant pool has no remaining quota")
+        raise PsSimError("participants have no remaining quota")
     if pr_lie > 0.0 and len(ev_types) < 2:
         raise PsSimError("pr_lie > 0 requires at least two event types")
 
@@ -171,7 +188,7 @@ def attribute_reports(
     # bounds peak memory per report
     event = gen.integers(0, len(events), size=total).astype(code_dtype(len(events), total))
     u_part = gen.random(total)
-    part_idx = _kernels.assign_participants(pool.quotas, u_part)
+    source = _kernels.assign_participants(quotas, u_part)  # in code_dtype
     del u_part
 
     occurred = take(ev_type_idx.astype(type_dtype), event)
@@ -182,16 +199,14 @@ def attribute_reports(
         r = gen.integers(0, len(ev_types) - 1, size=n_lies)
         reported[lie_mask] = r + (r >= occurred[lie_mask])
 
-    pool.quotas = np.zeros_like(pool.quotas)
-
     return ReportTable(
         event_no=events.event_no,
         date=events.date,
         time=events.time,
         event=event,
         report_no=np.arange(1, total + 1, dtype=np.int64),
-        source=part_idx.astype(code_dtype(len(pool.ids), total), copy=False),
-        sources=pool.ids,
+        source=source,
+        sources=tuple(f"UID{i + 1:06d}" for i in range(len(quotas))),
         reported=reported,
         occurred=occurred,
         types=ev_types,
@@ -212,12 +227,7 @@ def simulate(config: SimConfig) -> Trace:
     count = gen_poisson_events(config, master.substream("events"))
     events = assign_event_attributes(count, config, master.substream("attributes"))
 
-    pool = ParticipantPool.from_quotas(quotas)
     reports = attribute_reports(
-        events,
-        pool,
-        config.pr_lie,
-        config.ev_types,
-        master.substream("reports"),
+        events, quotas, config.pr_lie, config.ev_types, master.substream("reports")
     )
     return Trace(reports=reports, events=events, config=config, seed=config.seed)

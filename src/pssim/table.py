@@ -73,16 +73,31 @@ def mark(seen: np.ndarray, codes: np.ndarray) -> None:
         seen[codes[first : first + TAKE_ROWS]] = True
 
 
-def dates_of(ordinals: np.ndarray) -> list[dt.date]:
-    """Date objects for an ordinal column; equal ordinals share one object."""
-    cache: dict[int, dt.date] = {}
-    out = []
-    for o in ordinals.tolist():
-        date = cache.get(o)
-        if date is None:
-            date = cache[o] = dt.date.fromordinal(o)
-        out.append(date)
-    return out
+def distinct_dates(ordinals: np.ndarray) -> tuple[list[dt.date], np.ndarray]:
+    """The distinct dates of an ordinal column in ascending order, and each
+    entry's index among them in code_dtype.
+
+    Both are found TAKE_ROWS entries at a time, so that beside the codes
+    only one block's temporaries are held.  Not np.unique: its first call
+    imports numpy.ma, about 0.5 MiB, which shows in the peak memory of short
+    runs.
+    """
+    blocks = [slice(first, first + TAKE_ROWS) for first in range(0, len(ordinals), TAKE_ROWS)]
+    distinct = ordinals[:0]
+    for block in blocks:
+        ordered = np.sort(np.concatenate([distinct, ordinals[block]]))
+        distinct = ordered[np.insert(ordered[1:] != ordered[:-1], 0, True)]
+    codes = np.empty(len(ordinals), dtype=code_dtype(len(distinct), len(ordinals)))
+    for block in blocks:
+        codes[block] = np.searchsorted(distinct, ordinals[block])
+    return list(map(dt.date.fromordinal, distinct.tolist())), codes
+
+
+def _dates(ordinals: np.ndarray):
+    """The date of each entry of an ordinal column; equal ordinals share one
+    object."""
+    dates, codes = distinct_dates(ordinals)
+    return map(dates.__getitem__, codes.tolist())
 
 
 class _RowView(Sequence):
@@ -132,7 +147,7 @@ class EventTable(_RowView):
             Event(no, date, weekday_of(date), TEMPORAL_BINS[t], self.locs[loc], self.types[k])
             for no, date, t, loc, k in zip(
                 self.event_no.tolist(),
-                dates_of(self.date),
+                _dates(self.date),
                 self.time.tolist(),
                 self.loc.tolist(),
                 self.type.tolist(),
@@ -168,7 +183,7 @@ class ReportTable(_RowView):
         slots = [
             (no, date, weekday_of(date), TEMPORAL_BINS[t])
             for no, date, t in zip(
-                self.event_no.tolist(), dates_of(self.date), self.time.tolist()
+                self.event_no.tolist(), _dates(self.date), self.time.tolist()
             )
         ]
         sources, types = self.sources, self.types
@@ -242,7 +257,7 @@ class CanonicalTable(_RowView):
         return tuple(
             IngestedReport(date, weekday_of(date), TEMPORAL_BINS[t], sources[s], locs[loc], types[k])
             for date, t, s, loc, k in zip(
-                dates_of(self.date),
+                _dates(self.date),
                 self.time.tolist(),
                 self.source.tolist(),
                 self.loc.tolist(),
@@ -321,7 +336,7 @@ class AggregatedEventTable(_RowView):
                 frozenset(names[start:end]),
             )
             for date, t, loc, k, support, start, end in zip(
-                dates_of(self.date),
+                _dates(self.date),
                 self.time.tolist(),
                 self.loc.tolist(),
                 self.type.tolist(),

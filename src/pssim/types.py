@@ -2,8 +2,10 @@
 aggregated events, config.
 
 A day is split into eight three-hour temporal bins starting at 3AM; weekdays
-form seven day bins ordered Sunday through Saturday.  Locations are opaque
-string labels and event types are strings drawn from a configured list.
+form seven day bins ordered Sunday through Saturday.  ``day_index`` and
+``time_index`` are the calendar rules: every module that bins a date or an
+hour calls them.  Locations are opaque string labels and event types are
+strings drawn from a configured list.
 """
 
 from __future__ import annotations
@@ -94,15 +96,28 @@ _DAY_LOOKUP.update({b.name: b for b in DAY_BINS})
 DEFAULT_EV_TYPES: tuple[str, ...] = ("Jam", "Accident", "RoadClosure", "Hazard")
 
 
+def day_index(ordinal):
+    """DAY_BINS index of the weekday of a date ordinal (``date.toordinal()``),
+    for an int or a numpy integer array.  Ordinal 1, 0001-01-01, is a
+    Monday and DAY_BINS start on Sunday, so the index is the ordinal mod 7."""
+    return ordinal % 7
+
+
+def time_index(hour):
+    """TEMPORAL_BINS index of the three-hour bin holding an hour of the day
+    (0..23), for an int or a numpy signed integer array: the bins start at
+    3AM."""
+    return (hour - 3) % 24 // 3
+
+
 def weekday_of(date: dt.date) -> DayBin:
     """Return the calendar weekday of ``date`` as a DayBin."""
-    # date.weekday() is Monday=0..Sunday=6; DayBin is Sunday=0..Saturday=6.
-    return DAY_BINS[(date.weekday() + 1) % 7]
+    return DAY_BINS[day_index(date.toordinal())]
 
 
 def bin_of_time(clock_time: dt.time) -> TemporalBin:
     """Return the unique temporal bin whose three-hour range contains the time."""
-    return TEMPORAL_BINS[((clock_time.hour - 3) % 24) // 3]
+    return TEMPORAL_BINS[time_index(clock_time.hour)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,10 +232,3 @@ class SimConfig:
             extra = [s for s in pmf.support if s not in allowed]
             if extra:
                 raise PsSimError(f"{name} support has unknown labels: {extra!r}")
-
-    @property
-    def dates(self) -> tuple[dt.date, ...]:
-        """All calendar dates of the tau-day simulation window."""
-        return tuple(
-            self.start_date + dt.timedelta(days=i) for i in range(self.tau)
-        )

@@ -16,7 +16,7 @@ from .distributions import RandomSource
 from .errors import PsSimError
 from .simulator import simulate
 from .table import report_columns
-from .types import DAY_BINS, TEMPORAL_BINS, SimConfig
+from .types import DAY_BINS, TEMPORAL_BINS, SimConfig, day_index
 
 #: The comparison axes, in order, each with its label in ``pssim validate``'s
 #: table.
@@ -94,7 +94,7 @@ def histogram(reports, axis: str) -> dict[Hashable, float]:
         return {c: u / n_users for c, u in zip(counts.tolist(), users.tolist())}
     if axis == "perDayBin":
         support: tuple = DAY_BINS
-        codes = table.date % 7  # ordinal 1 is a Monday, DAY_BINS start on Sunday
+        codes = day_index(table.date)
     else:
         support = TEMPORAL_BINS
         codes = table.time

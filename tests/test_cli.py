@@ -296,6 +296,19 @@ class TestSimulate:
         assert result.exit_code == 3
         assert "two event types" in result.output
 
+    @pytest.mark.parametrize(
+        "payload", ["[]", '{"version": 1, "participation": "x"}'], ids=["list", "wrong-type"]
+    )
+    def test_malformed_model_exits_3(self, runner, tmp_path, payload):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(payload)
+        result = runner.invoke(
+            main, ["simulate", "--model", str(model_path), "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 3
+        assert result.output.startswith(f"error: {model_path}: not a valid model file")
+        assert result.output.count("\n") == 1  # one line, no traceback
+
     def test_simulate_from_fitted_model(self, runner, tmp_path, sample_canonical):
         model_path = tmp_path / "model.json"
         run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
@@ -466,7 +479,7 @@ class TestAggregate:
         run_ok(runner, ["aggregate", str(quoted), "--out", str(quoted_events)])
         assert quoted_events.read_bytes() == plain_events.read_bytes()
 
-    @pytest.mark.parametrize("flag", ["--workers", "--partitions"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_counts_below_one_rejected(self, runner, tmp_path, sample_canonical, flag):
         out = tmp_path / "events.csv"
         result = runner.invoke(main, ["aggregate", str(sample_canonical), "--out", str(out), flag, "0"])

@@ -4,24 +4,26 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import event_table, make_config
 from pssim.distributions import (
     RandomSource,
     lognormal_sample_counts,
     pmf_from_counts,
+    pmf_sample_indices,
     rescale,
 )
 from pssim.errors import PsSimError
 from pssim.formats import read_trace, write_trace
 from pssim.simulator import (
-    ParticipantPool,
     assign_event_attributes,
     attribute_reports,
     gen_poisson_events,
     simulate,
 )
-from pssim.types import DayBin, TemporalBin, weekday_of
+from pssim.types import DAY_BINS, DayBin, TemporalBin, weekday_of
 
 
 class TestGenPoissonEvents:
@@ -107,6 +109,56 @@ class TestAssignEventAttributes:
         }
 
 
+def reference_dates(count, config, rng):
+    """The event dates of assign_event_attributes, drawn from the same
+    uniforms by listing the window's dates of each weekday and picking one
+    of the sampled weekday's: the reference for its arithmetic placement."""
+    dates_by_day = {day: [] for day in DAY_BINS}
+    for i in range(config.tau):
+        date = config.start_date + dt.timedelta(days=i)
+        dates_by_day[weekday_of(date)].append(date.toordinal())
+    for day, p in zip(config.pmf_day.support, config.pmf_day.probs):
+        if p > 0.0 and not dates_by_day[day]:
+            raise PsSimError(
+                f"window too short for day pmf: no {day.label} in the "
+                f"{config.tau}-day window starting {config.start_date}"
+            )
+    day_idx = pmf_sample_indices(config.pmf_day, count, rng).tolist()
+    pmf_sample_indices(config.pmf_time, count, rng)
+    pmf_sample_indices(config.pmf_ev_type, count, rng)
+    u_date = rng.generator.random(count).tolist()
+    picked = []
+    for i, u in zip(day_idx, u_date):
+        candidates = dates_by_day[config.pmf_day.support[i]]
+        picked.append(candidates[min(int(u * len(candidates)), len(candidates) - 1)])
+    return picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dates(min_value=dt.date(1900, 1, 1), max_value=dt.date(2100, 12, 31)),
+    st.integers(min_value=1, max_value=40),
+    st.lists(
+        st.tuples(st.sampled_from(DAY_BINS), st.integers(min_value=0, max_value=3)),
+        min_size=1,
+        max_size=7,
+        unique_by=lambda pair: pair[0],
+    ).filter(lambda pairs: any(weight for _, weight in pairs)),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_property_dates_by_arithmetic_equal_the_weekday_lists(start, tau, weights, seed):
+    cfg = make_config(start_date=start, tau=tau, pmf_day=pmf_from_counts(dict(weights)))
+    try:
+        expected = reference_dates(300, cfg, RandomSource(seed))
+    except PsSimError as exc:
+        with pytest.raises(PsSimError) as raised:
+            assign_event_attributes(300, cfg, RandomSource(seed))
+        assert str(raised.value) == str(exc)
+        return
+    events = assign_event_attributes(300, cfg, RandomSource(seed))
+    assert events.date.tolist() == expected
+
+
 def events_of(*types):
     """An EventTable of one Monday event per type."""
     return event_table((1, dt.date(2015, 2, 23), TemporalBin.MD, "Elm Street", t) for t in types)
@@ -114,59 +166,54 @@ def events_of(*types):
 
 class TestAttributeReports:
     def test_single_participant_forced_outcome(self):
-        pool = ParticipantPool.from_quotas([5])
         reports = attribute_reports(
-            events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(4)
+            events_of("Jam"), [5], 0.0, ("Jam", "Accident"), RandomSource(4)
         )
         assert len(reports) == 5
         assert all(r.source_id == "UID000001" for r in reports)
         assert all(r.event_reported == r.event_occurred == "Jam" for r in reports)
         assert [r.report_no for r in reports] == [1, 2, 3, 4, 5]
-        assert pool.quotas.tolist() == [0]
 
     def test_lie_fraction_converges(self):
         quotas = np.full(100, 100, dtype=np.int64)  # 10,000 reports
-        pool = ParticipantPool.from_quotas(quotas)
         events = events_of("Jam", "Accident")
         reports = attribute_reports(
-            events, pool, 0.1, ("Jam", "Accident", "Hazard"), RandomSource(12)
+            events, quotas, 0.1, ("Jam", "Accident", "Hazard"), RandomSource(12)
         )
         lies = sum(1 for r in reports if r.event_reported != r.event_occurred)
         assert abs(lies / 10_000 - 0.1) <= 0.009
 
     def test_certain_lie_never_reports_the_occurred_type(self):
-        pool = ParticipantPool.from_quotas(np.full(10, 10, dtype=np.int64))
+        quotas = np.full(10, 10, dtype=np.int64)
         events = events_of("Jam", "Accident")
         reports = attribute_reports(
-            events, pool, 1.0, ("Jam", "Accident"), RandomSource(1)
+            events, quotas, 1.0, ("Jam", "Accident"), RandomSource(1)
         )
         assert np.all(reports.reported != reports.occurred)
 
     def test_lies_uniform_over_complement(self):
-        pool = ParticipantPool.from_quotas(np.full(100, 100, dtype=np.int64))
+        quotas = np.full(100, 100, dtype=np.int64)
         types = ("Jam", "Accident", "Hazard")
         reports = attribute_reports(
-            events_of("Jam"), pool, 1.0, types, RandomSource(9)
+            events_of("Jam"), quotas, 1.0, types, RandomSource(9)
         )
         lied = [types[i] for i in reports.reported.tolist()]
         assert "Jam" not in lied
         assert abs(lied.count("Accident") / 10_000 - 0.5) <= 0.015
 
     def test_singleton_types_rejected_when_lying(self):
-        pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="two event types"):
-            attribute_reports(events_of("Jam"), pool, 0.5, ("Jam",), RandomSource(0))
+            attribute_reports(events_of("Jam"), [3], 0.5, ("Jam",), RandomSource(0))
 
     def test_quota_conservation(self):
         rng_q = np.random.default_rng(3)
         quotas = rng_q.integers(0, 6, size=40).astype(np.int64)
         quotas[0] = max(quotas[0], 1)
-        pool = ParticipantPool.from_quotas(quotas)
         reports = attribute_reports(
-            events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(7)
+            events_of("Jam"), quotas, 0.0, ("Jam", "Accident"), RandomSource(7)
         )
         assert len(reports) == int(quotas.sum())
-        assert pool.quotas.tolist() == [0] * 40
+        assert reports.sources == tuple(f"UID{i + 1:06d}" for i in range(40))
         per_user = defaultdict(int)
         for r in reports:
             per_user[r.source_id] += 1
@@ -174,23 +221,20 @@ class TestAttributeReports:
             assert per_user[f"UID{i + 1:06d}"] == q
 
     def test_empty_pool_rejected(self):
-        pool = ParticipantPool.from_quotas([0, 0])
         with pytest.raises(PsSimError, match="no remaining quota"):
             attribute_reports(
-                events_of("Jam"), pool, 0.0, ("Jam", "Accident"), RandomSource(0)
+                events_of("Jam"), [0, 0], 0.0, ("Jam", "Accident"), RandomSource(0)
             )
 
     def test_no_events_rejected(self):
-        pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="no events"):
-            attribute_reports(events_of(), pool, 0.0, ("Jam", "Accident"), RandomSource(0))
+            attribute_reports(events_of(), [3], 0.0, ("Jam", "Accident"), RandomSource(0))
 
     def test_unknown_event_type_rejected(self):
-        pool = ParticipantPool.from_quotas([3])
         with pytest.raises(PsSimError, match="not in the configured type list"):
             attribute_reports(
                 events_of("Meteor"),
-                pool,
+                [3],
                 0.0,
                 ("Jam", "Accident"),
                 RandomSource(0),
@@ -388,4 +432,41 @@ class TestTraceTables:
         # prefixes, the rest the slabs and the temporaries of one chunk,
         # which are gone before the sidecar is written
         assert whole <= quarter + 64 * 1024
+        assert whole <= 3.0e6
+
+    def test_write_canonical_memory_is_bounded_per_chunk(self, tmp_path):
+        import dataclasses
+        import gc
+        import tracemalloc
+
+        from pssim import formats
+        from pssim.table import report_columns
+
+        cfg = make_config(
+            n=10_000, tau=21, lambda_e=10.0, pr_lie=0.1, seed=1,
+            ev_types=("Jam", "Accident", "RoadClosure", "Hazard"),
+        )
+        table, _ = report_columns(simulate(cfg).reports)
+        table = dataclasses.replace(table, date=table.date.astype(np.int64))  # as ingest gives
+        path = tmp_path / "canonical.csv"
+        formats.write_canonical(table, path)  # lazy imports and caches outside the count
+
+        def peak(rows: int) -> int:
+            """Peak traced bytes of writing the first ``rows`` reports."""
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                formats.write_canonical(table.take(slice(0, rows)), path)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        n = len(table)
+        assert n > 95_000 and n // 4 > 5 * formats.CHUNK_ROWS
+        quarter, whole = peak(n // 4), peak(n)
+        # measured with 4096-row chunks: 2.3 MB for a quarter, 2.4 MB for the
+        # whole; beside one chunk's temporaries, each row keeps only its
+        # one-byte date code
+        assert (whole - quarter) / (n - n // 4) <= 4.0
         assert whole <= 3.0e6

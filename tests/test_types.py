@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
+
 from pssim.errors import PsSimError
 from pssim.types import (
     DAY_BINS,
@@ -11,6 +13,8 @@ from pssim.types import (
     DayBin,
     TemporalBin,
     bin_of_time,
+    day_index,
+    time_index,
     weekday_of,
 )
 
@@ -81,11 +85,27 @@ class TestDayBin:
             assert day.index == (offset + 1) % 7
 
 
+class TestCalendarRules:
+    def test_day_index_matches_the_standard_library(self):
+        monday_first = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday")
+        first, last = dt.date(1900, 1, 1).toordinal(), dt.date(2100, 12, 31).toordinal()
+        ordinals = np.arange(first, last + 1)
+        expected = [monday_first[dt.date.fromordinal(o).weekday()] for o in ordinals.tolist()]
+        assert [DAY_BINS[i].label for i in day_index(ordinals).tolist()] == expected
+        assert [DAY_BINS[day_index(o)].label for o in ordinals.tolist()] == expected
+
+    def test_time_index_matches_the_bins_start_hours(self):
+        indices = time_index(np.arange(24)).tolist()
+        for hour in range(24):
+            assert time_index(hour) == indices[hour]
+            start = TEMPORAL_BINS[indices[hour]].start_hour
+            assert (hour - start) % 24 < 3
+
+
 class TestSimConfig:
     def test_valid_config_builds(self):
         cfg = make_config()
-        assert len(cfg.dates) == cfg.tau
-        assert cfg.dates[0] == cfg.start_date
+        assert (cfg.tau, cfg.start_date) == (7, dt.date(2015, 2, 23))
 
     @pytest.mark.parametrize(
         "overrides",
