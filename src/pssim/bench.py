@@ -13,12 +13,15 @@ import numpy as np
 from .simulator import default_config, simulate
 
 
-def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=10.0):
+def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=None):
     """Time one simulation per grid point; returns rows of (n, m, seconds).
 
-    Timings are the median over ``repeats`` runs.
+    Timings are the median over ``repeats`` runs of ``default_config``'s
+    configuration with pr_lie 0.1, and ``lambda_e`` unless it is None.
     """
-    base = default_config(tau=7, pr_lie=0.1, n=10, lambda_e=lambda_e, seed=seed, loc="bench")
+    base = default_config(tau=7, pr_lie=0.1, n=10, seed=seed, loc="bench")
+    if lambda_e is not None:
+        base = dataclasses.replace(base, lambda_e=lambda_e)
     # warm caches and lazy imports so the first grid point is not penalized
     simulate(base)
 

@@ -19,9 +19,9 @@ from . import formats
 from .aggregation import aggregate
 from .analysis import filter_outliers, fit_models, mean_weekly
 from .bench import bench_grid, fit_growth_exponents
+from .distributions import uniform_pmf
 from .errors import PsSimError
-from .simulator import default_config, simulate
-from .types import DEFAULT_EV_TYPES
+from .simulator import DEFAULTS, default_config, model_config, simulate
 from .validation import AXES, cross_validate, summarize
 
 
@@ -71,6 +71,12 @@ def _read_window(read, path: Path, start: str | None, days: int | None, what: st
     if not len(inside):
         raise PsSimError(f"no reports inside the {what} window")
     return inside, rejects, (first, days), len(reports) - len(inside)
+
+
+def _given(**options) -> dict:
+    """The options of ``pssim simulate`` that were given: those that are
+    not None.  An option left out takes its default from ``default_config``."""
+    return {name: value for name, value in options.items() if value is not None}
 
 
 def _echo_rejects(rejects: dict[str, int]) -> None:
@@ -235,12 +241,12 @@ def fit(dataset, out, start, days, per_location, plot_data):
 @click.option("--tau", type=int, default=7, show_default=True, help="Days to simulate.")
 @click.option("--n", "n_participants", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--pr-lie", type=float, default=0.0, show_default=True)
-@click.option("--mlog", type=float, default=None, help="Weekly log-location (default ln 3, or from --model).")
-@click.option("--sdlog", type=float, default=None, help="Weekly log-scale (default 0.5, or from --model).")
-@click.option("--lambda", "lambda_e", type=float, default=None, help="Events per temporal bin (default 10, or from --model).")
-@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {','.join(DEFAULT_EV_TYPES)}).")
-@click.option("--start-date", default="2015-02-23", show_default=True)
+@click.option("--pr-lie", type=float, default=None, help=f"Probability that a report names a false type (default {DEFAULTS['pr_lie']:g}).")
+@click.option("--mlog", type=float, default=None, help=f"Weekly log-location (default {DEFAULTS['mlog']:.4g}, or from --model).")
+@click.option("--sdlog", type=float, default=None, help=f"Weekly log-scale (default {DEFAULTS['sdlog']:g}, or from --model).")
+@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULTS['lambda_e']:g}, or from --model).")
+@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {','.join(DEFAULTS['pmf_ev_type'].support)}).")
+@click.option("--start-date", default=None, help=f"First date of the window, YYYY-MM-DD (default {DEFAULTS['start_date']}).")
 @click.option("--loc", default=None, help="Location label (with --model also selects its lambda).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
@@ -254,31 +260,20 @@ def simulate_cmd(
         raise click.UsageError(f"--tau must be >= 1, got {tau}")
     if n_participants < 1:
         raise click.UsageError(f"--n must be >= 1, got {n_participants}")
-    start = _parse_iso_date(start_date, "--start-date")
-
-    fields = {}
+    start = None if start_date is None else _parse_iso_date(start_date, "--start-date")
+    fields = dict(
+        tau=tau, n=n_participants, seed=seed,
+        **_given(start_date=start, pr_lie=pr_lie, mlog=mlog, sdlog=sdlog, lambda_e=lambda_e),
+    )
     if model_path is not None:
         model = formats.load_model(model_path)
-        fields = dict(
-            ev_types=model.pmf_ev_type.support,
-            mlog=model.mlog,
-            sdlog=model.sdlog,
-            lambda_e=model.lambda_by_loc.get(loc, model.lambda_overall),
-            pmf_day=model.pmf_day,
-            pmf_time=model.pmf_time,
-            pmf_ev_type=model.pmf_ev_type,
-        )
         if ev_types is not None:
             raise click.UsageError("--ev-types conflicts with --model (types come from the model)")
-    elif ev_types:
-        fields["ev_types"] = tuple(t.strip() for t in ev_types.split(",") if t.strip())
-    given = {"mlog": mlog, "sdlog": sdlog, "lambda_e": lambda_e}
-    fields.update({name: value for name, value in given.items() if value is not None})
-
-    config = default_config(
-        tau=tau, start_date=start, pr_lie=pr_lie, n=n_participants, seed=seed,
-        loc=loc or "unspecified", **fields,
-    )
+        config = model_config(model, loc, **fields)
+    else:
+        if ev_types:
+            fields["pmf_ev_type"] = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
+        config = default_config(**fields, **_given(loc=loc))
     trace = simulate(config)
     formats.write_trace(trace.reports, out)
     click.echo(
@@ -402,7 +397,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 @click.option("--m-range", default="10:100:10", show_default=True, help="Duration grid (days) START:STOP[:STEP].")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True, help="Runs per grid point; median is reported.")
-@click.option("--lambda", "lambda_e", type=float, default=10.0, show_default=True)
+@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULTS['lambda_e']:g}).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
 def bench_cmd(n_range, m_range, seed, repeats, lambda_e, out):

@@ -113,8 +113,10 @@ def pmf_from_counts(counts: Mapping[Hashable, float]) -> Pmf:
 
 
 def uniform_pmf(support: Iterable[Hashable]) -> Pmf:
-    """Equal mass on every element of ``support``, in its order."""
-    return pmf_from_counts({s: 1 for s in support})
+    """Equal mass on every element of ``support``, in its order; an empty
+    or duplicated support is rejected as by ``Pmf``."""
+    support = tuple(support)
+    return Pmf(support, tuple(1 / len(support) for _ in support))
 
 
 def _categorical_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:

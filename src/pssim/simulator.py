@@ -7,7 +7,9 @@ unit to a uniformly chosen event with optional false-report injection.
 Quotas are one array, indexed by participant; events and reports are
 tables.  An event's date is placed by arithmetic on date ordinals (see
 ``assign_event_attributes``).  ``default_config`` is the configuration of
-``pssim simulate`` without a model and of ``pssim bench``.
+``pssim simulate`` without a model and of ``pssim bench``;
+``model_config`` is the one mapping of a fitted model to a configuration,
+for ``pssim simulate --model`` and each fold of ``pssim validate``.
 
 Stream layout (fixed; golden traces depend on it):
 
@@ -31,7 +33,8 @@ from __future__ import annotations
 import datetime as dt
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -39,36 +42,58 @@ from . import _kernels
 from .distributions import (
     RandomSource,
     lognormal_sample_counts,
+    pmf_from_counts,
     pmf_sample_indices,
     rescale,
     uniform_pmf,
 )
 from .errors import PsSimError
 from .table import EventTable, ReportTable, code_dtype, take
-from .types import DAY_BINS, DEFAULT_EV_TYPES, TEMPORAL_BINS, SimConfig, day_index
+from .types import DAY_BINS, TEMPORAL_BINS, SimConfig, day_index
+
+if TYPE_CHECKING:
+    from .formats import ModelFile
 
 
-def default_config(ev_types: Sequence[str] = DEFAULT_EV_TYPES, **fields) -> SimConfig:
-    """The configuration that ``pssim simulate`` runs without a model and
-    ``pssim bench`` times: uniform day, time and type pmfs over
-    ``ev_types``, a window starting on Monday 2015-02-23, weekly
-    participation of mlog ln 3 (three reports per participant-week on
-    average) and sdlog 0.5, 10 events per temporal bin and no false
-    reports.  ``fields`` give tau, n and seed, and replace any other field.
-    """
-    ev_types = tuple(ev_types)
-    defaults = dict(
+#: The fields of ``default_config``; the CLI's help texts name them from here.
+DEFAULTS = MappingProxyType(
+    dict(
         start_date=dt.date(2015, 2, 23),
-        ev_types=ev_types,
         pr_lie=0.0,
         lambda_e=10.0,
         mlog=math.log(3.0),
         sdlog=0.5,
         pmf_time=uniform_pmf(TEMPORAL_BINS),
         pmf_day=uniform_pmf(DAY_BINS),
-        pmf_ev_type=uniform_pmf(ev_types),
+        pmf_ev_type=uniform_pmf(("Jam", "Accident", "RoadClosure", "Hazard")),
     )
-    return SimConfig(**{**defaults, **fields})
+)
+
+
+def default_config(**fields) -> SimConfig:
+    """The configuration that ``pssim simulate`` runs without a model and
+    ``pssim bench`` times (``DEFAULTS``): a window starting on Monday
+    2015-02-23, weekly participation of mlog ln 3 (three reports per
+    participant-week on average) and sdlog 0.5, 10 events per temporal bin,
+    no false reports, and uniform day, time and type pmfs over four incident
+    types.  ``fields`` give tau, n and seed, and replace any other field."""
+    return SimConfig(**{**DEFAULTS, **fields})
+
+
+def model_config(model: ModelFile, loc: str | None = None, **fields) -> SimConfig:
+    """The configuration that simulates a fitted model: its mlog, sdlog and
+    day, time and type pmfs, and the lambda it fitted at ``loc``, or its
+    overall lambda where ``loc`` is None or has none.  A given ``loc`` also
+    labels the events.  Every other field is ``default_config``'s;
+    ``fields`` give tau, n and seed, and replace any other field.
+    """
+    fitted = dict(
+        mlog=model.mlog, sdlog=model.sdlog,
+        lambda_e=model.lambda_by_loc.get(loc, model.lambda_overall),
+        pmf_day=model.pmf_day, pmf_time=model.pmf_time, pmf_ev_type=model.pmf_ev_type,
+        **({} if loc is None else {"loc": loc}),
+    )
+    return default_config(**{**fitted, **fields})
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,6 @@ class Trace:
     reports: ReportTable
     events: EventTable
     config: SimConfig
-    seed: int
 
     @property
     def lie_count(self) -> int:
@@ -109,23 +133,31 @@ def assign_event_attributes(
     day bin, which keeps every event's day label consistent with its date.
     The window's first date of weekday d is ``start + (d - day(start)) mod
     7``, and it holds ``(tau - that offset + 6) // 7`` dates of weekday d,
-    seven days apart.
+    seven days apart.  A window shorter than a week can miss weekdays the
+    day pmf gives mass to; the day is then drawn from the pmf renormalised
+    over the weekdays the window holds, and a window that holds none of
+    them is an error.  A window that holds every weekday with mass draws
+    from the pmf as it is.
     """
     if count < 1:
         raise PsSimError(f"event count must be >= 1, got {count}")
 
     start = config.start_date.toordinal()
-    days = np.asarray([day.index for day in config.pmf_day.support], dtype=np.int64)
+    pmf_day = config.pmf_day
+    days = np.asarray([day.index for day in pmf_day.support], dtype=np.int64)
     first = (days - day_index(start)) % 7  # days from the start
     sizes = (config.tau - first + 6) // 7
-    for day, p, size in zip(config.pmf_day.support, config.pmf_day.probs, sizes.tolist()):
-        if p > 0.0 and not size:
+    held = [p if size else 0.0 for p, size in zip(pmf_day.probs, sizes.tolist())]
+    if held != list(pmf_day.probs):
+        if not any(held):
+            missing = " or ".join(d.label for d, p in zip(pmf_day.support, pmf_day.probs) if p)
             raise PsSimError(
-                f"window too short for day pmf: no {day.label} in the "
+                f"window too short for day pmf: no {missing} in the "
                 f"{config.tau}-day window starting {config.start_date}"
             )
+        pmf_day = pmf_from_counts(dict(zip(pmf_day.support, held)))
 
-    day_idx = pmf_sample_indices(config.pmf_day, count, rng)
+    day_idx = pmf_sample_indices(pmf_day, count, rng)
     time_idx = pmf_sample_indices(config.pmf_time, count, rng)
     type_idx = pmf_sample_indices(config.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count)
@@ -150,7 +182,6 @@ def attribute_reports(
     events: EventTable,
     quotas: Sequence[int],
     pr_lie: float,
-    ev_types: Sequence[str],
     rng: RandomSource,
 ) -> ReportTable:
     """Emit exactly sum(quotas) reports, quotas[i] of them by participant i,
@@ -158,8 +189,9 @@ def attribute_reports(
 
     Each report picks an event uniformly at random and a participant
     uniformly among those with quota left, as drawn by the participants'
-    exponential clocks; the occurred type comes from the event and the
-    reported type goes through lie injection.
+    exponential clocks.  The occurred type comes from the event; a report
+    that lies (with probability ``pr_lie``) gives another type of the
+    events' type vocabulary, uniformly.
     """
     quotas = np.asarray(quotas, dtype=np.int64)
     if quotas.ndim != 1 or quotas.size == 0:
@@ -171,17 +203,9 @@ def attribute_reports(
     total = int(quotas.sum())
     if total < 1:
         raise PsSimError("participants have no remaining quota")
-    if pr_lie > 0.0 and len(ev_types) < 2:
+    if pr_lie > 0.0 and len(events.types) < 2:
         raise PsSimError("pr_lie > 0 requires at least two event types")
-
-    ev_types = tuple(ev_types)
-    type_index = {t: i for i, t in enumerate(ev_types)}
-    remap = np.asarray([type_index.get(t, -1) for t in events.types], dtype=np.int64)
-    ev_type_idx = remap[events.type]
-    if ev_type_idx.min() < 0:
-        unknown = events.types[int(events.type[np.argmin(ev_type_idx)])]
-        raise PsSimError(f"event type {unknown!r} not in the configured type list")
-    type_dtype = code_dtype(len(ev_types), total)
+    type_dtype = code_dtype(len(events.types), total)
 
     gen = rng.generator
     # the columns are cast to compact codes as soon as they are drawn, which
@@ -191,12 +215,12 @@ def attribute_reports(
     source = _kernels.assign_participants(quotas, u_part)  # in code_dtype
     del u_part
 
-    occurred = take(ev_type_idx.astype(type_dtype), event)
+    occurred = take(events.type.astype(type_dtype), event)
     reported = occurred.copy()
     lie_mask = gen.random(total) < pr_lie
     n_lies = int(lie_mask.sum())
     if n_lies:
-        r = gen.integers(0, len(ev_types) - 1, size=n_lies)
+        r = gen.integers(0, len(events.types) - 1, size=n_lies)
         reported[lie_mask] = r + (r >= occurred[lie_mask])
 
     return ReportTable(
@@ -209,7 +233,7 @@ def attribute_reports(
         sources=tuple(f"UID{i + 1:06d}" for i in range(len(quotas))),
         reported=reported,
         occurred=occurred,
-        types=ev_types,
+        types=events.types,
     )
 
 
@@ -227,7 +251,5 @@ def simulate(config: SimConfig) -> Trace:
     count = gen_poisson_events(config, master.substream("events"))
     events = assign_event_attributes(count, config, master.substream("attributes"))
 
-    reports = attribute_reports(
-        events, quotas, config.pr_lie, config.ev_types, master.substream("reports")
-    )
-    return Trace(reports=reports, events=events, config=config, seed=config.seed)
+    reports = attribute_reports(events, quotas, config.pr_lie, master.substream("reports"))
+    return Trace(reports=reports, events=events, config=config)

@@ -5,7 +5,7 @@ A day is split into eight three-hour temporal bins starting at 3AM; weekdays
 form seven day bins ordered Sunday through Saturday.  ``day_index`` and
 ``time_index`` are the calendar rules: every module that bins a date or an
 hour calls them.  Locations are opaque string labels and event types are
-strings drawn from a configured list.
+strings: the support of the configured type pmf.
 """
 
 from __future__ import annotations
@@ -91,9 +91,6 @@ DAY_BINS: tuple[DayBin, ...] = tuple(DayBin)
 _DAY_INDEX = {b: i for i, b in enumerate(DAY_BINS)}
 _DAY_LOOKUP = {b.value: b for b in DAY_BINS}
 _DAY_LOOKUP.update({b.name: b for b in DAY_BINS})
-
-# incident types of `pssim simulate` and `pssim bench` when none are given
-DEFAULT_EV_TYPES: tuple[str, ...] = ("Jam", "Accident", "RoadClosure", "Hazard")
 
 
 def day_index(ordinal):
@@ -187,13 +184,12 @@ class SimConfig:
     ``mlog``/``sdlog`` are the weekly log-location and log-scale of the
     participation model; they get rescaled to the ``tau``-day horizon before
     participant quotas are drawn.  ``lambda_e`` is the mean event count per
-    temporal-bin cell.  All three pmfs must be normalized and their supports
-    drawn from the matching bin/type vocabularies.
+    temporal-bin cell.  The day and time pmfs range over DAY_BINS and
+    TEMPORAL_BINS; the type pmf's support is the event-type list.
     """
 
     tau: int
     start_date: dt.date
-    ev_types: tuple[str, ...]
     pr_lie: float
     n: int
     lambda_e: float
@@ -210,13 +206,9 @@ class SimConfig:
             raise PsSimError(f"tau must be >= 1, got {self.tau}")
         if self.n < 1:
             raise PsSimError(f"participant count n must be >= 1, got {self.n}")
-        if not self.ev_types:
-            raise PsSimError("event type list must be non-empty")
-        if len(set(self.ev_types)) != len(self.ev_types):
-            raise PsSimError("event type list contains duplicates")
         if not 0.0 <= self.pr_lie <= 1.0:
             raise PsSimError(f"pr_lie must be in [0, 1], got {self.pr_lie}")
-        if self.pr_lie > 0.0 and len(self.ev_types) < 2:
+        if self.pr_lie > 0.0 and len(self.pmf_ev_type.support) < 2:
             raise PsSimError("pr_lie > 0 requires at least two event types")
         if self.lambda_e <= 0.0:
             raise PsSimError(f"lambda_e must be > 0, got {self.lambda_e}")
@@ -227,7 +219,6 @@ class SimConfig:
         for name, pmf, allowed in (
             ("pmf_time", self.pmf_time, set(TEMPORAL_BINS)),
             ("pmf_day", self.pmf_day, set(DAY_BINS)),
-            ("pmf_ev_type", self.pmf_ev_type, set(self.ev_types)),
         ):
             extra = [s for s in pmf.support if s not in allowed]
             if extra:

@@ -14,7 +14,7 @@ import numpy as np
 from .analysis import estimate_model
 from .distributions import RandomSource
 from .errors import PsSimError
-from .simulator import simulate
+from .simulator import model_config, simulate
 from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, SimConfig, day_index
 
@@ -169,12 +169,12 @@ def fold_config(
 ) -> SimConfig:
     """Fit models on the training reports, scaled to the test fold's size.
 
-    Shape parameters (sdlog, pmfs, lambda) are ``estimate_model``'s, from
-    the training folds, as ``pssim fit`` estimates them; the location
-    parameter is anchored so the expected per-participant quota
-    matches the fold's mean reports per user, and n matches the fold's user
-    count, so both traces live at comparable scale.  ``train`` and ``fold``
-    are CanonicalTables or ReportTables.
+    The configuration is ``model_config``'s for ``estimate_model``'s model
+    of the training folds, as ``pssim fit`` estimates it, with the overall
+    lambda; the location parameter mlog is anchored so the expected
+    per-participant quota matches the fold's mean reports per user, and n
+    matches the fold's user count, so both traces live at comparable
+    scale.  ``train`` and ``fold`` are CanonicalTables or ReportTables.
     """
     start, days = window
     model, _ = estimate_model(train, window)
@@ -182,22 +182,7 @@ def fold_config(
     fold_users = int(np.count_nonzero(np.bincount(fold.source)))
     mean_per_user = len(fold) / fold_users
     mlog = math.log(mean_per_user) - model.sdlog**2 / 2.0 - math.log(days / 7.0)
-
-    return SimConfig(
-        tau=days,
-        start_date=start,
-        ev_types=tuple(model.pmf_ev_type.support),
-        pr_lie=0.0,
-        n=fold_users,
-        lambda_e=model.lambda_overall,
-        mlog=mlog,
-        sdlog=model.sdlog,
-        pmf_time=model.pmf_time,
-        pmf_day=model.pmf_day,
-        pmf_ev_type=model.pmf_ev_type,
-        seed=seed,
-        loc="validation",
-    )
+    return model_config(model, tau=days, start_date=start, n=fold_users, mlog=mlog, seed=seed)
 
 
 def cross_validate(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pssim.distributions import pmf_from_counts
+from pssim.distributions import uniform_pmf
 from pssim.table import AggregatedEventTable, CanonicalTable, EventTable, ReportTable
 from pssim.types import DAY_BINS, TEMPORAL_BINS, SimConfig, TemporalBin
 
@@ -16,17 +16,13 @@ GOLDEN_TRACE = DATA_DIR / "golden_trace.csv"
 DEFAULT_TYPES = ("Jam", "Accident", "Hazard")
 
 
-def uniform_pmf(support):
-    return pmf_from_counts({s: 1 for s in support})
-
-
 def make_config(**overrides) -> SimConfig:
-    """A small, valid SimConfig; keyword overrides replace any field."""
+    """A small, valid SimConfig; keyword overrides replace any field, and
+    ``ev_types`` gives the support of a uniform ``pmf_ev_type``."""
     types = overrides.pop("ev_types", DEFAULT_TYPES)
     fields = dict(
         tau=7,
         start_date=dt.date(2015, 2, 23),  # a Monday
-        ev_types=types,
         pr_lie=0.0,
         n=20,
         lambda_e=3.0,

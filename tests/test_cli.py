@@ -361,7 +361,7 @@ class TestSimulate:
 
         trace = simulate(
             SimConfig(
-                tau=7, start_date=dt.date(2015, 2, 23), ev_types=types, pr_lie=0.3,
+                tau=7, start_date=dt.date(2015, 2, 23), pr_lie=0.3,
                 n=30, lambda_e=2.0, mlog=model.mlog, sdlog=0.5,
                 pmf_time=model.pmf_time, pmf_day=model.pmf_day,
                 pmf_ev_type=model.pmf_ev_type, seed=5, loc="unspecified",
@@ -394,6 +394,93 @@ class TestSimulate:
             )
             for r in trace.reports
         ]
+
+    def test_model_run_is_model_config(self, runner, tmp_path, sample_canonical):
+        from pssim.formats import write_trace
+        from pssim.simulator import model_config, simulate
+
+        model_path = tmp_path / "model.json"
+        run_ok(runner, ["fit", str(sample_canonical), "--per-location", "--out", str(model_path)])
+        model = load_model(model_path)
+        out, expected = tmp_path / "trace.csv", tmp_path / "expected.csv"
+        run_ok(
+            runner,
+            ["simulate", "--model", str(model_path), "--loc", "Route 9", "--tau", "14",
+             "--n", "50", "--seed", "5", "--pr-lie", "0.1", "--out", str(out)],
+        )
+        config = model_config(model, "Route 9", tau=14, n=50, seed=5, pr_lie=0.1)
+        assert config.lambda_e == model.lambda_by_loc["Route 9"] != model.lambda_overall
+        write_trace(simulate(config).reports, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_ev_types_with_model_is_usage_error(self, runner, tmp_path, sample_canonical):
+        model_path = tmp_path / "model.json"
+        run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
+        result = runner.invoke(
+            main,
+            ["simulate", "--model", str(model_path), "--ev-types", "Jam",
+             "--out", str(tmp_path / "t.csv")],
+        )
+        assert result.exit_code == 2
+        assert "--ev-types conflicts with --model" in result.output
+
+    def test_duplicate_types_exit_3(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["simulate", "--ev-types", "Jam,Accident,Jam", "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 3
+        assert "duplicate" in result.output
+
+    def test_start_date_defaults_to_default_config(self, runner, tmp_path):
+        from pssim.simulator import default_config
+
+        start = default_config(tau=7, n=25, seed=1).start_date.isoformat()
+        implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+        run_ok(runner, GOLDEN_ARGS + ["--out", str(implicit)])
+        run_ok(runner, GOLDEN_ARGS + ["--start-date", start, "--out", str(explicit)])
+        assert implicit.read_bytes() == explicit.read_bytes()
+        help_text = " ".join(run_ok(runner, ["simulate", "--help"]).output.split())
+        assert f"--start-date TEXT First date of the window, YYYY-MM-DD (default {start})" in help_text
+
+    @pytest.mark.parametrize("tau", range(1, 7))
+    def test_short_windows_at_every_start_weekday(self, runner, tmp_path, tau):
+        """A window shorter than a week draws its events on the weekdays it
+        holds, with the default pmfs and with a model whose day pmf gives
+        the weekend no mass; it exits 3 only when it holds no weekday with
+        mass."""
+        import math
+
+        from pssim.distributions import pmf_from_counts
+        from pssim.formats import ModelFile, read_trace, save_model
+        from pssim.types import DAY_BINS, TEMPORAL_BINS, weekday_of
+
+        weekdays = DAY_BINS[1:6]  # Monday to Friday
+        model = ModelFile(
+            mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
+            pmf_day=pmf_from_counts({d: int(d in weekdays) for d in DAY_BINS}),
+            pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
+            pmf_ev_type=pmf_from_counts({"Jam": 1, "Hazard": 1}),
+            meta={},
+        )
+        model_path, out = tmp_path / "model.json", tmp_path / "trace.csv"
+        save_model(model, model_path)
+        for k in range(7):
+            start = dt.date(2015, 2, 22) + dt.timedelta(days=k)  # Sunday + k
+            window = [start + dt.timedelta(days=i) for i in range(tau)]
+            args = ["simulate", "--tau", str(tau), "--n", "40", "--seed", str(k),
+                    "--start-date", start.isoformat(), "--out", str(out)]
+            for extra, with_mass in (([], DAY_BINS), (["--model", str(model_path)], weekdays)):
+                result = runner.invoke(main, args + extra)
+                if not any(weekday_of(date) in with_mass for date in window):
+                    assert result.exit_code == 3, result.output
+                    assert "window too short" in result.output
+                    continue
+                assert result.exit_code == 0, result.output
+                reports, _ = read_trace(out)
+                assert len(reports) > 0
+                dates = {dt.date.fromordinal(d) for d in reports.date.tolist()}
+                assert dates <= set(window)
+                assert all(weekday_of(date) in with_mass for date in dates)
 
 
 class TestAggregate:

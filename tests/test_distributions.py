@@ -23,6 +23,7 @@ from pssim.distributions import (
     poisson_pmf,
     poisson_sample,
     rescale,
+    uniform_pmf,
 )
 from pssim.errors import PsSimError
 
@@ -58,6 +59,17 @@ class TestPmf:
     def test_duplicate_support_rejected(self):
         with pytest.raises(PsSimError):
             Pmf(("A", "A"), (0.5, 0.5))
+
+    def test_uniform_pmf_rejects_empty_and_duplicated_supports(self):
+        with pytest.raises(PsSimError, match="duplicate-free"):
+            uniform_pmf(("Jam", "Accident", "Jam"))
+        with pytest.raises(PsSimError, match="empty distribution"):
+            uniform_pmf(())
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 7, 8, 13])
+    def test_uniform_pmf_equals_uniform_counts_bit_for_bit(self, size):
+        support = tuple(f"t{i}" for i in range(size))
+        assert uniform_pmf(iter(support)) == pmf_from_counts({t: 1 for t in support})
 
     def test_randomized_counts_always_normalized(self):
         rng = np.random.default_rng(101)

@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 from collections import defaultdict
@@ -14,13 +15,16 @@ from pssim.distributions import (
     pmf_from_counts,
     pmf_sample_indices,
     rescale,
+    uniform_pmf,
 )
 from pssim.errors import PsSimError
-from pssim.formats import read_trace, write_trace
+from pssim.formats import ModelFile, read_trace, write_trace
 from pssim.simulator import (
     assign_event_attributes,
     attribute_reports,
+    default_config,
     gen_poisson_events,
+    model_config,
     simulate,
 )
 from pssim.types import DAY_BINS, DayBin, TemporalBin, weekday_of
@@ -75,6 +79,36 @@ class TestAssignEventAttributes:
         events = assign_event_attributes(50, cfg, RandomSource(1))
         assert all(e.day is DayBin.TUESDAY for e in events)
 
+    @pytest.mark.parametrize("tau", range(1, 7))
+    def test_short_windows_draw_the_weekdays_they_hold(self, tau):
+        weekdays = pmf_from_counts({d: 1 for d in DAY_BINS[1:6]})  # Monday to Friday
+        for k in range(7):
+            start = dt.date(2015, 2, 22) + dt.timedelta(days=k)  # Sunday + k
+            for pmf_day in (uniform_pmf(DAY_BINS), weekdays):
+                cfg = make_config(tau=tau, start_date=start, pmf_day=pmf_day)
+                window = {weekday_of(start + dt.timedelta(days=i)) for i in range(tau)}
+                held = window & {d for d, p in zip(pmf_day.support, pmf_day.probs) if p}
+                if not held:
+                    with pytest.raises(PsSimError, match="window too short"):
+                        assign_event_attributes(500, cfg, RandomSource(tau))
+                    continue
+                events = assign_event_attributes(500, cfg, RandomSource(tau))
+                offsets = events.date - start.toordinal()
+                assert offsets.min() >= 0 and offsets.max() < tau
+                assert {e.day for e in events} == held
+
+    def test_short_window_day_frequencies_follow_the_renormalised_pmf(self):
+        weights = {d: w for d, w in zip(DayBin, (5, 18, 17, 16, 18, 15, 6))}
+        # Tuesday to Thursday
+        cfg = make_config(tau=3, start_date=dt.date(2015, 2, 24), pmf_day=pmf_from_counts(weights))
+        events = assign_event_attributes(10_000, cfg, RandomSource(6))
+        freq = defaultdict(int)
+        for e in events:
+            freq[e.day] += 1
+        assert set(freq) == {DayBin.TUESDAY, DayBin.WEDNESDAY, DayBin.THURSDAY}
+        for day, count in freq.items():
+            assert abs(count / 10_000 - weights[day] / 51) <= 0.02
+
     def test_time_bin_frequencies_follow_pmf(self):
         weights = {b: w for b, w in zip(TemporalBin, (4, 8, 10, 22, 12, 10, 14, 20))}
         cfg = make_config(pmf_time=pmf_from_counts(weights))
@@ -112,24 +146,30 @@ class TestAssignEventAttributes:
 def reference_dates(count, config, rng):
     """The event dates of assign_event_attributes, drawn from the same
     uniforms by listing the window's dates of each weekday and picking one
-    of the sampled weekday's: the reference for its arithmetic placement."""
+    of the sampled weekday's: the reference for its arithmetic placement.
+    A weekday the window does not hold gets no mass, the rest of the day
+    pmf being renormalised, unless the window holds no weekday with mass."""
     dates_by_day = {day: [] for day in DAY_BINS}
     for i in range(config.tau):
         date = config.start_date + dt.timedelta(days=i)
         dates_by_day[weekday_of(date)].append(date.toordinal())
-    for day, p in zip(config.pmf_day.support, config.pmf_day.probs):
-        if p > 0.0 and not dates_by_day[day]:
+    pmf_day = config.pmf_day
+    held = [p if dates_by_day[day] else 0.0 for day, p in zip(pmf_day.support, pmf_day.probs)]
+    if held != list(pmf_day.probs):
+        if not any(held):
+            labels = [day.label for day, p in zip(pmf_day.support, pmf_day.probs) if p > 0.0]
             raise PsSimError(
-                f"window too short for day pmf: no {day.label} in the "
+                f"window too short for day pmf: no {' or '.join(labels)} in the "
                 f"{config.tau}-day window starting {config.start_date}"
             )
-    day_idx = pmf_sample_indices(config.pmf_day, count, rng).tolist()
+        pmf_day = pmf_from_counts(dict(zip(pmf_day.support, held)))
+    day_idx = pmf_sample_indices(pmf_day, count, rng).tolist()
     pmf_sample_indices(config.pmf_time, count, rng)
     pmf_sample_indices(config.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count).tolist()
     picked = []
     for i, u in zip(day_idx, u_date):
-        candidates = dates_by_day[config.pmf_day.support[i]]
+        candidates = dates_by_day[pmf_day.support[i]]
         picked.append(candidates[min(int(u * len(candidates)), len(candidates) - 1)])
     return picked
 
@@ -159,16 +199,20 @@ def test_property_dates_by_arithmetic_equal_the_weekday_lists(start, tau, weight
     assert events.date.tolist() == expected
 
 
-def events_of(*types):
-    """An EventTable of one Monday event per type."""
-    return event_table((1, dt.date(2015, 2, 23), TemporalBin.MD, "Elm Street", t) for t in types)
+def events_of(*types, vocabulary=None):
+    """An EventTable of one Monday event per type.  Its type vocabulary is
+    the types in first-seen order, or ``vocabulary``, which starts with
+    them and may add types no event has."""
+    events = event_table((1, dt.date(2015, 2, 23), TemporalBin.MD, "Elm Street", t) for t in types)
+    if vocabulary is None:
+        return events
+    assert vocabulary[: len(events.types)] == events.types
+    return dataclasses.replace(events, types=vocabulary)
 
 
 class TestAttributeReports:
     def test_single_participant_forced_outcome(self):
-        reports = attribute_reports(
-            events_of("Jam"), [5], 0.0, ("Jam", "Accident"), RandomSource(4)
-        )
+        reports = attribute_reports(events_of("Jam"), [5], 0.0, RandomSource(4))
         assert len(reports) == 5
         assert all(r.source_id == "UID000001" for r in reports)
         assert all(r.event_reported == r.event_occurred == "Jam" for r in reports)
@@ -176,42 +220,38 @@ class TestAttributeReports:
 
     def test_lie_fraction_converges(self):
         quotas = np.full(100, 100, dtype=np.int64)  # 10,000 reports
-        events = events_of("Jam", "Accident")
-        reports = attribute_reports(
-            events, quotas, 0.1, ("Jam", "Accident", "Hazard"), RandomSource(12)
-        )
+        events = events_of("Jam", "Accident", vocabulary=("Jam", "Accident", "Hazard"))
+        reports = attribute_reports(events, quotas, 0.1, RandomSource(12))
         lies = sum(1 for r in reports if r.event_reported != r.event_occurred)
         assert abs(lies / 10_000 - 0.1) <= 0.009
 
     def test_certain_lie_never_reports_the_occurred_type(self):
         quotas = np.full(10, 10, dtype=np.int64)
         events = events_of("Jam", "Accident")
-        reports = attribute_reports(
-            events, quotas, 1.0, ("Jam", "Accident"), RandomSource(1)
-        )
+        reports = attribute_reports(events, quotas, 1.0, RandomSource(1))
         assert np.all(reports.reported != reports.occurred)
 
     def test_lies_uniform_over_complement(self):
+        # the lies cover the whole type vocabulary, also types no event has
         quotas = np.full(100, 100, dtype=np.int64)
         types = ("Jam", "Accident", "Hazard")
         reports = attribute_reports(
-            events_of("Jam"), quotas, 1.0, types, RandomSource(9)
+            events_of("Jam", vocabulary=types), quotas, 1.0, RandomSource(9)
         )
+        assert reports.types == types
         lied = [types[i] for i in reports.reported.tolist()]
         assert "Jam" not in lied
         assert abs(lied.count("Accident") / 10_000 - 0.5) <= 0.015
 
     def test_singleton_types_rejected_when_lying(self):
         with pytest.raises(PsSimError, match="two event types"):
-            attribute_reports(events_of("Jam"), [3], 0.5, ("Jam",), RandomSource(0))
+            attribute_reports(events_of("Jam"), [3], 0.5, RandomSource(0))
 
     def test_quota_conservation(self):
         rng_q = np.random.default_rng(3)
         quotas = rng_q.integers(0, 6, size=40).astype(np.int64)
         quotas[0] = max(quotas[0], 1)
-        reports = attribute_reports(
-            events_of("Jam"), quotas, 0.0, ("Jam", "Accident"), RandomSource(7)
-        )
+        reports = attribute_reports(events_of("Jam"), quotas, 0.0, RandomSource(7))
         assert len(reports) == int(quotas.sum())
         assert reports.sources == tuple(f"UID{i + 1:06d}" for i in range(40))
         per_user = defaultdict(int)
@@ -222,23 +262,11 @@ class TestAttributeReports:
 
     def test_empty_pool_rejected(self):
         with pytest.raises(PsSimError, match="no remaining quota"):
-            attribute_reports(
-                events_of("Jam"), [0, 0], 0.0, ("Jam", "Accident"), RandomSource(0)
-            )
+            attribute_reports(events_of("Jam"), [0, 0], 0.0, RandomSource(0))
 
     def test_no_events_rejected(self):
         with pytest.raises(PsSimError, match="no events"):
-            attribute_reports(events_of(), [3], 0.0, ("Jam", "Accident"), RandomSource(0))
-
-    def test_unknown_event_type_rejected(self):
-        with pytest.raises(PsSimError, match="not in the configured type list"):
-            attribute_reports(
-                events_of("Meteor"),
-                [3],
-                0.0,
-                ("Jam", "Accident"),
-                RandomSource(0),
-            )
+            attribute_reports(events_of(), [3], 0.0, RandomSource(0))
 
 
 class TestSimulate:
@@ -302,6 +330,36 @@ class TestSimulate:
         cfg = make_config(mlog=-12.0, sdlog=0.1, n=3, seed=1)
         with pytest.raises(PsSimError, match="quotas"):
             simulate(cfg)
+
+
+class TestModelConfig:
+    MODEL = ModelFile(
+        mlog=0.9, sdlog=0.4, lambda_overall=5.0, lambda_by_loc={"Elm Street": 2.5, "Route 9": 1.5},
+        pmf_day=pmf_from_counts({d: i + 1 for i, d in enumerate(DAY_BINS)}),
+        pmf_time=pmf_from_counts({b: 1 for b in TemporalBin}),
+        pmf_ev_type=pmf_from_counts({"Jam": 3, "Hazard": 1}),
+        meta={},
+    )
+
+    def test_a_location_gets_its_fitted_lambda_and_any_other_the_overall(self):
+        for loc, lam in (("Elm Street", 2.5), ("Route 9", 1.5), ("Harbor Drive", 5.0), (None, 5.0)):
+            config = model_config(self.MODEL, loc, tau=7, n=10, seed=1)
+            assert config.lambda_e == lam
+            assert config.loc == (loc or default_config(tau=7, n=10, seed=1).loc)
+
+    def test_fitted_fields_over_default_config(self):
+        model = self.MODEL
+        config = model_config(model, "Route 9", tau=14, n=30, seed=3, pr_lie=0.2)
+        assert config == default_config(
+            tau=14, n=30, seed=3, pr_lie=0.2, loc="Route 9", lambda_e=1.5,
+            mlog=model.mlog, sdlog=model.sdlog, pmf_day=model.pmf_day,
+            pmf_time=model.pmf_time, pmf_ev_type=model.pmf_ev_type,
+        )
+        assert config.pmf_ev_type.support == ("Jam", "Hazard")
+
+    def test_fields_replace_the_fitted_ones(self):
+        config = model_config(self.MODEL, "Route 9", tau=7, n=10, seed=1, lambda_e=9.0, mlog=0.1)
+        assert (config.lambda_e, config.mlog, config.sdlog) == (9.0, 0.1, 0.4)
 
 
 class TestTraceTables:

@@ -18,7 +18,7 @@ from pssim.types import (
     weekday_of,
 )
 
-from conftest import make_config, uniform_pmf
+from conftest import make_config
 
 
 class TestTemporalBin:
@@ -127,13 +127,5 @@ class TestSimConfig:
             make_config(**overrides)
 
     def test_lying_needs_two_event_types(self):
-        with pytest.raises(PsSimError):
-            make_config(
-                ev_types=("Jam",),
-                pr_lie=0.5,
-                pmf_ev_type=uniform_pmf(("Jam",)),
-            )
-
-    def test_pmf_support_must_match_vocabulary(self):
-        with pytest.raises(PsSimError):
-            make_config(pmf_ev_type=uniform_pmf(("Jam", "Meteor")))
+        with pytest.raises(PsSimError, match="two event types"):
+            make_config(ev_types=("Jam",), pr_lie=0.5)

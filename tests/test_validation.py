@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_CSV, make_config, trace_table
-from pssim.analysis import fit_models
+from pssim.analysis import estimate_model, fit_models
 from pssim.distributions import RandomSource, pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import read_raw_reports
-from pssim.simulator import simulate
+from pssim.simulator import model_config, simulate
 from pssim.types import DayBin, TemporalBin
 from pssim.validation import (
     AXES,
@@ -224,7 +224,21 @@ class TestFoldConfig:
         assert (config.pmf_day, config.pmf_time, config.pmf_ev_type) == (
             model.pmf_day, model.pmf_time, model.pmf_ev_type
         )
-        assert config.ev_types == model.pmf_ev_type.support
+
+    def test_is_model_config_with_the_anchored_mlog(self):
+        reports, _ = read_raw_reports(SAMPLE_CSV)
+        first, last = int(reports.date.min()), int(reports.date.max())
+        start, days = dt.date.fromordinal(first), last - first + 1
+        held_out = np.arange(len(reports)) % 3 == 0
+        train, fold = reports.take(~held_out), reports.take(held_out)
+        model, _ = estimate_model(train, (start, days))
+        users = len(set(fold.source.tolist()))
+        # the expected quota of a participant over the window is the fold's
+        # mean reports per user
+        mlog = math.log(len(fold) / users) - model.sdlog**2 / 2 - math.log(days / 7)
+        assert fold_config(train, fold, (start, days), seed=9) == model_config(
+            model, tau=days, start_date=start, n=users, mlog=mlog, seed=9
+        )
 
 
 class TestCompareAxes:
