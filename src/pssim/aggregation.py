@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import PsSimError
 from .table import AggregatedEventTable, CanonicalTable, code_dtype, report_columns, take
+from .types import DEFAULT_LOC
 
 _KEY_SPACE = 2**63  # packed keys fit in int64
 
@@ -113,7 +114,7 @@ def aggregate(
     reports,
     *,
     min_support: int = 1,
-    default_loc: str = "unspecified",
+    default_loc: str = DEFAULT_LOC,
     use_occurred: bool = False,
 ) -> AggregateResult:
     """Group reports into aggregated events, sorted by key order.

@@ -21,13 +21,13 @@ from .distributions import (
     LogNormalParams,
     Pmf,
     fit_lognormal,
-    lognormal_quantiles,
+    lognormal_quantile,
     pmf_from_counts,
 )
 from .errors import PsSimError
 from .formats import ModelFile
 from .table import report_columns
-from .types import DAY_BINS, TEMPORAL_BINS, day_index
+from .types import DAY_BINS, DEFAULT_LOC, TEMPORAL_BINS, day_index
 
 #: ``_user_weekly`` counts (user, week) pairs in a dense array while the
 #: user codes times the weeks stay at most this many times (rows + 256),
@@ -101,7 +101,7 @@ class BinnedData:
 
 
 def bin_reports(
-    reports, window: tuple[dt.date, int], default_loc: str = "unspecified"
+    reports, window: tuple[dt.date, int], default_loc: str = DEFAULT_LOC
 ) -> BinnedData:
     """Tally reports into per-location (date, bin) cells and per-user weeks.
 
@@ -322,7 +322,7 @@ def qq_against_lognormal(
     if arr[0] == arr[-1]:
         raise PsSimError("zero variance: all samples identical")
     positions = (np.arange(1, n + 1) - 0.5) / n
-    theoretical = lognormal_quantiles(positions, params)
+    theoretical = np.array([lognormal_quantile(p, params) for p in positions.tolist()])
     r = np.corrcoef(theoretical, arr)[0, 1]
     return QqData(theoretical=theoretical, empirical=arr, r2=float(r * r))
 

@@ -22,6 +22,7 @@ from .bench import bench_grid, fit_growth_exponents
 from .distributions import uniform_pmf
 from .errors import PsSimError
 from .simulator import DEFAULTS, default_config, model_config, simulate
+from .types import DEFAULT_LOC
 from .validation import AXES, cross_validate, summarize
 
 
@@ -300,7 +301,7 @@ def _read_reports_any(path: Path):
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.option("--workers", type=int, default=None, help="Accepted for compatibility; has no effect (grouping is one in-process sort).")
 @click.option("--min-support", type=int, default=1, show_default=True)
-@click.option("--loc", default="unspecified", show_default=True, help="Location label for trace rows (traces carry none).")
+@click.option("--loc", default=DEFAULT_LOC, show_default=True, help="Location label for trace rows (traces carry none).")
 @click.option("--key", type=click.Choice(["reported", "occurred"]), default="reported", show_default=True, help="Which incident type keys trace rows.")
 @_model_errors_exit_3
 def aggregate_cmd(input_csv, out, workers, min_support, loc, key):

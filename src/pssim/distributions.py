@@ -1,5 +1,5 @@
-"""Probability machinery: categorical pmfs, log-normal participation model,
-Poisson event model, parameter rescaling, and a seeded random source.
+"""Probability machinery: categorical pmfs, the log-normal participation
+model, parameter rescaling, and a seeded random source.
 
 Randomness discipline
 ---------------------
@@ -25,9 +25,6 @@ from .errors import PsSimError
 
 #: Absolute tolerance on |sum(probs) - 1| for every pmf in the package.
 NORMALIZATION_TOL = 1e-9
-
-#: Name of the underlying bit generator; pinned so golden traces stay valid.
-GENERATOR_NAME = "pcg64"
 
 _STANDARD_NORMAL = NormalDist()
 
@@ -75,7 +72,8 @@ class Pmf:
         if len(self.support) != len(self.probs):
             raise PsSimError("support and probs lengths differ")
         if len(set(self.support)) != len(self.support):
-            raise PsSimError("support labels must be duplicate-free")
+            repeated = list(dict.fromkeys(s for s in self.support if self.support.count(s) > 1))
+            raise PsSimError(f"support labels must be duplicate-free, repeated: {repeated!r}")
         if any(not math.isfinite(p) or p < 0.0 for p in self.probs):
             raise PsSimError("probabilities must be finite and >= 0")
         if abs(math.fsum(self.probs) - 1.0) > NORMALIZATION_TOL:
@@ -133,12 +131,6 @@ def _categorical_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def pmf_sample(pmf: Pmf, rng: RandomSource) -> Hashable:
-    """Draw one support element with the pmf's probabilities."""
-    u = rng.generator.random()
-    return pmf.support[int(_categorical_indices(pmf.cumulative(), np.asarray(u)))]
-
-
 def pmf_sample_indices(pmf: Pmf, size: int, rng: RandomSource) -> np.ndarray:
     """Draw ``size`` support indices in one batch (one uniform per draw)."""
     u = rng.generator.random(size)
@@ -157,14 +149,6 @@ class LogNormalParams:
             raise PsSimError(f"scale parameter must be > 0, got {self.s}")
 
 
-def lognormal_pdf(x: float, params: LogNormalParams) -> float:
-    """Log-normal density 1/(s*x*sqrt(2pi)) * exp(-(ln x - m)^2 / (2 s^2))."""
-    if x <= 0.0:
-        raise PsSimError(f"support violation: x must be > 0, got {x}")
-    z = (math.log(x) - params.m) / params.s
-    return math.exp(-0.5 * z * z) / (params.s * x * math.sqrt(2.0 * math.pi))
-
-
 def lognormal_cdf(x: float, params: LogNormalParams) -> float:
     if x <= 0.0:
         return 0.0
@@ -176,44 +160,6 @@ def lognormal_quantile(p: float, params: LogNormalParams) -> float:
     if not 0.0 < p < 1.0:
         raise PsSimError(f"quantile level must be in (0, 1), got {p}")
     return math.exp(params.m + params.s * _STANDARD_NORMAL.inv_cdf(p))
-
-
-def lognormal_quantiles(p: np.ndarray, params: LogNormalParams) -> np.ndarray:
-    """``lognormal_quantile`` of every level in ``p``, bit for bit.
-
-    ``NormalDist.inv_cdf`` is Wichura's AS241; its central branch
-    (|p - 0.5| <= 0.425) is plain arithmetic, so it is evaluated here on
-    the whole array with the same constants in the same order.  The tails
-    still go through ``inv_cdf``, and every exponential through
-    ``math.exp``, whose last bit numpy's ``exp`` need not match.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if not np.all((p > 0.0) & (p < 1.0)):
-        raise PsSimError("quantile levels must be in (0, 1)")
-    q = p - 0.5
-    central = np.abs(q) <= 0.425
-    z = np.empty_like(p)
-    qc = q[central]
-    r = 0.180625 - qc * qc
-    num = (((((((2.50908_09287_30122_6727e+3 * r +
-                 3.34305_75583_58812_8105e+4) * r +
-                 6.72657_70927_00870_0853e+4) * r +
-                 4.59219_53931_54987_1457e+4) * r +
-                 1.37316_93765_50946_1125e+4) * r +
-                 1.97159_09503_06551_4427e+3) * r +
-                 1.33141_66789_17843_7745e+2) * r +
-                 3.38713_28727_96366_6080e+0) * qc
-    den = (((((((5.22649_52788_52854_5610e+3 * r +
-                 2.87290_85735_72194_2674e+4) * r +
-                 3.93078_95800_09271_0610e+4) * r +
-                 2.12137_94301_58659_5867e+4) * r +
-                 5.39419_60214_24751_1077e+3) * r +
-                 6.87187_00749_20579_0830e+2) * r +
-                 4.23133_30701_60091_1252e+1) * r +
-                 1.0)
-    z[central] = num / den
-    z[~central] = [_STANDARD_NORMAL.inv_cdf(x) for x in p[~central].tolist()]
-    return np.asarray([math.exp(x) for x in (params.m + params.s * z).tolist()])
 
 
 def lognormal_sample_counts(
@@ -256,19 +202,3 @@ def rescale(mlog: float, sdlog: float, tau: int) -> LogNormalParams:
     if tau < 1:
         raise PsSimError(f"tau must be >= 1, got {tau}")
     return LogNormalParams(m=mlog + math.log(tau / 7.0), s=sdlog)
-
-
-def poisson_pmf(k: int, lam: float) -> float:
-    """P(k) = exp(-lam) * lam^k / k!, evaluated in log space for stability."""
-    if k < 0:
-        raise PsSimError(f"k must be >= 0, got {k}")
-    if lam <= 0.0:
-        raise PsSimError(f"rate must be > 0, got {lam}")
-    return math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
-
-
-def poisson_sample(lam: float, rng: RandomSource) -> int:
-    """One draw from Poisson(lam)."""
-    if lam <= 0.0:
-        raise PsSimError(f"rate must be > 0, got {lam}")
-    return int(rng.generator.poisson(lam))

@@ -91,7 +91,7 @@ from .table import (
     mark,
     take,
 )
-from .types import TEMPORAL_BINS, DayBin, TemporalBin, time_index, weekday_of
+from .types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, day_index, time_index, weekday_of
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -1173,18 +1173,36 @@ def write_canonical(table: CanonicalTable, path: Path) -> None:
     )
 
 
-def _canonical_cell(date_text: str, time_text: str) -> int:
-    """Cell code of a (date, time) text, or _BAD_DATE / _BAD_TIME; the date
-    is checked first."""
-    try:
-        date = parse_date(date_text)
-    except PsSimError:
-        return _BAD_DATE
-    try:
-        time = TemporalBin.from_label(time_text.strip())
-    except PsSimError:
-        return _BAD_TIME
-    return date.toordinal() * 8 + time.index
+def _cell_of():
+    """A new (date text, time text) -> cell code function for one read.
+
+    The cell code is date ordinal * 8 + time-bin index, or _BAD_DATE /
+    _BAD_TIME; the date is checked first.  Each distinct date and time
+    text is parsed once.  Both read_canonical and read_trace bin by it.
+    """
+
+    @functools.cache
+    def ordinal(text: str) -> int | None:
+        try:
+            return parse_date(text).toordinal()
+        except PsSimError:
+            return None
+
+    @functools.cache
+    def index(text: str) -> int | None:
+        try:
+            return TemporalBin.from_label(text.strip()).index
+        except PsSimError:
+            return None
+
+    def cell(date_text: str, time_text: str) -> int:
+        date = ordinal(date_text)
+        if date is None:
+            return _BAD_DATE
+        time = index(time_text)
+        return _BAD_TIME if time is None else date * 8 + time
+
+    return cell
 
 
 def read_canonical(path: Path) -> tuple[CanonicalTable, dict[str, int]]:
@@ -1194,7 +1212,8 @@ def read_canonical(path: Path) -> tuple[CanonicalTable, dict[str, int]]:
     the date, so the day==weekday(date) invariant always holds.  Each
     distinct (date, time) text and string field is checked once.
     """
-    cells = _Lookup(("date", "time"), lambda texts: _canonical_cell(*texts))
+    cell = _cell_of()
+    cells = _Lookup(("date", "time"), lambda texts: cell(*texts))
     table, bad_cells, blank = _read_reports(path, CANONICAL_HEADER, cells, CANONICAL_HEADER[3:])
     counts = (
         ("bad date", bad_cells.get(_BAD_DATE, 0)),
@@ -1248,21 +1267,7 @@ def _trace_slots(slots: dict):
     the EventNo.  The returned function parses each distinct Date, Day and
     Time text once.
     """
-
-    @functools.cache
-    def date_of(text: str) -> tuple[int, DayBin] | None:
-        try:
-            date = parse_date(text)
-        except PsSimError:
-            return None
-        return date.toordinal(), weekday_of(date)
-
-    @functools.cache
-    def time_of(text: str) -> int | None:
-        try:
-            return TemporalBin.from_label(text.strip()).index
-        except PsSimError:
-            return None
+    cell_of = _cell_of()
 
     @functools.cache
     def day_of(text: str) -> DayBin | str | None:
@@ -1277,18 +1282,18 @@ def _trace_slots(slots: dict):
 
     def slot_of(prefix: tuple[str, str, str, str]) -> int:
         event_no, date_text, day_text, time_text = prefix
-        date, time = date_of(date_text), time_of(time_text)
-        if date is None or time is None:
+        cell = cell_of(date_text, time_text)
+        if cell < 0:
             return _MALFORMED
         day = day_of(day_text)
         if day is None:
             return _MALFORMED
-        if day != "" and day is not date[1]:
+        if day != "" and day is not DAY_BINS[day_index(cell >> 3)]:
             return _MISMATCH
         number = _int64(event_no)
         if number is None:
             return _MALFORMED
-        return slots.setdefault((number, date[0], time), len(slots))
+        return slots.setdefault((number, cell >> 3, cell & 7), len(slots))
 
     return slot_of
 

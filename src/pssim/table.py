@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .types import (
+    DEFAULT_LOC,
     TEMPORAL_BINS,
     AggregatedEvent,
     Event,
@@ -348,7 +349,7 @@ class AggregatedEventTable(_RowView):
 
 
 def report_columns(
-    reports, default_loc: str = "unspecified", use_occurred: bool = False
+    reports, default_loc: str = DEFAULT_LOC, use_occurred: bool = False
 ) -> tuple[CanonicalTable, int]:
     """The reports as key columns, and the number rejected for a missing field.
 

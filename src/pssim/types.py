@@ -5,7 +5,8 @@ A day is split into eight three-hour temporal bins starting at 3AM; weekdays
 form seven day bins ordered Sunday through Saturday.  ``day_index`` and
 ``time_index`` are the calendar rules: every module that bins a date or an
 hour calls them.  Locations are opaque string labels and event types are
-strings: the support of the configured type pmf.
+strings: the support of the configured type pmf.  ``DEFAULT_LOC`` labels
+reports that carry no location.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .errors import PsSimError
 
 if TYPE_CHECKING:
     from .distributions import Pmf
+
+#: Location label of reports that carry none (simulated traces, bare rows).
+DEFAULT_LOC = "unspecified"
 
 
 class TemporalBin(enum.Enum):
@@ -112,11 +116,6 @@ def weekday_of(date: dt.date) -> DayBin:
     return DAY_BINS[day_index(date.toordinal())]
 
 
-def bin_of_time(clock_time: dt.time) -> TemporalBin:
-    """Return the unique temporal bin whose three-hour range contains the time."""
-    return TEMPORAL_BINS[time_index(clock_time.hour)]
-
-
 @dataclass(frozen=True, slots=True)
 class Report:
     """One user-generated notification row of a simulated trace."""
@@ -199,7 +198,7 @@ class SimConfig:
     pmf_day: "Pmf"
     pmf_ev_type: "Pmf"
     seed: int
-    loc: str = "unspecified"
+    loc: str = DEFAULT_LOC
 
     def __post_init__(self) -> None:
         if self.tau < 1:

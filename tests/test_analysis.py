@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import datetime as dt
+import hashlib
 import math
 from collections.abc import Sequence
 
@@ -252,6 +253,20 @@ class TestQq:
         r2_self = qq_against_lognormal(lognormal, fit_lognormal(lognormal)).r2
         assert r2_self >= 0.99
         assert r2_uniform < r2_self - 0.01
+
+    # SHA-256 of the newline-joined float.hex of the theoretical quantiles
+    # at the 20,660 plotting positions of the fit_validate export.
+    QUANTILE_DIGESTS = {
+        (0.0, 1.0): "d1b193e5aa5f29ecf59a6d3f0a58c370f5ba804bb22467120878c1b730a23260",
+        (1.3, 0.64): "52ad1531d22015bc86792440b28cfb658df640f4f2a4ef16988e042627c7b5e4",
+        (-2.5, 3.0): "c373f9390669d65f7f426990349f8043bb02f43d16be55a8b4a214db02ea4bee",
+    }
+
+    @pytest.mark.parametrize("m, s", list(QUANTILE_DIGESTS))
+    def test_theoretical_quantiles_are_pinned_bit_for_bit(self, m, s):
+        qq = qq_against_lognormal(np.arange(1.0, 20_661), LogNormalParams(m, s))
+        text = "\n".join(x.hex() for x in qq.theoretical.tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.QUANTILE_DIGESTS[m, s]
 
     def test_identical_samples_rejected(self):
         with pytest.raises(PsSimError, match="zero variance"):

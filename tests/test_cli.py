@@ -430,6 +430,7 @@ class TestSimulate:
         )
         assert result.exit_code == 3
         assert "duplicate" in result.output
+        assert "repeated: ['Jam']" in result.output
 
     def test_start_date_defaults_to_default_config(self, runner, tmp_path):
         from pssim.simulator import default_config

