@@ -5,7 +5,8 @@ type).  The key columns, which come from ``table.report_columns``, are
 packed into one integer per report whose order is the canonical key order,
 and one sort groups them: each run of equal keys is one event.  The result
 is columnar: an AggregatedEventTable holds each event's key codes and
-support count, and builds the reporter sets only when its rows are used.
+support count, and per grouped report its event index and source code, so
+an event's reporters are the sources of the reports that point at it.
 
 Memory: the packed keys are held in the smallest integer type of the key
 space (uint16 for the benchmark's trace_pipeline trace) and sorted in place
@@ -120,9 +121,9 @@ def aggregate(
     """Group reports into aggregated events, sorted by key order.
 
     ``reports`` is a CanonicalTable or a ReportTable (see
-    ``table.report_columns``).  The events come as an AggregatedEventTable,
-    a Sequence of AggregatedEvent rows whose reporter sets are built on
-    first access.  Rejected records (missing fields) are counted, not
+    ``table.report_columns``).  The events come as an AggregatedEventTable
+    of columns; its ``event`` and ``source`` columns name each event's
+    reporters.  Rejected records (missing fields) are counted, not
     fatal.  Events with fewer than ``min_support`` supporting reports are
     dropped after counting.  The grouping runs as one sort in this process.
     """

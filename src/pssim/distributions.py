@@ -81,17 +81,8 @@ class Pmf:
                 f"probabilities sum to {math.fsum(self.probs)!r}, not 1"
             )
 
-    def prob(self, label: Hashable) -> float:
-        try:
-            return self.probs[self.support.index(label)]
-        except ValueError:
-            raise PsSimError(f"label {label!r} not in support") from None
-
     def cumulative(self) -> np.ndarray:
         return np.cumsum(np.asarray(self.probs, dtype=np.float64))
-
-    def as_dict(self) -> dict[Hashable, float]:
-        return dict(zip(self.support, self.probs))
 
 
 def pmf_from_counts(counts: Mapping[Hashable, float]) -> Pmf:

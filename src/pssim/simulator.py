@@ -100,8 +100,7 @@ def model_config(model: ModelFile, loc: str | None = None, **fields) -> SimConfi
 class Trace:
     """Simulator output: report and event tables plus the generating context.
 
-    ``reports`` and ``events`` are columnar tables that also act as
-    sequences of Report and Event rows, built on first element access.
+    ``reports`` and ``events`` are columnar tables (see table.py).
     """
 
     reports: ReportTable

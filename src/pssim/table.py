@@ -1,4 +1,4 @@
-"""Columnar events and reports: structures of arrays with lazy row views.
+"""Columnar events and reports: each table is a frozen set of columns.
 
 An EventTable holds one entry per event, a ReportTable one entry per trace
 report, a CanonicalTable one entry per ingested report and an
@@ -8,33 +8,21 @@ TEMPORAL_BINS, and string fields are integer codes into vocabularies kept
 beside the columns.  The day label is never stored: it is always the weekday
 of the date.
 
-The tables are read-only Sequences of the row dataclasses in types.py.  The
-rows are built on the first element access, once per table, so code that
-works on the columns never creates a per-row object.  Every stage takes a
-table, not rows: ``report_columns`` gives each counting stage a
-CanonicalTable, as it is or projected from a ReportTable.
+A table is its columns and vocabularies and nothing more: no stage builds a
+per-row object.  Every stage takes a table: ``report_columns`` gives each
+counting stage a CanonicalTable, as it is or projected from a ReportTable.
+The tables compare by identity, as numpy columns have no single truth value.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime as dt
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .types import (
-    DEFAULT_LOC,
-    TEMPORAL_BINS,
-    AggregatedEvent,
-    Event,
-    EventKey,
-    IngestedReport,
-    Report,
-    weekday_of,
-)
+from .types import DEFAULT_LOC, TEMPORAL_BINS
 
 
 TAKE_ROWS = 1 << 16  # codes per call of take() and mark()
@@ -94,43 +82,9 @@ def distinct_dates(ordinals: np.ndarray) -> tuple[list[dt.date], np.ndarray]:
     return list(map(dt.date.fromordinal, distinct.tolist())), codes
 
 
-def _dates(ordinals: np.ndarray):
-    """The date of each entry of an ordinal column; equal ordinals share one
-    object."""
-    dates, codes = distinct_dates(ordinals)
-    return map(dates.__getitem__, codes.tolist())
-
-
-class _RowView(Sequence):
-    """Sequence of row objects built from the columns on first access."""
-
-    def _build_rows(self) -> tuple:
-        raise NotImplementedError
-
-    @cached_property
-    def rows(self) -> tuple:
-        return self._build_rows()
-
-    def __getitem__(self, index):
-        return self.rows[index]
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, (_RowView, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and self.rows == tuple(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} of {len(self)} rows>"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class EventTable(_RowView):
-    """Events as columns; a Sequence of Event rows."""
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Events as columns."""
 
     event_no: np.ndarray  # EventNo
     date: np.ndarray  # date ordinal
@@ -143,22 +97,10 @@ class EventTable(_RowView):
     def __len__(self) -> int:
         return len(self.event_no)
 
-    def _build_rows(self) -> tuple[Event, ...]:
-        return tuple(
-            Event(no, date, weekday_of(date), TEMPORAL_BINS[t], self.locs[loc], self.types[k])
-            for no, date, t, loc, k in zip(
-                self.event_no.tolist(),
-                _dates(self.date),
-                self.time.tolist(),
-                self.loc.tolist(),
-                self.type.tolist(),
-            )
-        )
 
-
-@dataclass(frozen=True, eq=False, repr=False)
-class ReportTable(_RowView):
-    """Trace reports as columns; a Sequence of Report rows.
+@dataclass(frozen=True, eq=False)
+class ReportTable:
+    """Trace reports as columns.
 
     ``event_no``/``date``/``time`` hold one entry per event slot and
     ``event`` points each report at its slot, so the (EventNo, Date, Day,
@@ -179,25 +121,6 @@ class ReportTable(_RowView):
 
     def __len__(self) -> int:
         return len(self.event)
-
-    def _build_rows(self) -> tuple[Report, ...]:
-        slots = [
-            (no, date, weekday_of(date), TEMPORAL_BINS[t])
-            for no, date, t in zip(
-                self.event_no.tolist(), _dates(self.date), self.time.tolist()
-            )
-        ]
-        sources, types = self.sources, self.types
-        return tuple(
-            Report(*slots[e], n, sources[s], types[r], types[o])
-            for e, n, s, r, o in zip(
-                self.event.tolist(),
-                self.report_no.tolist(),
-                self.source.tolist(),
-                self.reported.tolist(),
-                self.occurred.tolist(),
-            )
-        )
 
     @classmethod
     def from_codes(
@@ -233,9 +156,9 @@ class ReportTable(_RowView):
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class CanonicalTable(_RowView):
-    """Ingested reports as columns; a Sequence of IngestedReport rows.
+@dataclass(frozen=True, eq=False)
+class CanonicalTable:
+    """Ingested reports as columns.
 
     Every column has one entry per report.  ``report_columns`` gives a
     ReportTable in this form too.
@@ -252,19 +175,6 @@ class CanonicalTable(_RowView):
 
     def __len__(self) -> int:
         return len(self.date)
-
-    def _build_rows(self) -> tuple[IngestedReport, ...]:
-        sources, locs, types = self.sources, self.locs, self.types
-        return tuple(
-            IngestedReport(date, weekday_of(date), TEMPORAL_BINS[t], sources[s], locs[loc], types[k])
-            for date, t, s, loc, k in zip(
-                _dates(self.date),
-                self.time.tolist(),
-                self.source.tolist(),
-                self.loc.tolist(),
-                self.type.tolist(),
-            )
-        )
 
     def take(self, rows) -> "CanonicalTable":
         """The reports an index array or boolean mask selects, in its order.
@@ -299,14 +209,14 @@ class CanonicalTable(_RowView):
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class AggregatedEventTable(_RowView):
-    """Aggregated events as columns; a Sequence of AggregatedEvent rows.
+@dataclass(frozen=True, eq=False)
+class AggregatedEventTable:
+    """Aggregated events as columns.
 
     Each event has the key codes its reports share and its support count.
     ``event`` and ``source`` have one entry per grouped report: the index
     of its event (``len(self)`` when its event was dropped) and its source
-    code.  Reporter sets are built from them only with the rows.
+    code: an event's reporters are the sources of its reports.
     """
 
     date: np.ndarray  # per event: date ordinal
@@ -323,30 +233,6 @@ class AggregatedEventTable(_RowView):
     def __len__(self) -> int:
         return len(self.support)
 
-    def _build_rows(self) -> tuple[AggregatedEvent, ...]:
-        width = max(len(self.sources), 1)
-        # distinct (event, source) pairs, sorted by event
-        pairs = np.unique(self.event.astype(np.int64) * width + self.source)
-        event, source = np.divmod(pairs, width)
-        bounds = np.searchsorted(event, np.arange(len(self) + 1)).tolist()
-        names = [self.sources[s] for s in source[: bounds[-1]].tolist()]
-        return tuple(
-            AggregatedEvent(
-                EventKey(date, TEMPORAL_BINS[t], self.locs[loc], self.types[k]),
-                support,
-                frozenset(names[start:end]),
-            )
-            for date, t, loc, k, support, start, end in zip(
-                _dates(self.date),
-                self.time.tolist(),
-                self.loc.tolist(),
-                self.type.tolist(),
-                self.support.tolist(),
-                bounds,
-                bounds[1:],
-            )
-        )
-
 
 def report_columns(
     reports, default_loc: str = DEFAULT_LOC, use_occurred: bool = False
@@ -354,7 +240,7 @@ def report_columns(
     """The reports as key columns, and the number rejected for a missing field.
 
     A CanonicalTable is returned as it is.  A ReportTable is projected
-    without building rows: trace reports carry no location, so every report
+    column by column: trace reports carry no location, so every report
     gets ``default_loc``, and the type is the reported one (the occurred one
     with ``use_occurred``); reports whose type is empty are rejected.  Any
     other input raises TypeError.

@@ -1,5 +1,6 @@
-"""Domain vocabulary shared across the package: bins, reports, events,
-aggregated events, config.
+"""Domain vocabulary shared across the package: the calendar bins, their
+rules and the simulation config.  Reports and events are the columnar
+tables of table.py.
 
 A day is split into eight three-hour temporal bins starting at 3AM; weekdays
 form seven day bins ordered Sunday through Saturday.  ``day_index`` and
@@ -114,66 +115,6 @@ def time_index(hour):
 def weekday_of(date: dt.date) -> DayBin:
     """Return the calendar weekday of ``date`` as a DayBin."""
     return DAY_BINS[day_index(date.toordinal())]
-
-
-@dataclass(frozen=True, slots=True)
-class Report:
-    """One user-generated notification row of a simulated trace."""
-
-    event_no: int
-    date: dt.date
-    day: DayBin
-    time: TemporalBin
-    report_no: int
-    source_id: str
-    event_reported: str
-    event_occurred: str
-
-
-@dataclass(frozen=True, slots=True)
-class IngestedReport:
-    """Canonical form of one real report row after ingestion."""
-
-    date: dt.date
-    day: DayBin
-    time: TemporalBin
-    source_id: str
-    loc: str
-    incident_type: str
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """A published incident; (date, time, loc, incident_type) is its identity."""
-
-    event_no: int
-    date: dt.date
-    day: DayBin
-    time: TemporalBin
-    loc: str
-    incident_type: str
-
-
-@dataclass(frozen=True)
-class EventKey:
-    """Group identity of an aggregated event: the four-tuple that defines it."""
-
-    date: dt.date
-    day_time: TemporalBin
-    loc: str
-    incident_type: str
-
-    def sort_key(self) -> tuple:
-        return (self.date, self.day_time.index, self.loc, self.incident_type)
-
-
-@dataclass(frozen=True)
-class AggregatedEvent:
-    """One group of reports: its key, its report count and its reporters."""
-
-    key: EventKey
-    support_count: int
-    reporters: frozenset[str]
 
 
 @dataclass(frozen=True, slots=True)

@@ -65,9 +65,11 @@ def _fold_rows(n: int, k: int, rng: RandomSource) -> list[np.ndarray]:
 def kfold_split(reports: Sequence, k: int, rng: RandomSource) -> list[list]:
     """Shuffle and split into k disjoint folds with sizes differing by <= 1.
 
-    Each fold is a list of the items of ``reports`` (row views for a table),
-    which no stage takes; to get a fold as a table, pass ``_fold_rows``'s
-    indices to ``CanonicalTable.take``, as ``cross_validate`` does.
+    ``reports`` is a plain sequence; a table is not indexable by row, and
+    each fold is a list of its items.  No command calls this: to get a fold
+    as a table, pass ``_fold_rows``'s indices to ``CanonicalTable.take``, as
+    ``cross_validate`` does.  It stays because perfbench/tracing.py wraps
+    it by name.
     """
     return [[reports[j] for j in rows] for rows in _fold_rows(len(reports), k, rng)]
 

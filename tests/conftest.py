@@ -111,3 +111,43 @@ def aggregated_table(rows) -> AggregatedEventTable:
         date=date, time=time, loc=loc, locs=tuple(locs), type=type_, types=tuple(types),
         support=support, event=event, source=source, sources=tuple(sources),
     )
+
+
+def rows_of(table) -> list[tuple]:
+    """The rows of a table as tuples in the shapes the encoders above take,
+    with dates as dates and time bins as TemporalBins: the inverse of
+    canonical_table, trace_table, event_table and aggregated_table.  An
+    aggregated event's reporters are a frozenset."""
+    dates = [dt.date.fromordinal(d) for d in table.date.tolist()]
+    bins = [TEMPORAL_BINS[t] for t in table.time.tolist()]
+
+    def names(codes, vocab):
+        return [vocab[c] for c in codes.tolist()]
+
+    if isinstance(table, CanonicalTable):
+        return list(zip(
+            dates, bins, names(table.source, table.sources), names(table.loc, table.locs),
+            names(table.type, table.types),
+        ))
+    if isinstance(table, ReportTable):
+        slots = list(zip(table.event_no.tolist(), dates, bins))
+        return [
+            (*slots[e], *rest)
+            for e, *rest in zip(
+                table.event.tolist(), table.report_no.tolist(),
+                names(table.source, table.sources), names(table.reported, table.types),
+                names(table.occurred, table.types),
+            )
+        ]
+    if isinstance(table, EventTable):
+        return list(zip(
+            table.event_no.tolist(), dates, bins, names(table.loc, table.locs),
+            names(table.type, table.types),
+        ))
+    reporters = [set() for _ in range(len(table) + 1)]  # the last: dropped events
+    for e, name in zip(table.event.tolist(), names(table.source, table.sources)):
+        reporters[e].add(name)
+    return list(zip(
+        dates, bins, names(table.loc, table.locs), names(table.type, table.types),
+        table.support.tolist(), map(frozenset, reporters[:-1]),
+    ))

@@ -137,7 +137,7 @@ def test_criterion_06_round_trip_distribution_fidelity():
         ("day", pmf_day, cfg.pmf_day),
         ("time", pmf_time, cfg.pmf_time),
     ):
-        a = np.asarray([fitted.prob(s) for s in true.support])
+        a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
         b = np.asarray(true.probs)
         r = pearson_correlation(a, b)
         err = rmse(a, b)

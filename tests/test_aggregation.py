@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import canonical_table, trace_table
+from conftest import canonical_table, rows_of, trace_table
 from pssim.aggregation import aggregate
 from pssim.analysis import bin_reports
 from pssim.types import TemporalBin, weekday_of
@@ -29,7 +29,7 @@ MONDAY = dt.date(2015, 2, 23)
     ids=["aggregate", "bin_reports", "histogram"],
 )
 def test_row_input_is_refused(stage):
-    rows = list(canonical_table([raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a")]))
+    rows = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", "a")]
     with pytest.raises(TypeError, match="CanonicalTable or a ReportTable, not list"):
         stage(rows)
 
@@ -47,27 +47,25 @@ class TestReduceCount:
 
     def test_counts_values(self):
         reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "abc"]
-        assert [e.support_count for e in aggregate(canonical_table(reports)).events] == [3]
-        assert [e.support_count for e in aggregate(canonical_table(reports[:1])).events] == [1]
+        assert aggregate(canonical_table(reports)).events.support.tolist() == [3]
+        assert aggregate(canonical_table(reports[:1])).events.support.tolist() == [1]
 
     def test_duplicate_sources_counted_but_deduplicated(self):
         reports = [raw_report(MONDAY, TemporalBin.EM, "x", "Jam", s) for s in "aab"]
-        (ev,) = aggregate(canonical_table(reports)).events
-        assert ev.support_count == 3
-        assert ev.reporters == frozenset({"a", "b"})
+        ((*_, support, reporters),) = rows_of(aggregate(canonical_table(reports)).events)
+        assert support == 3
+        assert reporters == frozenset({"a", "b"})
 
 
-def sequential_oracle(records, default_loc="unspecified"):
-    """Naive single-pass dictionary count over a table's rows, independent
-    of the pipeline."""
+def sequential_oracle(records):
+    """Naive single-pass dictionary count over canonical_table rows,
+    independent of the pipeline."""
     groups = {}
-    for r in records:
-        incident = getattr(r, "event_reported", None) or r.incident_type
-        loc = getattr(r, "loc", None) or default_loc
-        key = (r.date, r.time.index, loc, incident)
+    for date, time, source, loc, incident in records:
+        key = (date, time.index, loc, incident)
         entry = groups.setdefault(key, [0, set()])
         entry[0] += 1
-        entry[1].add(r.source_id)
+        entry[1].add(source)
     return {
         key: (count, frozenset(sources))
         for key, (count, sources) in sorted(groups.items())
@@ -77,16 +75,13 @@ def sequential_oracle(records, default_loc="unspecified"):
 def event_dict(events):
     """Aggregated events in the form sequential_oracle gives."""
     return {
-        (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type): (
-            e.support_count,
-            e.reporters,
-        )
-        for e in events
+        (date, time.index, loc, incident): (support, reporters)
+        for date, time, loc, incident, support, reporters in rows_of(events)
     }
 
 
 def random_records(rng, n):
-    """A CanonicalTable of ``n`` random reports."""
+    """``n`` random canonical_table rows."""
     bins = list(TemporalBin)
     out = []
     for i in range(n):
@@ -100,28 +95,28 @@ def random_records(rng, n):
                 f"W{int(rng.integers(1, 40)):04d}",
             )
         )
-    return canonical_table(out)
+    return out
 
 
 class TestAggregate:
     def test_empty_input(self):
         result = aggregate(canonical_table([]))
-        assert result.events == ()
+        assert rows_of(result.events) == []
         assert result.rejected == 0
 
     def test_matches_oracle(self):
         import numpy as np
 
         records = random_records(np.random.default_rng(23), 1000)
-        assert event_dict(aggregate(records).events) == sequential_oracle(records)
+        assert event_dict(aggregate(canonical_table(records)).events) == sequential_oracle(records)
 
     def test_conservation_and_sort_order(self):
         import numpy as np
 
         records = random_records(np.random.default_rng(5), 300)
-        result = aggregate(records)
-        assert sum(e.support_count for e in result.events) == len(records)
-        keys = [e.key.sort_key() for e in result.events]
+        result = aggregate(canonical_table(records))
+        assert int(result.events.support.sum()) == len(records)
+        keys = [(date, time.index, loc, t) for date, time, loc, t, *_ in rows_of(result.events)]
         assert keys == sorted(keys)
 
     def test_min_support_drops_small_groups(self):
@@ -131,8 +126,7 @@ class TestAggregate:
             raw_report(MONDAY, TemporalBin.M, "x", "Jam", "c"),
         ])
         result = aggregate(records, min_support=2)
-        assert len(result.events) == 1
-        assert result.events[0].support_count == 2
+        assert result.events.support.tolist() == [2]
 
     # a blank ingested type never reaches a table: read_canonical rejects it
     @pytest.mark.parametrize(
@@ -158,7 +152,7 @@ class TestAggregate:
     )
     def test_property_matches_sequential_oracle(self, data):
         bins = list(TemporalBin)
-        records = canonical_table([
+        records = [
             raw_report(
                 MONDAY + dt.timedelta(days=d),
                 bins[b],
@@ -167,8 +161,8 @@ class TestAggregate:
                 f"W{uid}",
             )
             for d, b, loc, incident, uid in data
-        ])
-        assert event_dict(aggregate(records).events) == sequential_oracle(records)
+        ]
+        assert event_dict(aggregate(canonical_table(records)).events) == sequential_oracle(records)
 
 
 # first seen: Jam, Road, Accident, accident -- lexicographic: Accident, Jam, Road, accident
@@ -227,12 +221,8 @@ class TestTraceKeyOrder:
         assert rejects == {}
         result = aggregate(table, use_occurred=key == "occurred")
         got = [
-            (
-                (e.key.date, e.key.day_time.index, e.key.loc, e.key.incident_type),
-                e.support_count,
-                e.reporters,
-            )
-            for e in result.events
+            ((date, time.index, loc, incident), support, reporters)
+            for date, time, loc, incident, support, reporters in rows_of(result.events)
         ]
         assert got == oracle
         assert result.rejected == 0
@@ -252,19 +242,6 @@ class TestTraceKeyOrder:
 
 
 class TestColumnarResult:
-    def test_rows_are_built_only_on_access(self):
-        import numpy as np
-
-        from pssim.table import AggregatedEventTable
-
-        records = random_records(np.random.default_rng(31), 400)
-        events = aggregate(records).events
-        assert isinstance(events, AggregatedEventTable)
-        assert len(events) == len(sequential_oracle(records))
-        assert "rows" not in vars(events)
-        assert events[0] is events[0]
-        assert "rows" in vars(events)
-
     def test_min_support_keeps_reporters_of_kept_events_only(self):
         import numpy as np
 
@@ -272,22 +249,21 @@ class TestColumnarResult:
         oracle = {
             key: value for key, value in sequential_oracle(records).items() if value[0] >= 3
         }
-        result = aggregate(records, min_support=3)
+        result = aggregate(canonical_table(records), min_support=3)
         assert event_dict(result.events) == oracle
-        assert [e.key.sort_key() for e in result.events] == sorted(
-            e.key.sort_key() for e in result.events
-        )
+        keys = [(date, time.index, loc, t) for date, time, loc, t, *_ in rows_of(result.events)]
+        assert keys == sorted(keys)
 
     def test_keys_too_wide_for_int64_are_renumbered_in_order(self, monkeypatch):
         import numpy as np
 
         from pssim import aggregation
 
-        records = random_records(np.random.default_rng(34), 500)
-        expected = list(aggregate(records, min_support=2).events)
+        records = canonical_table(random_records(np.random.default_rng(34), 500))
+        expected = rows_of(aggregate(records, min_support=2).events)
         # a key space of 64 values forces the renumbering before every fold
         monkeypatch.setattr(aggregation, "_KEY_SPACE", 64)
-        assert list(aggregate(records, min_support=2).events) == expected
+        assert rows_of(aggregate(records, min_support=2).events) == expected
 
     def test_memory_per_row_is_bounded(self, tmp_path):
         import gc

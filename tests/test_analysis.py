@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_CSV, canonical_table, make_config, trace_table
+from conftest import SAMPLE_CSV, canonical_table, make_config, rows_of, trace_table
 from pssim import analysis
 from pssim.analysis import (
     BinnedSeries,
@@ -31,7 +31,7 @@ from pssim.distributions import LogNormalParams, RandomSource, fit_lognormal, pm
 from pssim.errors import PsSimError
 from pssim.formats import read_raw_reports
 from pssim.simulator import simulate
-from pssim.types import DayBin, TemporalBin
+from pssim.types import DayBin, TemporalBin, weekday_of
 
 WINDOW_START = dt.date(2015, 2, 23)
 WINDOW = (WINDOW_START, 7)
@@ -148,7 +148,7 @@ class TestEstimatePmfs:
         day_pattern = np.array([2, 3, 4, 20, 5, 6, 7, 18], dtype=np.int64)
         cells = np.tile(day_pattern, 7)
         _, pmf_time = estimate_pmfs(BinnedSeries("x", WINDOW_START, cells))
-        probs = pmf_time.as_dict()
+        probs = dict(zip(pmf_time.support, pmf_time.probs))
         top_two = sorted(probs, key=probs.get)[-2:]
         assert set(top_two) == {TemporalBin.MD, TemporalBin.N}
 
@@ -160,7 +160,9 @@ class TestEstimatePmfs:
         expected = pmf_from_counts(
             {day: day_counts[day.index] for day in DayBin}
         )
-        assert pmf_day.as_dict() == pytest.approx(expected.as_dict())
+        assert dict(zip(pmf_day.support, pmf_day.probs)) == pytest.approx(
+            dict(zip(expected.support, expected.probs))
+        )
 
     def test_evtype_pmf_sorted_support(self):
         reports = canonical_table(
@@ -169,7 +171,7 @@ class TestEstimatePmfs:
         )
         pmf = estimate_evtype_pmf(reports)
         assert pmf.support == ("Accident", "Hazard", "Jam")
-        assert pmf.prob("Jam") == 0.5
+        assert dict(zip(pmf.support, pmf.probs))["Jam"] == 0.5
 
 
 class TestEstimateLambda:
@@ -322,7 +324,7 @@ class TestRoundTrip:
         binned = bin_reports(trace.reports, (cfg.start_date, cfg.tau))
         pmf_day, pmf_time = estimate_pmfs(binned.overall)
         for fitted, true in ((pmf_day, cfg.pmf_day), (pmf_time, cfg.pmf_time)):
-            a = np.asarray([fitted.prob(s) for s in true.support])
+            a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
             b = np.asarray(true.probs)
             r = np.corrcoef(a, b)[0, 1]
             assert r >= 0.99
@@ -331,51 +333,49 @@ class TestRoundTrip:
 # -- row-at-a-time oracles for the columnar counting stages -------------------
 
 
-def oracle_bin(reports, window, default_loc="unspecified"):
-    """Tally a table's rows one at a time, in order, with dicts."""
+def oracle_bin(rows, window):
+    """Tally canonical_table rows one at a time, in order, with dicts."""
     start, days = window
     end = start + dt.timedelta(days=days)
     overall = [0] * (8 * days)
     per_loc = {}
     user_weekly = {}
     excluded = accepted = 0
-    for r in reports:
-        if not start <= r.date < end:
+    for date, time, source, loc, _ in rows:
+        if not start <= date < end:
             excluded += 1
             continue
-        cell = (r.date - start).days * 8 + r.time.index
+        cell = (date - start).days * 8 + time.index
         overall[cell] += 1
-        loc = getattr(r, "loc", None) or default_loc
         per_loc.setdefault(loc, [0] * (8 * days))[cell] += 1
-        weeks = user_weekly.setdefault(r.source_id, {})
-        week = (r.date - start).days // 7
+        weeks = user_weekly.setdefault(source, {})
+        week = (date - start).days // 7
         weeks[week] = weeks.get(week, 0) + 1
         accepted += 1
     return overall, per_loc, user_weekly, excluded, accepted
 
 
-def oracle_evtype_counts(reports):
+def oracle_evtype_counts(rows):
     counts = {}
-    for r in reports:
-        label = getattr(r, "incident_type", None) or r.event_reported
+    for *_, label in rows:
         counts[label] = counts.get(label, 0) + 1
     return {k: counts[k] for k in sorted(counts)}
 
 
-def oracle_histogram(reports, axis):
+def oracle_histogram(rows, axis):
     if axis == "perUser":
         per_user = {}
-        for r in reports:
-            per_user[r.source_id] = per_user.get(r.source_id, 0) + 1
+        for _, _, source, _, _ in rows:
+            per_user[source] = per_user.get(source, 0) + 1
         freq = {}
         for c in per_user.values():
             freq[c] = freq.get(c, 0) + 1
         return {c: freq[c] / len(per_user) for c in sorted(freq)}
     support = list(DayBin) if axis == "perDayBin" else list(TemporalBin)
     counts = {s: 0 for s in support}
-    for r in reports:
-        counts[r.day if axis == "perDayBin" else r.time] += 1
-    return {s: counts[s] / len(reports) for s in support}
+    for date, time, *_ in rows:
+        counts[weekday_of(date) if axis == "perDayBin" else time] += 1
+    return {s: counts[s] / len(rows) for s in support}
 
 
 def shuffled_canonical(seed, n=600):
@@ -406,14 +406,23 @@ ORACLE_WINDOW = (WINDOW_START, 30)
 @pytest.mark.parametrize("kind", ["canonical", "trace"])
 class TestColumnarMatchesOracle:
     def inputs(self, kind, seed):
-        """A CanonicalTable or a ReportTable; the oracles read its rows."""
-        return shuffled_canonical(seed) if kind == "canonical" else simulated_trace(seed)
+        """A CanonicalTable or a ReportTable, and its rows as canonical_table
+        rows for the oracles: a trace report has the default location and
+        its reported type."""
+        if kind == "canonical":
+            table = shuffled_canonical(seed)
+            return table, rows_of(table)
+        table = simulated_trace(seed)
+        return table, [
+            (date, time, source, "unspecified", reported)
+            for _, date, time, _, source, reported, _ in rows_of(table)
+        ]
 
     def test_bin_reports(self, kind, seed):
-        table = self.inputs(kind, seed)
+        table, rows = self.inputs(kind, seed)
         # the trace spans 21 days from WINDOW_START; cut both of its ends
         window = ORACLE_WINDOW if kind == "canonical" else (WINDOW_START + dt.timedelta(days=5), 10)
-        overall, per_loc, user_weekly, excluded, accepted = oracle_bin(table, window)
+        overall, per_loc, user_weekly, excluded, accepted = oracle_bin(rows, window)
         assert excluded > 0 and accepted > 0
         binned = bin_reports(table, window)
         assert binned.overall.cells.tolist() == overall
@@ -430,16 +439,16 @@ class TestColumnarMatchesOracle:
         assert (binned.excluded, binned.accepted) == (excluded, accepted)
 
     def test_estimate_evtype_pmf(self, kind, seed):
-        table = self.inputs(kind, seed)
-        assert estimate_evtype_pmf(table) == pmf_from_counts(oracle_evtype_counts(table))
+        table, rows = self.inputs(kind, seed)
+        assert estimate_evtype_pmf(table) == pmf_from_counts(oracle_evtype_counts(rows))
 
     @pytest.mark.parametrize("axis", ["perUser", "perDayBin", "perTimeBin"])
     def test_histogram(self, kind, seed, axis):
         from pssim.validation import histogram
 
-        table = self.inputs(kind, seed)
+        table, rows = self.inputs(kind, seed)
         got = histogram(table, axis)
-        assert list(got.items()) == list(oracle_histogram(table, axis).items())
+        assert list(got.items()) == list(oracle_histogram(rows, axis).items())
         if axis == "perUser":
             assert all(type(k) is int for k in got)
 
@@ -448,9 +457,10 @@ def test_canonical_subsets_keep_the_row_order():
     table = shuffled_canonical(4)
     pick = np.random.default_rng(4).permutation(len(table))[:250]
     subset = table.take(pick)
-    assert list(subset) == [table[i] for i in pick]
+    rows = rows_of(table)
+    assert rows_of(subset) == [rows[i] for i in pick.tolist()]
     binned = bin_reports(subset, ORACLE_WINDOW)
-    _, _, user_weekly, _, _ = oracle_bin(subset, ORACLE_WINDOW)
+    _, _, user_weekly, _, _ = oracle_bin(rows_of(subset), ORACLE_WINDOW)
     assert binned.weekly_samples() == [float(c) for w in user_weekly.values() for c in w.values()]
 
 
@@ -489,7 +499,7 @@ def test_pair_columns_match_the_oracle(case):
         rows = shuffled_canonical(int(case[-1]) if case != "subset" else 5)
         if case == "subset":
             rows = rows.take(np.random.default_rng(5).permutation(len(rows))[:200])
-    _, _, user_weekly, _, _ = oracle_bin(rows, ORACLE_WINDOW)
+    _, _, user_weekly, _, _ = oracle_bin(rows_of(rows), ORACLE_WINDOW)
     binned = bin_reports(rows, ORACLE_WINDOW)
     assert binned.users == list(user_weekly)
     assert pair_rows(binned) == [

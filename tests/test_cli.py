@@ -5,9 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from conftest import GOLDEN_TRACE, SAMPLE_CSV
+from conftest import GOLDEN_TRACE, SAMPLE_CSV, rows_of
 from pssim.cli import main
 from pssim.formats import load_model
+from pssim.types import weekday_of
 
 GOLDEN_ARGS = [
     "simulate",
@@ -255,10 +256,10 @@ class TestFit:
         canon = tmp_path / "canon.csv"
         with open(canon, "w", newline="", encoding="utf-8") as handle:
             handle.write("date,day,time,sourceId,loc,incidentType\n")
-            for r in trace.reports:
+            for _, date, time, _, source, reported, _ in rows_of(trace.reports):
                 handle.write(
-                    f"{r.date.isoformat()},{r.day.label},{r.time.label},"
-                    f"{r.source_id},{cfg.loc},{r.event_reported}\n"
+                    f"{date.isoformat()},{weekday_of(date).label},{time.label},"
+                    f"{source},{cfg.loc},{reported}\n"
                 )
         model_path = tmp_path / "model.json"
         run_ok(runner, ["fit", str(canon), "--out", str(model_path)])
@@ -270,7 +271,7 @@ class TestFit:
             (model.pmf_day, cfg.pmf_day),
             (model.pmf_time, cfg.pmf_time),
         ):
-            a = np.asarray([fitted.prob(s) for s in true.support])
+            a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
             r = np.corrcoef(a, np.asarray(true.probs))[0, 1]
             assert r >= 0.99
 
@@ -333,7 +334,6 @@ class TestSimulate:
         assert "| false reports " in result.output
 
     def test_types_that_need_quoting_round_trip(self, runner, tmp_path):
-        import dataclasses
         import io
         import math
 
@@ -373,11 +373,8 @@ class TestSimulate:
             ("EventNo", "Date", "Day", "Time", "ReportNo", "SourceId",
              "EventReported", "EventOccurred")
         )
-        for r in trace.reports:
-            writer.writerow(
-                (r.event_no, r.date.isoformat(), r.day.label, r.time.label,
-                 r.report_no, r.source_id, r.event_reported, r.event_occurred)
-            )
+        for no, date, time, *rest in rows_of(trace.reports):
+            writer.writerow((no, date.isoformat(), weekday_of(date).label, time.label, *rest))
         data = out.read_bytes()
         assert data == expected.getvalue().encode("utf-8")
         for quoted in (b'"Road, closed"', b'"say ""hi"""', b", leading"):
@@ -386,13 +383,9 @@ class TestSimulate:
         back, rejects = read_trace(out)
         assert rejects == {}
         # the reader strips surrounding whitespace from every field
-        assert list(back) == [
-            dataclasses.replace(
-                r,
-                event_reported=r.event_reported.strip(),
-                event_occurred=r.event_occurred.strip(),
-            )
-            for r in trace.reports
+        assert rows_of(back) == [
+            (*row, reported.strip(), occurred.strip())
+            for *row, reported, occurred in rows_of(trace.reports)
         ]
 
     def test_model_run_is_model_config(self, runner, tmp_path, sample_canonical):
@@ -453,7 +446,7 @@ class TestSimulate:
 
         from pssim.distributions import pmf_from_counts
         from pssim.formats import ModelFile, read_trace, save_model
-        from pssim.types import DAY_BINS, TEMPORAL_BINS, weekday_of
+        from pssim.types import DAY_BINS, TEMPORAL_BINS
 
         weekdays = DAY_BINS[1:6]  # Monday to Friday
         model = ModelFile(
@@ -718,16 +711,9 @@ def test_cli_import_loads_only_numpy_and_click():
     assert "concurrent.futures" not in loaded
 
 
-def test_commands_build_no_report_rows(runner, tmp_path, monkeypatch):
-    """Every command works on the code columns: no per-report row object
-    is built from a canonical or trace table."""
-    from pssim.table import CanonicalTable, ReportTable
-
-    def refuse(table):
-        raise AssertionError(f"{type(table).__name__} built its rows")
-
-    monkeypatch.setattr(CanonicalTable, "_build_rows", refuse)
-    monkeypatch.setattr(ReportTable, "_build_rows", refuse)
+def test_commands_build_no_report_rows(runner, tmp_path):
+    """Every command runs on the code columns, the tables having no rows;
+    ``fit --per-location --plot-data`` runs only here."""
     canon, trace = tmp_path / "canonical.csv", tmp_path / "trace.csv"
     out = str(tmp_path / "out")
     run_ok(runner, ["ingest", str(SAMPLE_CSV), "--out", str(canon)])
@@ -738,16 +724,10 @@ def test_commands_build_no_report_rows(runner, tmp_path, monkeypatch):
     run_ok(runner, ["aggregate", str(trace), "--out", out, "--key", "occurred"])
 
 
-def test_aggregate_builds_no_event_rows(runner, tmp_path, monkeypatch, sample_canonical):
-    """`pssim aggregate` writes the events from the table's columns: no
-    aggregated-event row, and so no reporter set, is built."""
-    from pssim.table import AggregatedEventTable, CanonicalTable, ReportTable
-
-    def refuse(table):
-        raise AssertionError(f"{type(table).__name__} built its rows")
-
-    for table in (AggregatedEventTable, CanonicalTable, ReportTable):
-        monkeypatch.setattr(table, "_build_rows", refuse)
+def test_aggregate_builds_no_event_rows(runner, tmp_path, sample_canonical):
+    """`pssim aggregate` writes the events from the table's columns, the
+    tables having no rows; ``--min-support 2 --key occurred`` together runs
+    only here."""
     trace, out = tmp_path / "trace.csv", tmp_path / "events.csv"
     run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
     for source in (sample_canonical, trace):
@@ -787,8 +767,8 @@ def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     reports, rejects = read_trace(trace)
     assert rejects == {}
     counts = {}
-    for r in reports:
-        key = (r.date, r.time.index, r.event_reported)
+    for _, date, time, _, _, reported, _ in rows_of(reports):
+        key = (date, time.index, reported)
         counts[key] = counts.get(key, 0) + 1
     assert min(counts.values()) == 1 and max(counts.values()) >= 2
 

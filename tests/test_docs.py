@@ -1,4 +1,5 @@
-"""The README's code examples run as written."""
+"""The README's code examples run as written, and the package binds the
+names it exports."""
 
 import re
 from pathlib import Path
@@ -32,3 +33,14 @@ def test_library_use_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(python_block("Library use"), str(README), "exec"), {})
     printed = capsys.readouterr().out.split()
     assert len(printed) == 3 and all(word.isdigit() for word in printed)
+
+
+def test_star_import_binds_every_exported_name():
+    import pssim
+
+    namespace = {}
+    exec("from pssim import *", namespace)
+    del namespace["__builtins__"]
+    assert len(set(pssim.__all__)) == len(pssim.__all__)
+    assert set(namespace) == set(pssim.__all__)
+    assert all(namespace[name] is getattr(pssim, name) for name in pssim.__all__)

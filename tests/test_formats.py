@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import aggregated_table, canonical_table, make_config, trace_table
+from conftest import aggregated_table, canonical_table, make_config, rows_of, trace_table
 from pssim import formats
 from pssim.distributions import pmf_from_counts
 from pssim.errors import PsSimError
@@ -47,7 +47,7 @@ from pssim.formats import (
 )
 from pssim.simulator import simulate
 from pssim.table import ReportTable
-from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin
+from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, weekday_of
 from pssim.validation import AXES, AxisResult, ValidationReport
 
 
@@ -88,10 +88,11 @@ class TestRawIngest:
         reports, rejects = read_raw_reports(path)
         assert rejects == {}
         assert len(reports) == 2
-        assert reports[0].time is TemporalBin.EM
+        (_, first_time, *_), (second_date, second_time, *_) = rows_of(reports)
+        assert first_time is TemporalBin.EM
         # -05:00 offset pushes the second row to 04:30 UTC next day
-        assert reports[1].date == dt.date(2015, 2, 24)
-        assert reports[1].time is TemporalBin.EM
+        assert second_date == dt.date(2015, 2, 24)
+        assert second_time is TemporalBin.EM
 
     def test_bad_rows_counted_by_reason(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -122,7 +123,7 @@ class TestRawIngest:
              "incidentType": "kind"},
         )
         assert rejects == {}
-        assert reports[0].source_id == "u1"
+        assert rows_of(reports) == [(dt.date(2015, 2, 23), TemporalBin.EM, "u1", "Elm Street", "Jam")]
 
 
 class TestCanonicalRoundTrip:
@@ -138,7 +139,7 @@ class TestCanonicalRoundTrip:
         write_canonical(reports, out)
         back, rejects = read_canonical(out)
         assert rejects == {}
-        assert back == reports
+        assert rows_of(back) == rows_of(reports)
 
     def test_fields_with_commas_and_quotes_round_trip(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -149,12 +150,11 @@ class TestCanonicalRoundTrip:
         )
         reports, rejects = read_raw_reports(raw)
         assert rejects == {}
-        assert reports[0].loc == "Main St, north of 5th"
-        assert reports[1].loc == 'The "Loop"'
+        assert [loc for _, _, _, loc, _ in rows_of(reports)] == ["Main St, north of 5th", 'The "Loop"']
         out = tmp_path / "canonical.csv"
         write_canonical(reports, out)
         back, _ = read_canonical(out)
-        assert back == reports
+        assert rows_of(back) == rows_of(reports)
 
     def test_bytes_equal_csv_writer_for_table_and_rows(self, tmp_path):
         import csv
@@ -172,17 +172,12 @@ class TestCanonicalRoundTrip:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(CANONICAL_HEADER)
-        for r in reports:
-            writer.writerow(
-                (r.date.isoformat(), r.day.label, r.time.label, r.source_id, r.loc, r.incident_type)
-            )
+        for date, time, *rest in rows_of(reports):
+            writer.writerow((date.isoformat(), weekday_of(date).label, time.label, *rest))
         table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
         write_canonical(reports, table_path)
-        # the rows encoded again, through their row views
-        write_canonical(
-            canonical_table((r.date, r.time, r.source_id, r.loc, r.incident_type) for r in reports),
-            rows_path,
-        )
+        # the rows decoded and encoded again
+        write_canonical(canonical_table(rows_of(reports)), rows_path)
         assert table_path.read_bytes() == expected.getvalue().encode()
         assert rows_path.read_bytes() == table_path.read_bytes()
 
@@ -220,18 +215,14 @@ class TestTraceFiles:
         write_trace(trace.reports, path)
         back, rejects = read_trace(path)
         assert rejects == {}
-        assert list(trace.reports) == back
+        assert rows_of(trace.reports) == rows_of(back)
 
     def test_rows_and_table_write_the_same_bytes(self, tmp_path):
         trace = simulate(make_config(seed=9, pr_lie=0.2))
         table_path, rows_path = tmp_path / "table.csv", tmp_path / "rows.csv"
         write_trace(trace.reports, table_path)
-        # the rows encoded again: one slot per event that has reports
-        rows = trace_table(
-            (r.event_no, r.date, r.time, r.report_no, r.source_id, r.event_reported,
-             r.event_occurred)
-            for r in trace.reports
-        )
+        # the rows decoded and encoded again: one slot per event that has reports
+        rows = trace_table(rows_of(trace.reports))
         assert len(rows.event_no) < len(trace.reports.event_no)
         write_trace(rows, rows_path)
         assert rows_path.read_bytes() == table_path.read_bytes()
@@ -246,11 +237,7 @@ class TestTraceFiles:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
-        for r in table:
-            writer.writerow(
-                (r.event_no, r.date.isoformat(), r.day.label, r.time.label,
-                 r.report_no, r.source_id, r.event_reported, r.event_occurred)
-            )
+        writer.writerows(WRITERS["trace"][3](*row) for row in rows_of(table))
         path = tmp_path / "trace.csv"
         write_trace(table, path)
         assert path.read_bytes() == expected.getvalue().encode()
@@ -268,7 +255,7 @@ class TestTraceFiles:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
-        writer.writerows(WRITERS["trace"][3](r) for r in table)
+        writer.writerows(WRITERS["trace"][3](*row) for row in rows_of(table))
         out = tmp_path / "out.csv"
         write_trace(table, out)
         assert out.read_bytes() == expected.getvalue().encode()
@@ -298,7 +285,7 @@ class TestTraceFiles:
             formats.DayBin, "from_label", counted("day", formats.DayBin.from_label)
         )
         (back, rejects), taken = read_by(read_trace, path)
-        assert taken == "rows" and rejects == {} and back == trace.reports
+        assert taken == "rows" and rejects == {} and rows_of(back) == rows_of(trace.reports)
         for name, column in (("date", 1), ("day", 2), ("time", 3)):
             assert sorted(calls[name]) == sorted({row[column] for row in rows})
 
@@ -310,8 +297,9 @@ class TestTraceFiles:
         )
         back, rejects = read_trace(path)
         assert rejects == {}
-        assert back[0].date == dt.date(2016, 1, 9)
-        assert back[0].day is DayBin.SATURDAY
+        ((_, date, *_),) = rows_of(back)
+        assert date == dt.date(2016, 1, 9)
+        assert weekday_of(date) is DayBin.SATURDAY
 
     def test_day_date_mismatch_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -347,28 +335,29 @@ def writer_row(kind, i):
 
 
 # per writer: the function, its header, the encoder of its table, and the
-# fields csv.writer writes for one row of the table
+# fields csv.writer writes for one decoded row (see rows_of) of the table
 WRITERS = {
     "trace": (
         write_trace,
         TRACE_HEADER,
         trace_table,
-        lambda r: (r.event_no, r.date.isoformat(), r.day.label, r.time.label, r.report_no,
-                   r.source_id, r.event_reported, r.event_occurred),
+        lambda no, date, time, *rest: (
+            no, date.isoformat(), weekday_of(date).label, time.label, *rest
+        ),
     ),
     "canonical": (
         write_canonical,
         CANONICAL_HEADER,
         canonical_table,
-        lambda r: (r.date.isoformat(), r.day.label, r.time.label, r.source_id, r.loc,
-                   r.incident_type),
+        lambda date, time, *rest: (date.isoformat(), weekday_of(date).label, time.label, *rest),
     ),
     "events": (
         write_events_csv,
         EVENTS_HEADER,
         aggregated_table,
-        lambda e: (e.key.date.isoformat(), e.key.day_time.label, e.key.loc,
-                   e.key.incident_type, e.support_count),
+        lambda date, time, loc, incident, support, _: (
+            date.isoformat(), time.label, loc, incident, support
+        ),
     ),
 }
 
@@ -383,8 +372,9 @@ class TestWriters:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(fields, table))
-        assert set(WRITER_TEXTS) <= {field for row in table for field in fields(row)}
+        rows = [fields(*row) for row in rows_of(table)]
+        writer.writerows(rows)
+        assert set(WRITER_TEXTS) <= {field for row in rows for field in row}
         path = tmp_path / "out.csv"
         write(table, path)
         assert path.read_bytes() == expected.getvalue().encode()
@@ -415,7 +405,7 @@ class TestWriters:
         expected = io.StringIO()
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(map(fields, table))
+        writer.writerows(fields(*row) for row in rows_of(table))
         with tempfile.TemporaryDirectory() as scratch, mock.patch.object(formats, "CHUNK_ROWS", 7):
             path = Path(scratch) / "out.csv"
             write(table, path)
@@ -552,13 +542,9 @@ class TestTraceRejects:
         back, rejects = read_trace(path)
         if reason is None:
             assert rejects == {}
-            assert len(back) == 1
-            got = back[0]
-            assert (got.event_no, got.date, got.day, got.time) == (
-                51, dt.date(2016, 1, 9), DayBin.SATURDAY, TemporalBin.MD
-            )
-            assert (got.report_no, got.source_id) == (112, "UID000858")
-            assert (got.event_reported, got.event_occurred) == ("Accident", "Jam")
+            assert rows_of(back) == [
+                (51, dt.date(2016, 1, 9), TemporalBin.MD, 112, "UID000858", "Accident", "Jam")
+            ]
         else:
             assert rejects == {reason: 1}
             assert len(back) == 0
@@ -570,8 +556,7 @@ class TestTraceRejects:
         path.write_text(TRACE_HEAD + "\n" + "\n\n".join(rows) + "\n")
         back, rejects = read_trace(path)
         assert rejects == {"malformed row": 28, "day/date mismatch": 6}
-        assert len(back) == 6
-        assert [r.report_no for r in back] == [112] * 6
+        assert back.report_no.tolist() == [112] * 6
 
     def test_columns_found_by_header_name(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -582,8 +567,8 @@ class TestTraceRejects:
         )
         back, rejects = read_trace(path)
         assert rejects == {"day/date mismatch": 1}
-        assert [(r.event_no, r.report_no, r.event_reported) for r in back] == [
-            (51, 112, "Accident")
+        assert rows_of(back) == [
+            (51, dt.date(2016, 1, 9), TemporalBin.MD, 112, "UID000858", "Accident", "Jam")
         ]
 
     def test_missing_column_is_an_error(self, tmp_path):
@@ -637,12 +622,7 @@ class TestRawRejects:
         back, rejects = read_raw_reports(path)
         if reason is None:
             assert rejects == {}
-            assert len(back) == 1
-            got = back[0]
-            assert (got.date, got.day, got.time) == (
-                dt.date(2015, 2, 23), DayBin.MONDAY, TemporalBin.EM
-            )
-            assert (got.source_id, got.loc, got.incident_type) == ("u1", "Elm Street", "Jam")
+            assert rows_of(back) == [(dt.date(2015, 2, 23), TemporalBin.EM, "u1", "Elm Street", "Jam")]
         else:
             assert rejects == {reason: 1}
             assert len(back) == 0
@@ -658,10 +638,7 @@ class TestRawRejects:
             "missing loc": 6,
             "missing incidentType": 6,
         }
-        assert len(back) == 12
-        assert {(r.date, r.time, r.source_id, r.loc, r.incident_type) for r in back} == {
-            (dt.date(2015, 2, 23), TemporalBin.EM, "u1", "Elm Street", "Jam")
-        }
+        assert rows_of(back) == [(dt.date(2015, 2, 23), TemporalBin.EM, "u1", "Elm Street", "Jam")] * 12
 
     def test_quoted_fields_with_commas(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -672,7 +649,7 @@ class TestRawRejects:
         ])
         back, rejects = read_raw_reports(path)
         assert rejects == {"missing incidentType": 1}
-        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+        assert [row[2:] for row in rows_of(back)] == [
             ("u1, the first", "Main St, north of 5th", "Jam, heavy"),
             ("u2", 'The "Loop"', ",,"),
         ]
@@ -685,7 +662,7 @@ class TestRawRejects:
         ])
         back, rejects = read_raw_reports(path)
         assert rejects == {"missing loc": 1}
-        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+        assert [row[2:] for row in rows_of(back)] == [
             ("u1", "Elm Street", "Jam")
         ]
 
@@ -700,7 +677,7 @@ class TestRawRejects:
             path, {"timestamp": "when", "sourceId": "who", "loc": "street", "incidentType": "kind"}
         )
         assert rejects == {"bad timestamp": 1, "missing loc": 1}
-        assert [r.source_id for r in back] == ["u1"]
+        assert [source for _, _, source, _, _ in rows_of(back)] == ["u1"]
 
     def test_missing_remapped_column_is_an_error(self, tmp_path):
         path = tmp_path / "raw.csv"
@@ -761,12 +738,7 @@ class TestCanonicalRejects:
         back, rejects = read_canonical(path)
         if reason is None:
             assert rejects == {}
-            assert len(back) == 1
-            got = back[0]
-            assert (got.date, got.day, got.time) == (
-                dt.date(2015, 2, 23), DayBin.MONDAY, TemporalBin.MD
-            )
-            assert (got.source_id, got.loc, got.incident_type) == ("u1", "Elm Street", "Jam")
+            assert rows_of(back) == [(dt.date(2015, 2, 23), TemporalBin.MD, "u1", "Elm Street", "Jam")]
         else:
             assert rejects == {reason: 1}
             assert len(back) == 0
@@ -776,10 +748,7 @@ class TestCanonicalRejects:
         path.write_text(CANON_HEAD + "\n" + "\n\n".join([c[1] for c in CANON_ROW_CASES] * 2) + "\n")
         back, rejects = read_canonical(path)
         assert rejects == {"bad date": 14, "bad time bin": 8, "missing field": 10}
-        assert len(back) == 12
-        assert {(r.date, r.time, r.source_id, r.loc, r.incident_type) for r in back} == {
-            (dt.date(2015, 2, 23), TemporalBin.MD, "u1", "Elm Street", "Jam")
-        }
+        assert rows_of(back) == [(dt.date(2015, 2, 23), TemporalBin.MD, "u1", "Elm Street", "Jam")] * 12
 
     def test_quoted_fields_with_commas(self, tmp_path):
         path = tmp_path / "canonical.csv"
@@ -790,7 +759,7 @@ class TestCanonicalRejects:
         ])
         back, rejects = read_canonical(path)
         assert rejects == {"missing field": 1}
-        assert [(r.source_id, r.loc, r.incident_type) for r in back] == [
+        assert [row[2:] for row in rows_of(back)] == [
             ("u1, the first", "Main St, north of 5th", "Jam, heavy"),
             ("u2", 'The "Loop"', ",,"),
         ]
@@ -803,9 +772,7 @@ class TestCanonicalRejects:
         ])
         back, rejects = read_canonical(path)
         assert rejects == {"bad time bin": 1}
-        assert [(r.date, r.time, r.source_id) for r in back] == [
-            (dt.date(2015, 2, 23), TemporalBin.MD, "u1")
-        ]
+        assert rows_of(back) == [(dt.date(2015, 2, 23), TemporalBin.MD, "u1", "Elm Street", "Jam")]
 
     def test_missing_column_is_an_error(self, tmp_path):
         path = tmp_path / "canonical.csv"
@@ -908,7 +875,7 @@ class TestByteAndTextPathsAgree:
         path = tmp_path / "trace.csv"
         write_trace(trace.reports, path)
         table, rejects = read_both(tmp_path, "trace", path.read_bytes().partition(b"\n")[2])
-        assert rejects == {} and table == trace.reports
+        assert rejects == {} and rows_of(table) == rows_of(trace.reports)
 
     def test_report_numbers_int_decides(self, tmp_path):
         numbers = ["0", "0001", " 112", "112 ", "+7", "-7", "1_000", "٣", "1.5", "", " ",
@@ -1414,7 +1381,7 @@ class TestSidecar:
         path = tmp_path / "trace.csv"
         write_trace(trace.reports, path)
         table, rejects, _ = read_every_way(read_trace, path)
-        assert rejects == {} and table == trace.reports
+        assert rejects == {} and rows_of(table) == rows_of(trace.reports)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1672,12 +1639,12 @@ TEXT_WRITERS = {
 
 @pytest.mark.parametrize("kind", TEXT_WRITERS)
 def test_text_writer_bytes_equal_csv_writer(tmp_path, kind):
-    write, header, make, rows_of = TEXT_WRITERS[kind]
+    write, header, make, fields_of = TEXT_WRITERS[kind]
     data = make(7)
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows_of(data))
+    writer.writerows(fields_of(data))
     path = tmp_path / "out.csv"
     write(data, path)
     assert path.read_bytes() == expected.getvalue().encode()

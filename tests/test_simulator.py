@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import event_table, make_config
+from conftest import event_table, make_config, rows_of
 from pssim.distributions import (
     RandomSource,
     lognormal_sample_counts,
@@ -27,7 +27,7 @@ from pssim.simulator import (
     model_config,
     simulate,
 )
-from pssim.types import DAY_BINS, DayBin, TemporalBin, weekday_of
+from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, day_index, weekday_of
 
 
 class TestGenPoissonEvents:
@@ -54,8 +54,7 @@ class TestAssignEventAttributes:
     def test_degenerate_day_pmf_forces_the_single_monday(self):
         cfg = make_config(pmf_day=pmf_from_counts({DayBin.MONDAY: 1}))
         events = assign_event_attributes(200, cfg, RandomSource(5))
-        assert all(e.date == dt.date(2015, 2, 23) for e in events)
-        assert all(e.day is DayBin.MONDAY for e in events)
+        assert set(events.date.tolist()) == {dt.date(2015, 2, 23).toordinal()}
 
     def test_window_too_short_for_day_pmf(self):
         # a 3-day window starting Tuesday contains no Monday
@@ -77,7 +76,7 @@ class TestAssignEventAttributes:
             pmf_day=Pmf((DayBin.MONDAY, DayBin.TUESDAY), (0.0, 1.0)),
         )
         events = assign_event_attributes(50, cfg, RandomSource(1))
-        assert all(e.day is DayBin.TUESDAY for e in events)
+        assert set(day_index(events.date).tolist()) == {DayBin.TUESDAY.index}
 
     @pytest.mark.parametrize("tau", range(1, 7))
     def test_short_windows_draw_the_weekdays_they_hold(self, tau):
@@ -95,7 +94,7 @@ class TestAssignEventAttributes:
                 events = assign_event_attributes(500, cfg, RandomSource(tau))
                 offsets = events.date - start.toordinal()
                 assert offsets.min() >= 0 and offsets.max() < tau
-                assert {e.day for e in events} == held
+                assert {DAY_BINS[d] for d in day_index(events.date).tolist()} == held
 
     def test_short_window_day_frequencies_follow_the_renormalised_pmf(self):
         weights = {d: w for d, w in zip(DayBin, (5, 18, 17, 16, 18, 15, 6))}
@@ -103,8 +102,8 @@ class TestAssignEventAttributes:
         cfg = make_config(tau=3, start_date=dt.date(2015, 2, 24), pmf_day=pmf_from_counts(weights))
         events = assign_event_attributes(10_000, cfg, RandomSource(6))
         freq = defaultdict(int)
-        for e in events:
-            freq[e.day] += 1
+        for d in day_index(events.date).tolist():
+            freq[DAY_BINS[d]] += 1
         assert set(freq) == {DayBin.TUESDAY, DayBin.WEDNESDAY, DayBin.THURSDAY}
         for day, count in freq.items():
             assert abs(count / 10_000 - weights[day] / 51) <= 0.02
@@ -114,30 +113,35 @@ class TestAssignEventAttributes:
         cfg = make_config(pmf_time=pmf_from_counts(weights))
         events = assign_event_attributes(10_000, cfg, RandomSource(9))
         freq = defaultdict(int)
-        for e in events:
-            freq[e.time] += 1
-        for b, p in cfg.pmf_time.as_dict().items():
+        for t in events.time.tolist():
+            freq[TEMPORAL_BINS[t]] += 1
+        for b, p in zip(cfg.pmf_time.support, cfg.pmf_time.probs):
             assert abs(freq[b] / 10_000 - p) <= 0.02
 
     def test_day_always_matches_date(self):
+        # the day is not stored: each date must fall on the weekday drawn for
+        # its event, the first draws of the stream
         cfg = make_config(tau=10)
         events = assign_event_attributes(500, cfg, RandomSource(2))
-        assert all(e.day is weekday_of(e.date) for e in events)
+        drawn = pmf_sample_indices(cfg.pmf_day, 500, RandomSource(2)).tolist()
+        days = [DAY_BINS[d] for d in day_index(events.date).tolist()]
+        assert days == [cfg.pmf_day.support[i] for i in drawn]
 
     def test_event_numbering_and_location(self):
         cfg = make_config(loc="Route 9")
         events = assign_event_attributes(25, cfg, RandomSource(1))
-        assert [e.event_no for e in events] == list(range(1, 26))
-        assert all(e.loc == "Route 9" for e in events)
+        assert [no for no, *_ in rows_of(events)] == list(range(1, 26))
+        assert {loc for *_, loc, _ in rows_of(events)} == {"Route 9"}
 
     def test_dates_uniform_among_matching_weekdays(self):
         # a 14-day window holds two Mondays; each should get half the events
         cfg = make_config(tau=14, pmf_day=pmf_from_counts({DayBin.MONDAY: 1}))
         events = assign_event_attributes(10_000, cfg, RandomSource(3))
         first_monday = dt.date(2015, 2, 23)
-        share = sum(1 for e in events if e.date == first_monday) / 10_000
+        dates = [date for _, date, *_ in rows_of(events)]
+        share = dates.count(first_monday) / 10_000
         assert abs(share - 0.5) <= 0.02
-        assert {e.date for e in events} == {
+        assert set(dates) == {
             first_monday,
             first_monday + dt.timedelta(days=7),
         }
@@ -214,15 +218,16 @@ class TestAttributeReports:
     def test_single_participant_forced_outcome(self):
         reports = attribute_reports(events_of("Jam"), [5], 0.0, RandomSource(4))
         assert len(reports) == 5
-        assert all(r.source_id == "UID000001" for r in reports)
-        assert all(r.event_reported == r.event_occurred == "Jam" for r in reports)
-        assert [r.report_no for r in reports] == [1, 2, 3, 4, 5]
+        rows = rows_of(reports)
+        assert {source for *_, source, _, _ in rows} == {"UID000001"}
+        assert all(reported == occurred == "Jam" for *_, reported, occurred in rows)
+        assert [report_no for _, _, _, report_no, *_ in rows] == [1, 2, 3, 4, 5]
 
     def test_lie_fraction_converges(self):
         quotas = np.full(100, 100, dtype=np.int64)  # 10,000 reports
         events = events_of("Jam", "Accident", vocabulary=("Jam", "Accident", "Hazard"))
         reports = attribute_reports(events, quotas, 0.1, RandomSource(12))
-        lies = sum(1 for r in reports if r.event_reported != r.event_occurred)
+        lies = sum(1 for *_, reported, occurred in rows_of(reports) if reported != occurred)
         assert abs(lies / 10_000 - 0.1) <= 0.009
 
     def test_certain_lie_never_reports_the_occurred_type(self):
@@ -255,8 +260,8 @@ class TestAttributeReports:
         assert len(reports) == int(quotas.sum())
         assert reports.sources == tuple(f"UID{i + 1:06d}" for i in range(40))
         per_user = defaultdict(int)
-        for r in reports:
-            per_user[r.source_id] += 1
+        for *_, source, _, _ in rows_of(reports):
+            per_user[source] += 1
         for i, q in enumerate(quotas):
             assert per_user[f"UID{i + 1:06d}"] == q
 
@@ -274,17 +279,17 @@ class TestSimulate:
         cfg = make_config(pr_lie=0.2, seed=77)
         t1 = simulate(cfg)
         t2 = simulate(cfg)
-        assert t1.reports == t2.reports
-        assert t1.events == t2.events
+        assert rows_of(t1.reports) == rows_of(t2.reports)
+        assert rows_of(t1.events) == rows_of(t2.events)
 
     def test_referential_integrity_and_ordering(self):
         trace = simulate(make_config(seed=13, pr_lie=0.15, n=50))
-        event_nos = {e.event_no for e in trace.events}
-        assert [r.report_no for r in trace.reports] == list(
+        events = {(no, date, time) for no, date, time, *_ in rows_of(trace.events)}
+        reports = rows_of(trace.reports)
+        assert [report_no for _, _, _, report_no, *_ in reports] == list(
             range(1, len(trace.reports) + 1)
         )
-        assert all(r.event_no in event_nos for r in trace.reports)
-        assert all(r.day is weekday_of(r.date) for r in trace.reports)
+        assert all((no, date, time) in events for no, date, time, *_ in reports)
 
     def test_report_count_equals_quota_sum(self):
         cfg = make_config(seed=21, n=35)
@@ -298,20 +303,20 @@ class TestSimulate:
     def test_events_can_collect_mixed_truthful_and_false_reports(self):
         trace = simulate(make_config(seed=3, pr_lie=0.3, n=60, lambda_e=1.0))
         by_event = defaultdict(list)
-        for r in trace.reports:
-            by_event[r.event_no].append(r)
+        for row in rows_of(trace.reports):
+            by_event[row[0]].append(row)
         assert trace.lie_count > 0
         mixed = [
             rows
             for rows in by_event.values()
             if len(rows) >= 2
-            and any(r.event_reported != r.event_occurred for r in rows)
-            and any(r.event_reported == r.event_occurred for r in rows)
+            and any(reported != occurred for *_, reported, occurred in rows)
+            and any(reported == occurred for *_, reported, occurred in rows)
         ]
         assert mixed, "expected at least one event with both truthful and false reports"
         # every row of one event shares the event's occurred type and slot
         rows = mixed[0]
-        assert len({(r.event_occurred, r.date, r.time) for r in rows}) == 1
+        assert len({(occurred, date, time) for _, date, time, *_, occurred in rows}) == 1
 
     def test_marginal_day_frequencies_follow_pmf(self):
         weights = {d: w for d, w in zip(DayBin, (5, 18, 17, 16, 18, 15, 6))}
@@ -320,10 +325,10 @@ class TestSimulate:
         )
         trace = simulate(cfg)
         freq = defaultdict(int)
-        for e in trace.events:
-            freq[e.day] += 1
+        for d in day_index(trace.events.date).tolist():
+            freq[DAY_BINS[d]] += 1
         total = len(trace.events)
-        for d, p in cfg.pmf_day.as_dict().items():
+        for d, p in zip(cfg.pmf_day.support, cfg.pmf_day.probs):
             assert abs(freq[d] / total - p) <= 3 * math.sqrt(p * (1 - p) / total) + 1e-9
 
     def test_all_quotas_zero_is_an_error(self):
@@ -363,20 +368,10 @@ class TestModelConfig:
 
 
 class TestTraceTables:
-    def test_rows_are_built_once_per_table(self):
-        trace = simulate(make_config(seed=8, pr_lie=0.2))
-        assert "rows" not in vars(trace.reports)
-        assert len(trace.reports) > 0 and trace.lie_count >= 0
-        assert "rows" not in vars(trace.reports)  # len and lie_count use columns
-        first = trace.reports[0]
-        assert trace.reports[0] is first
-        assert list(trace.reports)[0] is first
-        assert trace.events[0] is trace.events[0]
-
     def test_lie_count_matches_rows(self):
         trace = simulate(make_config(seed=4, pr_lie=0.3, n=60))
         assert trace.lie_count == sum(
-            1 for r in trace.reports if r.event_reported != r.event_occurred
+            1 for *_, reported, occurred in rows_of(trace.reports) if reported != occurred
         )
 
     def test_memory_per_report_is_bounded(self):
