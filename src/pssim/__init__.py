@@ -6,7 +6,7 @@ from ._kernels import BACKEND as KERNEL_BACKEND
 from .distributions import LogNormalParams, Pmf, RandomSource
 from .errors import PsSimError
 from .simulator import Trace, simulate
-from .types import DayBin, SimConfig, TemporalBin
+from .types import DayBin, Model, SimConfig, TemporalBin
 
 __version__ = "0.1.0"
 
@@ -14,6 +14,7 @@ __all__ = [
     "DayBin",
     "KERNEL_BACKEND",
     "LogNormalParams",
+    "Model",
     "Pmf",
     "PsSimError",
     "RandomSource",

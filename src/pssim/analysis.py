@@ -25,9 +25,8 @@ from .distributions import (
     pmf_from_counts,
 )
 from .errors import PsSimError
-from .formats import ModelFile
 from .table import report_columns
-from .types import DAY_BINS, DEFAULT_LOC, TEMPORAL_BINS, day_index
+from .types import DAY_BINS, DEFAULT_LOC, TEMPORAL_BINS, Model, day_index
 
 #: ``_user_weekly`` counts (user, week) pairs in a dense array while the
 #: user codes times the weeks stay at most this many times (rows + 256),
@@ -84,16 +83,6 @@ class BinnedData:
     window_start: dt.date
     window_days: int
     accepted: int = field(default=0)
-
-    @property
-    def user_weekly(self) -> dict[str, dict[int, int]]:
-        """sourceId -> week index -> count, built from the pair columns."""
-        out: dict[str, dict[int, int]] = {user: {} for user in self.users}
-        for u, w, c in zip(
-            self.pair_user.tolist(), self.pair_week.tolist(), self.pair_count.tolist()
-        ):
-            out[self.users[u]][w] = c
-        return out
 
     def weekly_samples(self) -> list[float]:
         """Positive per-(user, week) report counts, the participation samples."""
@@ -344,13 +333,12 @@ def filter_outliers(
     return kept, rejected
 
 
-def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[ModelFile, BinnedData]:
+def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[Model, BinnedData]:
     """The model's parameters from the reports inside ``window``: the day,
     time and type pmfs, lambda overall and per location, and the
     participation mlog and sdlog.
 
-    Returns the model, with an empty ``meta``, and the binned reports it
-    was estimated from.
+    Returns the model and the binned reports it was estimated from.
     """
     table, _ = report_columns(reports)
     binned = bin_reports(table, window)
@@ -362,7 +350,7 @@ def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[ModelFile, Bin
         for loc, series in sorted(binned.per_location.items())
     }
     participation = fit_lognormal(binned.pair_count)
-    model = ModelFile(
+    model = Model(
         mlog=participation.m,
         sdlog=participation.s,
         lambda_overall=lam_overall,
@@ -370,21 +358,21 @@ def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[ModelFile, Bin
         pmf_day=pmf_day,
         pmf_time=pmf_time,
         pmf_ev_type=pmf_ev,
-        meta={},
     )
     return model, binned
 
 
 def fit_models(
     records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
-) -> tuple[ModelFile, BinnedData, np.ndarray, QqData | None]:
+) -> tuple[Model, dict, BinnedData, np.ndarray, QqData | None]:
     """Fit every model parameter from reports inside ``window``.
 
-    Returns ``estimate_model``'s model with its fitting metadata
+    Returns ``estimate_model``'s model, its fitting metadata
     (``out_of_window`` is recorded as the excluded count), the binned
     reports, the participation samples (the report count of each user-week
     pair) and their Q-Q fit (None when it is undefined).  With
-    ``per_location`` the participation model is also fitted per location.
+    ``per_location`` the participation model is also fitted per location,
+    into the metadata.
     """
     table, _ = report_columns(records)
     model, binned = estimate_model(table, window)
@@ -407,7 +395,7 @@ def fit_models(
         except PsSimError:
             acf[loc] = None
 
-    model.meta.update(
+    meta = dict(
         window_start=binned.window_start.isoformat(),
         window_days=binned.window_days,
         reports=binned.accepted,
@@ -428,5 +416,5 @@ def fit_models(
                 per_loc_fit[loc] = {"mlog": fit.m, "sdlog": fit.s}
             except PsSimError:
                 per_loc_fit[loc] = None
-        model.meta["per_location_participation"] = per_loc_fit
-    return model, binned, samples, qq
+        meta["per_location_participation"] = per_loc_fit
+    return model, meta, binned, samples, qq

@@ -10,18 +10,20 @@ import time
 
 import numpy as np
 
-from .simulator import default_config, simulate
+from .simulator import simulate
+from .types import DEFAULT_MODEL, SimConfig
 
 
 def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=None):
     """Time one simulation per grid point; returns rows of (n, m, seconds).
 
-    Timings are the median over ``repeats`` runs of ``default_config``'s
-    configuration with pr_lie 0.1, and ``lambda_e`` unless it is None.
+    Timings are the median over ``repeats`` runs of ``DEFAULT_MODEL`` with
+    pr_lie 0.1, at the overall lambda ``lambda_e`` unless it is None.
     """
-    base = default_config(tau=7, pr_lie=0.1, n=10, seed=seed, loc="bench")
+    model = DEFAULT_MODEL
     if lambda_e is not None:
-        base = dataclasses.replace(base, lambda_e=lambda_e)
+        model = dataclasses.replace(model, lambda_overall=lambda_e)
+    base = SimConfig(tau=7, n=10, seed=seed, loc="bench", pr_lie=0.1, model=model)
     # warm caches and lazy imports so the first grid point is not penalized
     simulate(base)
 

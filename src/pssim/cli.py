@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input/usage error, 3 runtime model error.
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import functools
 import sys
@@ -21,9 +22,12 @@ from .analysis import filter_outliers, fit_models, mean_weekly
 from .bench import bench_grid, fit_growth_exponents
 from .distributions import uniform_pmf
 from .errors import PsSimError
-from .simulator import DEFAULTS, default_config, model_config, simulate
-from .types import DEFAULT_LOC
+from .simulator import simulate
+from .types import DEFAULT_LOC, DEFAULT_MODEL, SimConfig
 from .validation import AXES, cross_validate, summarize
+
+#: SimConfig's field defaults, which simulate's help texts name.
+_DEFAULT = {field.name: field.default for field in dataclasses.fields(SimConfig)}
 
 
 def _model_errors_exit_3(fn):
@@ -76,7 +80,8 @@ def _read_window(read, path: Path, start: str | None, days: int | None, what: st
 
 def _given(**options) -> dict:
     """The options of ``pssim simulate`` that were given: those that are
-    not None.  An option left out takes its default from ``default_config``."""
+    not None.  An option left out keeps the value of the model or the
+    default of SimConfig."""
     return {name: value for name, value in options.items() if value is not None}
 
 
@@ -188,11 +193,11 @@ def fit(dataset, out, start, days, per_location, plot_data):
     records, rejects, window, excluded = _read_window(
         formats.read_canonical, dataset, start, days, "fitting"
     )
-    model, binned, samples, qq = fit_models(records, window, per_location, excluded)
+    model, meta, binned, samples, qq = fit_models(records, window, per_location, excluded)
     ingest_meta = formats.read_ingest_meta(dataset)
     if ingest_meta is not None:
-        model.meta["ingest"] = ingest_meta
-    formats.save_model(model, out)
+        meta["ingest"] = ingest_meta
+    formats.save_model(model, meta, out)
 
     click.echo(f"model -> {out}")
     click.echo(
@@ -204,7 +209,7 @@ def fit(dataset, out, start, days, per_location, plot_data):
         click.echo(f"  {loc}: {lam:.4f}")
     if qq is not None:
         click.echo(f"Q-Q log-normal fit r^2 = {qq.r2:.4f}")
-    acf_table = model.meta["diagnostics"]["acf"]
+    acf_table = meta["diagnostics"]["acf"]
     for loc, values in acf_table.items():
         if values is None:
             click.echo(f"ACF {loc}: undefined (constant series)")
@@ -242,12 +247,12 @@ def fit(dataset, out, start, days, per_location, plot_data):
 @click.option("--tau", type=int, default=7, show_default=True, help="Days to simulate.")
 @click.option("--n", "n_participants", type=int, default=100, show_default=True)
 @click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--pr-lie", type=float, default=None, help=f"Probability that a report names a false type (default {DEFAULTS['pr_lie']:g}).")
-@click.option("--mlog", type=float, default=None, help=f"Weekly log-location (default {DEFAULTS['mlog']:.4g}, or from --model).")
-@click.option("--sdlog", type=float, default=None, help=f"Weekly log-scale (default {DEFAULTS['sdlog']:g}, or from --model).")
-@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULTS['lambda_e']:g}, or from --model).")
-@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {','.join(DEFAULTS['pmf_ev_type'].support)}).")
-@click.option("--start-date", default=None, help=f"First date of the window, YYYY-MM-DD (default {DEFAULTS['start_date']}).")
+@click.option("--pr-lie", type=float, default=None, help=f"Probability that a report names a false type (default {_DEFAULT['pr_lie']:g}).")
+@click.option("--mlog", type=float, default=None, help=f"Weekly log-location (default {DEFAULT_MODEL.mlog:.4g}, or from --model).")
+@click.option("--sdlog", type=float, default=None, help=f"Weekly log-scale (default {DEFAULT_MODEL.sdlog:g}, or from --model).")
+@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULT_MODEL.lambda_overall:g}, or from --model).")
+@click.option("--ev-types", default=None, help=f"Comma-separated incident types (default {','.join(DEFAULT_MODEL.pmf_ev_type.support)}).")
+@click.option("--start-date", default=None, help=f"First date of the window, YYYY-MM-DD (default {_DEFAULT['start_date']}).")
 @click.option("--loc", default=None, help="Location label (with --model also selects its lambda).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
@@ -262,19 +267,22 @@ def simulate_cmd(
     if n_participants < 1:
         raise click.UsageError(f"--n must be >= 1, got {n_participants}")
     start = None if start_date is None else _parse_iso_date(start_date, "--start-date")
-    fields = dict(
-        tau=tau, n=n_participants, seed=seed,
-        **_given(start_date=start, pr_lie=pr_lie, mlog=mlog, sdlog=sdlog, lambda_e=lambda_e),
-    )
     if model_path is not None:
-        model = formats.load_model(model_path)
+        model, _ = formats.load_model(model_path)
         if ev_types is not None:
             raise click.UsageError("--ev-types conflicts with --model (types come from the model)")
-        config = model_config(model, loc, **fields)
     else:
+        model = DEFAULT_MODEL
         if ev_types:
-            fields["pmf_ev_type"] = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
-        config = default_config(**fields, **_given(loc=loc))
+            types = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
+            model = dataclasses.replace(model, pmf_ev_type=types)
+    model = dataclasses.replace(model, **_given(mlog=mlog, sdlog=sdlog))
+    if lambda_e is not None:  # a given --lambda holds at every --loc
+        model = dataclasses.replace(model, lambda_overall=lambda_e, lambda_by_loc={})
+    config = SimConfig(
+        tau=tau, n=n_participants, seed=seed, loc=loc, model=model,
+        **_given(start_date=start, pr_lie=pr_lie),
+    )
     trace = simulate(config)
     formats.write_trace(trace.reports, out)
     click.echo(
@@ -398,7 +406,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 @click.option("--m-range", default="10:100:10", show_default=True, help="Duration grid (days) START:STOP[:STEP].")
 @click.option("--seed", type=int, default=1, show_default=True)
 @click.option("--repeats", type=int, default=3, show_default=True, help="Runs per grid point; median is reported.")
-@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULTS['lambda_e']:g}).")
+@click.option("--lambda", "lambda_e", type=float, default=None, help=f"Events per temporal bin (default {DEFAULT_MODEL.lambda_overall:g}).")
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @_model_errors_exit_3
 def bench_cmd(n_range, m_range, seed, repeats, lambda_e, out):

@@ -72,7 +72,6 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -91,7 +90,7 @@ from .table import (
     mark,
     take,
 )
-from .types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, day_index, time_index, weekday_of
+from .types import DAY_BINS, TEMPORAL_BINS, DayBin, Model, TemporalBin, day_index, time_index, weekday_of
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -111,20 +110,6 @@ EVENTS_HEADER = ("date", "dayTime", "loc", "incidentType", "supportCount")
 VALIDATION_HEADER = ("fold", "axis", "correlation", "rmse", "realN", "simN")
 BENCH_HEADER = ("n", "m", "seconds")
 PLOT_HEADER = ("plot", "series", "x", "y")
-
-
-@dataclass
-class ModelFile:
-    """Fitted model parameters plus fitting metadata; schema-versioned."""
-
-    mlog: float
-    sdlog: float
-    lambda_overall: float
-    lambda_by_loc: dict[str, float]
-    pmf_day: Pmf
-    pmf_time: Pmf
-    pmf_ev_type: Pmf
-    meta: dict
 
 
 # the timestamps parse_timestamp accepts; every [0-9] is one ASCII digit
@@ -1373,31 +1358,34 @@ def _pmf_from_json(
     return Pmf(tuple(support), tuple(float(p) for p in payload["probs"]))
 
 
-def model_to_json(model: ModelFile) -> str:
+def model_to_json(model: Model, meta: dict) -> str:
+    """A model file's text: ``model``'s fields, and beside them in the
+    envelope the schema version and the run metadata ``meta``."""
     payload = {
         "version": MODEL_SCHEMA_VERSION,
         "participation": {"mlog": model.mlog, "sdlog": model.sdlog},
         "lambda_e": {
             "overall": model.lambda_overall,
-            "by_location": model.lambda_by_loc,
+            "by_location": dict(model.lambda_by_loc),
         },
         "pmf_day": _pmf_to_json(model.pmf_day),
         "pmf_time": _pmf_to_json(model.pmf_time),
         "pmf_event_type": _pmf_to_json(model.pmf_ev_type),
-        "meta": model.meta,
+        "meta": meta,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def save_model(model: ModelFile, path: Path) -> None:
+def save_model(model: Model, meta: dict, path: Path) -> None:
     with _overwrite(path, "w") as handle:
-        handle.write(model_to_json(model))
+        handle.write(model_to_json(model, meta))
 
 
-def load_model(path: Path) -> ModelFile:
-    """Read a model file; raises PsSimError when it is not valid JSON, not
-    an object of the current schema version, or lacks a field or holds one
-    of the wrong type."""
+def load_model(path: Path) -> tuple[Model, dict]:
+    """Read a model file into its model and its run metadata; raises
+    PsSimError, one line naming the file, when it is not valid JSON, not an
+    object of the current schema version, or lacks a field, holds one of
+    the wrong type or a value that ``Model`` rejects."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -1411,7 +1399,7 @@ def load_model(path: Path) -> ModelFile:
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
     try:
-        return ModelFile(
+        model = Model(
             mlog=float(payload["participation"]["mlog"]),
             sdlog=float(payload["participation"]["sdlog"]),
             lambda_overall=float(payload["lambda_e"]["overall"]),
@@ -1421,13 +1409,12 @@ def load_model(path: Path) -> ModelFile:
             pmf_day=_pmf_from_json(payload["pmf_day"], "day"),
             pmf_time=_pmf_from_json(payload["pmf_time"], "time"),
             pmf_ev_type=_pmf_from_json(payload["pmf_event_type"], "label"),
-            meta=payload["meta"],
         )
+        return model, payload["meta"]
     except KeyError as exc:
         raise PsSimError(f"{path}: model file lacks field {exc}") from None
-    except PsSimError:
-        raise
-    except (AttributeError, TypeError, ValueError) as exc:  # a field of the wrong type
+    # a field of the wrong type, or a value the model rejects
+    except (AttributeError, TypeError, ValueError, PsSimError) as exc:
         raise PsSimError(f"{path}: not a valid model file ({exc})") from None
 
 

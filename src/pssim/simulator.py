@@ -6,10 +6,10 @@ rates, assign event attributes by pmf sampling, then attribute every quota
 unit to a uniformly chosen event with optional false-report injection.
 Quotas are one array, indexed by participant; events and reports are
 tables.  An event's date is placed by arithmetic on date ordinals (see
-``assign_event_attributes``).  ``default_config`` is the configuration of
-``pssim simulate`` without a model and of ``pssim bench``;
-``model_config`` is the one mapping of a fitted model to a configuration,
-for ``pssim simulate --model`` and each fold of ``pssim validate``.
+``assign_event_attributes``).  The simulator runs ``config.model`` as it
+is, at the lambda of ``config.loc``; a caller that overrides a parameter
+(``pssim simulate``'s options, each fold of ``pssim validate``, ``pssim
+bench``) replaces that field of the model with ``dataclasses.replace``.
 
 Stream layout (fixed; golden traces depend on it):
 
@@ -30,11 +30,8 @@ participants in firing order (see ``_kernels``).
 
 from __future__ import annotations
 
-import datetime as dt
-import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,55 +42,10 @@ from .distributions import (
     pmf_from_counts,
     pmf_sample_indices,
     rescale,
-    uniform_pmf,
 )
 from .errors import PsSimError
 from .table import EventTable, ReportTable, code_dtype, take
-from .types import DAY_BINS, TEMPORAL_BINS, SimConfig, day_index
-
-if TYPE_CHECKING:
-    from .formats import ModelFile
-
-
-#: The fields of ``default_config``; the CLI's help texts name them from here.
-DEFAULTS = MappingProxyType(
-    dict(
-        start_date=dt.date(2015, 2, 23),
-        pr_lie=0.0,
-        lambda_e=10.0,
-        mlog=math.log(3.0),
-        sdlog=0.5,
-        pmf_time=uniform_pmf(TEMPORAL_BINS),
-        pmf_day=uniform_pmf(DAY_BINS),
-        pmf_ev_type=uniform_pmf(("Jam", "Accident", "RoadClosure", "Hazard")),
-    )
-)
-
-
-def default_config(**fields) -> SimConfig:
-    """The configuration that ``pssim simulate`` runs without a model and
-    ``pssim bench`` times (``DEFAULTS``): a window starting on Monday
-    2015-02-23, weekly participation of mlog ln 3 (three reports per
-    participant-week on average) and sdlog 0.5, 10 events per temporal bin,
-    no false reports, and uniform day, time and type pmfs over four incident
-    types.  ``fields`` give tau, n and seed, and replace any other field."""
-    return SimConfig(**{**DEFAULTS, **fields})
-
-
-def model_config(model: ModelFile, loc: str | None = None, **fields) -> SimConfig:
-    """The configuration that simulates a fitted model: its mlog, sdlog and
-    day, time and type pmfs, and the lambda it fitted at ``loc``, or its
-    overall lambda where ``loc`` is None or has none.  A given ``loc`` also
-    labels the events.  Every other field is ``default_config``'s;
-    ``fields`` give tau, n and seed, and replace any other field.
-    """
-    fitted = dict(
-        mlog=model.mlog, sdlog=model.sdlog,
-        lambda_e=model.lambda_by_loc.get(loc, model.lambda_overall),
-        pmf_day=model.pmf_day, pmf_time=model.pmf_time, pmf_ev_type=model.pmf_ev_type,
-        **({} if loc is None else {"loc": loc}),
-    )
-    return default_config(**{**fitted, **fields})
+from .types import DEFAULT_LOC, SimConfig, day_index
 
 
 @dataclass(frozen=True)
@@ -113,10 +65,11 @@ class Trace:
 
 
 def gen_poisson_events(config: SimConfig, rng: RandomSource) -> int:
-    """Total event count: independent Poisson(lambda_e) draws over all
-    8*tau (date, temporal-bin) cells, summed."""
+    """Total event count: independent Poisson draws over all 8*tau (date,
+    temporal-bin) cells at the model's lambda for the run's location,
+    summed."""
     cells = 8 * config.tau
-    draws = rng.generator.poisson(lam=config.lambda_e, size=cells)
+    draws = rng.generator.poisson(lam=config.model.lambda_at(config.loc), size=cells)
     total = int(draws.sum())
     if total == 0:
         raise PsSimError("no events generated; increase lambda_e or tau")
@@ -126,7 +79,7 @@ def gen_poisson_events(config: SimConfig, rng: RandomSource) -> int:
 def assign_event_attributes(
     count: int, config: SimConfig, rng: RandomSource
 ) -> EventTable:
-    """Draw day, time, and type for each event from the configured pmfs.
+    """Draw day, time, and type for each event from the model's pmfs.
 
     The date is uniform among window dates whose weekday equals the sampled
     day bin, which keeps every event's day label consistent with its date.
@@ -141,8 +94,9 @@ def assign_event_attributes(
     if count < 1:
         raise PsSimError(f"event count must be >= 1, got {count}")
 
+    model = config.model
     start = config.start_date.toordinal()
-    pmf_day = config.pmf_day
+    pmf_day = model.pmf_day
     days = np.asarray([day.index for day in pmf_day.support], dtype=np.int64)
     first = (days - day_index(start)) % 7  # days from the start
     sizes = (config.tau - first + 6) // 7
@@ -157,15 +111,15 @@ def assign_event_attributes(
         pmf_day = pmf_from_counts(dict(zip(pmf_day.support, held)))
 
     day_idx = pmf_sample_indices(pmf_day, count, rng)
-    time_idx = pmf_sample_indices(config.pmf_time, count, rng)
-    type_idx = pmf_sample_indices(config.pmf_ev_type, count, rng)
+    time_idx = pmf_sample_indices(model.pmf_time, count, rng)
+    type_idx = pmf_sample_indices(model.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count)
 
     cand_sizes = sizes[day_idx]
     date_pick = np.minimum((u_date * cand_sizes).astype(np.int64), cand_sizes - 1)
 
-    bin_index = np.asarray([b.index for b in config.pmf_time.support], dtype=np.int64)
-    types = tuple(config.pmf_ev_type.support)
+    bin_index = np.asarray([b.index for b in model.pmf_time.support], dtype=np.int64)
+    types = tuple(model.pmf_ev_type.support)
     return EventTable(
         event_no=np.arange(1, count + 1, dtype=np.int64),
         date=start + first[day_idx] + 7 * date_pick,
@@ -173,7 +127,7 @@ def assign_event_attributes(
         type=type_idx,
         types=types,
         loc=np.zeros(count, dtype=np.int64),
-        locs=(config.loc,),
+        locs=(DEFAULT_LOC if config.loc is None else config.loc,),
     )
 
 
@@ -240,7 +194,7 @@ def simulate(config: SimConfig) -> Trace:
     """Run the full pipeline; a pure function of (config, seed)."""
     master = RandomSource(config.seed)
 
-    params = rescale(config.mlog, config.sdlog, config.tau)
+    params = rescale(config.model.mlog, config.model.sdlog, config.tau)
     quotas = lognormal_sample_counts(config.n, params, master.substream("quotas"))
     if int(quotas.sum()) == 0:
         raise PsSimError(

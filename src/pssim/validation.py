@@ -4,6 +4,7 @@ and RMSE."""
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import numpy as np
 from .analysis import estimate_model
 from .distributions import RandomSource
 from .errors import PsSimError
-from .simulator import model_config, simulate
+from .simulator import simulate
 from .table import report_columns
 from .types import DAY_BINS, TEMPORAL_BINS, SimConfig, day_index
 
@@ -171,12 +172,13 @@ def fold_config(
 ) -> SimConfig:
     """Fit models on the training reports, scaled to the test fold's size.
 
-    The configuration is ``model_config``'s for ``estimate_model``'s model
-    of the training folds, as ``pssim fit`` estimates it, with the overall
-    lambda; the location parameter mlog is anchored so the expected
-    per-participant quota matches the fold's mean reports per user, and n
-    matches the fold's user count, so both traces live at comparable
-    scale.  ``train`` and ``fold`` are CanonicalTables or ReportTables.
+    The configuration runs ``estimate_model``'s model of the training
+    folds, as ``pssim fit`` estimates it, over the window without a
+    location, so at the overall lambda.  The model's location parameter
+    mlog is replaced by one anchored so the expected per-participant quota
+    matches the fold's mean reports per user, and n matches the fold's
+    user count, so both traces live at comparable scale.  ``train`` and
+    ``fold`` are CanonicalTables or ReportTables.
     """
     start, days = window
     model, _ = estimate_model(train, window)
@@ -184,7 +186,8 @@ def fold_config(
     fold_users = int(np.count_nonzero(np.bincount(fold.source)))
     mean_per_user = len(fold) / fold_users
     mlog = math.log(mean_per_user) - model.sdlog**2 / 2.0 - math.log(days / 7.0)
-    return model_config(model, tau=days, start_date=start, n=fold_users, mlog=mlog, seed=seed)
+    model = dataclasses.replace(model, mlog=mlog)
+    return SimConfig(tau=days, n=fold_users, seed=seed, start_date=start, model=model)
 
 
 def cross_validate(

@@ -7,7 +7,7 @@ import pytest
 
 from pssim.distributions import uniform_pmf
 from pssim.table import AggregatedEventTable, CanonicalTable, EventTable, ReportTable
-from pssim.types import DAY_BINS, TEMPORAL_BINS, SimConfig, TemporalBin
+from pssim.types import DAY_BINS, TEMPORAL_BINS, Model, SimConfig, TemporalBin
 
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE_CSV = DATA_DIR / "sample_reports.csv"
@@ -17,25 +17,32 @@ DEFAULT_TYPES = ("Jam", "Accident", "Hazard")
 
 
 def make_config(**overrides) -> SimConfig:
-    """A small, valid SimConfig; keyword overrides replace any field, and
-    ``ev_types`` gives the support of a uniform ``pmf_ev_type``."""
+    """A small, valid SimConfig; keyword overrides replace any field of it
+    or of its model, ``lambda_e`` gives the model's overall lambda, and
+    ``ev_types`` the support of a uniform ``pmf_ev_type``."""
     types = overrides.pop("ev_types", DEFAULT_TYPES)
-    fields = dict(
+    if "lambda_e" in overrides:
+        overrides["lambda_overall"] = overrides.pop("lambda_e")
+    model = dict(
+        mlog=math.log(3.0),
+        sdlog=0.5,
+        lambda_overall=3.0,
+        lambda_by_loc={},
+        pmf_time=uniform_pmf(TEMPORAL_BINS),
+        pmf_day=uniform_pmf(DAY_BINS),
+        pmf_ev_type=uniform_pmf(types),
+    )
+    run = dict(
         tau=7,
         start_date=dt.date(2015, 2, 23),  # a Monday
         pr_lie=0.0,
         n=20,
-        lambda_e=3.0,
-        mlog=math.log(3.0),
-        sdlog=0.5,
-        pmf_time=uniform_pmf(TEMPORAL_BINS),
-        pmf_day=uniform_pmf(DAY_BINS),
-        pmf_ev_type=uniform_pmf(types),
         seed=42,
         loc="Elm Street",
     )
-    fields.update(overrides)
-    return SimConfig(**fields)
+    for name, value in overrides.items():
+        (model if name in model else run)[name] = value
+    return SimConfig(model=Model(**model), **run)
 
 
 @pytest.fixture

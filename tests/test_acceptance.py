@@ -134,8 +134,8 @@ def test_criterion_06_round_trip_distribution_fidelity():
     pmf_day, pmf_time = estimate_pmfs(binned.overall)
     metrics = {}
     for axis, fitted, true in (
-        ("day", pmf_day, cfg.pmf_day),
-        ("time", pmf_time, cfg.pmf_time),
+        ("day", pmf_day, cfg.model.pmf_day),
+        ("time", pmf_time, cfg.model.pmf_time),
     ):
         a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
         b = np.asarray(true.probs)
@@ -148,7 +148,7 @@ def test_criterion_06_round_trip_distribution_fidelity():
     # per-user axis: observed quota histogram against the generating
     # rounded-log-normal law, conditioned on making at least one report
     h = histogram(trace.reports, "perUser")
-    law = LogNormalParams(cfg.mlog + math.log(cfg.tau / 7.0), cfg.sdlog)
+    law = LogNormalParams(cfg.model.mlog + math.log(cfg.tau / 7.0), cfg.model.sdlog)
     p_zero = lognormal_cdf(0.5, law)
     support = sorted(h)
     theory = np.asarray(

@@ -134,7 +134,10 @@ class TestBinReports:
                 assert binned.overall.cells[offset * 8 + b] == cells.get(
                     (offset, b), 0
                 )
-        assert binned.user_weekly == user_weeks
+        assert sorted(binned.users) == sorted(user_weeks)
+        assert sorted(pair_rows(binned)) == sorted(
+            (u, w, c) for u, weeks in user_weeks.items() for w, c in weeks.items()
+        )
 
 
 class TestEstimatePmfs:
@@ -323,7 +326,7 @@ class TestRoundTrip:
         assert len(trace.reports) >= 15_000
         binned = bin_reports(trace.reports, (cfg.start_date, cfg.tau))
         pmf_day, pmf_time = estimate_pmfs(binned.overall)
-        for fitted, true in ((pmf_day, cfg.pmf_day), (pmf_time, cfg.pmf_time)):
+        for fitted, true in ((pmf_day, cfg.model.pmf_day), (pmf_time, cfg.model.pmf_time)):
             a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
             b = np.asarray(true.probs)
             r = np.corrcoef(a, b)[0, 1]
@@ -429,9 +432,10 @@ class TestColumnarMatchesOracle:
         assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == list(
             per_loc.items()
         )
-        # dict order is part of the result: users, then weeks, first seen
-        assert [(u, list(w.items())) for u, w in binned.user_weekly.items()] == [
-            (u, list(w.items())) for u, w in user_weekly.items()
+        # order is part of the result: users, then weeks, first seen
+        assert binned.users == list(user_weekly)
+        assert pair_rows(binned) == [
+            (u, w, c) for u, weeks in user_weekly.items() for w, c in weeks.items()
         ]
         assert binned.weekly_samples() == [
             float(c) for w in user_weekly.values() for c in w.values()
@@ -519,18 +523,18 @@ def test_pair_columns_match_the_oracle(case):
 def test_interleaved_users_keep_their_first_seen_weeks():
     binned = bin_reports(interleaved_rows(), ORACLE_WINDOW)
     assert binned.users == ["u3", "u1", "u2", "u4"]
-    assert binned.user_weekly == {
-        "u3": {2: 2, 0: 2, 1: 1},
-        "u1": {0: 2, 4: 1, 1: 1, 2: 1},
-        "u2": {3: 2, 0: 1},
-        "u4": {4: 1, 0: 1},
-    }
+    assert pair_rows(binned) == [
+        ("u3", 2, 2), ("u3", 0, 2), ("u3", 1, 1),
+        ("u1", 0, 2), ("u1", 4, 1), ("u1", 1, 1), ("u1", 2, 1),
+        ("u2", 3, 2), ("u2", 0, 1),
+        ("u4", 4, 1), ("u4", 0, 1),
+    ]
 
 
 def test_no_reports_in_the_window_give_empty_pairs():
     rows = canonical_table([ingested(WINDOW_START - dt.timedelta(days=1), TemporalBin.MD)])
     binned = bin_reports(rows, ORACLE_WINDOW)
-    assert binned.users == [] and binned.user_weekly == {}
+    assert binned.users == [] and pair_rows(binned) == []
     assert binned.weekly_samples() == [] and mean_weekly(rows, ORACLE_WINDOW) == {}
 
 

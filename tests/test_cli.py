@@ -177,14 +177,14 @@ class TestFit:
         model_path = tmp_path / "model.json"
         result = run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
         assert "Q-Q log-normal fit r^2" in result.output
-        model = load_model(model_path)
-        assert model.meta["window_days"] == 7
-        acf = model.meta["diagnostics"]["acf"]
+        _, meta = load_model(model_path)
+        assert meta["window_days"] == 7
+        acf = meta["diagnostics"]["acf"]
         assert set(acf) == {"Elm Street", "Route 9", "Harbor Drive"}
         assert all(v is None or len(v) == 8 for v in acf.values())
         # ingestion provenance (incl. the outlier threshold) rides along
-        assert model.meta["ingest"]["outlier_pct"] == 99.5
-        assert model.meta["ingest"]["accepted"] == 315
+        assert meta["ingest"]["outlier_pct"] == 99.5
+        assert meta["ingest"]["accepted"] == 315
 
     def test_fit_plot_data(self, runner, tmp_path, sample_canonical):
         model_path = tmp_path / "model.json"
@@ -206,7 +206,7 @@ class TestFit:
             runner,
             ["fit", str(sample_canonical), "--out", str(model_path), "--per-location"],
         )
-        per_loc = load_model(model_path).meta["per_location_participation"]
+        per_loc = load_model(model_path)[1]["per_location_participation"]
         assert set(per_loc) == {"Elm Street", "Route 9", "Harbor Drive"}
 
     def test_explicit_window_excludes_outside_reports(
@@ -218,10 +218,10 @@ class TestFit:
             ["fit", str(sample_canonical), "--out", str(model_path),
              "--start", "2015-02-23", "--days", "3"],
         )
-        model = load_model(model_path)
-        assert model.meta["window_days"] == 3
-        assert model.meta["excluded"] > 0
-        assert model.meta["reports"] + model.meta["excluded"] == 315
+        _, meta = load_model(model_path)
+        assert meta["window_days"] == 3
+        assert meta["excluded"] > 0
+        assert meta["reports"] + meta["excluded"] == 315
 
     def test_degenerate_single_user_dataset_fails_clearly(self, runner, tmp_path):
         canon = tmp_path / "canon.csv"
@@ -263,13 +263,13 @@ class TestFit:
                 )
         model_path = tmp_path / "model.json"
         run_ok(runner, ["fit", str(canon), "--out", str(model_path)])
-        model = load_model(model_path)
+        model, _ = load_model(model_path)
         # rounding of quotas and dropped silent users shift the fit slightly
-        assert abs(model.mlog - cfg.mlog) <= 0.05
-        assert abs(model.sdlog - cfg.sdlog) <= 0.05
+        assert abs(model.mlog - cfg.model.mlog) <= 0.05
+        assert abs(model.sdlog - cfg.model.sdlog) <= 0.05
         for fitted, true in (
-            (model.pmf_day, cfg.pmf_day),
-            (model.pmf_time, cfg.pmf_time),
+            (model.pmf_day, cfg.model.pmf_day),
+            (model.pmf_time, cfg.model.pmf_time),
         ):
             a = np.asarray([dict(zip(fitted.support, fitted.probs))[s] for s in true.support])
             r = np.corrcoef(a, np.asarray(true.probs))[0, 1]
@@ -310,6 +310,64 @@ class TestSimulate:
         assert result.output.startswith(f"error: {model_path}: not a valid model file")
         assert result.output.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--lambda", "nan"], ["--lambda", "inf"], ["--mlog", "nan"]],
+        ids=["lambda-nan", "lambda-inf", "mlog-nan"],
+    )
+    def test_non_finite_parameter_exits_3(self, runner, tmp_path, args):
+        result = runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "t.csv")])
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"error: {args[0][2:]}")
+        assert result.output.count("\n") == 1  # one line, no traceback
+
+    @pytest.mark.parametrize("loc", [[], ["--loc", "Route 9"]], ids=["no-loc", "loc"])
+    @pytest.mark.parametrize("value", ["NaN", "-1.75"])
+    def test_bad_per_location_lambda_in_model_exits_3(
+        self, runner, tmp_path, sample_canonical, value, loc
+    ):
+        model_path = tmp_path / "model.json"
+        run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
+        text = model_path.read_text()
+        assert text.count('"Route 9": 1.75') == 1
+        model_path.write_text(text.replace('"Route 9": 1.75', f'"Route 9": {value}'))
+        result = runner.invoke(
+            main, ["simulate", "--model", str(model_path), *loc, "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"error: {model_path}: not a valid model file")
+        assert "lambda_by_loc['Route 9']" in result.output
+        assert result.output.count("\n") == 1
+
+    def test_overrides_replace_fields_of_the_model(self, runner, tmp_path, sample_canonical):
+        """--lambda and --sdlog on top of --model run the model with those
+        fields replaced; the given lambda holds at --loc too."""
+        import dataclasses
+
+        from pssim.formats import write_trace
+        from pssim.simulator import simulate
+        from pssim.types import SimConfig
+
+        model_path = tmp_path / "model.json"
+        run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
+        model, _ = load_model(model_path)
+        run = ["--tau", "7", "--n", "50", "--seed", "2"]
+        plain, out = tmp_path / "plain.csv", tmp_path / "trace.csv"
+        run_ok(runner, ["simulate", "--model", str(model_path), "--loc", "Route 9", *run,
+                        "--out", str(plain)])
+        run_ok(runner, ["simulate", "--model", str(model_path), "--loc", "Route 9",
+                        "--lambda", "2", "--sdlog", "0.7", *run, "--out", str(out)])
+        assert model.lambda_at("Route 9") != 2.0 and model.sdlog != 0.7
+        for replaced in (
+            dataclasses.replace(model, lambda_overall=2.0, lambda_by_loc={}, sdlog=0.7),
+            dataclasses.replace(model, lambda_by_loc={**model.lambda_by_loc, "Route 9": 2.0}, sdlog=0.7),
+        ):
+            config = SimConfig(tau=7, n=50, seed=2, loc="Route 9", model=replaced)
+            expected = tmp_path / "expected.csv"
+            write_trace(simulate(config).reports, expected)
+            assert out.read_bytes() == expected.read_bytes()
+        assert out.read_bytes() != plain.read_bytes()
+
     def test_simulate_from_fitted_model(self, runner, tmp_path, sample_canonical):
         model_path = tmp_path / "model.json"
         run_ok(runner, ["fit", str(sample_canonical), "--out", str(model_path)])
@@ -338,20 +396,19 @@ class TestSimulate:
         import math
 
         from pssim.distributions import pmf_from_counts
-        from pssim.formats import ModelFile, read_trace, save_model
+        from pssim.formats import read_trace, save_model
         from pssim.simulator import simulate
-        from pssim.types import DAY_BINS, TEMPORAL_BINS, SimConfig
+        from pssim.types import DAY_BINS, TEMPORAL_BINS, Model, SimConfig
 
         types = ("Road, closed", 'say "hi"', " leading", "Jam")
-        model = ModelFile(
+        model = Model(
             mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
             pmf_day=pmf_from_counts({d: 1 for d in DAY_BINS}),
             pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
             pmf_ev_type=pmf_from_counts({t: 1 for t in types}),
-            meta={},
         )
         model_path = tmp_path / "model.json"
-        save_model(model, model_path)
+        save_model(model, {}, model_path)
         out = tmp_path / "trace.csv"
         run_ok(
             runner,
@@ -361,10 +418,7 @@ class TestSimulate:
 
         trace = simulate(
             SimConfig(
-                tau=7, start_date=dt.date(2015, 2, 23), pr_lie=0.3,
-                n=30, lambda_e=2.0, mlog=model.mlog, sdlog=0.5,
-                pmf_time=model.pmf_time, pmf_day=model.pmf_day,
-                pmf_ev_type=model.pmf_ev_type, seed=5, loc="unspecified",
+                tau=7, n=30, seed=5, start_date=dt.date(2015, 2, 23), pr_lie=0.3, model=model
             )
         )
         expected = io.StringIO()
@@ -388,21 +442,23 @@ class TestSimulate:
             for *row, reported, occurred in rows_of(trace.reports)
         ]
 
-    def test_model_run_is_model_config(self, runner, tmp_path, sample_canonical):
+    def test_model_run_is_the_model_in_a_sim_config(self, runner, tmp_path, sample_canonical):
         from pssim.formats import write_trace
-        from pssim.simulator import model_config, simulate
+        from pssim.simulator import simulate
+        from pssim.types import SimConfig
 
         model_path = tmp_path / "model.json"
         run_ok(runner, ["fit", str(sample_canonical), "--per-location", "--out", str(model_path)])
-        model = load_model(model_path)
+        model, _ = load_model(model_path)
         out, expected = tmp_path / "trace.csv", tmp_path / "expected.csv"
         run_ok(
             runner,
             ["simulate", "--model", str(model_path), "--loc", "Route 9", "--tau", "14",
              "--n", "50", "--seed", "5", "--pr-lie", "0.1", "--out", str(out)],
         )
-        config = model_config(model, "Route 9", tau=14, n=50, seed=5, pr_lie=0.1)
-        assert config.lambda_e == model.lambda_by_loc["Route 9"] != model.lambda_overall
+        config = SimConfig(tau=14, n=50, seed=5, pr_lie=0.1, loc="Route 9", model=model)
+        assert config.model.lambda_at(config.loc) == model.lambda_by_loc["Route 9"]
+        assert model.lambda_by_loc["Route 9"] != model.lambda_overall
         write_trace(simulate(config).reports, expected)
         assert out.read_bytes() == expected.read_bytes()
 
@@ -425,10 +481,10 @@ class TestSimulate:
         assert "duplicate" in result.output
         assert "repeated: ['Jam']" in result.output
 
-    def test_start_date_defaults_to_default_config(self, runner, tmp_path):
-        from pssim.simulator import default_config
+    def test_start_date_defaults_to_sim_config(self, runner, tmp_path):
+        from pssim.types import SimConfig
 
-        start = default_config(tau=7, n=25, seed=1).start_date.isoformat()
+        start = SimConfig(tau=7, n=25, seed=1).start_date.isoformat()
         implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
         run_ok(runner, GOLDEN_ARGS + ["--out", str(implicit)])
         run_ok(runner, GOLDEN_ARGS + ["--start-date", start, "--out", str(explicit)])
@@ -445,19 +501,18 @@ class TestSimulate:
         import math
 
         from pssim.distributions import pmf_from_counts
-        from pssim.formats import ModelFile, read_trace, save_model
-        from pssim.types import DAY_BINS, TEMPORAL_BINS
+        from pssim.formats import read_trace, save_model
+        from pssim.types import DAY_BINS, TEMPORAL_BINS, Model
 
         weekdays = DAY_BINS[1:6]  # Monday to Friday
-        model = ModelFile(
+        model = Model(
             mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
             pmf_day=pmf_from_counts({d: int(d in weekdays) for d in DAY_BINS}),
             pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
             pmf_ev_type=pmf_from_counts({"Jam": 1, "Hazard": 1}),
-            meta={},
         )
         model_path, out = tmp_path / "model.json", tmp_path / "trace.csv"
-        save_model(model, model_path)
+        save_model(model, {}, model_path)
         for k in range(7):
             start = dt.date(2015, 2, 22) + dt.timedelta(days=k)  # Sunday + k
             window = [start + dt.timedelta(days=i) for i in range(tau)]
@@ -737,6 +792,68 @@ def test_aggregate_builds_no_event_rows(runner, tmp_path, sample_canonical):
             assert len(out.read_text().splitlines()) > 1
 
 
+def _variant(value):
+    """Another valid value of a model field, of the same type."""
+    from collections.abc import Mapping
+
+    from pssim.distributions import Pmf
+
+    if isinstance(value, float):
+        return value + 0.25
+    if isinstance(value, Mapping):
+        return {loc: lam + 2.5 for loc, lam in value.items()}
+    if isinstance(value, Pmf):
+        return Pmf(value.support, value.probs[1:] + value.probs[:1])
+    raise AssertionError(f"no variant for a model field holding {value!r}")
+
+
+def test_every_model_field_round_trips_and_reaches_the_simulator(runner, tmp_path):
+    """Each field of Model, changed alone, survives model_to_json and
+    load_model, and changes what simulate --model writes, with or without
+    --loc, to what the library writes for the changed model.  A field added
+    to Model without codec support fails here."""
+    import dataclasses
+
+    from pssim.distributions import pmf_from_counts
+    from pssim.formats import save_model, write_trace
+    from pssim.simulator import simulate
+    from pssim.types import DAY_BINS, TEMPORAL_BINS, Model, SimConfig
+
+    base = Model(
+        mlog=0.9, sdlog=0.4, lambda_overall=5.0, lambda_by_loc={"Route 9": 1.5},
+        pmf_day=pmf_from_counts({d: i + 1 for i, d in enumerate(DAY_BINS)}),
+        pmf_time=pmf_from_counts({b: i + 1 for i, b in enumerate(TEMPORAL_BINS)}),
+        pmf_ev_type=pmf_from_counts({"Jam": 3, "Hazard": 1}),
+    )
+
+    def run(model, name):
+        """The model and meta load_model reads back, and the traces that
+        simulate --model writes without and with --loc."""
+        path = tmp_path / f"{name}.json"
+        save_model(model, {"field": name}, path)
+        loaded = load_model(path)
+        traces = []
+        for i, loc in enumerate(([], ["--loc", "Route 9"])):
+            out = tmp_path / f"{name}-{i}.csv"
+            run_ok(runner, ["simulate", "--model", str(path), *loc, "--tau", "7", "--n", "40",
+                            "--seed", "3", "--out", str(out)])
+            expected = tmp_path / "expected.csv"
+            config = SimConfig(tau=7, n=40, seed=3, loc=loc[1] if loc else None, model=model)
+            write_trace(simulate(config).reports, expected)
+            assert out.read_bytes() == expected.read_bytes(), name
+            traces.append(out.read_bytes())
+        return loaded, traces
+
+    loaded, base_traces = run(base, "base")
+    assert loaded == (base, {"field": "base"})
+    for name in [field.name for field in dataclasses.fields(Model)]:
+        changed = dataclasses.replace(base, **{name: _variant(getattr(base, name))})
+        assert changed != base, name
+        loaded, traces = run(changed, name)
+        assert loaded == (changed, {"field": name}), name
+        assert traces != base_traces, name
+
+
 def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
     """Locations and types that need quoting, and --min-support drops: the
     events file equals csv.writer's rows, written by the command and by the
@@ -746,19 +863,18 @@ def test_events_csv_equals_csv_writer_rows(runner, tmp_path):
 
     from pssim.aggregation import aggregate
     from pssim.distributions import pmf_from_counts
-    from pssim.formats import EVENTS_HEADER, ModelFile, read_trace, save_model, write_events_csv
-    from pssim.types import DAY_BINS, TEMPORAL_BINS
+    from pssim.formats import EVENTS_HEADER, read_trace, save_model, write_events_csv
+    from pssim.types import DAY_BINS, TEMPORAL_BINS, Model
 
     types = ("Road, closed", 'say "hi"', "Jam")
-    model = ModelFile(
+    model = Model(
         mlog=math.log(3.0), sdlog=0.5, lambda_overall=2.0, lambda_by_loc={},
         pmf_day=pmf_from_counts({d: 1 for d in DAY_BINS}),
         pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
         pmf_ev_type=pmf_from_counts({t: 1 for t in types}),
-        meta={},
     )
     model_path, trace = tmp_path / "model.json", tmp_path / "trace.csv"
-    save_model(model, model_path)
+    save_model(model, {}, model_path)
     run_ok(
         runner,
         ["simulate", "--model", str(model_path), "--tau", "7", "--n", "60",

@@ -28,7 +28,6 @@ from pssim.formats import (
     EVENTS_HEADER,
     PLOT_HEADER,
     VALIDATION_HEADER,
-    ModelFile,
     load_model,
     model_to_json,
     parse_date,
@@ -47,7 +46,7 @@ from pssim.formats import (
 )
 from pssim.simulator import simulate
 from pssim.table import ReportTable
-from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, weekday_of
+from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, Model, TemporalBin, weekday_of
 from pssim.validation import AXES, AxisResult, ValidationReport
 
 
@@ -454,7 +453,7 @@ class TestWriters:
 
 
 def small_model():
-    return ModelFile(
+    return Model(
         mlog=1.0986,
         sdlog=0.5,
         lambda_overall=5.625,
@@ -462,29 +461,43 @@ def small_model():
         pmf_day=pmf_from_counts({d: i + 1 for i, d in enumerate(DAY_BINS)}),
         pmf_time=pmf_from_counts({b: 1 for b in TEMPORAL_BINS}),
         pmf_ev_type=pmf_from_counts({"Accident": 1, "Jam": 3}),
-        meta={"window_start": "2015-02-23", "window_days": 7, "reports": 315},
     )
+
+
+SMALL_META = {"window_start": "2015-02-23", "window_days": 7, "reports": 315}
 
 
 class TestModelFile:
     def test_round_trip_is_byte_identical(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
+        save_model(small_model(), SMALL_META, path)
         first = path.read_bytes()
-        save_model(load_model(path), path)
+        model, meta = load_model(path)
+        assert (model, meta) == (small_model(), SMALL_META)
+        save_model(model, meta, path)
         assert path.read_bytes() == first
 
     def test_loaded_pmfs_are_validated(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
+        save_model(small_model(), SMALL_META, path)
         text = path.read_text().replace("0.125", "0.5")  # denormalize pmf_time
         path.write_text(text)
         with pytest.raises(PsSimError):
             load_model(path)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-1.75", "0"])
+    def test_model_checks_fail_as_one_line_naming_the_file(self, tmp_path, value):
+        path = tmp_path / "model.json"
+        save_model(small_model(), SMALL_META, path)
+        path.write_text(path.read_text().replace('"Route 9": 1.75', f'"Route 9": {value}'))
+        with pytest.raises(PsSimError, match="Route 9") as caught:
+            load_model(path)
+        assert str(caught.value).startswith(f"{path}: ")
+        assert "\n" not in str(caught.value)
+
     def test_version_checked(self, tmp_path):
         path = tmp_path / "model.json"
-        text = model_to_json(small_model()).replace('"version": 1', '"version": 99')
+        text = model_to_json(small_model(), SMALL_META).replace('"version": 1', '"version": 99')
         path.write_text(text)
         with pytest.raises(PsSimError, match="version"):
             load_model(path)
@@ -497,8 +510,8 @@ class TestModelFile:
 
     def test_loaded_supports_use_domain_enums(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(small_model(), path)
-        model = load_model(path)
+        save_model(small_model(), SMALL_META, path)
+        model, _ = load_model(path)
         assert model.pmf_day.support == DAY_BINS
         assert model.pmf_time.support == TEMPORAL_BINS
         assert model.pmf_ev_type.support == ("Accident", "Jam")
@@ -1667,7 +1680,7 @@ def write_output(kind, path, big):
         write, _, make, _ = TEXT_WRITERS[kind]
         write(make(n), path)
     elif kind == "model":
-        save_model(dataclasses.replace(small_model(), meta={"rows": list(range(n))}), path)
+        save_model(small_model(), {"rows": list(range(n))}, path)
     else:
         formats.write_ingest_meta(path, {"rejects": {f"reason {i}": i for i in range(n)}})
         return Path(f"{path}.meta.json")

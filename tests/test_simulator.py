@@ -18,16 +18,24 @@ from pssim.distributions import (
     uniform_pmf,
 )
 from pssim.errors import PsSimError
-from pssim.formats import ModelFile, read_trace, write_trace
+from pssim.formats import read_trace, write_trace
 from pssim.simulator import (
     assign_event_attributes,
     attribute_reports,
-    default_config,
     gen_poisson_events,
-    model_config,
     simulate,
 )
-from pssim.types import DAY_BINS, TEMPORAL_BINS, DayBin, TemporalBin, day_index, weekday_of
+from pssim.types import (
+    DAY_BINS,
+    DEFAULT_LOC,
+    TEMPORAL_BINS,
+    DayBin,
+    Model,
+    SimConfig,
+    TemporalBin,
+    day_index,
+    weekday_of,
+)
 
 
 class TestGenPoissonEvents:
@@ -115,7 +123,7 @@ class TestAssignEventAttributes:
         freq = defaultdict(int)
         for t in events.time.tolist():
             freq[TEMPORAL_BINS[t]] += 1
-        for b, p in zip(cfg.pmf_time.support, cfg.pmf_time.probs):
+        for b, p in zip(cfg.model.pmf_time.support, cfg.model.pmf_time.probs):
             assert abs(freq[b] / 10_000 - p) <= 0.02
 
     def test_day_always_matches_date(self):
@@ -123,9 +131,9 @@ class TestAssignEventAttributes:
         # its event, the first draws of the stream
         cfg = make_config(tau=10)
         events = assign_event_attributes(500, cfg, RandomSource(2))
-        drawn = pmf_sample_indices(cfg.pmf_day, 500, RandomSource(2)).tolist()
+        drawn = pmf_sample_indices(cfg.model.pmf_day, 500, RandomSource(2)).tolist()
         days = [DAY_BINS[d] for d in day_index(events.date).tolist()]
-        assert days == [cfg.pmf_day.support[i] for i in drawn]
+        assert days == [cfg.model.pmf_day.support[i] for i in drawn]
 
     def test_event_numbering_and_location(self):
         cfg = make_config(loc="Route 9")
@@ -157,7 +165,7 @@ def reference_dates(count, config, rng):
     for i in range(config.tau):
         date = config.start_date + dt.timedelta(days=i)
         dates_by_day[weekday_of(date)].append(date.toordinal())
-    pmf_day = config.pmf_day
+    pmf_day = config.model.pmf_day
     held = [p if dates_by_day[day] else 0.0 for day, p in zip(pmf_day.support, pmf_day.probs)]
     if held != list(pmf_day.probs):
         if not any(held):
@@ -168,8 +176,8 @@ def reference_dates(count, config, rng):
             )
         pmf_day = pmf_from_counts(dict(zip(pmf_day.support, held)))
     day_idx = pmf_sample_indices(pmf_day, count, rng).tolist()
-    pmf_sample_indices(config.pmf_time, count, rng)
-    pmf_sample_indices(config.pmf_ev_type, count, rng)
+    pmf_sample_indices(config.model.pmf_time, count, rng)
+    pmf_sample_indices(config.model.pmf_ev_type, count, rng)
     u_date = rng.generator.random(count).tolist()
     picked = []
     for i, u in zip(day_idx, u_date):
@@ -294,7 +302,7 @@ class TestSimulate:
     def test_report_count_equals_quota_sum(self):
         cfg = make_config(seed=21, n=35)
         trace = simulate(cfg)
-        params = rescale(cfg.mlog, cfg.sdlog, cfg.tau)
+        params = rescale(cfg.model.mlog, cfg.model.sdlog, cfg.tau)
         quotas = lognormal_sample_counts(
             cfg.n, params, RandomSource(cfg.seed).substream("quotas")
         )
@@ -328,7 +336,7 @@ class TestSimulate:
         for d in day_index(trace.events.date).tolist():
             freq[DAY_BINS[d]] += 1
         total = len(trace.events)
-        for d, p in zip(cfg.pmf_day.support, cfg.pmf_day.probs):
+        for d, p in zip(cfg.model.pmf_day.support, cfg.model.pmf_day.probs):
             assert abs(freq[d] / total - p) <= 3 * math.sqrt(p * (1 - p) / total) + 1e-9
 
     def test_all_quotas_zero_is_an_error(self):
@@ -338,33 +346,37 @@ class TestSimulate:
 
 
 class TestModelConfig:
-    MODEL = ModelFile(
+    """A fitted model runs as it is, inside a SimConfig of run fields."""
+
+    MODEL = Model(
         mlog=0.9, sdlog=0.4, lambda_overall=5.0, lambda_by_loc={"Elm Street": 2.5, "Route 9": 1.5},
         pmf_day=pmf_from_counts({d: i + 1 for i, d in enumerate(DAY_BINS)}),
         pmf_time=pmf_from_counts({b: 1 for b in TemporalBin}),
         pmf_ev_type=pmf_from_counts({"Jam": 3, "Hazard": 1}),
-        meta={},
     )
 
     def test_a_location_gets_its_fitted_lambda_and_any_other_the_overall(self):
         for loc, lam in (("Elm Street", 2.5), ("Route 9", 1.5), ("Harbor Drive", 5.0), (None, 5.0)):
-            config = model_config(self.MODEL, loc, tau=7, n=10, seed=1)
-            assert config.lambda_e == lam
-            assert config.loc == (loc or default_config(tau=7, n=10, seed=1).loc)
+            config = SimConfig(tau=7, n=10, seed=1, loc=loc, model=self.MODEL)
+            assert config.model.lambda_at(config.loc) == lam
+            draws = RandomSource(1).substream("events").generator.poisson(lam=lam, size=8 * 7)
+            assert gen_poisson_events(config, RandomSource(1).substream("events")) == draws.sum()
+            assert simulate(config).events.locs == (loc or DEFAULT_LOC,)
 
-    def test_fitted_fields_over_default_config(self):
-        model = self.MODEL
-        config = model_config(model, "Route 9", tau=14, n=30, seed=3, pr_lie=0.2)
-        assert config == default_config(
-            tau=14, n=30, seed=3, pr_lie=0.2, loc="Route 9", lambda_e=1.5,
-            mlog=model.mlog, sdlog=model.sdlog, pmf_day=model.pmf_day,
-            pmf_time=model.pmf_time, pmf_ev_type=model.pmf_ev_type,
+    def test_fitted_model_over_the_run_defaults(self):
+        config = SimConfig(tau=14, n=30, seed=3, pr_lie=0.2, loc="Route 9", model=self.MODEL)
+        assert config == dataclasses.replace(
+            SimConfig(tau=14, n=30, seed=3, pr_lie=0.2, loc="Route 9"), model=self.MODEL
         )
-        assert config.pmf_ev_type.support == ("Jam", "Hazard")
+        assert (config.start_date, config.model.lambda_at(config.loc)) == (dt.date(2015, 2, 23), 1.5)
+        assert config.model.pmf_ev_type.support == ("Jam", "Hazard")
+        assert simulate(config).events.types == ("Jam", "Hazard")
 
     def test_fields_replace_the_fitted_ones(self):
-        config = model_config(self.MODEL, "Route 9", tau=7, n=10, seed=1, lambda_e=9.0, mlog=0.1)
-        assert (config.lambda_e, config.mlog, config.sdlog) == (9.0, 0.1, 0.4)
+        model = dataclasses.replace(self.MODEL, lambda_overall=9.0, lambda_by_loc={}, mlog=0.1)
+        assert (model.lambda_at("Route 9"), model.mlog, model.sdlog) == (9.0, 0.1, 0.4)
+        with pytest.raises(PsSimError, match="sdlog"):
+            dataclasses.replace(self.MODEL, sdlog=float("nan"))
 
 
 class TestTraceTables:

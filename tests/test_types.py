@@ -1,4 +1,6 @@
+import dataclasses
 import datetime as dt
+import math
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from pssim.errors import PsSimError
 from pssim.types import (
     DAY_BINS,
     TEMPORAL_BINS,
+    DEFAULT_MODEL,
     DayBin,
     TemporalBin,
     day_index,
@@ -123,6 +126,14 @@ class TestSimConfig:
             {"ev_types": ("Jam", "Jam")},
             {"seed": -1},
             {"seed": 2**64},
+            {"lambda_e": math.nan},
+            {"lambda_e": math.inf},
+            {"mlog": math.nan},
+            {"mlog": -math.inf},
+            {"sdlog": math.nan},
+            {"sdlog": math.inf},
+            {"lambda_by_loc": {"Elm Street": math.nan}},
+            {"lambda_by_loc": {"Elm Street": -1.0}},
         ],
     )
     def test_invalid_fields_rejected(self, overrides):
@@ -132,3 +143,18 @@ class TestSimConfig:
     def test_lying_needs_two_event_types(self):
         with pytest.raises(PsSimError, match="two event types"):
             make_config(ev_types=("Jam",), pr_lie=0.5)
+
+
+class TestModel:
+    def test_lambda_by_loc_is_a_read_only_copy(self):
+        given = {"Route 9": 1.5}
+        model = dataclasses.replace(DEFAULT_MODEL, lambda_by_loc=given)
+        given["Route 9"] = 9.0
+        assert dict(model.lambda_by_loc) == {"Route 9": 1.5}
+        with pytest.raises(TypeError):
+            model.lambda_by_loc["Route 9"] = 9.0
+
+    def test_lambda_at_a_location_is_its_fitted_one_else_the_overall(self):
+        model = dataclasses.replace(DEFAULT_MODEL, lambda_by_loc={"Route 9": 1.5})
+        assert model.lambda_at("Route 9") == 1.5
+        assert model.lambda_at("Elm Street") == model.lambda_at(None) == 10.0

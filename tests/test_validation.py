@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import math
 
@@ -11,8 +12,8 @@ from pssim.analysis import estimate_model, fit_models
 from pssim.distributions import RandomSource, pmf_from_counts
 from pssim.errors import PsSimError
 from pssim.formats import read_raw_reports
-from pssim.simulator import model_config, simulate
-from pssim.types import DayBin, TemporalBin
+from pssim.simulator import simulate
+from pssim.types import DayBin, SimConfig, TemporalBin
 from pssim.validation import (
     AXES,
     align_histograms,
@@ -219,13 +220,13 @@ class TestFoldConfig:
         train, fold = reports.take(~held_out), reports.take(held_out)
         model = fit_models(train, window, per_location=False)[0]
         config = fold_config(train, fold, window, seed=1)
-        assert config.sdlog == model.sdlog
-        assert config.lambda_e == model.lambda_overall
-        assert (config.pmf_day, config.pmf_time, config.pmf_ev_type) == (
+        assert config.model.sdlog == model.sdlog
+        assert config.model.lambda_at(config.loc) == model.lambda_overall
+        assert (config.model.pmf_day, config.model.pmf_time, config.model.pmf_ev_type) == (
             model.pmf_day, model.pmf_time, model.pmf_ev_type
         )
 
-    def test_is_model_config_with_the_anchored_mlog(self):
+    def test_is_the_fitted_model_with_the_anchored_mlog(self):
         reports, _ = read_raw_reports(SAMPLE_CSV)
         first, last = int(reports.date.min()), int(reports.date.max())
         start, days = dt.date.fromordinal(first), last - first + 1
@@ -236,8 +237,9 @@ class TestFoldConfig:
         # the expected quota of a participant over the window is the fold's
         # mean reports per user
         mlog = math.log(len(fold) / users) - model.sdlog**2 / 2 - math.log(days / 7)
-        assert fold_config(train, fold, (start, days), seed=9) == model_config(
-            model, tau=days, start_date=start, n=users, mlog=mlog, seed=9
+        assert fold_config(train, fold, (start, days), seed=9) == SimConfig(
+            tau=days, n=users, seed=9, start_date=start,
+            model=dataclasses.replace(model, mlog=mlog),
         )
 
 
