@@ -7,6 +7,7 @@ counting stage works on the code columns of ``table.report_columns``, and
 groups by counting over their code spaces (locations, user x week cells)
 rather than by sorting the rows; only when the user x week space is large
 against the row count are the rows sorted instead (``DENSE_CELLS_PER_ROW``).
+Groups come out in code order, not in row order.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ class QqData:
 class BinnedData:
     """Result of binning a report set over a window.
 
-    The report count of each (user, week) pair is kept as columns: users in
-    first-seen order, and each user's weeks in first-seen order.
+    The report count of each (user, week) pair is kept as columns, in
+    (user code, week) order.
     """
 
     overall: BinnedSeries
     per_location: dict[str, BinnedSeries]
-    users: list[str]  # sourceIds, first seen first
+    users: list[str]  # sourceIds, in code order
     pair_user: np.ndarray  # per (user, week) pair: index into users
     pair_week: np.ndarray  # week index from the window start
     pair_count: np.ndarray  # reports, always positive
@@ -97,9 +98,7 @@ def bin_reports(
     ``reports`` is a CanonicalTable or a ReportTable; trace reports carry
     no location and are tallied under ``default_loc``.  Reports outside
     the window, and trace reports with an empty type, are excluded with a
-    counter, not an error.  ``per_location`` lists locations, and the
-    (user, week) pair columns users and each user's weeks, in first-seen
-    order.
+    counter, not an error.
     """
     start, days = window
     if days < 1:
@@ -111,17 +110,16 @@ def bin_reports(
     n_cells = 8 * days
 
     loc = table.loc[inside]
-    first = _first_rows(loc, len(table.locs))
-    present = np.flatnonzero(first < len(loc))  # location codes seen in the window
+    present = np.flatnonzero(np.bincount(loc, minlength=len(table.locs)))  # codes in the window
     rank = np.zeros(len(table.locs), dtype=np.int64)  # so only they get cells
     rank[present] = np.arange(len(present))
     per_loc = np.bincount(
         rank[loc] * n_cells + cell, minlength=len(present) * n_cells
     ).reshape(len(present), n_cells)
-    per_location = {}
-    for i in np.argsort(first[present]).tolist():
-        name = table.locs[present[i]]
-        per_location[name] = BinnedSeries(name, start, per_loc[i])
+    per_location = {
+        table.locs[code]: BinnedSeries(table.locs[code], start, cells)
+        for code, cells in zip(present.tolist(), per_loc)
+    }
 
     users, pair_user, pair_week, pair_count = _user_weekly(
         table.source[inside], offset // 7, table.sources
@@ -142,9 +140,9 @@ def bin_reports(
 
 def mean_weekly(reports, window: tuple[dt.date, int]) -> dict[str, float]:
     """Each user's mean report count over the weeks it reported in inside
-    ``window``, users in first-seen order, from the (user, week) pairs
-    ``bin_reports`` counts but without its (date, bin) cells.  The outlier
-    filter of ingest compares these means.
+    ``window``, from the (user, week) pairs ``bin_reports`` counts but
+    without its (date, bin) cells.  The outlier filter of ingest compares
+    these means.
     """
     table, _ = report_columns(reports)
     offset, inside = _window_offsets(table, window)
@@ -164,31 +162,17 @@ def _window_offsets(table, window: tuple[dt.date, int]) -> tuple[np.ndarray, np.
     return offset, (offset >= 0) & (offset < days)
 
 
-def _first_rows(codes: np.ndarray, size: int) -> np.ndarray:
-    """Each code's first row in ``codes``, and ``len(codes)`` for a code in
-    0..size-1 that does not occur."""
-    first = np.full(size, len(codes), dtype=np.int64)
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    return first
-
-
 def _user_weekly(
     source: np.ndarray, week: np.ndarray, sources: Sequence
 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """BinnedData's users and pair columns of the report count per (user,
-    week): users in first-seen order, and each user's weeks in first-seen
-    order.
+    week), in (user code, week) order.
 
-    The rows are grouped into the distinct pairs, in (user, week) order,
-    with each pair's first row and count; then only the pairs are sorted,
-    by their user's first row and then their own.  While the user codes
-    times the weeks are at most ``DENSE_CELLS_PER_ROW * (rows + 256)``,
-    the pairs are counted over that code space with ``bincount`` and
-    ``np.minimum.at``: two int64 arrays of that size, at most 64 bytes per
-    row plus 16 KiB.  Above it, one argsort groups the rows: the (user,
-    week) key times the row count plus the row number is unique per row,
-    so any sort order is the stable one, and each group's first row comes
-    first in it.
+    While the user codes times the weeks are at most
+    ``DENSE_CELLS_PER_ROW * (rows + 256)``, the pairs are counted over that
+    code space with ``bincount``: one int64 array of that size, at most 32
+    bytes per row plus 8 KiB.  Above it, the user codes are compacted to
+    the users present, and one ``np.unique`` sorts and counts the pairs.
     """
     n = len(source)
     if n == 0:
@@ -197,25 +181,13 @@ def _user_weekly(
     weeks = int(week.max()) + 1
     codes = None
     if len(sources) * weeks <= DENSE_CELLS_PER_ROW * (n + 256):
-        key = source.astype(np.int64) * weeks + week
-        count = np.bincount(key)
-        first = _first_rows(key, len(count))
+        count = np.bincount(source.astype(np.int64) * weeks + week)
         key = np.flatnonzero(count)
-        first, count = first[key], count[key]
+        count = count[key]
     else:
-        if len(sources) * weeks * n > 2**63:  # compact the user codes so the keys fit
-            codes, source = np.unique(source, return_inverse=True)
-        key = source.astype(np.int64) * weeks + week
-        order = np.argsort(key * n + np.arange(n))
-        key = key[order]
-        start = np.flatnonzero(np.diff(key, prepend=-1))  # each pair's first place in order
-        first, count, key = order[start], np.diff(start, append=n), key[start]
+        codes, source = np.unique(source, return_inverse=True)
+        key, count = np.unique(source.astype(np.int64) * weeks + week, return_counts=True)
     user = key // weeks
-    # pairs are sorted by user; a user is first seen at its earliest pair
-    user_start = np.flatnonzero(np.diff(user, prepend=-1))
-    user_first = np.minimum.reduceat(first, user_start)
-    seen = np.argsort(np.repeat(user_first, np.diff(user_start, append=len(key))) * n + first)
-    user, key, count = user[seen], key[seen], count[seen]
     new_user = np.diff(user, prepend=-1) != 0
     names = user[new_user] if codes is None else codes[user[new_user]]
     users = [sources[code] for code in names.tolist()]
@@ -227,15 +199,14 @@ def weekly_samples_by_location(
 ) -> dict[str, list[float]]:
     """Each location's participation samples inside ``window``: what
     ``bin_reports`` of that location's reports alone gives as
-    ``weekly_samples()``, in the same order, from one grouping over
-    (location, user, week).  A location name held by several codes is
-    the last code's, as ``table.locs`` lists them; locations with no
-    report inside the window are left out.
+    ``weekly_samples()``, from one grouping over (location, user, week).
+    A location name held by several codes is the last code's, as
+    ``table.locs`` lists them; locations with no report inside the window
+    are left out.
     """
     table, _ = report_columns(reports)
     offset, inside = _window_offsets(table, window)
     width = max(len(table.sources), 1)
-    # a (location, user) code is first seen where that user first reports there
     users, pair_user, _, pair_count = _user_weekly(
         table.loc[inside].astype(np.int64) * width + table.source[inside],
         offset[inside] // 7,
@@ -364,13 +335,13 @@ def estimate_model(reports, window: tuple[dt.date, int]) -> tuple[Model, BinnedD
 
 def fit_models(
     records, window: tuple[dt.date, int], per_location: bool, out_of_window: int = 0
-) -> tuple[Model, dict, BinnedData, np.ndarray, QqData | None]:
+) -> tuple[Model, dict, np.ndarray, QqData | None]:
     """Fit every model parameter from reports inside ``window``.
 
     Returns ``estimate_model``'s model, its fitting metadata
-    (``out_of_window`` is recorded as the excluded count), the binned
-    reports, the participation samples (the report count of each user-week
-    pair) and their Q-Q fit (None when it is undefined).  With
+    (``out_of_window`` is recorded as the excluded count), the
+    participation samples (the report count of each user-week pair) and
+    their Q-Q fit (None when it is undefined).  With
     ``per_location`` the participation model is also fitted per location,
     into the metadata.
     """
@@ -417,4 +388,4 @@ def fit_models(
             except PsSimError:
                 per_loc_fit[loc] = None
         meta["per_location_participation"] = per_loc_fit
-    return model, meta, binned, samples, qq
+    return model, meta, samples, qq

@@ -14,15 +14,12 @@ from .simulator import simulate
 from .types import DEFAULT_MODEL, SimConfig
 
 
-def bench_grid(n_values, m_values, seed=1, repeats=3, lambda_e=None):
+def bench_grid(n_values, m_values, seed=1, repeats=3, model=DEFAULT_MODEL):
     """Time one simulation per grid point; returns rows of (n, m, seconds).
 
-    Timings are the median over ``repeats`` runs of ``DEFAULT_MODEL`` with
-    pr_lie 0.1, at the overall lambda ``lambda_e`` unless it is None.
+    Timings are the median over ``repeats`` runs of ``model`` with pr_lie
+    0.1.
     """
-    model = DEFAULT_MODEL
-    if lambda_e is not None:
-        model = dataclasses.replace(model, lambda_overall=lambda_e)
     base = SimConfig(tau=7, n=10, seed=seed, loc="bench", pr_lie=0.1, model=model)
     # warm caches and lazy imports so the first grid point is not penalized
     simulate(base)

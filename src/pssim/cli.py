@@ -23,7 +23,7 @@ from .bench import bench_grid, fit_growth_exponents
 from .distributions import uniform_pmf
 from .errors import PsSimError
 from .simulator import simulate
-from .types import DEFAULT_LOC, DEFAULT_MODEL, SimConfig
+from .types import DEFAULT_LOC, DEFAULT_MODEL, Model, SimConfig
 from .validation import AXES, cross_validate, summarize
 
 #: SimConfig's field defaults, which simulate's help texts name.
@@ -80,9 +80,17 @@ def _read_window(read, path: Path, start: str | None, days: int | None, what: st
 
 def _given(**options) -> dict:
     """The options of ``pssim simulate`` that were given: those that are
-    not None.  An option left out keeps the value of the model or the
-    default of SimConfig."""
+    not None.  An option left out keeps the default of SimConfig."""
     return {name: value for name, value in options.items() if value is not None}
+
+
+def _override(model: Model, flag: str, **fields) -> Model:
+    """``model`` with ``fields`` replaced from the option ``flag``.  The
+    model's own checks reject a bad value, and the error names the option."""
+    try:
+        return dataclasses.replace(model, **fields)
+    except PsSimError as exc:
+        raise PsSimError(f"{flag}: {exc}") from None
 
 
 def _echo_rejects(rejects: dict[str, int]) -> None:
@@ -193,7 +201,7 @@ def fit(dataset, out, start, days, per_location, plot_data):
     records, rejects, window, excluded = _read_window(
         formats.read_canonical, dataset, start, days, "fitting"
     )
-    model, meta, binned, samples, qq = fit_models(records, window, per_location, excluded)
+    model, meta, samples, qq = fit_models(records, window, per_location, excluded)
     ingest_meta = formats.read_ingest_meta(dataset)
     if ingest_meta is not None:
         meta["ingest"] = ingest_meta
@@ -276,9 +284,12 @@ def simulate_cmd(
         if ev_types:
             types = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
             model = dataclasses.replace(model, pmf_ev_type=types)
-    model = dataclasses.replace(model, **_given(mlog=mlog, sdlog=sdlog))
+    if mlog is not None:
+        model = _override(model, "--mlog", mlog=mlog)
+    if sdlog is not None:
+        model = _override(model, "--sdlog", sdlog=sdlog)
     if lambda_e is not None:  # a given --lambda holds at every --loc
-        model = dataclasses.replace(model, lambda_overall=lambda_e, lambda_by_loc={})
+        model = _override(model, "--lambda", lambda_overall=lambda_e, lambda_by_loc={})
     config = SimConfig(
         tau=tau, n=n_participants, seed=seed, loc=loc, model=model,
         **_given(start_date=start, pr_lie=pr_lie),
@@ -416,7 +427,10 @@ def bench_cmd(n_range, m_range, seed, repeats, lambda_e, out):
     n_values = _parse_range(n_range, "--n-range")
     m_values = _parse_range(m_range, "--m-range")
 
-    rows = bench_grid(n_values, m_values, seed=seed, repeats=repeats, lambda_e=lambda_e)
+    model = DEFAULT_MODEL
+    if lambda_e is not None:
+        model = _override(model, "--lambda", lambda_overall=lambda_e)
+    rows = bench_grid(n_values, m_values, seed=seed, repeats=repeats, model=model)
     formats.write_bench_csv(rows, out)
     click.echo(f"timings -> {out} | {len(rows)} grid points")
     exponents = fit_growth_exponents(rows)

@@ -168,7 +168,12 @@ def lognormal_sample_counts(
 
 
 def fit_lognormal(samples: Iterable[float] | np.ndarray) -> LogNormalParams:
-    """Log-moment estimator: m = mean(ln x), s = sample std dev of ln x."""
+    """Log-moment estimator: m = mean(ln x), s = sample std dev of ln x.
+
+    The logs are sorted before they are summed, so m and s are a function
+    of the multiset of samples: any order of the same samples gives the
+    same bits.
+    """
     if not isinstance(samples, np.ndarray):
         samples = list(samples)
     arr = np.asarray(samples, dtype=np.float64)
@@ -176,7 +181,7 @@ def fit_lognormal(samples: Iterable[float] | np.ndarray) -> LogNormalParams:
         raise PsSimError(f"need at least 2 samples to fit, got {arr.size}")
     if np.any(arr <= 0.0):
         raise PsSimError("support violation: all samples must be > 0")
-    logs = np.log(arr)
+    logs = np.sort(np.log(arr))
     s = float(np.std(logs, ddof=1))
     if s == 0.0:
         raise PsSimError("zero variance: all samples identical")

@@ -69,10 +69,13 @@ def gen_poisson_events(config: SimConfig, rng: RandomSource) -> int:
     temporal-bin) cells at the model's lambda for the run's location,
     summed."""
     cells = 8 * config.tau
-    draws = rng.generator.poisson(lam=config.model.lambda_at(config.loc), size=cells)
-    total = int(draws.sum())
+    lam = config.model.lambda_at(config.loc)
+    total = int(rng.generator.poisson(lam=lam, size=cells).sum())
     if total == 0:
-        raise PsSimError("no events generated; increase lambda_e or tau")
+        raise PsSimError(
+            f"no events generated at lambda {lam:g} per cell over tau {config.tau} days; "
+            "increase lambda or tau"
+        )
     return total
 
 

@@ -28,24 +28,21 @@ DEFAULT_LOC = "unspecified"
 
 
 class TemporalBin(enum.Enum):
-    """Three-hour slot of the day.  Ranges are half-open [start, start+3h)."""
+    """Three-hour slot of the day, half-open from its start hour (see
+    ``time_index``)."""
 
-    EM = ("EarlyMorning", 3)
-    M = ("Morning", 6)
-    D = ("Day", 9)
-    MD = ("MidDay", 12)
-    E = ("Evening", 15)
-    LE = ("LateEvening", 18)
-    MN = ("MidNight", 21)
-    N = ("Night", 0)  # wraps the day: 00:00-03:00
+    EM = "EarlyMorning"  # 03:00-06:00
+    M = "Morning"  # 06:00-09:00
+    D = "Day"  # 09:00-12:00
+    MD = "MidDay"  # 12:00-15:00
+    E = "Evening"  # 15:00-18:00
+    LE = "LateEvening"  # 18:00-21:00
+    MN = "MidNight"  # 21:00-24:00
+    N = "Night"  # wraps the day: 00:00-03:00
 
     @property
     def label(self) -> str:
-        return self.value[0]
-
-    @property
-    def start_hour(self) -> int:
-        return self.value[1]
+        return self.value
 
     @property
     def index(self) -> int:

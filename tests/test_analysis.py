@@ -358,6 +358,16 @@ def oracle_bin(rows, window):
     return overall, per_loc, user_weekly, excluded, accepted
 
 
+def in_code_order(user_weekly, sources):
+    """The oracle's per-user weekly counts in (user code, week) order, the
+    order of BinnedData's pair columns."""
+    code = {name: i for i, name in enumerate(sources)}
+    return {
+        user: dict(sorted(user_weekly[user].items()))
+        for user in sorted(user_weekly, key=code.__getitem__)
+    }
+
+
 def oracle_evtype_counts(rows):
     counts = {}
     for *_, label in rows:
@@ -383,7 +393,7 @@ def oracle_histogram(rows, axis):
 
 def shuffled_canonical(seed, n=600):
     """A CanonicalTable of reports over 5 weeks around a 30-day window, in
-    random order, so first-seen order differs from sorted order everywhere."""
+    random order, so no user's weeks come in row order."""
     rng = np.random.default_rng(seed)
     bins = list(TemporalBin)
     return canonical_table(
@@ -429,10 +439,12 @@ class TestColumnarMatchesOracle:
         assert excluded > 0 and accepted > 0
         binned = bin_reports(table, window)
         assert binned.overall.cells.tolist() == overall
-        assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == list(
-            per_loc.items()
-        )
-        # order is part of the result: users, then weeks, first seen
+        locs = table.locs if kind == "canonical" else ("unspecified",)
+        assert [(loc, s.cells.tolist()) for loc, s in binned.per_location.items()] == [
+            (loc, per_loc[loc]) for loc in locs if loc in per_loc
+        ]
+        # order is part of the result: user codes, then weeks
+        user_weekly = in_code_order(user_weekly, table.sources)
         assert binned.users == list(user_weekly)
         assert pair_rows(binned) == [
             (u, w, c) for u, weeks in user_weekly.items() for w, c in weeks.items()
@@ -464,7 +476,11 @@ def test_canonical_subsets_keep_the_row_order():
     rows = rows_of(table)
     assert rows_of(subset) == [rows[i] for i in pick.tolist()]
     binned = bin_reports(subset, ORACLE_WINDOW)
+    # reversed, the rows see Route 9 first, but locations keep code order
+    reversed_subset = subset.take(np.arange(len(subset))[::-1])
+    assert list(bin_reports(reversed_subset, ORACLE_WINDOW).per_location) == list(subset.locs)
     _, _, user_weekly, _, _ = oracle_bin(rows_of(subset), ORACLE_WINDOW)
+    user_weekly = in_code_order(user_weekly, subset.sources)
     assert binned.weekly_samples() == [float(c) for w in user_weekly.values() for c in w.values()]
 
 
@@ -504,6 +520,7 @@ def test_pair_columns_match_the_oracle(case):
         if case == "subset":
             rows = rows.take(np.random.default_rng(5).permutation(len(rows))[:200])
     _, _, user_weekly, _, _ = oracle_bin(rows_of(rows), ORACLE_WINDOW)
+    user_weekly = in_code_order(user_weekly, rows.sources)
     binned = bin_reports(rows, ORACLE_WINDOW)
     assert binned.users == list(user_weekly)
     assert pair_rows(binned) == [
@@ -520,15 +537,19 @@ def test_pair_columns_match_the_oracle(case):
     ]
 
 
-def test_interleaved_users_keep_their_first_seen_weeks():
-    binned = bin_reports(interleaved_rows(), ORACLE_WINDOW)
-    assert binned.users == ["u3", "u1", "u2", "u4"]
-    assert pair_rows(binned) == [
-        ("u3", 2, 2), ("u3", 0, 2), ("u3", 1, 1),
-        ("u1", 0, 2), ("u1", 4, 1), ("u1", 1, 1), ("u1", 2, 1),
-        ("u2", 3, 2), ("u2", 0, 1),
-        ("u4", 4, 1), ("u4", 0, 1),
+def test_interleaved_users_come_in_code_then_week_order():
+    rows = interleaved_rows()  # codes u3, u1, u2, u5, u4
+    expected = [
+        ("u3", 0, 2), ("u3", 1, 1), ("u3", 2, 2),
+        ("u1", 0, 2), ("u1", 1, 1), ("u1", 2, 1), ("u1", 4, 1),
+        ("u2", 0, 1), ("u2", 3, 2),
+        ("u4", 0, 1), ("u4", 4, 1),
     ]
+    # reversed, the rows see u4 first and u3 last, but keep their codes
+    for table in (rows, rows.take(np.arange(len(rows))[::-1])):
+        binned = bin_reports(table, ORACLE_WINDOW)
+        assert binned.users == ["u3", "u1", "u2", "u4"]
+        assert pair_rows(binned) == expected
 
 
 def test_no_reports_in_the_window_give_empty_pairs():
@@ -555,21 +576,22 @@ def test_user_codes_are_compacted_when_keys_would_overflow():
     source = np.array([2**61, 5, 2**61, 7, 5], dtype=np.int64)
     week = np.array([3, 0, 1, 3, 0])
     users, pair_user, pair_week, pair_count = _user_weekly(source, week, ManyNames())
-    assert users == [f"s{2**61}", "s5", "s7"]
-    assert pair_user.tolist() == [0, 0, 1, 2]
-    assert pair_week.tolist() == [3, 1, 0, 3]
-    assert pair_count.tolist() == [1, 1, 2, 1]
+    assert users == ["s5", "s7", f"s{2**61}"]
+    assert pair_user.tolist() == [0, 1, 2, 2]
+    assert pair_week.tolist() == [0, 3, 1, 3]
+    assert pair_count.tolist() == [2, 1, 1, 1]
 
 
 def grouped(source, week, sources, cells_per_row=None):
-    """``_user_weekly``'s result, and whether it counted densely; with
-    ``cells_per_row``, the dense bound is patched to that value."""
+    """``_user_weekly``'s result, and whether it counted densely, that is
+    without ``np.unique``; with ``cells_per_row``, the dense bound is
+    patched to that value."""
     if cells_per_row is None:
         cells_per_row = analysis.DENSE_CELLS_PER_ROW
-    spy = mock.patch.object(analysis, "_first_rows", wraps=analysis._first_rows)
-    with spy as first_rows, mock.patch.object(analysis, "DENSE_CELLS_PER_ROW", cells_per_row):
+    spy = mock.patch.object(np, "unique", wraps=np.unique)
+    with spy as unique, mock.patch.object(analysis, "DENSE_CELLS_PER_ROW", cells_per_row):
         result = _user_weekly(np.asarray(source), np.asarray(week), sources)
-    return result, first_rows.called
+    return result, not unique.called
 
 
 def assert_same_grouping(a, b):
@@ -604,7 +626,7 @@ def test_grouping_at_the_dense_bound(rows, past_bound):
     result, was_dense = grouped(source, np.zeros(rows, dtype=np.int64), sources)
     assert was_dense == (not past_bound)
     assert_same_grouping(result, grouped(source, np.zeros(rows, dtype=np.int64), sources, 0)[0])
-    order = list(dict.fromkeys(source.tolist()))
+    order = sorted(set(source.tolist()))
     assert result[0] == order
     assert result[3].tolist() == [int(np.count_nonzero(source == code)) for code in order]
 

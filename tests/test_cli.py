@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -209,6 +210,23 @@ class TestFit:
         per_loc = load_model(model_path)[1]["per_location_participation"]
         assert set(per_loc) == {"Elm Street", "Route 9", "Harbor Drive"}
 
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_fit_does_not_depend_on_the_row_order(self, runner, tmp_path, sample_canonical, seed):
+        """A copy of the data with its rows shuffled, and with no sidecar or
+        ingest metadata, fits to the same model file apart from meta.ingest."""
+        header, *rows = sample_canonical.read_text().splitlines(keepends=True)
+        random.Random(seed).shuffle(rows)
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text(header + "".join(rows))
+        models = []
+        for dataset in (sample_canonical, shuffled):
+            out = tmp_path / f"{dataset.stem}.json"
+            run_ok(runner, ["fit", str(dataset), "--per-location", "--out", str(out)])
+            fitted = json.loads(out.read_text())
+            fitted["meta"].pop("ingest", None)
+            models.append(fitted)
+        assert models[0] == models[1]
+
     def test_explicit_window_excludes_outside_reports(
         self, runner, tmp_path, sample_canonical
     ):
@@ -312,14 +330,30 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "args",
-        [["--lambda", "nan"], ["--lambda", "inf"], ["--mlog", "nan"]],
-        ids=["lambda-nan", "lambda-inf", "mlog-nan"],
+        [
+            ["simulate", "--lambda", "nan"],
+            ["simulate", "--lambda", "inf"],
+            ["simulate", "--mlog", "nan"],
+            ["simulate", "--sdlog", "-1"],
+            ["bench", "--lambda", "nan"],
+        ],
+        ids=["lambda-nan", "lambda-inf", "mlog-nan", "sdlog-negative", "bench-lambda-nan"],
     )
     def test_non_finite_parameter_exits_3(self, runner, tmp_path, args):
-        result = runner.invoke(main, ["simulate", *args, "--out", str(tmp_path / "t.csv")])
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "t.csv")])
         assert result.exit_code == 3, result.output
-        assert result.output.startswith(f"error: {args[0][2:]}")
+        assert result.output.startswith(f"error: {args[1]}: ")
         assert result.output.count("\n") == 1  # one line, no traceback
+
+    def test_no_events_names_the_lambda_and_tau_drawn_with(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["simulate", "--lambda", "1e-9", "--tau", "1", "--out", str(tmp_path / "t.csv")]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            "error: no events generated at lambda 1e-09 per cell over tau 1 days; "
+            "increase lambda or tau\n"
+        )
 
     @pytest.mark.parametrize("loc", [[], ["--loc", "Route 9"]], ids=["no-loc", "loc"])
     @pytest.mark.parametrize("value", ["NaN", "-1.75"])

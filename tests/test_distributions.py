@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pssim.distributions import (
@@ -221,6 +221,18 @@ class TestFitLogNormal:
             fit_lognormal([2.0])
         with pytest.raises(PsSimError):
             fit_lognormal([1.0, -2.0, 3.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(0.5, 1e6), min_size=2, max_size=60).flatmap(
+            lambda samples: st.tuples(st.just(samples), st.permutations(samples))
+        )
+    )
+    def test_any_order_of_the_samples_gives_the_same_bits(self, pair):
+        samples, permuted = pair
+        assume(len(set(samples)) > 1)  # identical samples are rejected
+        a, b = fit_lognormal(samples), fit_lognormal(np.asarray(permuted))
+        assert (a.m.hex(), a.s.hex()) == (b.m.hex(), b.s.hex())
 
     def test_estimator_recovers_parameters(self):
         draws = RandomSource(7).generator.lognormal(1.0, 0.5, size=50_000)

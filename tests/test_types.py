@@ -23,6 +23,10 @@ from pssim.types import (
 from conftest import make_config
 
 
+#: The hour each bin of TEMPORAL_BINS starts at.
+START_HOURS = (3, 6, 9, 12, 15, 18, 21, 0)
+
+
 def bin_at(hour: int) -> TemporalBin:
     """The temporal bin of an hour of the day, by the calendar rule."""
     return TEMPORAL_BINS[time_index(hour)]
@@ -52,9 +56,9 @@ class TestTemporalBin:
         assert bin_at(0) is TemporalBin.N
 
     def test_each_bin_covers_its_three_hours(self):
-        for b in TEMPORAL_BINS:
+        for b, start in zip(TEMPORAL_BINS, START_HOURS):
             for offset in range(3):
-                hour = (b.start_hour + offset) % 24
+                hour = (start + offset) % 24
                 assert bin_at(hour) is b
 
     def test_label_lookup(self):
@@ -104,7 +108,7 @@ class TestCalendarRules:
         indices = time_index(np.arange(24)).tolist()
         for hour in range(24):
             assert time_index(hour) == indices[hour]
-            start = TEMPORAL_BINS[indices[hour]].start_hour
+            start = START_HOURS[indices[hour]]
             assert (hour - start) % 24 < 3
 
 
