@@ -3,19 +3,19 @@
 Reports are keyed by the four-tuple (date, temporal bin, location, incident
 type).  The key columns, which come from ``table.report_columns``, are
 packed into one integer per report whose order is the canonical key order,
-and one sort groups them: each run of equal keys is one event.  The result
-is columnar: an AggregatedEventTable holds each event's key codes and
-support count, and per grouped report its event index and source code, so
-an event's reporters are the sources of the reports that point at it.
+and one counting pass groups them: ``np.bincount`` gives each key's support,
+the keys kept come in key order, and a report's event index is a gather from
+a per-key table.  The result is columnar: an AggregatedEventTable holds each
+event's key codes and support count, and per grouped report its event index
+and source code, so an event's reporters are the sources of its reports.
 
-Memory: the packed keys are held in the smallest integer type of the key
-space (uint16 for the benchmark's trace_pipeline trace) and sorted in place
-beside their int64 argsort order; string codes reach them through one
-scratch column of the same type.  A trace's reports are first projected
-onto date, bin, location and type columns: int32 dates, one-byte bins and
-codes.  Grouping the 485,533 reports of the trace_pipeline trace peaks at
-19.2 bytes per report above the table read (tracemalloc), and the result
-holds 2.1.
+Memory: the packed keys are held in the smallest integer type of their
+space (uint16 for the benchmark's trace_pipeline trace), which renumbering
+keeps within ``DENSE_CELLS_PER_ROW * (rows + 256)``; the count casts them to
+intp once.  A trace's reports are first projected onto int32 dates and
+one-byte bins and codes.  Grouping the 485,533 reports of the trace_pipeline
+trace peaks at 16.1 bytes per report above the table read (tracemalloc),
+and the result holds 2.1.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 
 from .errors import PsSimError
 from .table import AggregatedEventTable, CanonicalTable, code_dtype, report_columns, take
+from .table import DENSE_CELLS_PER_ROW, TAKE_ROWS
 from .types import DEFAULT_LOC
-
-_KEY_SPACE = 2**63  # packed keys fit in int64
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,22 @@ def _ranks(vocab: Sequence[str], dtype) -> np.ndarray:
     return ranks
 
 
-def _packed_key(cols: CanonicalTable) -> np.ndarray:
-    """One integer per report, ordered as (date, bin, loc, type) are, in
-    code_dtype of the key space (int64 when it is past _KEY_SPACE).
+def _packed_key(cols: CanonicalTable) -> tuple[np.ndarray, int]:
+    """One integer per report, ordered as (date, bin, loc, type) are, and
+    the size of their space: at most ``DENSE_CELLS_PER_ROW * (rows + 256)``.
 
     Each column is folded in as ``key * size + value``, the string codes
-    through their ranks, into one scratch column.  Should the sizes multiply
-    past _KEY_SPACE, the distinct keys so far are first renumbered 0, 1, ...
-    in order, which keeps the order and bounds the size by the report count.
+    through their ranks in one scratch column, in code_dtype of the space.
+    A wider space is folded in int64, and each fold that passes the bound
+    renumbers the distinct keys 0, 1, ... in order (an intp inverse, which
+    bincount takes), which keeps the order and bounds the size by the rows.
     """
     n = len(cols.date)
+    bound = DENSE_CELLS_PER_ROW * (n + 256)
     low = int(cols.date.min()) if n else 0
     size = int(cols.date.max()) - low + 1 if n else 1
     space = size * 8 * len(cols.locs) * len(cols.types)
-    dtype = code_dtype(space, n) if space <= _KEY_SPACE else np.dtype(np.int64)
+    dtype = code_dtype(space, n) if space <= bound else np.dtype(np.int64)
     key = np.subtract(cols.date, low, out=np.empty(n, dtype=dtype), casting="unsafe")
     scratch = None
     for values, vocab, count in (
@@ -68,35 +69,33 @@ def _packed_key(cols: CanonicalTable) -> np.ndarray:
     ):
         if count == 1:  # every value is 0
             continue
-        if size * count > _KEY_SPACE:
-            distinct, key = np.unique(key, return_inverse=True)
-            size = len(distinct)
         key *= count
         if vocab is not None:
             values = scratch = take(_ranks(vocab, dtype), values, out=scratch)
         np.add(key, values, out=key, casting="unsafe")
         size *= count
-    return key
+        if size > bound:
+            distinct, key = np.unique(key, return_inverse=True)
+            size = len(distinct)
+    return key, size
 
 
 def _group(cols: CanonicalTable, min_support: int) -> AggregatedEventTable:
-    """Sort the packed keys once; each run of equal keys is one event."""
+    """Count the reports of each packed key; each key with ``min_support``
+    reports or more is one event, in key order."""
     n = len(cols.date)
-    key = _packed_key(cols)
-    order = np.argsort(key)
-    key.sort()  # the keys in order, in place of a gathered copy
-    new = np.ones(n, dtype=bool)  # where a run of equal keys starts
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    del key
-    starts = np.flatnonzero(new)
-    support = np.diff(starts, append=n)
+    key, space = _packed_key(cols)
+    support = np.bincount(key, minlength=space)
     kept = np.flatnonzero(support >= min_support)
-    first = order[starts[kept]]
-    # each report's event index; reports of dropped events get len(kept)
-    number = np.full(len(starts), len(kept), dtype=code_dtype(len(kept) + 1, n))
+    support = support[kept]
+    # per key: its event index (len(kept) when dropped) and one of its
+    # reports, whose four codes every report of the key shares
+    number = np.full(space, len(kept), dtype=code_dtype(len(kept) + 1, n))
     number[kept] = np.arange(len(kept))
-    event = np.empty(n, dtype=number.dtype)
-    event[order] = np.repeat(number, support)
+    row = np.empty(space, dtype=code_dtype(n, space))
+    for first in range(0, n, TAKE_ROWS):
+        row[key[first : first + TAKE_ROWS]] = np.arange(first, min(first + TAKE_ROWS, n))
+    first = row[kept]
     return AggregatedEventTable(
         date=cols.date[first],
         time=cols.time[first],
@@ -104,8 +103,8 @@ def _group(cols: CanonicalTable, min_support: int) -> AggregatedEventTable:
         locs=cols.locs,
         type=cols.type[first],
         types=cols.types,
-        support=support[kept],
-        event=event,
+        support=support,
+        event=take(number, key),
         source=cols.source,
         sources=cols.sources,
     )
@@ -125,7 +124,8 @@ def aggregate(
     of columns; its ``event`` and ``source`` columns name each event's
     reporters.  Rejected records (missing fields) are counted, not
     fatal.  Events with fewer than ``min_support`` supporting reports are
-    dropped after counting.  The grouping runs as one sort in this process.
+    dropped after counting.  The grouping is one counting pass over the
+    packed keys in this process, with no sort below the key-space bound.
     """
     if min_support < 1:
         raise PsSimError(f"min_support must be >= 1, got {min_support}")

@@ -26,14 +26,8 @@ from .distributions import (
     pmf_from_counts,
 )
 from .errors import PsSimError
-from .table import report_columns
+from .table import DENSE_CELLS_PER_ROW, report_columns
 from .types import DAY_BINS, DEFAULT_LOC, TEMPORAL_BINS, Model, day_index
-
-#: ``_user_weekly`` counts (user, week) pairs in a dense array while the
-#: user codes times the weeks stay at most this many times (rows + 256),
-#: and sorts the rows above that.
-DENSE_CELLS_PER_ROW = 4
-
 
 @dataclass(frozen=True)
 class BinnedSeries:

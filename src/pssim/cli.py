@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 input/usage error, 3 runtime model error.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import datetime as dt
 import functools
@@ -23,6 +24,7 @@ from .bench import bench_grid, fit_growth_exponents
 from .distributions import uniform_pmf
 from .errors import PsSimError
 from .simulator import simulate
+from .table import report_columns
 from .types import DEFAULT_LOC, DEFAULT_MODEL, Model, SimConfig
 from .validation import AXES, cross_validate, summarize
 
@@ -78,19 +80,21 @@ def _read_window(read, path: Path, start: str | None, days: int | None, what: st
     return inside, rejects, (first, days), len(reports) - len(inside)
 
 
-def _given(**options) -> dict:
-    """The options of ``pssim simulate`` that were given: those that are
-    not None.  An option left out keeps the default of SimConfig."""
-    return {name: value for name, value in options.items() if value is not None}
-
-
-def _override(model: Model, flag: str, **fields) -> Model:
-    """``model`` with ``fields`` replaced from the option ``flag``.  The
-    model's own checks reject a bad value, and the error names the option."""
+@contextlib.contextmanager
+def _option(flag: str):
+    """Name the option ``flag`` in a PsSimError raised inside: the checks
+    of a model, a pmf or a run know only their own field names."""
     try:
-        return dataclasses.replace(model, **fields)
+        yield
     except PsSimError as exc:
         raise PsSimError(f"{flag}: {exc}") from None
+
+
+def _override(config, flag: str, **fields):
+    """``config`` (a Model or a SimConfig) with ``fields`` replaced from the
+    option ``flag``; its own checks reject a bad value."""
+    with _option(flag):
+        return dataclasses.replace(config, **fields)
 
 
 def _echo_rejects(rejects: dict[str, int]) -> None:
@@ -197,9 +201,10 @@ def ingest(input_csv, out, start, days, outlier_pct, col_overrides):
 )
 @_model_errors_exit_3
 def fit(dataset, out, start, days, per_location, plot_data):
-    """Fit all model parameters from a canonical dataset and write a model file."""
+    """Fit all model parameters from a canonical dataset or a trace and
+    write a model file."""
     records, rejects, window, excluded = _read_window(
-        formats.read_canonical, dataset, start, days, "fitting"
+        _read_dataset, dataset, start, days, "fitting"
     )
     model, meta, samples, qq = fit_models(records, window, per_location, excluded)
     ingest_meta = formats.read_ingest_meta(dataset)
@@ -274,7 +279,9 @@ def simulate_cmd(
         raise click.UsageError(f"--tau must be >= 1, got {tau}")
     if n_participants < 1:
         raise click.UsageError(f"--n must be >= 1, got {n_participants}")
-    start = None if start_date is None else _parse_iso_date(start_date, "--start-date")
+    start = _DEFAULT["start_date"]
+    if start_date is not None:
+        start = _parse_iso_date(start_date, "--start-date")
     if model_path is not None:
         model, _ = formats.load_model(model_path)
         if ev_types is not None:
@@ -282,7 +289,8 @@ def simulate_cmd(
     else:
         model = DEFAULT_MODEL
         if ev_types:
-            types = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
+            with _option("--ev-types"):
+                types = uniform_pmf(t.strip() for t in ev_types.split(",") if t.strip())
             model = dataclasses.replace(model, pmf_ev_type=types)
     if mlog is not None:
         model = _override(model, "--mlog", mlog=mlog)
@@ -291,9 +299,10 @@ def simulate_cmd(
     if lambda_e is not None:  # a given --lambda holds at every --loc
         model = _override(model, "--lambda", lambda_overall=lambda_e, lambda_by_loc={})
     config = SimConfig(
-        tau=tau, n=n_participants, seed=seed, loc=loc, model=model,
-        **_given(start_date=start, pr_lie=pr_lie),
+        tau=tau, n=n_participants, seed=seed, start_date=start, loc=loc, model=model
     )
+    if pr_lie is not None:
+        config = _override(config, "--pr-lie", pr_lie=pr_lie)
     trace = simulate(config)
     formats.write_trace(trace.reports, out)
     click.echo(
@@ -315,10 +324,21 @@ def _read_reports_any(path: Path):
     )
 
 
+def _read_dataset(path: Path):
+    """Read a trace or canonical dataset CSV as a CanonicalTable and its
+    rejects.  A trace is projected by ``report_columns``: each report at
+    DEFAULT_LOC with its reported type, and a blank type is a reject."""
+    reports, rejects = _read_reports_any(path)
+    columns, blank = report_columns(reports)
+    if blank:
+        rejects = {**rejects, "missing EventReported": blank}
+    return columns, rejects
+
+
 @main.command("aggregate")
 @click.argument("input_csv", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path))
-@click.option("--workers", type=int, default=None, help="Accepted for compatibility; has no effect (grouping is one in-process sort).")
+@click.option("--workers", type=int, default=None, help="Accepted for compatibility; has no effect (grouping is one in-process counting pass).")
 @click.option("--min-support", type=int, default=1, show_default=True)
 @click.option("--loc", default=DEFAULT_LOC, show_default=True, help="Location label for trace rows (traces carry none).")
 @click.option("--key", type=click.Choice(["reported", "occurred"]), default="reported", show_default=True, help="Which incident type keys trace rows.")
@@ -360,11 +380,11 @@ def aggregate_cmd(input_csv, out, workers, min_support, loc, key):
 @click.option("--plot-data", type=click.Path(dir_okay=False, path_type=Path), default=None, help="Write fold-0 real-vs-simulated histogram data.")
 @_model_errors_exit_3
 def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
-    """Cross-validate simulated traces against a real dataset (k folds)."""
+    """Cross-validate simulated traces against a dataset or a trace (k folds)."""
     if folds < 2:
         raise click.UsageError(f"--folds must be >= 2, got {folds}")
     records, rejects, window, _ = _read_window(
-        formats.read_canonical, dataset, start, days, "validation"
+        _read_dataset, dataset, start, days, "validation"
     )
 
     results = cross_validate(records, folds, seed, window)

@@ -27,6 +27,11 @@ from .types import DEFAULT_LOC, TEMPORAL_BINS
 
 TAKE_ROWS = 1 << 16  # codes per call of take() and mark()
 
+#: A counting stage counts over a code space of at most this many times
+#: (rows + 256) values in one int64 array, at most 32 bytes per row plus
+#: 8 KiB; a wider space is renumbered or sorted instead.
+DENSE_CELLS_PER_ROW = 4
+
 
 def column_dtype(dtype, length: int) -> np.dtype:
     """``dtype`` for a column of ``length`` entries, or int64 below 1024.

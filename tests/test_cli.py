@@ -294,6 +294,35 @@ class TestFit:
             assert r >= 0.99
 
 
+    def test_fit_and_validate_read_a_simulated_trace(self, runner, tmp_path):
+        from pssim.types import DEFAULT_LOC
+        from pssim.validation import AXES
+
+        trace, model_path, folds = (tmp_path / name for name in ("t.csv", "m.json", "f.csv"))
+        run_ok(runner, [
+            "simulate", "--tau", "14", "--n", "100", "--seed", "5",
+            "--ev-types", "Jam,Accident,Hazard", "--out", str(trace),
+        ])
+        run_ok(runner, ["fit", str(trace), "--out", str(model_path)])
+        model, _ = load_model(model_path)
+        assert sorted(model.pmf_ev_type.support) == ["Accident", "Hazard", "Jam"]
+        assert list(model.lambda_by_loc) == [DEFAULT_LOC]
+        run_ok(runner, ["validate", str(trace), "-k", "2", "--out", str(folds)])
+        with open(folds, newline="") as handle:
+            assert len(list(csv.DictReader(handle))) == 2 * len(AXES)
+
+    def test_fit_counts_the_trace_rows_it_rejects(self, runner, tmp_path):
+        trace, model_path = tmp_path / "t.csv", tmp_path / "m.json"
+        run_ok(runner, GOLDEN_ARGS + ["--out", str(trace)])
+        header, first, *rest = trace.read_text().splitlines()
+        fields = first.split(",")
+        fields[header.split(",").index("EventReported")] = ""
+        trace.write_text("\n".join([header, ",".join(fields), *rest]) + "\n")
+        result = run_ok(runner, ["fit", str(trace), "--out", str(model_path)])
+        assert "rejected 1 rows: malformed row" in result.output  # by read_trace
+        assert load_model(model_path)[1]["reports"] == len(rest)
+
+
 class TestSimulate:
     def test_golden_trace_is_stable(self, runner, tmp_path):
         out = tmp_path / "trace.csv"
@@ -336,8 +365,13 @@ class TestSimulate:
             ["simulate", "--mlog", "nan"],
             ["simulate", "--sdlog", "-1"],
             ["bench", "--lambda", "nan"],
+            ["simulate", "--ev-types", ","],
+            ["simulate", "--pr-lie", "2"],
         ],
-        ids=["lambda-nan", "lambda-inf", "mlog-nan", "sdlog-negative", "bench-lambda-nan"],
+        ids=[
+            "lambda-nan", "lambda-inf", "mlog-nan", "sdlog-negative", "bench-lambda-nan",
+            "ev-types-empty", "pr-lie-above-one",
+        ],
     )
     def test_non_finite_parameter_exits_3(self, runner, tmp_path, args):
         result = runner.invoke(main, [*args, "--out", str(tmp_path / "t.csv")])
