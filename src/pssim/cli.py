@@ -21,7 +21,7 @@ from . import formats
 from .aggregation import aggregate
 from .analysis import filter_outliers, fit_models, mean_weekly
 from .bench import bench_grid, fit_growth_exponents
-from .distributions import uniform_pmf
+from .distributions import check_seed, uniform_pmf
 from .errors import PsSimError
 from .simulator import simulate
 from .table import report_columns
@@ -95,6 +95,12 @@ def _override(config, flag: str, **fields):
     option ``flag``; its own checks reject a bad value."""
     with _option(flag):
         return dataclasses.replace(config, **fields)
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a --seed that cannot be a master seed, before any input is read."""
+    with _option("--seed"):
+        check_seed(seed)
 
 
 def _echo_rejects(rejects: dict[str, int]) -> None:
@@ -275,6 +281,7 @@ def simulate_cmd(
 ):
     """Generate a synthetic trace CSV (EventNo,Date,Day,Time,ReportNo,SourceId,
     EventReported,EventOccurred)."""
+    _check_seed(seed)
     if tau < 1:
         raise click.UsageError(f"--tau must be >= 1, got {tau}")
     if n_participants < 1:
@@ -298,9 +305,10 @@ def simulate_cmd(
         model = _override(model, "--sdlog", sdlog=sdlog)
     if lambda_e is not None:  # a given --lambda holds at every --loc
         model = _override(model, "--lambda", lambda_overall=lambda_e, lambda_by_loc={})
-    config = SimConfig(
-        tau=tau, n=n_participants, seed=seed, start_date=start, loc=loc, model=model
-    )
+    with _option("--start-date/--tau"):  # the one field check left: the window's end
+        config = SimConfig(
+            tau=tau, n=n_participants, seed=seed, start_date=start, loc=loc, model=model
+        )
     if pr_lie is not None:
         config = _override(config, "--pr-lie", pr_lie=pr_lie)
     trace = simulate(config)
@@ -327,12 +335,10 @@ def _read_reports_any(path: Path):
 def _read_dataset(path: Path):
     """Read a trace or canonical dataset CSV as a CanonicalTable and its
     rejects.  A trace is projected by ``report_columns``: each report at
-    DEFAULT_LOC with its reported type, and a blank type is a reject."""
+    DEFAULT_LOC with its reported type, which is never blank, as read_trace
+    rejects a row with a blank type as malformed."""
     reports, rejects = _read_reports_any(path)
-    columns, blank = report_columns(reports)
-    if blank:
-        rejects = {**rejects, "missing EventReported": blank}
-    return columns, rejects
+    return report_columns(reports)[0], rejects
 
 
 @main.command("aggregate")
@@ -381,6 +387,7 @@ def aggregate_cmd(input_csv, out, workers, min_support, loc, key):
 @_model_errors_exit_3
 def validate_cmd(dataset, folds, seed, start, days, out, plot_data):
     """Cross-validate simulated traces against a dataset or a trace (k folds)."""
+    _check_seed(seed)
     if folds < 2:
         raise click.UsageError(f"--folds must be >= 2, got {folds}")
     records, rejects, window, _ = _read_window(
@@ -442,6 +449,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 @_model_errors_exit_3
 def bench_cmd(n_range, m_range, seed, repeats, lambda_e, out):
     """Time trace generation over a grid of participant counts and durations."""
+    _check_seed(seed)
     if repeats < 1:
         raise click.UsageError(f"--repeats must be >= 1, got {repeats}")
     n_values = _parse_range(n_range, "--n-range")

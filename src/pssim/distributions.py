@@ -35,6 +35,12 @@ def _stream_key(name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def check_seed(seed: int) -> None:
+    """Raise PsSimError unless ``seed`` can be a master seed: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise PsSimError("seed must fit in an unsigned 64-bit integer")
+
+
 class RandomSource:
     """Deterministic, splittable random source.
 
@@ -44,8 +50,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        if not 0 <= seed < 2**64:
-            raise PsSimError("seed must fit in an unsigned 64-bit integer")
+        check_seed(seed)
         self.seed = seed
         self._spawn_key = _spawn_key
         seq = np.random.SeedSequence(seed, spawn_key=_spawn_key)

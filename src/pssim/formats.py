@@ -12,8 +12,9 @@ loop over blocks of rows that _read takes from one of three sources:
   next to a regular file of at least BYTE_PATH_MIN_BYTES: the writer's
   code and value columns as raw arrays after a JSON line with the CSV's
   SHA-256 (see _write_sidecar).  It is read when that hash matches and it
-  checks whole (_Sidecar), in _CodedBlocks; each distinct text its rows
-  use is parsed with csv.reader.
+  checks whole (_Sidecar), as one block of all the rows, keyed by their
+  codes: each code a lookup's rows use is parsed with csv.reader and
+  resolved once.
 * the bytes of a file of at least BYTE_PATH_MIN_BYTES with no NUL or lone
   CR byte, and no quote after its header line, in _ByteBlocks: blocks of
   BLOCK_BYTES whole lines are split at LF (CRLF too) and at commas with
@@ -25,16 +26,19 @@ loop over blocks of rows that _read takes from one of three sources:
 * csv.reader's rows for any other file, in _RowBlocks of CHUNK_ROWS rows.
 
 All three offer the same values, integers and stamp_cells, so a file gives
-the same table and reject counts whichever source reads it.
+the same table and reject counts whichever source reads it.  A lookup's
+values are a table of values and each row's key into it: a sidecar's rows
+are keyed by their codes, the byte path's by their group of equal texts,
+and csv.reader's rows each hold their own value.
 
-Each reader fills its per-row columns block by block (_Column), codes in
-the smallest unsigned type of their vocabulary so far: from a sidecar,
-which gives the row count first, into arrays of their final length; from
-the other two sources, into one part per block, joined a column at a time
-at the end.  Reading the 485,533 rows of the benchmark's trace_pipeline
-trace, read_trace retains 16.6 bytes per row, 14 of them columns and the
-rest vocabularies, and peaks at 28.4 bytes per row from the sidecar and
-29.1 on the byte path (tracemalloc).
+Each reader builds a row mask only when some value is a reject, and fills
+its per-row columns block by block (_gather), each part one gather from a
+value table, codes in the smallest unsigned type of their vocabulary so
+far.  The parts are joined a column at a time at the end (_joined); the
+one block of a sidecar gives each column whole.  Reading the 485,533 rows of the
+benchmark's trace_pipeline trace, read_trace retains 16.1 bytes per row, 14
+of them columns and the rest vocabularies, and peaks at 28.7 bytes per row
+from the sidecar and 29.7 on the byte path (tracemalloc).
 
 The trace, canonical and events CSVs are written by one byte writer,
 _write_csv.  A row is a run of parts: a code into a vocabulary of field
@@ -69,6 +73,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import stat
@@ -81,6 +86,7 @@ import numpy as np
 from .distributions import Pmf
 from .errors import PsSimError
 from .table import (
+    TAKE_ROWS,
     AggregatedEventTable,
     CanonicalTable,
     ReportTable,
@@ -183,7 +189,7 @@ def _overwrite(path: Path, mode: str = "wb"):
                 handle.truncate()
 
 
-CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and per block of the sidecar and csv.reader
+CHUNK_ROWS = 1 << 12  # rows per chunk of the writer and per block of csv.reader
 BLOCK_BYTES = 1 << 19  # bytes per block of the byte path, cut after an LF
 BYTE_PATH_MIN_BYTES = 1 << 16  # smaller files are read by csv.reader
 _MALFORMED = -1
@@ -209,8 +215,7 @@ _DAYS_BEFORE_MONTH = np.cumsum(_DAYS_IN_MONTH) - _DAYS_IN_MONTH
 SIDECAR_VERSION = 1
 _CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8")  # of a sidecar's code columns; decimals are "<i8"
 _SIDECAR_START = b'{"sha256": "'  # then the sidecar's own SHA-256, 64 hex digits
-_HASH_BYTES = 1 << 20  # bytes per read while a sidecar is checked
-_UNKNOWN = np.iinfo(np.int64).min  # the value of a key no text was resolved for yet
+_HASH_BYTES = 1 << 20  # bytes per read of a hashed CSV and per write of a sidecar column
 _DENSE_KEYS = 1 << 24  # lookups over more code combinations group each block's keys
 
 
@@ -508,6 +513,33 @@ def _groups(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return groups, np.minimum.reduceat(order, np.flatnonzero(new))
 
 
+def _first_rows(key: np.ndarray, size: int, keep: np.ndarray | None) -> np.ndarray:
+    """The rows of ``keep`` (every row when None) that first use their
+    key, a number below ``size``, in row order.  The rows are taken
+    TAKE_ROWS at a time, so that only that many row numbers are held."""
+    first = np.full(size, len(key), dtype=np.intp)  # per key: the first row that uses it
+    for start in range(0, len(key), TAKE_ROWS):
+        rows = np.arange(start, min(start + TAKE_ROWS, len(key)))
+        if keep is not None:
+            rows = rows[keep[start : start + TAKE_ROWS]]
+        np.minimum.at(first, key[rows], rows)
+    return np.sort(first[first < len(key)])
+
+
+def _keyed(value: np.ndarray, key: np.ndarray, keep: np.ndarray | None):
+    """A value table and each row's key into it, the rows outside ``keep``
+    keyed to an added _MALFORMED."""
+    if keep is None:
+        return value, key
+    return np.append(value, _MALFORMED), np.where(keep, key, np.intp(len(value)))
+
+
+def _per_row(value: np.ndarray, key: np.ndarray | None) -> np.ndarray:
+    """Each row's value from a value table and the rows' keys into it; with
+    no key, the table holds one value per row."""
+    return value if key is None else take(value, key)
+
+
 class _ByteBlock:
     """The rows of a block of whole lines from a file with no quote, NUL or
     lone CR, split at LF (after dropping a CR before it) and at every
@@ -571,21 +603,23 @@ class _ByteBlock:
             texts.append([data[s:e].decode() for s, e in zip(starts, ends)])
         return texts[0] if len(bounds) == 1 else list(zip(*texts))
 
-    def values(self, lookup: _Lookup, keep: np.ndarray | None = None) -> np.ndarray:
-        """``lookup``'s value of every row's text; rows outside ``keep`` get
-        _MALFORMED and resolve nothing.  The rows are grouped together with
-        the keys the lookup knows, so only new texts reach Python."""
+    def values(self, lookup: _Lookup, keep: np.ndarray | None = None):
+        """``lookup``'s value table and each row's key into it: a row's
+        value is ``table[key]``, or the table holds one value per row when
+        the key is None.  Rows outside ``keep`` get _MALFORMED and resolve
+        nothing.  The rows are grouped together with the keys the lookup
+        knows, so only new texts reach Python."""
         bounds = [self._bounds(name) for name in lookup.names]
         lengths = [ends - starts for starts, ends in bounds]
         sizes = [  # key words per column
             max(-(-int(length.max()) // 8), len(old)) for length, old in zip(lengths, lookup.words)
         ]
         known, n = len(lookup.values), len(self)
-        rows = np.arange(n) if keep is None else np.flatnonzero(keep)
         if sum(sizes) > _MAX_KEY_WORDS:
+            rows = np.arange(n) if keep is None else np.flatnonzero(keep)
             value = np.full(n, _MALFORMED, dtype=np.int64)
             value[rows] = [lookup.of(text) for text in self._texts(bounds, rows)]
-            return value
+            return value, None
         columns = []  # per column: its key words, known keys first
         for (starts, _), length, size, old in zip(bounds, lengths, sizes, lookup.words):
             old = old + [np.zeros(known, dtype=np.uint64)] * (size - len(old))
@@ -600,20 +634,18 @@ class _ByteBlock:
         old = first < known
         value[old] = lookup.values[first[old]]
         groups = groups[known:]
-        first_kept = np.full(len(first), n)
-        np.minimum.at(first_kept, groups[rows], rows)
-        at = np.sort(first_kept[~old & (first_kept < n)])  # rows that first use a new text
+        at = _first_rows(groups, len(first), keep)
+        at = at[~old[groups[at]]]  # rows that first use a new text
         value[groups[at]] = [lookup.resolve(text) for text in self._texts(bounds, at)]
         if lookup.remember:
             lookup.words = [[np.concatenate((w[:known], w[known + at])) for w in c] for c in columns]
             lookup.values = np.concatenate((lookup.values, value[groups[at]]))
-        out = np.full(n, _MALFORMED, dtype=np.int64)
-        out[rows] = value[groups[rows]]
-        return out
+        return _keyed(value, groups, keep)
 
-    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         """``int()`` of one column's field in every row, as int64 values and
-        a mask of the rows where it parsed and fits in int64.  Fields of 1-18
+        a mask of the rows where it parsed and fits in int64, or None when
+        it did in every row (never from this block).  Fields of 1-18
         ASCII digits are parsed here; ``int()`` decides every other one."""
         starts, ends = self._bounds(name)
         length = ends - starts
@@ -734,91 +766,108 @@ def _sha256(path: Path) -> str:
 
 class _Sidecar:
     """The sidecar of a CSV that _write_sidecar wrote, checked whole and
-    open for reading its columns.
+    read as one block of all the CSV's rows.
 
     Before any row is read, the check covers the version and the JSON
     layout, the CSV's SHA-256, the sidecar's length and its own SHA-256,
-    and that every code points into its part's texts.  Each text the rows
-    use is then parsed with csv.reader, as the CSV path parses it inside a
-    row, which gives the part and field of every column.  Raises ValueError
-    (or KeyError, TypeError or AttributeError, from a malformed JSON line)
-    when a check fails, OSError when the CSV cannot be read, and csv.Error
-    as the CSV path does for a field over the limit.
+    that every code points into its part's texts, and that each text the
+    rows use is one row of as many fields as the part's other texts when
+    csv.reader parses it, as the CSV path parses it inside a row.  That
+    gives the part and field of every column.  The parsed fields are not
+    kept: values parses a text again when it resolves it.  The columns of
+    decimal parts, the values the rows give, are kept from the check; a
+    code column is read again when a lookup needs it, so that the read
+    holds only those in use.  Raises ValueError (or KeyError, TypeError or
+    AttributeError, from a malformed JSON line) when a check fails, OSError
+    when the CSV cannot be read, and csv.Error as the CSV path does for a
+    field over the limit.
     """
 
     def __init__(self, path: Path, handle):
-        self.path, self.handle = path, handle
         line = handle.readline()
         head = json.loads(line)
         if not line.startswith(_SIDECAR_START) or head["version"] != SIDECAR_VERSION:
             raise ValueError("not a sidecar of this version")
+        self.path, self.handle = path, handle
         self.rows, self.header, parts = head["rows"], head["header"], head["parts"]
-        texts = [None if part.get("decimal") is True else part["texts"] for part in parts]
+        self.texts = [None if part.get("decimal") is True else part["texts"] for part in parts]
         if not (
             type(self.rows) is int
             and self.rows > 0
             and all(isinstance(name, str) for name in self.header)
             and all(
-                part["dtype"] in (("<i8",) if part_texts is None else _CODE_DTYPES)
-                for part, part_texts in zip(parts, texts)
+                part["dtype"] in (("<i8",) if texts is None else _CODE_DTYPES)
+                for part, texts in zip(parts, self.texts)
             )
         ):
             raise ValueError("malformed sidecar header")
         self.dtypes = [np.dtype(part["dtype"]) for part in parts]
-        widths = [dtype.itemsize * self.rows for dtype in self.dtypes]
-        self.starts = list(itertools.accumulate(widths[:-1], initial=len(line)))
-        if os.fstat(handle.fileno()).st_size != len(line) + sum(widths):
+        sizes = [dtype.itemsize * self.rows for dtype in self.dtypes]
+        self.starts = list(itertools.accumulate(sizes[:-1], initial=len(line)))
+        if os.fstat(handle.fileno()).st_size != len(line) + sum(sizes):
             raise ValueError("sidecar length")
         # first, so that _check raises csv.Error, as the CSV path does, only
         # for the sidecar of this CSV
         if _sha256(path) != head["csv_sha256"]:
             raise ValueError("the CSV changed")
-        self._check(handle, line, head, texts)
-        self.known: dict[_Lookup, np.ndarray] = {}  # per lookup: value by key
+        self.decimals: dict[int, np.ndarray] = {}  # per decimal part: its column
+        self._check(line, head)
 
-    def _check(self, handle, line: bytes, head: dict, texts: list) -> None:
-        """Check the sidecar's own SHA-256 and codes, and parse the texts
-        the rows use into self.fields and self.place."""
+    def _check(self, line: bytes, head: dict) -> None:
+        """Check the sidecar's own SHA-256, its codes and the texts the rows
+        use, and find self.place.  Each column is read whole; those of
+        decimal parts are kept, as they are the values the rows give."""
         digest = hashlib.sha256(_SIDECAR_START + b"0" * 64 + line[len(_SIDECAR_START) + 64 :])
-        used = [None if part is None else np.zeros(len(part), dtype=bool) for part in texts]
-        for part, dtype, seen in zip(texts, self.dtypes, used):
-            step = _HASH_BYTES // dtype.itemsize
-            for first in range(0, self.rows, step):
-                column = np.empty(min(step, self.rows - first), dtype=dtype)
-                handle.readinto(column)
-                digest.update(column)
-                if part is not None:
-                    if int(column.max()) >= len(part):
-                        raise ValueError("code out of range")
-                    mark(seen, column)
+        used = []  # per part: which of its texts the rows use
+        for j, part in enumerate(self.texts):
+            column = self._column(j)
+            digest.update(column)
+            if part is None:
+                self.decimals[j] = column
+                used.append(None)
+                continue
+            if int(column.max()) >= len(part):
+                raise ValueError("code out of range")
+            used.append(np.zeros(len(part), dtype=bool))
+            mark(used[-1], column)
         if digest.hexdigest() != head["sha256"]:
             raise ValueError("sidecar hash")
         if csv.field_size_limit() < 20:  # a decimal field could pass it
             raise ValueError("field size limit below a decimal's width")
-        self.fields = []  # per part: by row code, the fields of its text when used
-        self.place = []  # per column: its part and field
-        for j, (part, seen) in enumerate(zip(texts, used)):
-            codes = [] if seen is None else np.flatnonzero(seen).tolist()
-            chosen = [part[code] for code in codes]
-            # a text with a CR is left to the CSV: files written before a CR
-            # was quoted hold it bare, and csv.reader ends a row there
-            if not all(
-                isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
-                for text in chosen
-            ):
-                raise ValueError("texts are not whole fields")
-            # csv.reader reads an empty line as no field, where a row has one
-            fields = [f or [""] for f in csv.reader(text[:-1] for text in chosen)]
-            width = len(fields[0]) if fields else 1
-            if len(fields) != len(chosen) or any(len(f) != width for f in fields):
-                raise ValueError("texts are not whole fields")
-            by_code = None if seen is None else [None] * len(part)
-            for code, field in zip(codes, fields):
-                by_code[code] = tuple(field)
-            self.fields.append(by_code)
+        self.place, self.widths = [], []  # per column: its part and field; per part: its fields
+        for j, (part, seen) in enumerate(zip(self.texts, used)):
+            width = 1
+            if part is not None:
+                chosen = [part[code] for code in np.flatnonzero(seen).tolist()]
+                # a text with a CR is left to the CSV: files written before a CR
+                # was quoted hold it bare, and csv.reader ends a row there
+                if not all(
+                    isinstance(text, str) and text[-1:] in (",", "\n") and "\r" not in text
+                    for text in chosen
+                ):
+                    raise ValueError("texts are not whole fields")
+                # the empty line after them is a row of its own only when
+                # every text closes its quotes, as values parses them in
+                # another order; csv.reader reads an empty line as no field
+                counts = list(map(len, csv.reader(itertools.chain((t[:-1] for t in chosen), [""]))))
+                found = {count or 1 for count in set(counts[:-1])}
+                if len(counts) != len(chosen) + 1 or len(found) != 1:
+                    raise ValueError("texts are not whole fields")
+                width = found.pop()
+            self.widths.append(width)
             self.place += [(j, k) for k in range(width)]
         if len(self.place) != len(self.header):
             raise ValueError("parts do not cover the header")
+
+    def _column(self, j: int) -> np.ndarray:
+        """The column of part ``j``, read from the sidecar unless it is kept."""
+        if j in self.decimals:
+            return self.decimals[j]
+        column = np.empty(self.rows, dtype=self.dtypes[j])
+        self.handle.seek(self.starts[j])
+        if self.handle.readinto(column) != column.nbytes:
+            raise PsSimError(f"{_sidecar_path(self.path)}: cut short while read")
+        return column
 
     @classmethod
     def open(cls, path: Path) -> "_Sidecar | None":
@@ -832,7 +881,7 @@ class _Sidecar:
             return None
         try:
             return cls(path, handle)
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
+        except (ValueError, KeyError, TypeError, AttributeError, OSError, PsSimError):
             handle.close()
             return None
         except BaseException:
@@ -845,87 +894,62 @@ class _Sidecar:
     def __exit__(self, *exc) -> None:
         self.handle.close()
 
-    def blocks(self, required: Sequence[str]):
-        """The rows as _CodedBlocks of CHUNK_ROWS rows.  Raises PsSimError
-        when a required column is absent, as the CSV path does."""
-        col = _header_columns(self.path, iter([self.header]), required)
-        for first in range(0, self.rows, CHUNK_ROWS):
-            columns = []
-            for start, dtype in zip(self.starts, self.dtypes):
-                column = np.empty(min(CHUNK_ROWS, self.rows - first), dtype=dtype)
-                self.handle.seek(start + first * dtype.itemsize)
-                if self.handle.readinto(column) != column.nbytes:
-                    raise PsSimError(f"{_sidecar_path(self.path)}: cut short while read")
-                columns.append(column)
-            yield _CodedBlock(self, columns, col)
+    def blocks(self, required: Sequence[str]) -> list["_Sidecar"]:
+        """The rows as one block, this sidecar.  Raises PsSimError when a
+        required column is absent, as the CSV path does."""
+        self.col = _header_columns(self.path, iter([self.header]), required)
+        return [self]
 
-
-class _CodedBlock:
-    """Rows of a CSV read from its sidecar: per part, each row's code into
-    the part's texts, or its int64 value for a decimal part.  It has
-    _ByteBlock's interface and gives the same values, the texts being the
-    fields csv.reader reads from the CSV."""
-
-    def __init__(self, sidecar: _Sidecar, columns: list[np.ndarray], col: dict[str, int]):
-        self.sidecar, self.columns, self.col = sidecar, columns, col
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def _texts(self, places, rows: np.ndarray) -> list:
-        texts = []
-        for part, field in places:
-            codes, fields = self.columns[part][rows].tolist(), self.sidecar.fields[part]
-            texts.append(list(map(str, codes)) if fields is None else [fields[c][field] for c in codes])
-        return texts[0] if len(places) == 1 else list(zip(*texts))
-
-    def values(self, lookup: _Lookup, keep: np.ndarray | None = None) -> np.ndarray:
-        """``lookup``'s value of every row's text; rows outside ``keep`` get
-        _MALFORMED and resolve nothing.  Rows are keyed by the codes of the
-        parts that hold the lookup's columns, and each new key's text goes
-        to ``lookup.of`` once, in the order the kept rows first use it."""
-        n = len(self)
-        rows = np.arange(n) if keep is None else np.flatnonzero(keep)
-        places = [self.sidecar.place[self.col[name]] for name in lookup.names]
+    def values(self, lookup: _Lookup, keep: np.ndarray | None = None):
+        """``lookup``'s value table and each row's key, as _ByteBlock.values
+        gives them.  A row's key is its code in the part that holds the
+        lookup's columns, or its codes in several combined.  Each key the
+        kept rows use is resolved once, in the order they first use it, and
+        its texts are parsed with csv.reader just before; the table holds 0
+        for the keys no kept row uses."""
+        places = [self.place[self.col[name]] for name in lookup.names]
         parts = sorted({part for part, _ in places})
-        sizes = [0 if self.sidecar.fields[j] is None else len(self.sidecar.fields[j]) for j in parts]
-        store = self.sidecar.known.get(lookup)
-        if 0 < math.prod(sizes) <= _DENSE_KEYS:  # the codes make one key
-            key = np.zeros(n, dtype=np.int64)
-            for j, size in zip(parts, sizes):
-                key = key * size + self.columns[j]
-            if store is None:
-                store = np.full(math.prod(sizes), _UNKNOWN, dtype=np.int64)
-                if lookup.remember:
-                    self.sidecar.known[lookup] = store
-        else:  # decimal values, or too many combinations: keys of this block only
-            key, first = _groups([self.columns[j].astype(np.uint64) for j in parts])
-            store = np.full(len(first), _UNKNOWN, dtype=np.int64)
-        kept = key[rows]
-        got = store[kept]
-        new = got == _UNKNOWN
-        if new.any():
-            new_rows, new_keys = rows[new], kept[new]
-            order = np.argsort(new_keys, kind="stable")
-            first_use = np.ones(len(order), dtype=bool)
-            first_use[1:] = new_keys[order[1:]] != new_keys[order[:-1]]
-            at = np.sort(new_rows[order[first_use]])
-            store[key[at]] = [lookup.of(text) for text in self._texts(places, at)]
-            got = store[kept]
-        value = np.full(n, _MALFORMED, dtype=np.int64)
-        value[rows] = got
-        return value
+        sizes = [0 if self.texts[j] is None else len(self.texts[j]) for j in parts]
+        size = math.prod(sizes)
+        columns = {j: self._column(j) for j in parts}
+        if 0 < size <= _DENSE_KEYS:  # the codes make one key
+            key = columns[parts[0]]
+            if len(parts) > 1:
+                key = key.astype(np.min_scalar_type(size))
+                for j, part_size in zip(parts[1:], sizes[1:]):
+                    key *= part_size
+                    key += columns[j]
+        else:  # decimal values, or too many combinations: group the rows
+            key, first = _groups([columns[j].astype(np.uint64) for j in parts])
+            size = len(first)
+        at = _first_rows(key, size, keep)
+        rows = []  # per part: the fields of the text of each row in ``at``, parsed as resolved
+        for j in parts:
+            codes = columns.pop(j)[at].tolist()
+            if self.texts[j] is None:
+                rows.append([str(code)] for code in codes)
+            else:
+                texts = map(self.texts[j].__getitem__, codes)
+                rows.append(f or [""] for f in csv.reader(text[:-1] for text in texts))
+        # the fields of the parts in turn
+        fields = rows[0] if len(rows) == 1 else map(lambda *part: sum(part, []), *rows)
+        start = dict(zip(parts, itertools.accumulate([self.widths[j] for j in parts], initial=0)))
+        pick = operator.itemgetter(*[start[part] + field for part, field in places])
+        value = np.zeros(size, dtype=np.int64)
+        value[key[at]] = np.fromiter(map(lookup.resolve, map(pick, fields)), np.int64, len(at))
+        return _keyed(value, key, keep)
 
-    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """One column's int64 values in every row, and a mask that holds
-        them all.  The column is a decimal part, as ReportNo, the one
-        integer column read, is in every sidecar write_trace writes."""
-        column = self.columns[self.sidecar.place[self.col[name]][0]]
-        return column.astype(np.int64), np.ones(len(column), dtype=bool)
+    def integers(self, name: str) -> tuple[np.ndarray, None]:
+        """One column's int64 values in every row, and None for the mask of
+        the rows where they parsed (see _ByteBlock.integers).  The column is
+        a decimal part, as ReportNo, the one integer column read, is in
+        every sidecar write_trace writes."""
+        column = self._column(self.place[self.col[name]][0])
+        return column.astype(np.int64, copy=False), None
 
     def stamp_cells(self, name: str) -> np.ndarray:
         """``_stamp_cell`` of one column's field in every row."""
-        return self.values(_Lookup((name,), _stamp_cell, remember=False))
+        return _per_row(*self.values(_Lookup((name,), _stamp_cell, remember=False)))
 
 
 class _RowBlock:
@@ -942,10 +966,11 @@ class _RowBlock:
     def __len__(self) -> int:
         return self.size
 
-    def values(self, lookup: _Lookup, keep: np.ndarray | None = None) -> np.ndarray:
-        """``lookup``'s value of every row's text; rows outside ``keep`` get
-        _MALFORMED and resolve nothing.  One pass over the rows, which
-        resolves each text the lookup does not know, in row order."""
+    def values(self, lookup: _Lookup, keep: np.ndarray | None = None):
+        """``lookup``'s value of every row's text, with no key (see
+        _ByteBlock.values); rows outside ``keep`` get _MALFORMED and resolve
+        nothing.  One pass over the rows, which resolves each text the
+        lookup does not know, in row order."""
         columns = [self.columns[self.col[name]] for name in lookup.names]
         texts = columns[0] if len(columns) == 1 else zip(*columns)
         # lookup.of's work without a call per text; a lookup that does not
@@ -958,14 +983,15 @@ class _RowBlock:
             else _MALFORMED
             for text, kept in zip(texts, itertools.repeat(True) if keep is None else keep.tolist())
         ]
-        return np.array(value, dtype=np.int64)
+        return np.array(value, dtype=np.int64), None
 
-    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+    def integers(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
         """``int()`` of one column's field in every row, as int64 values and
-        a mask of the rows where it parsed and fits in int64."""
+        a mask of the rows where it parsed and fits in int64, or None when
+        it did in every row."""
         texts = self.columns[self.col[name]]
         try:  # every field parses and fits, as in any file pssim wrote
-            return np.array(list(map(int, texts)), dtype=np.int64), np.ones(len(texts), dtype=bool)
+            return np.array(list(map(int, texts)), dtype=np.int64), None
         except (ValueError, OverflowError):
             numbers = list(map(_int64, texts))
         ok = np.array([number is not None for number in numbers], dtype=bool)
@@ -973,7 +999,7 @@ class _RowBlock:
 
     def stamp_cells(self, name: str) -> np.ndarray:
         """``_stamp_cell`` of one column's field in every row."""
-        return self.values(_Lookup((name,), _stamp_cell, remember=False))
+        return self.values(_Lookup((name,), _stamp_cell, remember=False))[0]
 
 
 def _row_blocks(path: Path, required: Sequence[str]):
@@ -991,64 +1017,56 @@ def _row_blocks(path: Path, required: Sequence[str]):
 
 @contextlib.contextmanager
 def _read(path: Path, required: Sequence[str]):
-    """The data rows of a CSV as blocks, with their count when it is known
-    before they are read, else None: from its sidecar when it has a valid
-    one, else from its bytes when _byte_path allows, else from csv.reader's
-    rows."""
+    """The data rows of a CSV as blocks: from its sidecar when it has a
+    valid one, else from its bytes when _byte_path allows, else from
+    csv.reader's rows."""
     sidecar = _Sidecar.open(path)
-    if sidecar is not None:
-        with sidecar:
-            yield sidecar.rows, sidecar.blocks(required)
-    elif _byte_path(path):
-        yield None, _blocks(path, required)
+    if sidecar is None:
+        yield (_blocks if _byte_path(path) else _row_blocks)(path, required)
     else:
-        yield None, _row_blocks(path, required)
+        with sidecar:
+            yield sidecar.blocks(required)
 
 
-class _Column:
-    """A per-row column of a reader, filled block by block with int64
-    values or with codes into a vocabulary that grows as rows are read.
-
-    Codes are held in the smallest unsigned type of the vocabulary so far.
-    With the row count known before the first block, the column is one
-    array of that length, filled in place and widened over the rows filled
-    when the vocabulary outgrows its type; its pages are touched only as
-    rows arrive.  Otherwise each block's part is kept and the parts are
-    joined once, by ``done``, which drops them.
-    """
-
-    def __init__(self, rows: int | None):
-        self.rows, self.filled = rows, 0
-        self.parts: list[np.ndarray] = []
-        self.array: np.ndarray | None = None
-
-    def add(self, values: np.ndarray, size: int | None = None) -> None:
-        """Append a block's values, codes below ``size`` or, with no size,
-        int64 values."""
-        dtype = np.dtype(np.int64) if size is None else np.min_scalar_type(max(size - 1, 0))
-        if self.rows is None:
-            self.parts.append(values.astype(dtype, copy=False))
-            return
-        if self.array is None:
-            self.array = np.empty(self.rows, dtype=dtype)
-        elif dtype.itemsize > self.array.itemsize:
-            wider = np.empty(self.rows, dtype=dtype)
-            wider[: self.filled] = self.array[: self.filled]
-            self.array = wider
-        self.array[self.filled : self.filled + len(values)] = values
-        self.filled += len(values)
-
-    def done(self) -> np.ndarray:
-        """The rows filled as one array, in the type of their last block."""
-        if self.rows is None:
-            parts, self.parts = self.parts, []
-            return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-        if self.filled < self.rows:  # rejected rows leave a tail
-            return self.array[: self.filled].copy()
-        return self.array
+def _gather(keyed, keep: np.ndarray | None, size: int | None = None) -> np.ndarray:
+    """A block's part of a per-row column: the values of its rows in
+    ``keep`` (every row when None), from a value table and the rows' keys,
+    codes below ``size`` in the smallest unsigned type that holds them or,
+    with no size, int64 values."""
+    value, key = keyed
+    dtype = np.dtype(np.int64) if size is None else np.min_scalar_type(max(size - 1, 0))
+    value = value.astype(dtype, copy=False)  # a key no kept row uses may wrap
+    if key is None:
+        return value if keep is None else value[keep]
+    return take(value, key if keep is None else key[keep])
 
 
-def _report_blocks(rows: int | None, blocks, cell: _Lookup, string_columns, vocabs):
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """A per-row column from its blocks' parts, which it drops, in the type
+    of the widest; the one part of a sidecar is the column as it is."""
+    if len(parts) == 1:
+        column = parts[0]
+    else:
+        column = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+    parts.clear()
+    return column
+
+
+def _kept(keyed, keep: np.ndarray | None) -> tuple[np.ndarray | None, int]:
+    """``keep`` (None for every row) less the rows whose value in ``keyed``
+    is negative, and the count of the rows that drops.  The rows are
+    looked at only when some value is negative."""
+    value, key = keyed
+    if not (value < 0).any():
+        return keep, 0
+    ok = _per_row(value, key) >= 0
+    if keep is None:
+        return ok, len(ok) - int(np.count_nonzero(ok))
+    ok &= keep
+    return ok, int(np.count_nonzero(keep)) - int(np.count_nonzero(ok))
+
+
+def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
     """The block loop of _read_reports, over the blocks _read gives.  Raw
     timestamps are parsed by stamp_cells, not grouped."""
     strings = [
@@ -1057,25 +1075,27 @@ def _report_blocks(rows: int | None, blocks, cell: _Lookup, string_columns, voca
     ]
     bad_cells: dict[int, int] = {}
     blank = [0, 0, 0]
-    columns = [_Column(rows) for _ in range(5)]
+    columns: list[list[np.ndarray]] = [[] for _ in range(5)]  # per column: a part per block
     for block in blocks:
         if cell.resolve is _stamp_cell:
-            cells = block.stamp_cells(cell.names[0])
+            cells = block.stamp_cells(cell.names[0]), None
         else:
             cells = block.values(cell)
-        keep = cells >= 0
-        for code, count in zip(*np.unique(cells[~keep], return_counts=True)):
-            bad_cells[int(code)] = bad_cells.get(int(code), 0) + int(count)
-        codes = [block.values(lookup, keep) for lookup in strings]
-        for i, code in enumerate(codes):
-            missing = keep & (code < 0)
-            blank[i] += int(np.count_nonzero(missing))
-            keep &= ~missing
-        cells = cells[keep]
-        columns[0].add(cells >> 3)
-        columns[1].add(cells & 7, len(TEMPORAL_BINS))
+        keep, dropped = _kept(cells, None)
+        if dropped:
+            bad = _per_row(*cells)[~keep]
+            for code, count in zip(*np.unique(bad, return_counts=True)):
+                bad_cells[int(code)] = bad_cells.get(int(code), 0) + int(count)
+        codes = []
+        for i, lookup in enumerate(strings):
+            codes.append(block.values(lookup, keep))
+            keep, dropped = _kept(codes[-1], keep)
+            blank[i] += dropped
+        value, key = cells
+        columns[0].append(_gather((value >> 3, key), keep))
+        columns[1].append(_gather((value & 7, key), keep, len(TEMPORAL_BINS)))
         for column, code, vocab in zip(columns[2:], codes, vocabs):
-            column.add(code[keep], len(vocab))
+            column.append(_gather(code, keep, len(vocab)))
     return columns, bad_cells, blank
 
 
@@ -1092,9 +1112,9 @@ def _read_reports(
     rows rejected because it is the first blank one.
     """
     vocabs: tuple[dict[str, int], ...] = ({}, {}, {})  # sources, locs, types
-    with _read(path, required) as (rows, blocks):
-        columns, bad_cells, blank = _report_blocks(rows, blocks, cell, string_columns, vocabs)
-    date, time, source, loc, type_ = (column.done() for column in columns)
+    with _read(path, required) as blocks:
+        columns, bad_cells, blank = _report_blocks(blocks, cell, string_columns, vocabs)
+    date, time, source, loc, type_ = map(_joined, columns)
     sources, locs, types = vocabs
     table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
     return table, bad_cells, blank
@@ -1283,37 +1303,41 @@ def _trace_slots(slots: dict):
     return slot_of
 
 
-def _trace_blocks(rows: int | None, blocks, slots, sources, types):
+def _trace_blocks(blocks, slots, sources, types):
     """The block loop of read_trace, over the blocks _read gives."""
     prefixes = _Lookup(TRACE_HEADER[:4], _trace_slots(slots))
     source_codes = _Lookup(("SourceId",), functools.partial(_intern, vocab=sources))
-    pairs: list[tuple[int, int]] = []  # type codes of each distinct pair
 
     def pair_of(texts: tuple[str, str]) -> int:
         # reported then occurred, as a row-by-row reading interns them
-        pairs.append((_intern(texts[0], types), _intern(texts[1], types)))
-        return len(pairs) - 1
+        reported, occurred = _intern(texts[0], types), _intern(texts[1], types)
+        return _MALFORMED if min(reported, occurred) < 0 else reported << 32 | occurred
 
     pair_codes = _Lookup(("EventReported", "EventOccurred"), pair_of)
-    columns = [_Column(rows) for _ in range(5)]
+    columns: list[list[np.ndarray]] = [[] for _ in range(5)]  # per column: a part per block
     malformed = mismatched = 0
     for block in blocks:
         slot = block.values(prefixes)
-        mismatched += int(np.count_nonzero(slot == _MISMATCH))
-        malformed += int(np.count_nonzero(slot == _MALFORMED))
-        keep = slot >= 0
-        source = block.values(source_codes, keep)[keep]
-        pair = block.values(pair_codes, keep)[keep]
-        pair = np.array(pairs, dtype=np.int64).reshape(-1, 2)[pair]
+        keep, dropped = _kept(slot, None)
+        if dropped:
+            mismatches = int(np.count_nonzero(_per_row(*slot) == _MISMATCH))
+            mismatched += mismatches
+            malformed += dropped - mismatches
+        source = block.values(source_codes, keep)
+        pair = block.values(pair_codes, keep)
         number, number_ok = block.integers("ReportNo")
-        ok = (source >= 0) & (pair >= 0).all(axis=1) & number_ok[keep]
-        malformed += int(np.count_nonzero(~ok))
-        taken = np.flatnonzero(keep)[ok]
-        columns[0].add(slot[taken], len(slots))
-        columns[1].add(number[taken])
-        columns[2].add(source[ok], len(sources))
-        columns[3].add(pair[ok, 0], len(types))
-        columns[4].add(pair[ok, 1], len(types))
+        checks = [source, pair]
+        if number_ok is not None:
+            checks.append((np.where(number_ok, np.int8(0), np.int8(_MALFORMED)), None))
+        for keyed in checks:
+            keep, dropped = _kept(keyed, keep)
+            malformed += dropped
+        value, key = pair
+        columns[0].append(_gather(slot, keep, len(slots)))
+        columns[1].append(_gather((number, None), keep))
+        columns[2].append(_gather(source, keep, len(sources)))
+        columns[3].append(_gather((value >> 32, key), keep, len(types)))
+        columns[4].append(_gather((value & 0xFFFFFFFF, key), keep, len(types)))
     return columns, malformed, mismatched
 
 
@@ -1328,14 +1352,14 @@ def read_trace(path: Path) -> tuple[ReportTable, dict[str, int]]:
     slots: dict[tuple[int, int, int], int] = {}
     sources: dict[str, int] = {}
     types: dict[str, int] = {}  # reported and occurred types share it
-    with _read(path, TRACE_HEADER) as (rows, blocks):
-        columns, malformed, mismatched = _trace_blocks(rows, blocks, slots, sources, types)
+    with _read(path, TRACE_HEADER) as blocks:
+        columns, malformed, mismatched = _trace_blocks(blocks, slots, sources, types)
     rejects = {}
     if malformed:
         rejects["malformed row"] = malformed
     if mismatched:
         rejects["day/date mismatch"] = mismatched
-    event, report_no, source, reported, occurred = (column.done() for column in columns)
+    event, report_no, source, reported, occurred = map(_joined, columns)
     table = ReportTable.from_codes(
         slots, event, report_no, source, sources, reported, occurred, types
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
 
-from .distributions import Pmf, uniform_pmf
+from .distributions import Pmf, check_seed, uniform_pmf
 from .errors import PsSimError
 
 #: Location label of reports that carry none (simulated traces, bare rows).
@@ -198,11 +198,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.tau < 1:
             raise PsSimError(f"tau must be >= 1, got {self.tau}")
+        if self.start_date.toordinal() + self.tau - 1 > dt.date.max.toordinal():
+            raise PsSimError(f"the {self.tau}-day window from {self.start_date} runs past {dt.date.max}")
         if self.n < 1:
             raise PsSimError(f"participant count n must be >= 1, got {self.n}")
         if not 0.0 <= self.pr_lie <= 1.0:
             raise PsSimError(f"pr_lie must be in [0, 1], got {self.pr_lie}")
         if self.pr_lie > 0.0 and len(self.model.pmf_ev_type.support) < 2:
             raise PsSimError("pr_lie > 0 requires at least two event types")
-        if not 0 <= self.seed < 2**64:
-            raise PsSimError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)

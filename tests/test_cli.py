@@ -379,6 +379,35 @@ class TestSimulate:
         assert result.output.startswith(f"error: {args[1]}: ")
         assert result.output.count("\n") == 1  # one line, no traceback
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["simulate", "validate", "bench"])
+    def test_out_of_range_seed_names_its_option_and_exits_3(
+        self, runner, tmp_path, monkeypatch, command, seed
+    ):
+        from unittest import mock
+
+        from pssim import formats
+
+        # validate's dataset is never read: the seed is checked first
+        monkeypatch.setattr(formats, "read_header", mock.Mock(side_effect=AssertionError))
+        dataset = [str(SAMPLE_CSV)] if command == "validate" else []
+        result = runner.invoke(main, [command, *dataset, "--seed", seed, "--out", str(tmp_path / "o.csv")])
+        assert result.exit_code == 3, result.output
+        assert result.output == "error: --seed: seed must fit in an unsigned 64-bit integer\n"
+
+    def test_window_past_the_last_date_exits_3_before_simulating(self, runner, tmp_path, monkeypatch):
+        from unittest import mock
+
+        monkeypatch.setattr("pssim.cli.simulate", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "t.csv"
+        args = ["simulate", "--n", "5", "--tau", "7", "--start-date", "9999-12-30", "--out", str(out)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            "error: --start-date/--tau: the 7-day window from 9999-12-30 runs past 9999-12-31\n"
+        )
+        assert not out.exists()
+
     def test_no_events_names_the_lambda_and_tau_drawn_with(self, runner, tmp_path):
         result = runner.invoke(
             main, ["simulate", "--lambda", "1e-9", "--tau", "1", "--out", str(tmp_path / "t.csv")]
@@ -1003,7 +1032,7 @@ def test_outputs_do_not_depend_on_sidecars(runner, tmp_path, monkeypatch):
             for path in (canon, trace):
                 (tmp_path / f"{path.name}.cols").unlink()
         reads = mock.patch.object(
-            formats._CodedBlock, "__len__", autospec=True, side_effect=lambda block: len(block.columns[0])
+            formats._Sidecar, "values", autospec=True, side_effect=formats._Sidecar.values
         )
         for name, args in commands.items():
             out = tmp_path / f"{sidecars}-{name}"

@@ -829,7 +829,7 @@ def read_by(reader, path):
     with mock.patch.object(
         formats, "_row_blocks", spy("rows", formats._row_blocks)
     ), mock.patch.object(
-        formats._CodedBlock, "__len__", spy("sidecar", formats._CodedBlock.__len__)
+        formats._Sidecar, "values", spy("sidecar", formats._Sidecar.values)
     ), mock.patch.object(formats._ByteBlock, "__len__", spy("bytes", formats._ByteBlock.__len__)):
         result = reader(path)
     assert len(taken) <= 1, taken
@@ -1362,7 +1362,8 @@ class TestSidecar:
         write(table, path)
         csv_bytes, cols_bytes = path.read_bytes(), Path(f"{path}.cols").read_bytes()
         whole, whole_rejects, _ = read_every_way(read, path)
-        # sidecar columns written and checked 8 bytes at a time, read 3 rows at a time
+        # sidecar columns written and the CSV hashed 8 bytes at a time, and the
+        # writer's chunks and csv.reader's blocks 3 rows long
         monkeypatch.setattr(formats, "_HASH_BYTES", 8)
         monkeypatch.setattr(formats, "CHUNK_ROWS", 3)
         write(table, path)
@@ -1372,9 +1373,9 @@ class TestSidecar:
         assert columns(cut) == columns(whole) and cut_rejects == whole_rejects
 
     def test_codes_that_outgrow_one_byte_are_widened(self, tmp_path, monkeypatch):
-        # 1,200 rows in blocks of 100, whose sources and event slots pass
-        # 256 in the eleventh block: the sidecar's columns are filled one
-        # byte wide until then
+        # 1,200 rows in csv.reader's blocks of 100, whose sources and event
+        # slots pass 256 in the eleventh block: the codes of the blocks
+        # before it are one byte wide
         monkeypatch.setattr(formats, "CHUNK_ROWS", 100)
         date = dt.date(2016, 1, 9)
         path = tmp_path / "trace.csv"
@@ -1395,6 +1396,29 @@ class TestSidecar:
         write_trace(trace.reports, path)
         table, rejects, _ = read_every_way(read_trace, path)
         assert rejects == {} and rows_of(table) == rows_of(trace.reports)
+
+    def test_each_text_is_resolved_once_in_first_use_order(self, tmp_path, monkeypatch):
+        trace = simulate(make_config(seed=9, pr_lie=0.2, n=200))
+        path = tmp_path / "trace.csv"
+        write_trace(trace.reports, path)
+        resolved = {}  # per lookup's columns: the texts it resolved, in order
+
+        class Spy(formats._Lookup):
+            def __init__(self, names, resolve, remember=True):
+                texts = resolved.setdefault(tuple(names), [])
+                super().__init__(names, lambda text: texts.append(text) or resolve(text), remember)
+
+        monkeypatch.setattr(formats, "_Lookup", Spy)
+        (table, rejects), taken = read_by(read_trace, path)
+        assert taken == "sidecar" and rejects == {} and rows_of(table) == rows_of(trace.reports)
+        with open(path, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))[1:]
+        expected = {
+            TRACE_HEADER[:4]: [tuple(row[:4]) for row in rows],
+            ("SourceId",): [row[5] for row in rows],
+            ("EventReported", "EventOccurred"): [tuple(row[6:]) for row in rows],
+        }
+        assert resolved == {names: list(dict.fromkeys(texts)) for names, texts in expected.items()}
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1587,32 +1611,39 @@ def test_write_to_a_device_gets_no_sidecar(monkeypatch):
         write_trace(simulate(make_config(seed=9, n=50, tau=7)).reports, Path(os.devnull))
 
 
+READ_BY = {"bytes": formats._ByteBlock, "sidecar": formats._Sidecar, "rows": formats._RowBlock}
+
+
 @pytest.mark.parametrize("kind", ["bytes", "sidecar", "rows"])
-def test_rows_outside_keep_get_malformed(tmp_path, kind):
+def test_rows_outside_keep_get_malformed(tmp_path, monkeypatch, kind):
     """A row outside ``keep`` gets _MALFORMED even when its text is known,
     from an earlier call or from a kept row of the same call."""
     path = tmp_path / "trace.csv"
     rows = [GOOD_ROW.replace("UID000858", source) for source in ("a", "b", "a", "c")]
     path.write_text(TRACE_HEAD + "\n" + "\n".join(rows) + "\n")
-    if kind == "sidecar":
-        with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", 0):
+    with mock.patch.object(formats, "BYTE_PATH_MIN_BYTES", 0):
+        if kind == "sidecar":
             write_trace(read_trace(path)[0], path)
-            sidecar = formats._Sidecar.open(path)
-        with sidecar:
-            block = next(sidecar.blocks(TRACE_HEADER))
-    elif kind == "bytes":
-        block = next(formats._blocks(path, TRACE_HEADER))
-    else:
-        block = next(formats._row_blocks(path, TRACE_HEADER))
-    values = {"a": 5, "b": 7, "c": 9}
-    lookup = formats._Lookup(("SourceId",), values.__getitem__)
-    assert block.values(lookup).tolist() == [5, 7, 5, 9]
-    keep = np.array([True, False, False, False])
-    assert block.values(lookup, keep).tolist() == [5, -1, -1, -1]
-    fresh = formats._Lookup(("SourceId",), values.__getitem__)
-    keep = np.array([False, True, False, True])
-    assert block.values(fresh, keep).tolist() == [-1, 7, -1, 9]
-    assert block.values(fresh, ~keep).tolist() == [5, -1, 5, -1]
+        elif kind == "rows":
+            monkeypatch.setattr(formats, "_byte_path", lambda path: False)
+        with formats._read(path, TRACE_HEADER) as blocks:
+            block, = blocks
+            assert isinstance(block, READ_BY[kind])
+
+            def values(lookup, keep=None):
+                """Each row's value, from the value table and keys block.values gives."""
+                table, key = block.values(lookup, keep)
+                return (table if key is None else table[key]).tolist()
+
+            values_of = {"a": 5, "b": 7, "c": 9}
+            lookup = formats._Lookup(("SourceId",), values_of.__getitem__)
+            assert values(lookup) == [5, 7, 5, 9]
+            keep = np.array([True, False, False, False])
+            assert values(lookup, keep) == [5, -1, -1, -1]
+            fresh = formats._Lookup(("SourceId",), values_of.__getitem__)
+            keep = np.array([False, True, False, True])
+            assert values(fresh, keep) == [-1, 7, -1, 9]
+            assert values(fresh, ~keep) == [5, -1, 5, -1]
 
 
 def validation_reports(folds):

@@ -428,7 +428,7 @@ class TestTraceTables:
         write_trace(simulate(cfg).reports, path)
         if not sidecar:
             Path(f"{path}.cols").unlink()
-        block = formats._CodedBlock if sidecar else formats._ByteBlock
+        block = formats._Sidecar if sidecar else formats._ByteBlock
         with mock.patch.object(block, "integers", autospec=True, side_effect=block.integers) as spy:
             read_trace(path)  # lazy imports and caches outside the count
         assert spy.called  # the rows are read by the path named
@@ -452,8 +452,9 @@ class TestTraceTables:
 
     def test_read_trace_memory_per_row_is_bounded_from_sidecar(self, tmp_path):
         retained, peak = self.measured_trace_read(tmp_path, sidecar=True)
-        # measured with 4096-row blocks: 24.4 B/row retained, 47.2 B/row peak
-        assert retained <= 26.0
+        # measured as one block keyed by the codes: 22.0 B/row retained,
+        # 47.4 B/row peak (24.4 and 47.7 with 4096-row blocks)
+        assert retained <= 24.0
         assert peak <= 55.0
 
     def test_write_trace_memory_is_bounded_per_chunk(self, tmp_path):

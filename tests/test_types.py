@@ -148,6 +148,12 @@ class TestSimConfig:
         with pytest.raises(PsSimError, match="two event types"):
             make_config(ev_types=("Jam",), pr_lie=0.5)
 
+    def test_window_must_end_by_the_last_date(self):
+        # the last day the window may hold is date.max, 9999-12-31
+        assert make_config(tau=2, start_date=dt.date(9999, 12, 30)).tau == 2
+        with pytest.raises(PsSimError, match="7-day window from 9999-12-30 runs past 9999-12-31"):
+            make_config(tau=7, start_date=dt.date(9999, 12, 30))
+
 
 class TestModel:
     def test_lambda_by_loc_is_a_read_only_copy(self):
