@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .errors import PsSimError
 from .table import DENSE_CELLS_PER_ROW, report_columns
-from .types import DAY_BINS, DEFAULT_LOC, TEMPORAL_BINS, Model, day_index
+from .types import DAY_BINS, TEMPORAL_BINS, Model, check_window, day_index, window_offsets
 
 @dataclass(frozen=True)
 class BinnedSeries:
@@ -84,21 +84,19 @@ class BinnedData:
         return self.pair_count.astype(np.float64).tolist()
 
 
-def bin_reports(
-    reports, window: tuple[dt.date, int], default_loc: str = DEFAULT_LOC
-) -> BinnedData:
+def bin_reports(reports, window: tuple[dt.date, int]) -> BinnedData:
     """Tally reports into per-location (date, bin) cells and per-user weeks.
 
     ``reports`` is a CanonicalTable or a ReportTable; trace reports carry
-    no location and are tallied under ``default_loc``.  Reports outside
-    the window, and trace reports with an empty type, are excluded with a
-    counter, not an error.
+    no location and are tallied under DEFAULT_LOC.  Reports outside the
+    window, and trace reports with an empty type, are excluded with a
+    counter, not an error.  Raises PsSimError for a window that
+    ``check_window`` rejects.
     """
     start, days = window
-    if days < 1:
-        raise PsSimError(f"empty window: days must be >= 1, got {days}")
-    table, rejected = report_columns(reports, default_loc)
-    offset, inside = _window_offsets(table, window)
+    check_window(start, days)
+    table, rejected = report_columns(reports)
+    offset, inside = window_offsets(table.date, window)
     offset = offset[inside]
     cell = offset * 8 + table.time[inside]
     n_cells = 8 * days
@@ -139,21 +137,13 @@ def mean_weekly(reports, window: tuple[dt.date, int]) -> dict[str, float]:
     these means.
     """
     table, _ = report_columns(reports)
-    offset, inside = _window_offsets(table, window)
+    offset, inside = window_offsets(table.date, window)
     users, pair_user, _, pair_count = _user_weekly(
         table.source[inside], offset[inside] // 7, table.sources
     )
     weeks = np.bincount(pair_user, minlength=len(users))
     total = np.bincount(pair_user, pair_count, minlength=len(users))
     return dict(zip(users, (total / weeks).tolist()))
-
-
-def _window_offsets(table, window: tuple[dt.date, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Each report's day offset from the window start, and whether the
-    window holds it."""
-    start, days = window
-    offset = table.date - start.toordinal()
-    return offset, (offset >= 0) & (offset < days)
 
 
 def _user_weekly(
@@ -199,7 +189,7 @@ def weekly_samples_by_location(
     are left out.
     """
     table, _ = report_columns(reports)
-    offset, inside = _window_offsets(table, window)
+    offset, inside = window_offsets(table.date, window)
     width = max(len(table.sources), 1)
     users, pair_user, _, pair_count = _user_weekly(
         table.loc[inside].astype(np.int64) * width + table.source[inside],

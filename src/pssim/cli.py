@@ -25,7 +25,7 @@ from .distributions import check_seed, uniform_pmf
 from .errors import PsSimError
 from .simulator import simulate
 from .table import report_columns
-from .types import DEFAULT_LOC, DEFAULT_MODEL, Model, SimConfig
+from .types import DEFAULT_LOC, DEFAULT_MODEL, SimConfig, check_window, window_offsets
 from .validation import AXES, cross_validate, summarize
 
 #: SimConfig's field defaults, which simulate's help texts name.
@@ -58,23 +58,28 @@ def _read_window(read, path: Path, start: str | None, days: int | None, what: st
     --start/--days window; either end defaults to the span of the reports'
     dates.
 
-    A read error is a usage error.  Returns (reports inside, rejects,
-    window, count outside); raises PsSimError when no report is inside.
+    A malformed --start, a --days below 1 and a read error are usage
+    errors, found before any report is read.  Returns (reports inside,
+    rejects, window, count outside); raises PsSimError when no report is
+    inside or the window runs past the last date.
     """
+    first = None if start is None else _parse_iso_date(start, "--start")
+    if days is not None and days < 1:
+        raise click.UsageError(f"--days must be >= 1, got {days}")
     try:
         reports, rejects = read(path)
     except PsSimError as exc:
         raise click.UsageError(str(exc))
-    first = None if start is None else _parse_iso_date(start, "--start")
     if (first is None or days is None) and not len(reports):
         raise PsSimError(f"no reports in {path}; cannot infer a window")
     first = first or dt.date.fromordinal(int(reports.date.min()))
     if days is None:
         days = int(reports.date.max()) - first.toordinal() + 1
-    if days < 1:
-        raise click.UsageError(f"--days must be >= 1, got {days}")
-    offset = reports.date - first.toordinal()
-    inside = reports.take((offset >= 0) & (offset < days))
+        if days < 1:  # every report is before --start
+            raise PsSimError(f"no reports inside the {what} window")
+    with _option("--start/--days"):
+        check_window(first, days)
+    inside = reports.take(window_offsets(reports.date, (first, days))[1])
     if not len(inside):
         raise PsSimError(f"no reports inside the {what} window")
     return inside, rejects, (first, days), len(reports) - len(inside)
@@ -425,8 +430,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
         values = [int(p) for p in parts]
     except ValueError:
         raise click.UsageError(f"{flag} expects START:STOP[:STEP], got {text!r}")
-    if len(values) == 1:
-        return values
+    if len(values) == 1:  # one value, checked as the range of it alone
+        values *= 2
     if len(values) == 2:
         start, stop = values
         step = max(1, (stop - start) // 9)

@@ -471,12 +471,11 @@ class _Lookup:
     several) and is called in the order rows first use a text.  It may be
     called again for a text it has seen, and must then give the same value.
     Resolved texts are kept, by key words for the byte path and by text
-    otherwise, unless ``remember`` is false (for columns whose texts seldom
-    repeat).
+    otherwise, for as long as the lookup lives.
     """
 
-    def __init__(self, names: Sequence[str], resolve, remember: bool = True):
-        self.names, self.resolve, self.remember = tuple(names), resolve, remember
+    def __init__(self, names: Sequence[str], resolve):
+        self.names, self.resolve = tuple(names), resolve
         self.by_text: dict = {}
         self.words: list[list[np.ndarray]] = [[] for _ in self.names]  # per column
         self.values = np.zeros(0, dtype=np.int64)  # per known key
@@ -485,9 +484,7 @@ class _Lookup:
         """The value of one text."""
         value = self.by_text.get(text)
         if value is None:
-            value = self.resolve(text)
-            if self.remember:
-                self.by_text[text] = value
+            value = self.by_text[text] = self.resolve(text)
         return value
 
 
@@ -637,9 +634,8 @@ class _ByteBlock:
         at = _first_rows(groups, len(first), keep)
         at = at[~old[groups[at]]]  # rows that first use a new text
         value[groups[at]] = [lookup.resolve(text) for text in self._texts(bounds, at)]
-        if lookup.remember:
-            lookup.words = [[np.concatenate((w[:known], w[known + at])) for w in c] for c in columns]
-            lookup.values = np.concatenate((lookup.values, value[groups[at]]))
+        lookup.words = [[np.concatenate((w[:known], w[known + at])) for w in c] for c in columns]
+        lookup.values = np.concatenate((lookup.values, value[groups[at]]))
         return _keyed(value, groups, keep)
 
     def integers(self, name: str) -> tuple[np.ndarray, np.ndarray | None]:
@@ -949,7 +945,7 @@ class _Sidecar:
 
     def stamp_cells(self, name: str) -> np.ndarray:
         """``_stamp_cell`` of one column's field in every row."""
-        return _per_row(*self.values(_Lookup((name,), _stamp_cell, remember=False)))
+        return _per_row(*self.values(_Lookup((name,), _stamp_cell)))
 
 
 class _RowBlock:
@@ -973,9 +969,8 @@ class _RowBlock:
         lookup does not know, in row order."""
         columns = [self.columns[self.col[name]] for name in lookup.names]
         texts = columns[0] if len(columns) == 1 else zip(*columns)
-        # lookup.of's work without a call per text; a lookup that does not
-        # remember keeps its texts for this block only
-        known = lookup.by_text if lookup.remember else {}
+        # lookup.of's work without a call per text
+        known = lookup.by_text
         get, resolve = known.get, lookup.resolve
         value = [
             (got if (got := get(text)) is not None else known.setdefault(text, resolve(text)))
@@ -999,7 +994,7 @@ class _RowBlock:
 
     def stamp_cells(self, name: str) -> np.ndarray:
         """``_stamp_cell`` of one column's field in every row."""
-        return self.values(_Lookup((name,), _stamp_cell, remember=False))[0]
+        return self.values(_Lookup((name,), _stamp_cell))[0]
 
 
 def _row_blocks(path: Path, required: Sequence[str]):
@@ -1066,9 +1061,8 @@ def _kept(keyed, keep: np.ndarray | None) -> tuple[np.ndarray | None, int]:
     return ok, int(np.count_nonzero(keep)) - int(np.count_nonzero(ok))
 
 
-def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
-    """The block loop of _read_reports, over the blocks _read gives.  Raw
-    timestamps are parsed by stamp_cells, not grouped."""
+def _report_blocks(blocks, cells_of, string_columns, vocabs):
+    """The block loop of _read_reports, over the blocks _read gives."""
     strings = [
         _Lookup((name,), functools.partial(_intern, vocab=vocab))
         for name, vocab in zip(string_columns, vocabs)
@@ -1077,10 +1071,7 @@ def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
     blank = [0, 0, 0]
     columns: list[list[np.ndarray]] = [[] for _ in range(5)]  # per column: a part per block
     for block in blocks:
-        if cell.resolve is _stamp_cell:
-            cells = block.stamp_cells(cell.names[0]), None
-        else:
-            cells = block.values(cell)
+        cells = cells_of(block)
         keep, dropped = _kept(cells, None)
         if dropped:
             bad = _per_row(*cells)[~keep]
@@ -1100,12 +1091,13 @@ def _report_blocks(blocks, cell: _Lookup, string_columns, vocabs):
 
 
 def _read_reports(
-    path: Path, required: Sequence[str], cell: _Lookup, string_columns: Sequence[str]
+    path: Path, required: Sequence[str], cells_of, string_columns: Sequence[str]
 ) -> tuple[CanonicalTable, dict[int, int], list[int]]:
     """Read a report CSV into a CanonicalTable.
 
-    ``cell`` maps a row's date and time text to its cell code, date
-    ordinal * 8 + time-bin index, or to a negative reject code.  The
+    ``cells_of`` takes a block and gives each row's cell code, date
+    ordinal * 8 + time-bin index, or a negative reject code, as a value
+    table and the rows' keys into it (see _ByteBlock.values).  The
     ``string_columns`` are sourceId, loc and incidentType; they are
     stripped, and each distinct text is checked once.  Returns the table,
     the rows rejected per negative cell code and, per string column, the
@@ -1113,7 +1105,7 @@ def _read_reports(
     """
     vocabs: tuple[dict[str, int], ...] = ({}, {}, {})  # sources, locs, types
     with _read(path, required) as blocks:
-        columns, bad_cells, blank = _report_blocks(blocks, cell, string_columns, vocabs)
+        columns, bad_cells, blank = _report_blocks(blocks, cells_of, string_columns, vocabs)
     date, time, source, loc, type_ = map(_joined, columns)
     sources, locs, types = vocabs
     table = CanonicalTable.from_codes(date, time, source, sources, loc, locs, type_, types)
@@ -1142,9 +1134,10 @@ def read_raw_reports(
     if column_map:
         colmap.update(column_map)
     columns = [colmap[f] for f in RAW_FIELDS]
-    # timestamps seldom repeat, so their texts are not kept
-    stamps = _Lookup(columns[:1], _stamp_cell, remember=False)
-    table, bad_cells, blank = _read_reports(path, columns, stamps, columns[1:])
+    # timestamps seldom repeat, so stamp_cells parses them rather than group their texts
+    table, bad_cells, blank = _read_reports(
+        path, columns, lambda block: (block.stamp_cells(columns[0]), None), columns[1:]
+    )
     rejects = {}
     if bad_cells:
         rejects["bad timestamp"] = bad_cells[_BAD_DATE]
@@ -1219,7 +1212,9 @@ def read_canonical(path: Path) -> tuple[CanonicalTable, dict[str, int]]:
     """
     cell = _cell_of()
     cells = _Lookup(("date", "time"), lambda texts: cell(*texts))
-    table, bad_cells, blank = _read_reports(path, CANONICAL_HEADER, cells, CANONICAL_HEADER[3:])
+    table, bad_cells, blank = _read_reports(
+        path, CANONICAL_HEADER, lambda block: block.values(cells), CANONICAL_HEADER[3:]
+    )
     counts = (
         ("bad date", bad_cells.get(_BAD_DATE, 0)),
         ("bad time bin", bad_cells.get(_BAD_TIME, 0)),

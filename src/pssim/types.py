@@ -7,8 +7,10 @@ form seven day bins ordered Sunday through Saturday.  ``day_index`` and
 ``time_index`` are the calendar rules: every module that bins a date or an
 hour calls them.  Locations are opaque string labels and event types are
 strings: the support of the model's type pmf.  ``DEFAULT_LOC`` labels
-reports that carry no location.  ``Model`` is the one parameter set, which
-a ``SimConfig`` holds beside the run's own fields.
+reports that carry no location.  ``check_window`` and ``window_offsets``
+are the window rules: a window is a start date and a day count, and every
+read, fit and run checks and filters by them.  ``Model`` is the one
+parameter set, which a ``SimConfig`` holds beside the run's own fields.
 """
 
 from __future__ import annotations
@@ -115,6 +117,23 @@ def weekday_of(date: dt.date) -> DayBin:
     return DAY_BINS[day_index(date.toordinal())]
 
 
+def check_window(start: dt.date, days: int) -> None:
+    """Raise PsSimError unless the ``days``-day window from ``start`` holds
+    at least one day and ends by ``date.max``, 9999-12-31."""
+    if days < 1:
+        raise PsSimError(f"empty window: days must be >= 1, got {days}")
+    if start.toordinal() + days - 1 > dt.date.max.toordinal():
+        raise PsSimError(f"the {days}-day window from {start} runs past {dt.date.max}")
+
+
+def window_offsets(ordinal, window: tuple[dt.date, int]):
+    """Each date ordinal's day offset from the window start, and whether
+    the window holds it, for a numpy integer array."""
+    start, days = window
+    offset = ordinal - start.toordinal()
+    return offset, (offset >= 0) & (offset < days)
+
+
 @dataclass(frozen=True, slots=True)
 class Model:
     """The fitted parameter set: what ``pssim fit`` writes and the
@@ -196,10 +215,7 @@ class SimConfig:
     model: Model = DEFAULT_MODEL
 
     def __post_init__(self) -> None:
-        if self.tau < 1:
-            raise PsSimError(f"tau must be >= 1, got {self.tau}")
-        if self.start_date.toordinal() + self.tau - 1 > dt.date.max.toordinal():
-            raise PsSimError(f"the {self.tau}-day window from {self.start_date} runs past {dt.date.max}")
+        check_window(self.start_date, self.tau)
         if self.n < 1:
             raise PsSimError(f"participant count n must be >= 1, got {self.n}")
         if not 0.0 <= self.pr_lie <= 1.0:

@@ -191,13 +191,11 @@ def fold_config(
 
 
 def cross_validate(
-    real_data,
-    k: int,
-    seed: int,
-    window: tuple[dt.date, int] | None = None,
+    real_data, k: int, seed: int, window: tuple[dt.date, int]
 ) -> list[ValidationReport]:
-    """k-fold validation: per fold, fit on the remaining folds, simulate a
-    trace of matching scale, and compare histograms along every axis.
+    """k-fold validation over ``window``: per fold, fit on the remaining
+    folds, simulate a trace of matching scale, and compare histograms
+    along every axis.
 
     ``real_data`` is a CanonicalTable or a ReportTable.  Each training set
     holds the other folds in fold order.  Every AxisResult keeps the real
@@ -206,12 +204,6 @@ def cross_validate(
     if k < 2:
         raise PsSimError(f"need k >= 2 folds, got {k}")
     table, _ = report_columns(real_data)
-    if window is None:
-        if not len(table):
-            raise PsSimError("no reports to validate")
-        first, last = int(table.date.min()), int(table.date.max())
-        window = (dt.date.fromordinal(first), last - first + 1)
-
     rng = RandomSource(seed)
     folds = _fold_rows(len(table), k, rng.substream("folds"))
     seed_gen = rng.substream("fold-seeds").generator

@@ -173,6 +173,35 @@ def sample_canonical(tmp_path_factory):
     return out
 
 
+@pytest.mark.parametrize(
+    "command, what",
+    [("ingest", "ingestion"), ("fit", "fitting"), ("validate", "validation")],
+)
+def test_every_command_checks_its_window_before_binning(
+    runner, tmp_path, monkeypatch, sample_canonical, command, what
+):
+    from unittest import mock
+
+    for name in ("mean_weekly", "fit_models", "cross_validate"):
+        monkeypatch.setattr(f"pssim.cli.{name}", mock.Mock(side_effect=AssertionError))
+    source = SAMPLE_CSV if command == "ingest" else sample_canonical
+    out = tmp_path / "out"
+    base = [command, str(source)] + ([] if command == "validate" else ["--out", str(out)])
+    # an inferred span with no report on or after --start names no --days
+    result = runner.invoke(main, base + ["--start", "2030-01-01"])
+    assert result.exit_code == 3, result.output
+    assert result.output == f"error: no reports inside the {what} window\n"
+    result = runner.invoke(main, base + ["--days", "3000000"])
+    assert result.exit_code == 3, result.output
+    assert result.output == (
+        "error: --start/--days: the 3000000-day window from 2015-02-23 runs past 9999-12-31\n"
+    )
+    result = runner.invoke(main, base + ["--days", "0"])
+    assert result.exit_code == 2, result.output
+    assert "--days must be >= 1, got 0" in result.output
+    assert not out.exists()
+
+
 class TestFit:
     def test_fit_writes_model_with_diagnostics(self, runner, tmp_path, sample_canonical):
         model_path = tmp_path / "model.json"
@@ -828,11 +857,11 @@ class TestBench:
         assert set(rows[0]) == {"n", "m", "seconds"}
 
     def test_bad_range_exits_2(self, runner, tmp_path):
-        result = runner.invoke(
-            main,
-            ["bench", "--n-range", "100:10", "--out", str(tmp_path / "b.csv")],
-        )
-        assert result.exit_code == 2
+        # a single value is checked as a range, before any SimConfig sees it
+        for flag, text in [("--n-range", "100:10"), ("--n-range", "0"), ("--m-range", "-3")]:
+            result = runner.invoke(main, ["bench", flag, text, "--out", str(tmp_path / "b.csv")])
+            assert result.exit_code == 2, result.output
+            assert f"{flag} range must be positive and increasing, got {text!r}" in result.output
 
 
 def test_cli_import_loads_only_numpy_and_click():

@@ -1404,9 +1404,9 @@ class TestSidecar:
         resolved = {}  # per lookup's columns: the texts it resolved, in order
 
         class Spy(formats._Lookup):
-            def __init__(self, names, resolve, remember=True):
+            def __init__(self, names, resolve):
                 texts = resolved.setdefault(tuple(names), [])
-                super().__init__(names, lambda text: texts.append(text) or resolve(text), remember)
+                super().__init__(names, lambda text: texts.append(text) or resolve(text))
 
         monkeypatch.setattr(formats, "_Lookup", Spy)
         (table, rejects), taken = read_by(read_trace, path)

@@ -15,9 +15,11 @@ from pssim.types import (
     DEFAULT_MODEL,
     DayBin,
     TemporalBin,
+    check_window,
     day_index,
     time_index,
     weekday_of,
+    window_offsets,
 )
 
 from conftest import make_config
@@ -110,6 +112,26 @@ class TestCalendarRules:
             assert time_index(hour) == indices[hour]
             start = START_HOURS[indices[hour]]
             assert (hour - start) % 24 < 3
+
+
+class TestWindow:
+    def test_a_window_may_end_on_the_last_date(self):
+        check_window(dt.date(9999, 12, 31), 1)
+        check_window(dt.date(9999, 12, 25), 7)
+        with pytest.raises(PsSimError, match="^the 2-day window from 9999-12-31 runs past 9999-12-31$"):
+            check_window(dt.date(9999, 12, 31), 2)
+
+    @pytest.mark.parametrize("days", [0, -3])
+    def test_a_window_holds_a_day(self, days):
+        with pytest.raises(PsSimError, match=f"^empty window: days must be >= 1, got {days}$"):
+            check_window(dt.date(2015, 2, 23), days)
+
+    def test_offsets_and_membership(self):
+        start = dt.date(2015, 2, 23)
+        ordinal = np.arange(start.toordinal() - 2, start.toordinal() + 5)
+        offset, inside = window_offsets(ordinal, (start, 3))
+        assert offset.tolist() == [-2, -1, 0, 1, 2, 3, 4]
+        assert inside.tolist() == [False, False, True, True, True, False, False]
 
 
 class TestSimConfig:

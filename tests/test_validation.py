@@ -180,7 +180,7 @@ class TestCrossValidate:
             pmf_ev_type=pmf_from_counts({"Jam": 5, "Accident": 3, "Hazard": 2}),
         )
         trace = simulate(cfg)
-        results = cross_validate(trace.reports, k=2, seed=99)
+        results = cross_validate(trace.reports, k=2, seed=99, window=(cfg.start_date, cfg.tau))
         assert len(results) == 2
         for r in results:
             for axis in AXES:
@@ -188,17 +188,19 @@ class TestCrossValidate:
 
     def test_k_below_two_rejected(self):
         with pytest.raises(PsSimError):
-            cross_validate(trace_table([report()]), k=1, seed=0)
+            cross_validate(trace_table([report()]), k=1, seed=0, window=(dt.date(2015, 2, 23), 7))
 
     def test_deterministic(self):
-        trace = simulate(make_config(n=300, seed=8, lambda_e=10.0))
-        a = cross_validate(trace.reports, k=3, seed=5)
-        b = cross_validate(trace.reports, k=3, seed=5)
+        cfg = make_config(n=300, seed=8, lambda_e=10.0)
+        trace = simulate(cfg)
+        a = cross_validate(trace.reports, k=3, seed=5, window=(cfg.start_date, cfg.tau))
+        b = cross_validate(trace.reports, k=3, seed=5, window=(cfg.start_date, cfg.tau))
         assert a == b
 
     def test_summarize_shape(self):
-        trace = simulate(make_config(n=300, seed=8, lambda_e=10.0))
-        stats = summarize(cross_validate(trace.reports, k=3, seed=5))
+        cfg = make_config(n=300, seed=8, lambda_e=10.0)
+        trace = simulate(cfg)
+        stats = summarize(cross_validate(trace.reports, k=3, seed=5, window=(cfg.start_date, cfg.tau)))
         assert set(stats) == set(AXES)
         for axis in AXES:
             assert set(stats[axis]) == {
